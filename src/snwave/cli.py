@@ -27,6 +27,7 @@ codes: 0 success, 2 usage error, 3 divergence (non-finite values).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -76,6 +77,10 @@ class RunConfig:
     dump_frames: bool = False
 
     def validate(self):
+        for name in ("k", "T", "T_multiple", "sigma", "epsilon", "u2", "target_edge"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise UsageError(f"{name}: must be finite, got {value}")
         if not 0.0 <= self.k < 1.0:
             raise UsageError(f"k: must be in [0, 1), got {self.k}")
         if self.sigma <= 0:

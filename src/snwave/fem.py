@@ -1,14 +1,18 @@
 """1D P1 finite-element building blocks.
 
-Mass/stiffness assembly on uniform meshes, a Thomas solve for the
-resulting tridiagonal systems, inter-mesh interpolation (the per-level
-meshes differ because the domain moves), boundary-derivative recovery at
-the controlled end, and the discrete L2 norm of boundary controls.
+Mass/stiffness assembly on uniform meshes, inter-mesh interpolation
+(the per-level meshes differ because the domain moves), boundary-
+derivative recovery at the controlled end, and the discrete L2 norm of
+boundary controls.  ``solve_tridiagonal`` is a Thomas solve for the
+assembled systems; the marches use the sine-basis step solve in
+``solvers`` instead, and the Thomas solve is kept as the reference the
+tests check it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -58,14 +62,6 @@ class TriDiagMatrix:
             lower=self.lower + scale * other.lower,
             diagonal=self.diagonal + scale * other.diagonal,
             upper=self.upper + scale * other.upper,
-        )
-
-    def interior(self) -> "TriDiagMatrix":
-        """Submatrix after eliminating the first and last (Dirichlet) rows."""
-        return TriDiagMatrix(
-            lower=self.lower[1:-1].copy(),
-            diagonal=self.diagonal[1:-1].copy(),
-            upper=self.upper[1:-1].copy(),
         )
 
 
@@ -144,23 +140,27 @@ def solve_tridiagonal(A: TriDiagMatrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def interpolate(fld: NodalField, target: SpatialMesh) -> NodalField:
+def interpolate(fld, target: SpatialMesh, source: Optional[SpatialMesh] = None):
     """Evaluate the P1 function on the nodes of another uniform mesh.
 
-    Target points beyond the source domain's right endpoint receive 0:
-    the fields being transported vanish at the moving end, so extension
-    by zero is consistent to discretization order.
+    ``fld`` is a NodalField, or a bare array of nodal values on the mesh
+    ``source``; the result is of the same kind.  Target points beyond
+    the source domain's right endpoint receive 0: the fields being
+    transported vanish at the moving end, so extension by zero is
+    consistent to discretization order.
     """
-    src = fld.mesh
+    is_field = isinstance(fld, NodalField)
+    values, src = (fld.values, fld.mesh) if is_field else (fld, source)
     if src.n_nodes == target.n_nodes and src.h == target.h:
-        return NodalField(mesh=target, values=fld.values.copy())
-    x = target.nodes
-    n_cells = src.n_nodes - 1
-    j = np.clip((x / src.h).astype(np.int64), 0, n_cells - 1)
-    w = x / src.h - j
-    vals = (1.0 - w) * fld.values[j] + w * fld.values[j + 1]
-    vals[x > src.length] = 0.0
-    return NodalField(mesh=target, values=vals)
+        vals = values.copy()
+    else:
+        x = target.nodes
+        pos = x / src.h
+        j = np.minimum(pos.astype(np.int64), src.n_nodes - 2)  # nodes are >= 0
+        w = pos - j
+        vals = (1.0 - w) * values[j] + w * values[j + 1]
+        vals[x > src.length] = 0.0
+    return NodalField(mesh=target, values=vals) if is_field else vals
 
 
 def boundary_flux_left(fld: NodalField, method: str = "one-sided") -> float:

@@ -17,7 +17,12 @@ an independent check (``nash_gradient_check``).
 
 With zero phi terminal data and a zero initial leader, psi, phi and w1
 stay exactly zero at every sweep and the iteration reduces to the
-u <-> p loop in the follower control.
+u <-> p loop in the follower control.  ``fixed_point_solve`` skips both
+the psi and the phi march of a sweep whenever psi's boundary data and
+phi's terminal data are all exactly zero, and uses one shared all-zero
+trajectory for both; the scheme maps zero data to exactly zero frames,
+so the result is the same.  The skip never applies to a run with
+nonzero phi terminal data.
 """
 
 from __future__ import annotations
@@ -241,6 +246,12 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
             else NodalField(mesh=mesh_T, values=np.asarray(f, dtype=float))
             for f in config.phi_terminal
         )
+    zero_chain = None
+    if all(f is None or not f.values.any() for f in phi_terminal):
+        zero = np.zeros(N + 1)
+        zero.flags.writeable = False
+        zero_chain = Trajectory(grid=grid, frames=[NodalField(mesh=f.mesh, values=zero)
+                                                   for f in u2_fields])
 
     if config.initial_controls is not None:
         w1, w2 = config.initial_controls
@@ -274,12 +285,15 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
             for m in follower_idx:
                 psi_bc[m] = -phi_prev.flux_left(int(m)) / config.sigma
             psi_bc[grid.M] = psi_bc[grid.M - 1]
-        psi = solve_forward(ForwardProblem(left_boundary=psi_bc), spec, grid, N)
-        phi = solve_backward(
-            BackwardProblem(source=psi.frames, terminal0=phi_terminal[0],
-                            terminal1=phi_terminal[1]),
-            spec, grid, N,
-        )
+        if zero_chain is not None and not psi_bc.any():
+            psi = phi = zero_chain
+        else:
+            psi = solve_forward(ForwardProblem(left_boundary=psi_bc), spec, grid, N)
+            phi = solve_backward(
+                BackwardProblem(source=psi.frames, terminal0=phi_terminal[0],
+                                terminal1=phi_terminal[1]),
+                spec, grid, N,
+            )
 
         w1_new = leader_update(phi, segments, grid)
         w2_new = follower_update(p, config.sigma, segments, grid)

@@ -1,15 +1,23 @@
 """Time-marching wave solvers on the per-level moving meshes.
 
-Both solvers use the three-level implicit scheme with the stiffness
-matrix applied to the unknown frame: marching forward the unknown is
-u^{m+1}, marching backward it is p^{m-1}.  Assembly happens on the
-unknown's own mesh and the two known frames are interpolated onto it,
-which keeps every linear solve tridiagonal and symmetric positive
-definite after Dirichlet elimination.
+Both solvers run one march kernel, the three-level implicit scheme with
+the stiffness matrix applied to the unknown frame.  Marching forward the
+unknown is u^{m+1}; marching backward it is p^{m-1}, and the backward
+march is the forward march on the reversed level order.  Each step
+interpolates the two known frames onto the unknown's own mesh and solves
+one symmetric tridiagonal system after Dirichlet elimination.
+
+Every level mesh is the same uniform mesh rescaled, so the interior
+system of level m is the Toeplitz matrix tridiag(off_m, diag_m, off_m)
+with diag_m = 2/h_m + 2 h_m/(3 dt^2) and off_m = -1/h_m + h_m/(6 dt^2).
+One orthonormal sine basis S[i, j] = sqrt(2/N) sin(i j pi/N) diagonalizes
+all of them, with eigenvalues diag_m + off_m * 2 cos(j pi/N), so a step
+solve is two products with S and a division.  S is built once per march.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,10 +28,8 @@ from .fem import (
     ControlSamples,
     NodalField,
     assemble_mass,
-    assemble_stiffness,
     boundary_flux_left,
     interpolate,
-    solve_tridiagonal,
 )
 
 __all__ = [
@@ -106,26 +112,76 @@ def _level_meshes(spec: MovingDomainSpec, grid: TimeGrid, N: int):
     return [build_spatial_mesh(spec, t, N) for t in grid.levels]
 
 
-def _imposed(values: np.ndarray, v_left: float, v_right: float) -> np.ndarray:
-    values[0] = v_left
-    values[-1] = v_right
-    return values
+def _sine_basis(N: int):
+    """Orthonormal sine basis of the N-1 interior nodes and 2 cos(j pi/N).
+
+    S[i, j] = sqrt(2/N) sin(i j pi/N) for i, j = 1..N-1 is symmetric and
+    its own inverse; S tridiag(b, a, b) S = diag(a + b * 2 cos(j pi/N)).
+    The angle i*j is reduced mod 2N while still an exact integer, which
+    keeps the sines accurate at large N.
+    """
+    j = np.arange(1.0, N)
+    S = np.multiply.outer(j, j)
+    np.fmod(S, 2.0 * N, out=S)
+    S *= math.pi / N
+    np.sin(S, out=S)
+    S *= math.sqrt(2.0 / N)
+    return S, 2.0 * np.cos(j * (math.pi / N))
 
 
-def _step_solve(mesh, dt, rhs_interior_full, v_left, v_right):
-    """Solve (M/dt^2 + K) v = rhs with Dirichlet values eliminated by rows."""
-    mass = assemble_mass(mesh)
-    stiff = assemble_stiffness(mesh)
-    A = stiff.add(mass, 1.0 / dt**2)
-    rhs = rhs_interior_full[1:-1].copy()
-    rhs[0] -= A.lower[0] * v_left
-    rhs[-1] -= A.upper[-1] * v_right
-    x = solve_tridiagonal(A.interior(), rhs)
-    out = np.empty(mesh.n_nodes)
-    out[0] = v_left
-    out[-1] = v_right
-    out[1:-1] = x
-    return out
+def _toeplitz_solve(S, cos2, diag, off, rhs):
+    """Solve tridiag(off, diag, off) x = rhs in the sine basis."""
+    return S @ ((S @ rhs) / (diag + off * cos2))
+
+
+def _march(meshes, dt, x0, v0, left, source):
+    """Run the three-level implicit scheme over ``meshes`` in march order.
+
+    Frame 0 is the displacement ``x0`` and frame 1 the first-order start
+    x0 + dt*v0 interpolated onto the second mesh; for i >= 1 the frame
+    i+1 solves
+
+        M (v - 2 f~^i + f~^{i-1})/dt^2 + K v = M s^{i+1}
+
+    on mesh i+1 with Dirichlet values ``left[i+1]`` at x = 0 and 0 at the
+    moving end, where the tilde marks interpolation onto that mesh.  All
+    data are arrays in march order; ``source`` may be None.  Returns one
+    array of nodal values per mesh.
+    """
+    N = meshes[0].n_nodes - 1
+    S, cos2 = _sine_basis(N)
+    frames = [None] * len(meshes)
+    frames[0] = x0.copy()
+    frames[1] = interpolate(x0 + dt * v0, meshes[1], meshes[0])
+    for i in (0, 1):
+        frames[i][0] = left[i]
+        frames[i][-1] = 0.0
+    dt2 = dt * dt
+    for i in range(1, len(meshes) - 1):
+        mesh = meshes[i + 1]
+        h = mesh.h
+        w = 2.0 * interpolate(frames[i], mesh, meshes[i])
+        w -= interpolate(frames[i - 1], mesh, meshes[i - 1])
+        if source is not None:
+            w += dt2 * source[i + 1]
+        # interior rows of the mass product: (h/6) (w_{j-1} + 4 w_j + w_{j+1})
+        rhs = 4.0 * w[1:-1]
+        rhs += w[:-2]
+        rhs += w[2:]
+        rhs *= h / (6.0 * dt2)
+        off = -1.0 / h + h / (6.0 * dt2)
+        rhs[0] -= off * left[i + 1]
+        out = np.empty(N + 1)
+        out[0] = left[i + 1]
+        out[-1] = 0.0
+        out[1:-1] = _toeplitz_solve(S, cos2, 2.0 / h + 2.0 * h / (3.0 * dt2), off, rhs)
+        frames[i + 1] = out
+    return frames
+
+
+def _as_trajectory(grid, meshes, values) -> Trajectory:
+    return Trajectory(grid=grid, frames=[NodalField(mesh=ms, values=v)
+                                         for ms, v in zip(meshes, values)])
 
 
 def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
@@ -149,33 +205,16 @@ def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
     if problem.source is not None and len(problem.source) != grid.M + 1:
         raise ValueError("source must provide one field per time level")
     meshes = _level_meshes(spec, grid, N)
-    dt = grid.dt
-    left = problem.left_boundary
-
     ic0 = problem.ic0 if problem.ic0 is not None else NodalField.zeros(meshes[0])
     ic1 = problem.ic1 if problem.ic1 is not None else NodalField.zeros(meshes[0])
     if ic0.mesh.n_nodes != N + 1 or ic1.mesh.n_nodes != N + 1:
         raise ValueError("initial fields must live on the t=0 mesh with N+1 nodes")
-
-    frames = [None] * (grid.M + 1)
-    f0 = _imposed(ic0.values.copy(), left[0], 0.0)
-    frames[0] = NodalField(mesh=meshes[0], values=f0)
-
-    start = NodalField(mesh=meshes[0], values=ic0.values + dt * ic1.values)
-    f1 = _imposed(interpolate(start, meshes[1]).values, left[1], 0.0)
-    frames[1] = NodalField(mesh=meshes[1], values=f1)
-
-    for m in range(1, grid.M):
-        mesh = meshes[m + 1]
-        um = interpolate(frames[m], mesh).values
-        umm = interpolate(frames[m - 1], mesh).values
-        mass = assemble_mass(mesh)
-        rhs = mass.matvec((2.0 * um - umm) / dt**2)
-        if problem.source is not None:
-            rhs += mass.matvec(problem.source[m + 1].values)
-        vals = _step_solve(mesh, dt, rhs, left[m + 1], 0.0)
-        frames[m + 1] = NodalField(mesh=mesh, values=vals)
-    return Trajectory(grid=grid, frames=frames)
+    source = None
+    if problem.source is not None:
+        source = [f.values for f in problem.source]
+    values = _march(meshes, grid.dt, ic0.values, ic1.values,
+                    problem.left_boundary, source)
+    return _as_trajectory(grid, meshes, values)
 
 
 def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
@@ -187,35 +226,20 @@ def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
 
         M (p~^{m+1} - 2 p~^m + v)/dt^2 + K v = M s^{m-1}
 
-    on the level-(m-1) mesh with homogeneous Dirichlet values.
+    on the level-(m-1) mesh with homogeneous Dirichlet values.  This is
+    the forward march on the reversed levels with -terminal1 as the
+    start velocity.
     """
     if len(problem.source) != grid.M + 1:
         raise ValueError("source must provide one field per time level")
     meshes = _level_meshes(spec, grid, N)
-    dt = grid.dt
-
     term0 = problem.terminal0 if problem.terminal0 is not None else NodalField.zeros(meshes[-1])
     term1 = problem.terminal1 if problem.terminal1 is not None else NodalField.zeros(meshes[-1])
     if term0.mesh.n_nodes != N + 1 or term1.mesh.n_nodes != N + 1:
         raise ValueError("terminal fields must live on the t=T mesh with N+1 nodes")
-
-    frames = [None] * (grid.M + 1)
-    fM = _imposed(term0.values.copy(), 0.0, 0.0)
-    frames[grid.M] = NodalField(mesh=meshes[-1], values=fM)
-
-    start = NodalField(mesh=meshes[-1], values=term0.values - dt * term1.values)
-    fM1 = _imposed(interpolate(start, meshes[grid.M - 1]).values, 0.0, 0.0)
-    frames[grid.M - 1] = NodalField(mesh=meshes[grid.M - 1], values=fM1)
-
-    for m in range(grid.M - 1, 0, -1):
-        mesh = meshes[m - 1]
-        pp = interpolate(frames[m + 1], mesh).values
-        pm = interpolate(frames[m], mesh).values
-        mass = assemble_mass(mesh)
-        rhs = mass.matvec(problem.source[m - 1].values + (2.0 * pm - pp) / dt**2)
-        vals = _step_solve(mesh, dt, rhs, 0.0, 0.0)
-        frames[m - 1] = NodalField(mesh=mesh, values=vals)
-    return Trajectory(grid=grid, frames=frames)
+    values = _march(meshes[::-1], grid.dt, term0.values, -term1.values,
+                    np.zeros(grid.M + 1), [f.values for f in problem.source[::-1]])
+    return _as_trajectory(grid, meshes, values[::-1])
 
 
 def _mass_ip(a: NodalField, b: NodalField) -> float:

@@ -101,6 +101,19 @@ class TestConfigFile:
         assert "sigma" in capsys.readouterr().err
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--sigma", "nan", "sigma"),
+        ("--epsilon", "nan", "epsilon"),
+        ("--u2", "nan", "u2"),
+        ("--T-multiple", "inf", "T_multiple"),
+    ])
+    def test_non_finite_is_usage_error(self, tmp_path, capsys, flag, value, key):
+        rc = run_cli(["run", "--out", str(tmp_path), *FAST, flag, value])
+        assert rc == 2
+        assert f"{key}: must be finite" in capsys.readouterr().err
+
+
 class TestTables:
     def test_table_mesh(self, tmp_path):
         rc = run_cli(["table-mesh", "--out", str(tmp_path)])

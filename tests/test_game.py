@@ -22,6 +22,7 @@ from snwave import (
     solve_forward,
     stopping_quantity,
 )
+import snwave.game as game
 from snwave.solvers import Trajectory, assemble_left_boundary
 
 
@@ -286,6 +287,55 @@ class TestFixedPoint:
         if len(res.iterates) > 1:
             _, _, psi_second, _ = res.iterates[1]
             assert any(np.any(f.values != 0.0) for f in psi_second.frames)
+
+
+class TestMarchCounts:
+    """Marches per run are deterministic: u and p every sweep plus the
+    final pair, and psi and phi only while the leader chain is live."""
+
+    @staticmethod
+    def _count_marches(monkeypatch):
+        count = [0]
+        for name in ("solve_forward", "solve_backward"):
+            march = getattr(game, name)
+
+            def counted(*args, _march=march, **kwargs):
+                count[0] += 1
+                return _march(*args, **kwargs)
+
+            monkeypatch.setattr(game, name, counted)
+        return count
+
+    @pytest.mark.parametrize("explicit_zero", [False, True])
+    def test_zero_phi_terminal_skips_the_chain(self, small_setup, monkeypatch,
+                                               explicit_zero):
+        spec, grid, segs = small_setup
+        N = 16
+        phi_terminal = None
+        if explicit_zero:
+            mesh_T = build_spatial_mesh(spec, grid.T, N)
+            phi_terminal = (NodalField.zeros(mesh_T), NodalField.zeros(mesh_T))
+        count = self._count_marches(monkeypatch)
+        cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, phi_terminal=phi_terminal)
+        res = fixed_point_solve(cfg, spec, grid, N, keep_iterates=True)
+        assert res.iterations >= 2
+        assert count[0] == 2 * res.iterations + 2
+        assert np.all(res.w1.values == 0.0)
+        for f in res.psi.frames + res.phi.frames:
+            assert np.all(f.values == 0.0)
+
+    def test_nonzero_phi_terminal_marches_the_chain(self, small_setup, monkeypatch):
+        spec, grid, segs = small_setup
+        N = 16
+        mesh_T = build_spatial_mesh(spec, grid.T, N)
+        x, L = mesh_T.nodes, mesh_T.length
+        f0 = NodalField(mesh=mesh_T, values=4.0 * x * (L - x) / L**2)
+        count = self._count_marches(monkeypatch)
+        cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs,
+                       phi_terminal=(f0, None), max_iter=3)
+        res = fixed_point_solve(cfg, spec, grid, N)
+        assert res.iterations == 3
+        assert count[0] == 4 * res.iterations + 2
 
 
 class TestNashGradientCheck:

@@ -7,17 +7,84 @@ from snwave import (
     ForwardProblem,
     MovingDomainSpec,
     NodalField,
+    TriDiagMatrix,
     assemble_left_boundary,
     assemble_mass,
     assemble_stiffness,
     build_spatial_mesh,
     build_time_grid,
     duality_residual,
+    interpolate,
     solve_backward,
     solve_forward,
+    solve_tridiagonal,
     trajectory_l2_distance,
     trajectory_l2_norm,
 )
+from snwave.solvers import _sine_basis, _toeplitz_solve
+
+# Relative tolerance of the sine-basis kernel against the Thomas
+# reference: both solve the same SPD systems, so they differ by roundoff
+# only (about 1e-15 per step).
+ORACLE_RTOL = 1e-12
+
+
+def thomas_step(mesh, dt, rhs_full, v_left):
+    """Solve (M/dt^2 + K) v = rhs, Dirichlet values eliminated by rows."""
+    A = assemble_stiffness(mesh).add(assemble_mass(mesh), 1.0 / dt**2)
+    rhs = rhs_full[1:-1].copy()
+    rhs[0] -= A.lower[0] * v_left
+    interior = TriDiagMatrix(lower=A.lower[1:-1], diagonal=A.diagonal[1:-1],
+                             upper=A.upper[1:-1])
+    out = np.zeros(mesh.n_nodes)
+    out[0] = v_left
+    out[1:-1] = solve_tridiagonal(interior, rhs)
+    return out
+
+
+def reference_forward(problem, spec, grid, N):
+    """Forward march with per-step assembly and Thomas solves."""
+    meshes = [build_spatial_mesh(spec, t, N) for t in grid.levels]
+    dt, left = grid.dt, problem.left_boundary
+    frames = [problem.ic0.values.copy()]
+    frames[0][[0, -1]] = left[0], 0.0
+    start = NodalField(mesh=meshes[0], values=problem.ic0.values + dt * problem.ic1.values)
+    frames.append(interpolate(start, meshes[1]).values)
+    frames[1][[0, -1]] = left[1], 0.0
+    for m in range(1, grid.M):
+        mesh = meshes[m + 1]
+        um = interpolate(NodalField(mesh=meshes[m], values=frames[m]), mesh).values
+        umm = interpolate(NodalField(mesh=meshes[m - 1], values=frames[m - 1]), mesh).values
+        mass = assemble_mass(mesh)
+        rhs = mass.matvec((2.0 * um - umm) / dt**2) + mass.matvec(problem.source[m + 1].values)
+        frames.append(thomas_step(mesh, dt, rhs, left[m + 1]))
+    return frames
+
+
+def reference_backward(problem, spec, grid, N):
+    """Backward march with per-step assembly and Thomas solves."""
+    meshes = [build_spatial_mesh(spec, t, N) for t in grid.levels]
+    dt, M = grid.dt, grid.M
+    frames = [None] * (M + 1)
+    frames[M] = problem.terminal0.values.copy()
+    frames[M][[0, -1]] = 0.0
+    start = NodalField(mesh=meshes[M],
+                       values=problem.terminal0.values - dt * problem.terminal1.values)
+    frames[M - 1] = interpolate(start, meshes[M - 1]).values
+    frames[M - 1][[0, -1]] = 0.0
+    for m in range(M - 1, 0, -1):
+        mesh = meshes[m - 1]
+        pp = interpolate(NodalField(mesh=meshes[m + 1], values=frames[m + 1]), mesh).values
+        pm = interpolate(NodalField(mesh=meshes[m], values=frames[m]), mesh).values
+        rhs = assemble_mass(mesh).matvec(problem.source[m - 1].values + (2.0 * pm - pp) / dt**2)
+        frames[m - 1] = thomas_step(mesh, dt, rhs, 0.0)
+    return frames
+
+
+def assert_frames_close(traj, ref):
+    scale = max(np.max(np.abs(f)) for f in ref)
+    gap = max(np.max(np.abs(f.values - r)) for f, r in zip(traj.frames, ref))
+    assert gap <= ORACLE_RTOL * scale
 
 
 def l2q_error_vs_separable(traj, exact):
@@ -173,6 +240,60 @@ class TestBackward:
         traj = solve_backward(BackwardProblem(source=src, terminal0=f0), spec, grid, 10)
         np.testing.assert_allclose(traj.frames[10].values, f0.values, atol=0)
         np.testing.assert_allclose(traj.frames[9].values, f0.values, atol=0)
+
+
+class TestThomasOracle:
+    """The sine-basis march against per-step assembly and Thomas solves."""
+
+    @staticmethod
+    def _setup():
+        spec = MovingDomainSpec(k=0.25, T=3.0)
+        grid = build_time_grid(3.0, 36)
+        N = 24
+        meshes = [build_spatial_mesh(spec, t, N) for t in grid.levels]
+        source = [NodalField(mesh=ms, values=np.sin(np.pi * ms.nodes / ms.length) * np.cos(t)
+                             + 0.5 * ms.nodes * t)
+                  for ms, t in zip(meshes, grid.levels)]
+        return spec, grid, N, meshes, source
+
+    @pytest.mark.parametrize("N", [2, 3, 100, 300])
+    @pytest.mark.parametrize("dt_over_h", [1.0, 0.1])  # off_m < 0, off_m > 0
+    def test_step_solve_matches_thomas(self, N, dt_over_h):
+        h = 1.3 / N
+        dt = dt_over_h * h
+        diag = 2.0 / h + 2.0 * h / (3.0 * dt**2)
+        off = -1.0 / h + h / (6.0 * dt**2)
+        assert (off > 0.0) == (dt_over_h < 0.5)
+        rhs = np.random.default_rng(N).standard_normal(N - 1)
+        A = TriDiagMatrix(lower=np.full(N - 2, off), diagonal=np.full(N - 1, diag),
+                          upper=np.full(N - 2, off))
+        ref = solve_tridiagonal(A, rhs)
+        S, cos2 = _sine_basis(N)
+        got = _toeplitz_solve(S, cos2, diag, off, rhs)
+        assert np.max(np.abs(got - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
+
+    def test_forward_matches_thomas_march(self):
+        spec, grid, N, meshes, source = self._setup()
+        x = meshes[0].nodes
+        problem = ForwardProblem(
+            left_boundary=np.sin(0.7 * grid.levels) + 0.2,
+            ic0=NodalField(mesh=meshes[0], values=np.cos(2.0 * x) * (1.0 - x)),
+            ic1=NodalField(mesh=meshes[0], values=x * (1.0 - x) - 0.3),
+            source=source,
+        )
+        assert_frames_close(solve_forward(problem, spec, grid, N),
+                            reference_forward(problem, spec, grid, N))
+
+    def test_backward_matches_thomas_march(self):
+        spec, grid, N, meshes, source = self._setup()
+        x, L = meshes[-1].nodes, meshes[-1].length
+        problem = BackwardProblem(
+            source=source,
+            terminal0=NodalField(mesh=meshes[-1], values=np.sin(np.pi * x / L) + 0.1 * x),
+            terminal1=NodalField(mesh=meshes[-1], values=x * (L - x) - 0.4),
+        )
+        assert_frames_close(solve_backward(problem, spec, grid, N),
+                            reference_backward(problem, spec, grid, N))
 
 
 class TestLeftBoundaryAssembly:
