@@ -3,10 +3,15 @@
 Mass/stiffness assembly on uniform meshes, inter-mesh interpolation
 (the per-level meshes differ because the domain moves), boundary-
 derivative recovery at the controlled end, and the discrete L2 norm of
-boundary controls.  ``solve_tridiagonal`` is a Thomas solve for the
-assembled systems; the marches use the sine-basis step solve in
-``solvers`` instead, and the Thomas solve is kept as the reference the
-tests check it against.
+boundary controls.  ``interpolate`` is ``np.interp`` on the source
+nodes, extended by zero where a target node lies beyond the source's
+right endpoint.  The mass pairings of the solvers and the game apply
+the mass matrix as an h-scaled stencil that gives the same bits as
+``assemble_mass(mesh).matvec``, so they assemble nothing.
+
+``solve_tridiagonal`` is a Thomas solve for the assembled systems; the
+marches use the sine-basis step solve in ``solvers`` instead, and the
+Thomas solve is kept as the reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import SpatialMesh, TimeGrid
+from .geometry import SpatialMesh, TimeGrid, segment_mask
 
 __all__ = [
     "TriDiagMatrix",
@@ -140,26 +145,37 @@ def solve_tridiagonal(A: TriDiagMatrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _mass_matvec(v: np.ndarray, h: float) -> np.ndarray:
+    """The P1 mass matrix of a uniform mesh with spacing h applied to v.
+
+    Same operations in the same order as ``assemble_mass(mesh).matvec(v)``,
+    so the same bits, without building the matrix.
+    """
+    out = (2.0 * h / 3.0) * v
+    out[0] = (h / 3.0) * v[0]
+    out[-1] = (h / 3.0) * v[-1]
+    out[:-1] += (h / 6.0) * v[1:]
+    out[1:] += (h / 6.0) * v[:-1]
+    return out
+
+
 def interpolate(fld, target: SpatialMesh, source: Optional[SpatialMesh] = None):
     """Evaluate the P1 function on the nodes of another uniform mesh.
 
     ``fld`` is a NodalField, or a bare array of nodal values on the mesh
-    ``source``; the result is of the same kind.  Target points beyond
-    the source domain's right endpoint receive 0: the fields being
-    transported vanish at the moving end, so extension by zero is
-    consistent to discretization order.
+    ``source``; the result is of the same kind.  On the same mesh this
+    is a copy; otherwise it is ``np.interp(target.nodes, source.nodes,
+    values, right=0.0)``: target points beyond the source domain's right
+    endpoint receive 0, and a point at the endpoint itself takes the last
+    value.  The fields being transported vanish at the moving end, so
+    extension by zero is consistent to discretization order.
     """
     is_field = isinstance(fld, NodalField)
     values, src = (fld.values, fld.mesh) if is_field else (fld, source)
     if src.n_nodes == target.n_nodes and src.h == target.h:
         vals = values.copy()
     else:
-        x = target.nodes
-        pos = x / src.h
-        j = np.minimum(pos.astype(np.int64), src.n_nodes - 2)  # nodes are >= 0
-        w = pos - j
-        vals = (1.0 - w) * values[j] + w * values[j + 1]
-        vals[x > src.length] = 0.0
+        vals = np.interp(target.nodes, src.nodes, values, right=0.0)
     return NodalField(mesh=target, values=vals) if is_field else vals
 
 
@@ -202,8 +218,7 @@ class ControlSamples:
         return cls(segment=segment, values=np.zeros(grid.M + 1))
 
     def level_mask(self, grid: TimeGrid) -> np.ndarray:
-        a, b = self.segment
-        return (grid.levels >= a) & (grid.levels < b)
+        return segment_mask(self.segment, grid)
 
     def check_aligned(self, grid: TimeGrid):
         if len(self.values) != grid.M + 1:

@@ -23,6 +23,10 @@ phi's terminal data are all exactly zero, and uses one shared all-zero
 trajectory for both; the scheme maps zero data to exactly zero frames,
 so the result is the same.  The skip never applies to a run with
 nonzero phi terminal data.
+
+``fixed_point_solve`` and ``nash_gradient_check`` each build one level
+plan (see ``solvers``) and pass it to every march they run; the target
+fields and the t = T mesh come from it too.
 """
 
 from __future__ import annotations
@@ -33,12 +37,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .geometry import BoundarySegments, MovingDomainSpec, TimeGrid, build_spatial_mesh
-from .fem import ControlSamples, NodalField, assemble_mass, control_l2_norm
+from .geometry import BoundarySegments, MovingDomainSpec, SpatialMesh, TimeGrid
+from .fem import ControlSamples, NodalField, _mass_matvec, control_l2_norm
 from .solvers import (
     BackwardProblem,
     ForwardProblem,
     Trajectory,
+    _level_plan,
     assemble_left_boundary,
     solve_backward,
     solve_forward,
@@ -179,16 +184,26 @@ def stopping_quantity(new: tuple, old: tuple, grid: TimeGrid) -> float:
     return num / den
 
 
-def _target_fields(u2: TargetLike, spec: MovingDomainSpec, grid: TimeGrid, N: int):
-    fields = []
-    for m, t in enumerate(grid.levels):
-        mesh = build_spatial_mesh(spec, float(t), N)
-        if callable(u2):
-            vals = np.asarray(u2(mesh.nodes, float(t)), dtype=float)
-        else:
-            vals = np.full(mesh.n_nodes, float(u2))
-        fields.append(NodalField(mesh=mesh, values=vals))
-    return fields
+def _target_values(u2: TargetLike, mesh: SpatialMesh, t: float) -> np.ndarray:
+    """The target u2 on the nodes of ``mesh`` at time t.
+
+    A callable returning a scalar is broadcast to the mesh like a
+    constant target; any other shape but one value per node is an error.
+    """
+    if not callable(u2):
+        return np.full(mesh.n_nodes, float(u2))
+    vals = np.asarray(u2(mesh.nodes, t), dtype=float)
+    if vals.ndim == 0:
+        return np.full(mesh.n_nodes, float(vals))
+    if vals.shape != (mesh.n_nodes,):
+        raise ValueError(f"target u2 returned shape {vals.shape} at t={t}, "
+                         f"expected a scalar or ({mesh.n_nodes},)")
+    return vals
+
+
+def _target_fields(u2: TargetLike, meshes, grid: TimeGrid):
+    return [NodalField(mesh=mesh, values=_target_values(u2, mesh, float(t)))
+            for mesh, t in zip(meshes, grid.levels)]
 
 
 def evaluate_J2(u: Trajectory, w2: ControlSamples, u2: TargetLike, sigma: float,
@@ -199,12 +214,8 @@ def evaluate_J2(u: Trajectory, w2: ControlSamples, u2: TargetLike, sigma: float,
     track = 0.0
     for m in range(grid.M):
         fld = u.frames[m]
-        if callable(u2):
-            tgt = np.asarray(u2(fld.mesh.nodes, float(grid.levels[m])), dtype=float)
-        else:
-            tgt = np.full(fld.mesh.n_nodes, float(u2))
-        d = fld.values - tgt
-        track += grid.dt * float(d @ assemble_mass(fld.mesh).matvec(d))
+        d = fld.values - _target_values(u2, fld.mesh, float(grid.levels[m]))
+        track += grid.dt * float(d @ _mass_matvec(d, fld.mesh.h))
     return 0.5 * track + 0.5 * sigma * control_l2_norm(w2, grid) ** 2
 
 
@@ -213,16 +224,16 @@ def evaluate_J(w1: ControlSamples, grid: TimeGrid) -> float:
     return 0.5 * control_l2_norm(w1, grid) ** 2
 
 
-def _solve_state(w1, w2, spec, grid, N):
+def _solve_state(w1, w2, spec, grid, N, plan):
     left = assemble_left_boundary([w1, w2], grid)
-    return solve_forward(ForwardProblem(left_boundary=left), spec, grid, N)
+    return solve_forward(ForwardProblem(left_boundary=left), spec, grid, N, plan=plan)
 
 
-def _solve_adjoint(u, u2_fields, spec, grid, N):
+def _solve_adjoint(u, u2_fields, spec, grid, N, plan):
     source = [NodalField(mesh=u.frames[m].mesh,
                          values=u.frames[m].values - u2_fields[m].values)
               for m in range(grid.M + 1)]
-    return solve_backward(BackwardProblem(source=source), spec, grid, N)
+    return solve_backward(BackwardProblem(source=source), spec, grid, N, plan=plan)
 
 
 def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
@@ -236,8 +247,9 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
     sweep's updated controls and auxiliary fields.
     """
     segments = config.segments or BoundarySegments.disjoint_halves(grid.T)
-    u2_fields = _target_fields(config.u2, spec, grid, N)
-    mesh_T = build_spatial_mesh(spec, grid.T, N)
+    plan = _level_plan(spec, grid, N)
+    u2_fields = _target_fields(config.u2, plan.meshes, grid)
+    mesh_T = plan.meshes[-1]
 
     phi_terminal = (None, None)
     if config.phi_terminal is not None:
@@ -250,8 +262,8 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
     if all(f is None or not f.values.any() for f in phi_terminal):
         zero = np.zeros(N + 1)
         zero.flags.writeable = False
-        zero_chain = Trajectory(grid=grid, frames=[NodalField(mesh=f.mesh, values=zero)
-                                                   for f in u2_fields])
+        zero_chain = Trajectory(grid=grid, frames=[NodalField(mesh=mesh, values=zero)
+                                                   for mesh in plan.meshes])
 
     if config.initial_controls is not None:
         w1, w2 = config.initial_controls
@@ -271,14 +283,14 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
 
     follower_idx = np.nonzero(segments.follower_mask(grid))[0]
     for n in range(config.max_iter):
-        u = _solve_state(w1, w2, spec, grid, N)
+        u = _solve_state(w1, w2, spec, grid, N, plan)
         if not np.isfinite(u.frames[grid.M].values).all():
             raise DivergenceError(
                 f"non-finite state values at sweep {n}",
                 payload={"iteration": n, "field": "state", "sigma": config.sigma,
                          "T": grid.T, "M": grid.M, "N": N},
             )
-        p = _solve_adjoint(u, u2_fields, spec, grid, N)
+        p = _solve_adjoint(u, u2_fields, spec, grid, N, plan)
 
         psi_bc = np.zeros(grid.M + 1)
         if phi_prev is not None:
@@ -288,11 +300,12 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
         if zero_chain is not None and not psi_bc.any():
             psi = phi = zero_chain
         else:
-            psi = solve_forward(ForwardProblem(left_boundary=psi_bc), spec, grid, N)
+            psi = solve_forward(ForwardProblem(left_boundary=psi_bc), spec, grid, N,
+                                plan=plan)
             phi = solve_backward(
                 BackwardProblem(source=psi.frames, terminal0=phi_terminal[0],
                                 terminal1=phi_terminal[1]),
-                spec, grid, N,
+                spec, grid, N, plan=plan,
             )
 
         w1_new = leader_update(phi, segments, grid)
@@ -324,8 +337,8 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
             iterations = n + 1
             break
 
-    u_final = _solve_state(w1, w2, spec, grid, N)
-    p_final = _solve_adjoint(u_final, u2_fields, spec, grid, N)
+    u_final = _solve_state(w1, w2, spec, grid, N, plan)
+    p_final = _solve_adjoint(u_final, u2_fields, spec, grid, N, plan)
     return SNResult(converged=converged, iterations=iterations, w1=w1, w2=w2,
                     u=u_final, p=p_final, psi=psi, phi=phi, log=log,
                     iterates=iterates)
@@ -385,9 +398,10 @@ def nash_gradient_check(w1: ControlSamples, w2: ControlSamples, config: SNConfig
     if len(idx) < 2:
         raise ValueError("follower segment holds fewer than 2 time levels")
 
-    u = _solve_state(w1, w2, spec, grid, N)
-    u2_fields = _target_fields(config.u2, spec, grid, N)
-    p = _solve_adjoint(u, u2_fields, spec, grid, N)
+    plan = _level_plan(spec, grid, N)
+    u = _solve_state(w1, w2, spec, grid, N, plan)
+    u2_fields = _target_fields(config.u2, plan.meshes, grid)
+    p = _solve_adjoint(u, u2_fields, spec, grid, N, plan)
     flux = np.array([-p.flux_left(int(m)) for m in idx])  # dp/dnu at x=0
 
     a, b = segments.sigma2
@@ -413,7 +427,7 @@ def nash_gradient_check(w1: ControlSamples, w2: ControlSamples, config: SNConfig
         for sgn in (+1.0, -1.0):
             w2_pert = ControlSamples(segment=segments.sigma2,
                                      values=w2.values + sgn * delta * direction.values)
-            u_pert = _solve_state(w1, w2_pert, spec, grid, N)
+            u_pert = _solve_state(w1, w2_pert, spec, grid, N, plan)
             cost.append(evaluate_J2(u_pert, w2_pert, config.u2, config.sigma, grid))
         fd[d] = (cost[0] - cost[1]) / (2.0 * delta)
         analytic[d] = grid.dt * float(

@@ -24,6 +24,7 @@ __all__ = [
     "compute_Tc",
     "build_time_grid",
     "build_spatial_mesh",
+    "segment_mask",
     "trapezoid_stats",
     "analytic_perimeter",
 ]
@@ -111,8 +112,16 @@ def build_spatial_mesh(spec: MovingDomainSpec, t: float, N: int) -> SpatialMesh:
     if N < 2:
         raise ValueError(f"need at least 2 elements, got N={N}")
     length = alpha(spec, t)
-    nodes = np.linspace(0.0, length, N + 1)
-    return SpatialMesh(nodes=nodes, h=length / N, length=length)
+    h = length / N
+    nodes = np.arange(N + 1) * h  # the same bits as np.linspace(0, length, N + 1)
+    nodes[-1] = length
+    return SpatialMesh(nodes=nodes, h=h, length=length)
+
+
+def segment_mask(segment: tuple, grid: TimeGrid) -> np.ndarray:
+    """Levels m with a <= t^m < b, the levels whose samples act in (a, b)."""
+    a, b = segment
+    return (grid.levels >= a) & (grid.levels < b)
 
 
 @dataclass(frozen=True)
@@ -140,12 +149,10 @@ class BoundarySegments:
         return cls(sigma1=(0.0, T), sigma2=(0.0, T), mode="additive-overlap")
 
     def leader_mask(self, grid: TimeGrid) -> np.ndarray:
-        a, b = self.sigma1
-        return (grid.levels >= a) & (grid.levels < b)
+        return segment_mask(self.sigma1, grid)
 
     def follower_mask(self, grid: TimeGrid) -> np.ndarray:
-        a, b = self.sigma2
-        return (grid.levels >= a) & (grid.levels < b)
+        return segment_mask(self.sigma2, grid)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,14 @@ system of level m is the Toeplitz matrix tridiag(off_m, diag_m, off_m)
 with diag_m = 2/h_m + 2 h_m/(3 dt^2) and off_m = -1/h_m + h_m/(6 dt^2).
 One orthonormal sine basis S[i, j] = sqrt(2/N) sin(i j pi/N) diagonalizes
 all of them, with eigenvalues diag_m + off_m * 2 cos(j pi/N), so a step
-solve is two products with S and a division.  S is built once per march.
+solve is two products with S and a division.
+
+A solve builds its level plan once: the M+1 level meshes and the sine
+basis, read-only, shared by every march of the solve.  ``solve_forward``
+and ``solve_backward`` take it as the keyword ``plan`` and build their
+own when given none; ``game.fixed_point_solve``,
+``game.nash_gradient_check`` and ``duality_residual`` build one and pass
+it to every march.  Nothing is cached across solves.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .geometry import MovingDomainSpec, TimeGrid, build_spatial_mesh
 from .fem import (
     ControlSamples,
     NodalField,
-    assemble_mass,
+    _mass_matvec,
     boundary_flux_left,
     interpolate,
 )
@@ -108,10 +115,6 @@ def assemble_left_boundary(controls, grid: TimeGrid) -> np.ndarray:
     return left
 
 
-def _level_meshes(spec: MovingDomainSpec, grid: TimeGrid, N: int):
-    return [build_spatial_mesh(spec, t, N) for t in grid.levels]
-
-
 def _sine_basis(N: int):
     """Orthonormal sine basis of the N-1 interior nodes and 2 cos(j pi/N).
 
@@ -134,7 +137,40 @@ def _toeplitz_solve(S, cos2, diag, off, rhs):
     return S @ ((S @ rhs) / (diag + off * cos2))
 
 
-def _march(meshes, dt, x0, v0, left, source):
+@dataclass(frozen=True)
+class _LevelPlan:
+    """What a solve's marches share: the level meshes and the sine basis.
+
+    ``meshes[m]`` is the mesh of level m; ``S, cos2`` are ``_sine_basis(N)``.
+    All arrays are read-only.
+    """
+
+    meshes: tuple
+    S: np.ndarray = field(repr=False)
+    cos2: np.ndarray = field(repr=False)
+
+
+def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
+    meshes = tuple(build_spatial_mesh(spec, float(t), N) for t in grid.levels)
+    S, cos2 = _sine_basis(N)
+    for a in (S, cos2, *(ms.nodes for ms in meshes)):
+        a.flags.writeable = False
+    return _LevelPlan(meshes=meshes, S=S, cos2=cos2)
+
+
+def _plan_for(plan: Optional[_LevelPlan], spec, grid: TimeGrid, N: int) -> _LevelPlan:
+    """``plan``, checked against the grid and N, or a new plan if None."""
+    if plan is None:
+        return _level_plan(spec, grid, N)
+    if len(plan.meshes) != grid.M + 1 or plan.meshes[0].n_nodes != N + 1:
+        raise ValueError(
+            f"level plan has {len(plan.meshes)} meshes of {plan.meshes[0].n_nodes} "
+            f"nodes, expected {grid.M + 1} of {N + 1}"
+        )
+    return plan
+
+
+def _march(meshes, S, cos2, dt, x0, v0, left, source):
     """Run the three-level implicit scheme over ``meshes`` in march order.
 
     Frame 0 is the displacement ``x0`` and frame 1 the first-order start
@@ -145,11 +181,11 @@ def _march(meshes, dt, x0, v0, left, source):
 
     on mesh i+1 with Dirichlet values ``left[i+1]`` at x = 0 and 0 at the
     moving end, where the tilde marks interpolation onto that mesh.  All
-    data are arrays in march order; ``source`` may be None.  Returns one
-    array of nodal values per mesh.
+    data are arrays in march order; ``source`` may be None.  ``S, cos2``
+    is the sine basis of the meshes' N.  Returns one array of nodal values
+    per mesh.
     """
     N = meshes[0].n_nodes - 1
-    S, cos2 = _sine_basis(N)
     frames = [None] * len(meshes)
     frames[0] = x0.copy()
     frames[1] = interpolate(x0 + dt * v0, meshes[1], meshes[0])
@@ -185,7 +221,7 @@ def _as_trajectory(grid, meshes, values) -> Trajectory:
 
 
 def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
-                  grid: TimeGrid, N: int) -> Trajectory:
+                  grid: TimeGrid, N: int, *, plan: Optional[_LevelPlan] = None) -> Trajectory:
     """March the three-level implicit scheme from the initial data.
 
     Frame 0 is the initial displacement, frame 1 the first-order start
@@ -195,7 +231,8 @@ def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
         M (v - 2 u~^m + u~^{m-1})/dt^2 + K v = M s^{m+1}
 
     on the level-(m+1) mesh, where the tilde marks interpolation of the
-    earlier frames onto that mesh.
+    earlier frames onto that mesh.  ``plan`` is the solve's level plan;
+    without one the march builds its own.
     """
     if len(problem.left_boundary) != grid.M + 1:
         raise ValueError(
@@ -204,7 +241,8 @@ def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
         )
     if problem.source is not None and len(problem.source) != grid.M + 1:
         raise ValueError("source must provide one field per time level")
-    meshes = _level_meshes(spec, grid, N)
+    plan = _plan_for(plan, spec, grid, N)
+    meshes = plan.meshes
     ic0 = problem.ic0 if problem.ic0 is not None else NodalField.zeros(meshes[0])
     ic1 = problem.ic1 if problem.ic1 is not None else NodalField.zeros(meshes[0])
     if ic0.mesh.n_nodes != N + 1 or ic1.mesh.n_nodes != N + 1:
@@ -212,13 +250,13 @@ def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
     source = None
     if problem.source is not None:
         source = [f.values for f in problem.source]
-    values = _march(meshes, grid.dt, ic0.values, ic1.values,
+    values = _march(meshes, plan.S, plan.cos2, grid.dt, ic0.values, ic1.values,
                     problem.left_boundary, source)
     return _as_trajectory(grid, meshes, values)
 
 
 def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
-                   grid: TimeGrid, N: int) -> Trajectory:
+                   grid: TimeGrid, N: int, *, plan: Optional[_LevelPlan] = None) -> Trajectory:
     """March the adjoint-type scheme from t = T down to t = 0.
 
     Frames M and M-1 are seeded from the terminal data; for m from M-1
@@ -228,22 +266,23 @@ def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
 
     on the level-(m-1) mesh with homogeneous Dirichlet values.  This is
     the forward march on the reversed levels with -terminal1 as the
-    start velocity.
+    start velocity.  ``plan`` is as for ``solve_forward``.
     """
     if len(problem.source) != grid.M + 1:
         raise ValueError("source must provide one field per time level")
-    meshes = _level_meshes(spec, grid, N)
+    plan = _plan_for(plan, spec, grid, N)
+    meshes = plan.meshes
     term0 = problem.terminal0 if problem.terminal0 is not None else NodalField.zeros(meshes[-1])
     term1 = problem.terminal1 if problem.terminal1 is not None else NodalField.zeros(meshes[-1])
     if term0.mesh.n_nodes != N + 1 or term1.mesh.n_nodes != N + 1:
         raise ValueError("terminal fields must live on the t=T mesh with N+1 nodes")
-    values = _march(meshes[::-1], grid.dt, term0.values, -term1.values,
+    values = _march(meshes[::-1], plan.S, plan.cos2, grid.dt, term0.values, -term1.values,
                     np.zeros(grid.M + 1), [f.values for f in problem.source[::-1]])
     return _as_trajectory(grid, meshes, values[::-1])
 
 
 def _mass_ip(a: NodalField, b: NodalField) -> float:
-    return float(a.values @ assemble_mass(a.mesh).matvec(b.values))
+    return float(a.values @ _mass_matvec(b.values, a.mesh.h))
 
 
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
@@ -279,8 +318,9 @@ def duality_residual(forward_bdata: ControlSamples, source: Sequence[NodalField]
     """
     forward_bdata.check_aligned(grid)
     left = assemble_left_boundary([forward_bdata], grid)
-    u_hat = solve_forward(ForwardProblem(left_boundary=left), spec, grid, N)
-    p = solve_backward(BackwardProblem(source=source), spec, grid, N)
+    plan = _level_plan(spec, grid, N)
+    u_hat = solve_forward(ForwardProblem(left_boundary=left), spec, grid, N, plan=plan)
+    p = solve_backward(BackwardProblem(source=source), spec, grid, N, plan=plan)
 
     volume = 0.0
     for m in range(grid.M):

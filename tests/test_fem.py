@@ -14,6 +14,7 @@ from snwave import (
     interpolate,
     solve_tridiagonal,
 )
+from snwave.fem import _mass_matvec
 
 
 def uniform_mesh(length, N):
@@ -172,6 +173,57 @@ class TestInterpolate:
         f = NodalField(mesh=src, values=2.0 * src.nodes - 0.5)
         out = interpolate(f, tgt)
         np.testing.assert_allclose(out.values, 2.0 * tgt.nodes - 0.5, atol=1e-13)
+
+
+def reference_interpolate(values, src, tgt):
+    """Index-and-weight P1 interpolation, extended by zero beyond the source."""
+    x = tgt.nodes
+    pos = x / src.h
+    j = np.minimum(pos.astype(np.int64), src.n_nodes - 2)
+    w = pos - j
+    vals = (1.0 - w) * values[j] + w * values[j + 1]
+    vals[x > src.length] = 0.0
+    return vals
+
+
+class TestInterpolateOracle:
+    """``interpolate`` against the index-and-weight formula."""
+
+    @pytest.mark.parametrize("N", [2, 3, 100, 300])
+    @pytest.mark.parametrize("ratio", [1.0 + 1.0 / 7.0, 0.97])  # growing, shrinking
+    def test_matches_index_weight_formula(self, N, ratio):
+        src = uniform_mesh(1.3, N)
+        tgt = uniform_mesh(1.3 * ratio, N)
+        values = np.random.default_rng(N).standard_normal(N + 1)
+        got = interpolate(values, tgt, src)
+        ref = reference_interpolate(values, src, tgt)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(values))
+        outside = tgt.nodes > src.length
+        assert outside.any() == (ratio > 1.0)
+        np.testing.assert_array_equal(got[outside], 0.0)
+        np.testing.assert_array_equal(ref[outside], 0.0)
+
+    @pytest.mark.parametrize("N", [2, 3, 100, 300])
+    def test_exact_at_source_endpoint(self, N):
+        src = uniform_mesh(1.0, N)
+        tgt = uniform_mesh(2.0, 2 * N)
+        assert tgt.nodes[N] == src.length
+        values = np.random.default_rng(N).standard_normal(N + 1)
+        got = interpolate(values, tgt, src)
+        ref = reference_interpolate(values, src, tgt)
+        assert got[N] == ref[N] == values[-1]
+        np.testing.assert_array_equal(got[N + 1:], 0.0)
+        np.testing.assert_array_equal(ref[N + 1:], 0.0)
+
+
+class TestMassStencil:
+    @pytest.mark.parametrize("N", [2, 3, 64, 300])
+    @pytest.mark.parametrize("length", [1.0, 1.75])
+    def test_bitwise_equal_to_assembled_matvec(self, N, length):
+        mesh = uniform_mesh(length, N)
+        v = np.random.default_rng(N).standard_normal(N + 1)
+        np.testing.assert_array_equal(_mass_matvec(v, mesh.h),
+                                      assemble_mass(mesh).matvec(v))
 
 
 class TestBoundaryFlux:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from snwave import (
     stopping_quantity,
 )
 import snwave.game as game
-from snwave.solvers import Trajectory, assemble_left_boundary
+import snwave.solvers as solvers
+from snwave.solvers import Trajectory, _level_plan, assemble_left_boundary
 
 
 def make_trajectory(spec, grid, N, profile):
@@ -336,6 +338,92 @@ class TestMarchCounts:
         res = fixed_point_solve(cfg, spec, grid, N)
         assert res.iterations == 3
         assert count[0] == 4 * res.iterations + 2
+
+
+class TestTarget:
+    """A callable target u2 gives one value per node, or a scalar."""
+
+    def test_scalar_callable_matches_constant(self, small_setup):
+        spec, grid, segs = small_setup
+        const = fixed_point_solve(SNConfig(sigma=100.0, u2=10.0, segments=segs),
+                                  spec, grid, 16)
+        call = fixed_point_solve(SNConfig(sigma=100.0, u2=lambda x, t: 10.0, segments=segs),
+                                 spec, grid, 16)
+        assert call.iterations == const.iterations
+        np.testing.assert_array_equal(call.w2.values, const.w2.values)
+        np.testing.assert_array_equal(call.u.frames[-1].values, const.u.frames[-1].values)
+        assert [r.J2 for r in call.log] == [r.J2 for r in const.log]
+        assert (evaluate_J2(const.u, const.w2, lambda x, t: 10.0, 100.0, grid)
+                == evaluate_J2(const.u, const.w2, 10.0, 100.0, grid))
+
+    @pytest.mark.parametrize("bad", [lambda x, t: np.ones(3),
+                                     lambda x, t: np.ones((len(x), 2))])
+    def test_wrong_shape_names_u2(self, small_setup, bad):
+        spec, grid, segs = small_setup
+        with pytest.raises(ValueError, match="u2"):
+            fixed_point_solve(SNConfig(sigma=100.0, u2=bad, segments=segs), spec, grid, 16)
+        u = make_trajectory(spec, grid, 16, np.zeros_like)
+        with pytest.raises(ValueError, match="u2"):
+            evaluate_J2(u, ControlSamples.zeros(segs.sigma2, grid), bad, 100.0, grid)
+
+
+class TestWorkCounts:
+    """A solve builds its level plan once: one sine basis and M+1 meshes."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        count = {"basis": 0, "mesh": 0}
+        basis, mesh = solvers._sine_basis, solvers.build_spatial_mesh
+
+        def counted_basis(*args):
+            count["basis"] += 1
+            return basis(*args)
+
+        def counted_mesh(*args):
+            count["mesh"] += 1
+            return mesh(*args)
+
+        monkeypatch.setattr(solvers, "_sine_basis", counted_basis)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("snwave") and getattr(mod, "build_spatial_mesh", None) is mesh:
+                monkeypatch.setattr(mod, "build_spatial_mesh", counted_mesh)
+        return count
+
+    @pytest.mark.parametrize("leader", [False, True])
+    def test_one_plan_per_solve(self, small_setup, monkeypatch, leader):
+        spec, grid, segs = small_setup
+        N = 16
+        phi_terminal = None
+        if leader:
+            mesh_T = build_spatial_mesh(spec, grid.T, N)
+            phi_terminal = (NodalField(mesh=mesh_T, values=np.sin(np.pi * mesh_T.nodes
+                                                                  / mesh_T.length)), None)
+        count = self._count(monkeypatch)
+        cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, phi_terminal=phi_terminal,
+                       max_iter=3)
+        fixed_point_solve(cfg, spec, grid, N)
+        assert count == {"basis": 1, "mesh": grid.M + 1}
+        fixed_point_solve(cfg, spec, grid, N)
+        assert count == {"basis": 2, "mesh": 2 * (grid.M + 1)}
+
+    def test_nash_gradient_check_builds_one_plan(self, small_setup, monkeypatch):
+        spec, grid, segs = small_setup
+        cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs)
+        w1 = ControlSamples.zeros(segs.sigma1, grid)
+        w2 = ControlSamples.zeros(segs.sigma2, grid)
+        count = self._count(monkeypatch)
+        nash_gradient_check(w1, w2, cfg, spec, grid, 16, n_directions=2)
+        assert count == {"basis": 1, "mesh": grid.M + 1}
+
+    def test_plan_is_read_only(self, small_setup):
+        spec, grid, _ = small_setup
+        plan = _level_plan(spec, grid, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            plan.meshes[3].nodes[1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.S[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.cos2[0] = 0.0
 
 
 class TestNashGradientCheck:

@@ -21,7 +21,7 @@ from snwave import (
     trajectory_l2_distance,
     trajectory_l2_norm,
 )
-from snwave.solvers import _sine_basis, _toeplitz_solve
+from snwave.solvers import _level_plan, _sine_basis, _toeplitz_solve
 
 # Relative tolerance of the sine-basis kernel against the Thomas
 # reference: both solve the same SPD systems, so they differ by roundoff
@@ -294,6 +294,52 @@ class TestThomasOracle:
         )
         assert_frames_close(solve_backward(problem, spec, grid, N),
                             reference_backward(problem, spec, grid, N))
+
+
+class TestLevelPlan:
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.7, 4.0])
+    @pytest.mark.parametrize("N", [2, 3, 100, 300])
+    def test_mesh_nodes_bitwise_equal_to_linspace(self, t, N):
+        spec = MovingDomainSpec(k=0.37, T=4.0)
+        mesh = build_spatial_mesh(spec, t, N)
+        np.testing.assert_array_equal(mesh.nodes, np.linspace(0.0, 1.0 + 0.37 * t, N + 1))
+        assert mesh.nodes[-1] == mesh.length
+
+    def test_plan_meshes_and_basis(self):
+        spec = MovingDomainSpec(k=0.25, T=3.0)
+        grid = build_time_grid(3.0, 12)
+        plan = _level_plan(spec, grid, 10)
+        assert len(plan.meshes) == grid.M + 1
+        for mesh, t in zip(plan.meshes, grid.levels):
+            np.testing.assert_array_equal(mesh.nodes, build_spatial_mesh(spec, t, 10).nodes)
+        S, cos2 = _sine_basis(10)
+        np.testing.assert_array_equal(plan.S, S)
+        np.testing.assert_array_equal(plan.cos2, cos2)
+
+    def test_given_plan_gives_the_same_march(self):
+        spec = MovingDomainSpec(k=0.25, T=3.0)
+        grid = build_time_grid(3.0, 12)
+        plan = _level_plan(spec, grid, 10)
+        left = np.sin(grid.levels)
+        own = solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10)
+        shared = solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10, plan=plan)
+        for a, b in zip(own.frames, shared.frames):
+            np.testing.assert_array_equal(a.values, b.values)
+        assert all(f.mesh is ms for f, ms in zip(shared.frames, plan.meshes))
+        source = [NodalField(mesh=ms, values=np.ones(11)) for ms in plan.meshes]
+        own = solve_backward(BackwardProblem(source=source), spec, grid, 10)
+        shared = solve_backward(BackwardProblem(source=source), spec, grid, 10, plan=plan)
+        for a, b in zip(own.frames, shared.frames):
+            np.testing.assert_array_equal(a.values, b.values)
+
+    def test_mismatched_plan_rejected(self):
+        spec = MovingDomainSpec(k=0.25, T=3.0)
+        grid = build_time_grid(3.0, 12)
+        left = np.zeros(grid.M + 1)
+        for plan in (_level_plan(spec, build_time_grid(3.0, 10), 10),
+                     _level_plan(spec, grid, 8)):
+            with pytest.raises(ValueError, match="level plan"):
+                solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10, plan=plan)
 
 
 class TestLeftBoundaryAssembly:
