@@ -17,7 +17,6 @@ from .geometry import (
 )
 from .fem import (
     ControlSamples,
-    NodalField,
     TriDiagMatrix,
     assemble_mass,
     assemble_stiffness,

@@ -43,7 +43,6 @@ from .geometry import (
     compute_Tc,
     trapezoid_stats,
 )
-from .fem import NodalField
 from .game import DivergenceError, SNConfig, fixed_point_solve
 from .verification import run_all
 
@@ -71,7 +70,6 @@ class RunConfig:
     u2: float = 10.0
     segments: str = "disjoint-halves"
     phi_terminal: str = "zero"
-    seed: int = 0
     out: str = "."
     target_edge: float = 0.0  # > 0 overrides the T/BORDER_SEGMENTS policy
     dump_frames: bool = False
@@ -106,13 +104,22 @@ class RunConfig:
         return self.T_multiple * compute_Tc(self.k)
 
 
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected true/false, yes/no or 1/0, got {text!r}")
+
+
 def load_config_file(path: str) -> dict:
-    """Parse a flat key=value file; unknown keys are usage errors."""
-    known = {f.name: f.type for f in fields(RunConfig)}
-    casts = {"k": float, "T_multiple": float, "T": float, "N": int, "M": int,
-             "sigma": float, "epsilon": float, "max_iter": int, "u2": float,
-             "segments": str, "phi_terminal": str, "seed": int, "out": str,
-             "target_edge": float, "dump_frames": lambda s: s.lower() in ("1", "true", "yes")}
+    """Parse a flat key=value file; unknown keys are usage errors.
+
+    Each value is read as the type of its ``RunConfig`` field's default.
+    """
+    casts = {f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
+             for f in fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -121,7 +128,7 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in known:
+        if key not in casts:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = casts[key](val)
@@ -166,8 +173,7 @@ def _build_problem(cfg: RunConfig):
         mesh = build_spatial_mesh(spec, T, cfg.N)
         x = mesh.nodes
         L = mesh.length
-        f0 = NodalField(mesh=mesh, values=amp * 4.0 * x * (L - x) / L**2)
-        phi_terminal = (f0, NodalField.zeros(mesh))
+        phi_terminal = (amp * 4.0 * x * (L - x) / L**2, np.zeros(cfg.N + 1))
 
     sn = SNConfig(sigma=cfg.sigma, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
                   u2=cfg.u2, segments=segs, phi_terminal=phi_terminal)
@@ -176,11 +182,17 @@ def _build_problem(cfg: RunConfig):
 
 def _dump_trajectory(path: Path, traj):
     rows = []
-    for m, frame in enumerate(traj.frames):
+    for m, (mesh, frame) in enumerate(zip(traj.meshes, traj.frames)):
         t = traj.grid.levels[m]
-        for x, v in zip(frame.mesh.nodes, frame.values):
+        for x, v in zip(mesh.nodes, frame):
             rows.append((m, t, x, v))
     write_csv(path, ("m", "t", "x", "value"), rows)
+
+
+def _write_table(cfg: RunConfig, name: str, header, rows):
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_csv(outdir / name, header, rows)
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -192,9 +204,8 @@ def cmd_run(cfg: RunConfig) -> int:
     write_csv(outdir / "iteration_log.csv",
               ("n", "stop_qty", "du_L2", "dw_L2", "J", "J2"),
               [(r.n, r.stop_qty, r.du_l2, r.dw_l2, r.J, r.J2) for r in result.log])
-    final = result.u.frames[-1]
     write_csv(outdir / "final_state.csv", ("x", "u"),
-              list(zip(final.mesh.nodes, final.values)))
+              list(zip(result.u.meshes[-1].nodes, result.u.frames[-1])))
     if cfg.dump_frames:
         _dump_trajectory(outdir / "u_frames.csv", result.u)
         _dump_trajectory(outdir / "p_frames.csv", result.p)
@@ -217,11 +228,9 @@ def cmd_table_T(cfg: RunConfig) -> int:
                      last.stop_qty, last.du_l2, last.dw_l2, last.J, last.J2))
         print(f"T={mult:2d}*Tc: iterations={result.iterations} "
               f"converged={result.converged} stop={last.stop_qty:.3e}")
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / "table_T.csv",
-              ("multiple", "T", "iterations", "converged", "stop_final",
-               "du_L2_final", "dw_L2_final", "J", "J2"), rows)
+    _write_table(cfg, "table_T.csv",
+                 ("multiple", "T", "iterations", "converged", "stop_final",
+                  "du_L2_final", "dw_L2_final", "J", "J2"), rows)
     return 0
 
 
@@ -235,10 +244,8 @@ def cmd_table_sigma(cfg: RunConfig) -> int:
         rows.append((sub.sigma, result.iterations, result.converged, last.stop_qty))
         print(f"sigma=1e{expo:02d}: iterations={result.iterations} "
               f"converged={result.converged} stop={last.stop_qty:.3e}")
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / "table_sigma.csv",
-              ("sigma", "iterations", "converged", "stop_final"), rows)
+    _write_table(cfg, "table_sigma.csv",
+                 ("sigma", "iterations", "converged", "stop_final"), rows)
     return 0
 
 
@@ -255,10 +262,8 @@ def cmd_table_mesh(cfg: RunConfig) -> int:
         rows.append((mult, T, stats.n_vertices, stats.n_triangles, stats.border_length))
         print(f"T={mult:2d}*Tc: vertices={stats.n_vertices} "
               f"triangles={stats.n_triangles} border={stats.border_length:.3f}")
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / "table_mesh.csv",
-              ("multiple", "T", "n_vertices", "n_triangles", "border_length"), rows)
+    _write_table(cfg, "table_mesh.csv",
+                 ("multiple", "T", "n_vertices", "n_triangles", "border_length"), rows)
     return 0
 
 
@@ -303,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="boundary segment split")
         p.add_argument("--phi-terminal", dest="phi_terminal",
                        help="'zero' or 'bump[:amplitude]'")
-        p.add_argument("--seed", type=int, help="seed for randomized checks")
         p.add_argument("--out", help="output directory for CSV files")
         p.add_argument("--target-edge", dest="target_edge", type=float,
                        help="mesh table edge length (default T/128 per row)")

@@ -3,11 +3,14 @@
 Mass/stiffness assembly on uniform meshes, inter-mesh interpolation
 (the per-level meshes differ because the domain moves), boundary-
 derivative recovery at the controlled end, and the discrete L2 norm of
-boundary controls.  ``interpolate`` is ``np.interp`` on the source
-nodes, extended by zero where a target node lies beyond the source's
-right endpoint.  The mass pairings of the solvers and the game apply
-the mass matrix as an h-scaled stencil that gives the same bits as
-``assemble_mass(mesh).matvec``, so they assemble nothing.
+boundary controls.  A field is a bare array of nodal values; the mesh
+it lives on is passed beside it.  ``interpolate`` is ``np.interp`` on
+the source nodes, extended by zero where a target node lies beyond the
+source's right endpoint.  ``boundary_flux_left`` takes one frame or a
+stack of frames with their spacings.  The mass pairings of the solvers
+and the game apply the mass matrix as an h-scaled stencil that gives
+the same bits as ``assemble_mass(mesh).matvec``, so they assemble
+nothing.
 
 ``solve_tridiagonal`` is a Thomas solve for the assembled systems; the
 marches use the sine-basis step solve in ``solvers`` instead, and the
@@ -17,7 +20,6 @@ Thomas solve is kept as the reference the tests check it against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .geometry import SpatialMesh, TimeGrid, segment_mask
 
 __all__ = [
     "TriDiagMatrix",
-    "NodalField",
     "ControlSamples",
     "assemble_mass",
     "assemble_stiffness",
@@ -68,24 +69,6 @@ class TriDiagMatrix:
             diagonal=self.diagonal + scale * other.diagonal,
             upper=self.upper + scale * other.upper,
         )
-
-
-@dataclass(frozen=True)
-class NodalField:
-    """Values of a P1 function at the nodes of a spatial mesh."""
-
-    mesh: SpatialMesh
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.values) != self.mesh.n_nodes:
-            raise ValueError(
-                f"field has {len(self.values)} values for {self.mesh.n_nodes} nodes"
-            )
-
-    @classmethod
-    def zeros(cls, mesh: SpatialMesh) -> "NodalField":
-        return cls(mesh=mesh, values=np.zeros(mesh.n_nodes))
 
 
 def assemble_mass(mesh: SpatialMesh) -> TriDiagMatrix:
@@ -159,45 +142,42 @@ def _mass_matvec(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def interpolate(fld, target: SpatialMesh, source: Optional[SpatialMesh] = None):
-    """Evaluate the P1 function on the nodes of another uniform mesh.
+def interpolate(values: np.ndarray, target: SpatialMesh, source: SpatialMesh) -> np.ndarray:
+    """Evaluate the P1 function with nodal ``values`` on ``source`` at the
+    nodes of another uniform mesh.
 
-    ``fld`` is a NodalField, or a bare array of nodal values on the mesh
-    ``source``; the result is of the same kind.  On the same mesh this
-    is a copy; otherwise it is ``np.interp(target.nodes, source.nodes,
-    values, right=0.0)``: target points beyond the source domain's right
-    endpoint receive 0, and a point at the endpoint itself takes the last
-    value.  The fields being transported vanish at the moving end, so
-    extension by zero is consistent to discretization order.
+    On the same mesh this is a copy; otherwise it is
+    ``np.interp(target.nodes, source.nodes, values, right=0.0)``: target
+    points beyond the source domain's right endpoint receive 0, and a
+    point at the endpoint itself takes the last value.  The fields being
+    transported vanish at the moving end, so extension by zero is
+    consistent to discretization order.
     """
-    is_field = isinstance(fld, NodalField)
-    values, src = (fld.values, fld.mesh) if is_field else (fld, source)
-    if src.n_nodes == target.n_nodes and src.h == target.h:
-        vals = values.copy()
-    else:
-        vals = np.interp(target.nodes, src.nodes, values, right=0.0)
-    return NodalField(mesh=target, values=vals) if is_field else vals
+    if source.n_nodes == target.n_nodes and source.h == target.h:
+        return values.copy()
+    return np.interp(target.nodes, source.nodes, values, right=0.0)
 
 
-def boundary_flux_left(fld: NodalField, method: str = "one-sided") -> float:
-    """Spatial derivative of the field at x = 0.
+def boundary_flux_left(values: np.ndarray, h, method: str = "one-sided"):
+    """Spatial derivative at x = 0 of nodal data on a mesh of spacing h.
 
-    ``one-sided`` (default) is the second-order stencil
-    (-3 v0 + 4 v1 - v2)/(2h), exact for quadratic nodal data.
-    ``p1-gradient`` is the first-cell gradient (v1 - v0)/h of the P1
-    function itself, the value its weak form produces against the
-    boundary basis function.
+    ``values`` is one frame, or a stack of frames (one per row, nodes
+    along the last axis) with ``h`` holding one spacing per row; the
+    result is a float or one value per row.  ``one-sided`` (default) is
+    the second-order stencil (-3 v0 + 4 v1 - v2)/(2h), exact for
+    quadratic nodal data.  ``p1-gradient`` is the first-cell gradient
+    (v1 - v0)/h of the P1 function itself, the value its weak form
+    produces against the boundary basis function.
     """
-    v = fld.values
-    h = fld.mesh.h
+    v = values
     if method == "one-sided":
-        if len(v) < 3:
+        if v.shape[-1] < 3:
             raise ValueError("one-sided flux needs at least 3 nodes")
         # algebraically -3 v0 + 4 v1 - v2, written difference-first so
         # constant data yields an exact zero
-        return (4.0 * (v[1] - v[0]) - (v[2] - v[0])) / (2.0 * h)
+        return (4.0 * (v[..., 1] - v[..., 0]) - (v[..., 2] - v[..., 0])) / (2.0 * h)
     if method == "p1-gradient":
-        return (v[1] - v[0]) / h
+        return (v[..., 1] - v[..., 0]) / h
     raise ValueError(f"unknown flux method {method!r}")
 
 

@@ -20,13 +20,17 @@ stay exactly zero at every sweep and the iteration reduces to the
 u <-> p loop in the follower control.  ``fixed_point_solve`` skips both
 the psi and the phi march of a sweep whenever psi's boundary data and
 phi's terminal data are all exactly zero, and uses one shared all-zero
-trajectory for both; the scheme maps zero data to exactly zero frames,
+trajectory for both, a read-only broadcast of 0.0 that holds no frame
+memory; the scheme maps zero data to exactly zero frames,
 so the result is the same.  The skip never applies to a run with
 nonzero phi terminal data.
 
 ``fixed_point_solve`` and ``nash_gradient_check`` each build one level
-plan (see ``solvers``) and pass it to every march they run; the target
-fields and the t = T mesh come from it too.
+plan (see ``solvers``) and pass it to every march they run, and
+evaluate the target u2 once, as one ``(M+1, N+1)`` array on the plan's
+meshes; the adjoint source is the state's frames minus it.  Each
+control update reads the flux of all its segment's levels in one
+``boundary_flux_left`` call on the adjoint's rows.
 """
 
 from __future__ import annotations
@@ -37,13 +41,15 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .geometry import BoundarySegments, MovingDomainSpec, SpatialMesh, TimeGrid
-from .fem import ControlSamples, NodalField, _mass_matvec, control_l2_norm
+from .geometry import BoundarySegments, MovingDomainSpec, TimeGrid
+from .fem import ControlSamples, _mass_matvec, control_l2_norm
 from .solvers import (
     BackwardProblem,
     ForwardProblem,
     Trajectory,
+    _check_shape,
     _level_plan,
+    _outward_flux,
     assemble_left_boundary,
     solve_backward,
     solve_forward,
@@ -90,7 +96,7 @@ class SNConfig:
     max_iter: int = 100
     u2: TargetLike = 10.0
     segments: Optional[BoundarySegments] = None
-    phi_terminal: Optional[tuple] = None
+    phi_terminal: Optional[tuple] = None  # (value, velocity) at t = T, (N+1,) arrays or None
     initial_controls: Optional[tuple] = None
 
     def __post_init__(self):
@@ -144,20 +150,18 @@ class SNResult:
 def follower_update(p: Trajectory, sigma: float, segments: BoundarySegments,
                     grid: TimeGrid) -> ControlSamples:
     """Best response of the follower: (1/sigma) times p's outward flux at x=0."""
-    mask = segments.follower_mask(grid)
+    idx = np.nonzero(segments.follower_mask(grid))[0]
     values = np.zeros(grid.M + 1)
-    for m in np.nonzero(mask)[0]:
-        values[m] = -p.flux_left(int(m)) / sigma
+    values[idx] = _outward_flux(p, idx) / sigma
     return ControlSamples(segment=segments.sigma2, values=values)
 
 
 def leader_update(phi: Trajectory, segments: BoundarySegments,
                   grid: TimeGrid) -> ControlSamples:
     """Leader update: phi's outward flux at x=0 on the leader segment."""
-    mask = segments.leader_mask(grid)
+    idx = np.nonzero(segments.leader_mask(grid))[0]
     values = np.zeros(grid.M + 1)
-    for m in np.nonzero(mask)[0]:
-        values[m] = -phi.flux_left(int(m))
+    values[idx] = _outward_flux(phi, idx)
     return ControlSamples(segment=segments.sigma1, values=values)
 
 
@@ -184,38 +188,40 @@ def stopping_quantity(new: tuple, old: tuple, grid: TimeGrid) -> float:
     return num / den
 
 
-def _target_values(u2: TargetLike, mesh: SpatialMesh, t: float) -> np.ndarray:
-    """The target u2 on the nodes of ``mesh`` at time t.
+def _target(u2: TargetLike, meshes, grid: TimeGrid) -> np.ndarray:
+    """The target u2 on every level: row m holds its values on ``meshes[m]``.
 
     A callable returning a scalar is broadcast to the mesh like a
     constant target; any other shape but one value per node is an error.
     """
+    shape = (grid.M + 1, meshes[0].n_nodes)
     if not callable(u2):
-        return np.full(mesh.n_nodes, float(u2))
-    vals = np.asarray(u2(mesh.nodes, t), dtype=float)
-    if vals.ndim == 0:
-        return np.full(mesh.n_nodes, float(vals))
-    if vals.shape != (mesh.n_nodes,):
-        raise ValueError(f"target u2 returned shape {vals.shape} at t={t}, "
-                         f"expected a scalar or ({mesh.n_nodes},)")
-    return vals
-
-
-def _target_fields(u2: TargetLike, meshes, grid: TimeGrid):
-    return [NodalField(mesh=mesh, values=_target_values(u2, mesh, float(t)))
-            for mesh, t in zip(meshes, grid.levels)]
+        return np.full(shape, float(u2))
+    out = np.empty(shape)
+    for m, (mesh, t) in enumerate(zip(meshes, grid.levels)):
+        vals = np.asarray(u2(mesh.nodes, float(t)), dtype=float)
+        if vals.ndim != 0 and vals.shape != shape[1:]:
+            raise ValueError(f"target u2 returned shape {vals.shape} at t={t}, "
+                             f"expected a scalar or {shape[1:]}")
+        out[m] = vals
+    return out
 
 
 def evaluate_J2(u: Trajectory, w2: ControlSamples, u2: TargetLike, sigma: float,
-                grid: TimeGrid) -> float:
+                grid: TimeGrid, *, target: Optional[np.ndarray] = None) -> float:
     """Follower cost: tracking misfit over the space-time domain plus
-    sigma/2 times the squared control norm."""
+    sigma/2 times the squared control norm.
+
+    ``target`` is u2 already evaluated on u's levels, as a solve keeps
+    it; without it u2 is evaluated here.
+    """
     w2.check_aligned(grid)
+    if target is None:
+        target = _target(u2, u.meshes, grid)
     track = 0.0
     for m in range(grid.M):
-        fld = u.frames[m]
-        d = fld.values - _target_values(u2, fld.mesh, float(grid.levels[m]))
-        track += grid.dt * float(d @ _mass_matvec(d, fld.mesh.h))
+        d = u.frames[m] - target[m]
+        track += grid.dt * float(d @ _mass_matvec(d, u.meshes[m].h))
     return 0.5 * track + 0.5 * sigma * control_l2_norm(w2, grid) ** 2
 
 
@@ -229,11 +235,8 @@ def _solve_state(w1, w2, spec, grid, N, plan):
     return solve_forward(ForwardProblem(left_boundary=left), spec, grid, N, plan=plan)
 
 
-def _solve_adjoint(u, u2_fields, spec, grid, N, plan):
-    source = [NodalField(mesh=u.frames[m].mesh,
-                         values=u.frames[m].values - u2_fields[m].values)
-              for m in range(grid.M + 1)]
-    return solve_backward(BackwardProblem(source=source), spec, grid, N, plan=plan)
+def _solve_adjoint(u, target, spec, grid, N, plan):
+    return solve_backward(BackwardProblem(source=u.frames - target), spec, grid, N, plan=plan)
 
 
 def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
@@ -248,22 +251,18 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
     """
     segments = config.segments or BoundarySegments.disjoint_halves(grid.T)
     plan = _level_plan(spec, grid, N)
-    u2_fields = _target_fields(config.u2, plan.meshes, grid)
-    mesh_T = plan.meshes[-1]
+    target = _target(config.u2, plan.meshes, grid)
 
     phi_terminal = (None, None)
     if config.phi_terminal is not None:
-        phi_terminal = tuple(
-            f if isinstance(f, NodalField) or f is None
-            else NodalField(mesh=mesh_T, values=np.asarray(f, dtype=float))
-            for f in config.phi_terminal
-        )
+        phi_terminal = tuple(None if f is None else np.asarray(f, dtype=float)
+                             for f in config.phi_terminal)
+        for i, f in enumerate(phi_terminal):
+            _check_shape(f"phi_terminal[{i}]", f, (N + 1,))
     zero_chain = None
-    if all(f is None or not f.values.any() for f in phi_terminal):
-        zero = np.zeros(N + 1)
-        zero.flags.writeable = False
-        zero_chain = Trajectory(grid=grid, frames=[NodalField(mesh=mesh, values=zero)
-                                                   for mesh in plan.meshes])
+    if all(f is None or not f.any() for f in phi_terminal):
+        zero_chain = Trajectory(grid=grid, meshes=plan.meshes,
+                                frames=np.broadcast_to(0.0, (grid.M + 1, N + 1)))
 
     if config.initial_controls is not None:
         w1, w2 = config.initial_controls
@@ -284,18 +283,17 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
     follower_idx = np.nonzero(segments.follower_mask(grid))[0]
     for n in range(config.max_iter):
         u = _solve_state(w1, w2, spec, grid, N, plan)
-        if not np.isfinite(u.frames[grid.M].values).all():
+        if not np.isfinite(u.frames[grid.M]).all():
             raise DivergenceError(
                 f"non-finite state values at sweep {n}",
                 payload={"iteration": n, "field": "state", "sigma": config.sigma,
                          "T": grid.T, "M": grid.M, "N": N},
             )
-        p = _solve_adjoint(u, u2_fields, spec, grid, N, plan)
+        p = _solve_adjoint(u, target, spec, grid, N, plan)
 
         psi_bc = np.zeros(grid.M + 1)
         if phi_prev is not None:
-            for m in follower_idx:
-                psi_bc[m] = -phi_prev.flux_left(int(m)) / config.sigma
+            psi_bc[follower_idx] = _outward_flux(phi_prev, follower_idx) / config.sigma
             psi_bc[grid.M] = psi_bc[grid.M - 1]
         if zero_chain is not None and not psi_bc.any():
             psi = phi = zero_chain
@@ -325,7 +323,8 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
               + control_l2_norm(_diff(w2_new, w2), grid))
         log.append(IterationRecord(
             n=n, stop_qty=stop, du_l2=du, dw_l2=dw,
-            J=evaluate_J(w1, grid), J2=evaluate_J2(u, w2, config.u2, config.sigma, grid),
+            J=evaluate_J(w1, grid),
+            J2=evaluate_J2(u, w2, config.u2, config.sigma, grid, target=target),
         ))
 
         w1, w2 = w1_new, w2_new
@@ -338,7 +337,7 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
             break
 
     u_final = _solve_state(w1, w2, spec, grid, N, plan)
-    p_final = _solve_adjoint(u_final, u2_fields, spec, grid, N, plan)
+    p_final = _solve_adjoint(u_final, target, spec, grid, N, plan)
     return SNResult(converged=converged, iterations=iterations, w1=w1, w2=w2,
                     u=u_final, p=p_final, psi=psi, phi=phi, log=log,
                     iterates=iterates)
@@ -351,11 +350,9 @@ def nash_residual(w2: ControlSamples, p: Trajectory, sigma: float,
     Measures || sigma*w2 - dp/dnu ||_{L2(segment)} / (sigma ||w2||); zero
     exactly at the follower's best response to the state that produced p.
     """
-    mask = segments.follower_mask(grid)
-    defect = 0.0
-    for m in np.nonzero(mask)[0]:
-        r = sigma * w2.values[m] - (-p.flux_left(int(m)))
-        defect += grid.dt * r * r
+    idx = np.nonzero(segments.follower_mask(grid))[0]
+    r = sigma * w2.values[idx] - _outward_flux(p, idx)
+    defect = grid.dt * float(np.sum(r * r))
     denom = sigma * control_l2_norm(w2, grid)
     if denom == 0.0:
         return math.sqrt(defect)
@@ -400,9 +397,9 @@ def nash_gradient_check(w1: ControlSamples, w2: ControlSamples, config: SNConfig
 
     plan = _level_plan(spec, grid, N)
     u = _solve_state(w1, w2, spec, grid, N, plan)
-    u2_fields = _target_fields(config.u2, plan.meshes, grid)
-    p = _solve_adjoint(u, u2_fields, spec, grid, N, plan)
-    flux = np.array([-p.flux_left(int(m)) for m in idx])  # dp/dnu at x=0
+    target = _target(config.u2, plan.meshes, grid)
+    p = _solve_adjoint(u, target, spec, grid, N, plan)
+    flux = _outward_flux(p, idx)  # dp/dnu at x=0
 
     a, b = segments.sigma2
     s = (grid.levels[idx] - a) / (b - a)
@@ -428,7 +425,8 @@ def nash_gradient_check(w1: ControlSamples, w2: ControlSamples, config: SNConfig
             w2_pert = ControlSamples(segment=segments.sigma2,
                                      values=w2.values + sgn * delta * direction.values)
             u_pert = _solve_state(w1, w2_pert, spec, grid, N, plan)
-            cost.append(evaluate_J2(u_pert, w2_pert, config.u2, config.sigma, grid))
+            cost.append(evaluate_J2(u_pert, w2_pert, config.u2, config.sigma, grid,
+                                    target=target))
         fd[d] = (cost[0] - cost[1]) / (2.0 * delta)
         analytic[d] = grid.dt * float(
             np.sum((config.sigma * w2.values[idx] - flux) * direction.values[idx])

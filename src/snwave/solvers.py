@@ -20,24 +20,24 @@ and ``solve_backward`` take it as the keyword ``plan`` and build their
 own when given none; ``game.fixed_point_solve``,
 ``game.nash_gradient_check`` and ``duality_residual`` build one and pass
 it to every march.  Nothing is cached across solves.
+
+A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
+values of level m, beside the plan's tuple of level meshes.  A march
+fills one preallocated array; the backward march writes it through the
+reversed view.  Initial, terminal and source data are arrays of the
+same layout: ``(N+1,)`` for one frame, ``(M+1, N+1)`` for a source.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .geometry import MovingDomainSpec, TimeGrid, build_spatial_mesh
-from .fem import (
-    ControlSamples,
-    NodalField,
-    _mass_matvec,
-    boundary_flux_left,
-    interpolate,
-)
+from .fem import ControlSamples, _mass_matvec, boundary_flux_left, interpolate
 
 __all__ = [
     "Trajectory",
@@ -54,19 +54,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One nodal field per time level; frame m lives on the mesh of level m."""
+    """Nodal values of every time level: row m of ``frames`` lives on ``meshes[m]``.
+
+    ``frames`` has shape ``(M+1, N+1)``; ``meshes`` is the solve's tuple
+    of level meshes, shared, not copied.
+    """
 
     grid: TimeGrid
-    frames: list = field(repr=False)
+    meshes: tuple = field(repr=False)
+    frames: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.frames) != self.grid.M + 1:
+        shape = (self.grid.M + 1, self.meshes[0].n_nodes)
+        if len(self.meshes) != shape[0] or self.frames.shape != shape:
             raise ValueError(
-                f"trajectory has {len(self.frames)} frames for {self.grid.M + 1} levels"
+                f"trajectory of shape {self.frames.shape} on {len(self.meshes)} meshes, "
+                f"expected {shape}"
             )
-
-    def flux_left(self, m: int, method: str = "one-sided") -> float:
-        return boundary_flux_left(self.frames[m], method=method)
 
 
 @dataclass(frozen=True)
@@ -74,31 +78,38 @@ class ForwardProblem:
     """Initial-value problem marched from t = 0.
 
     ``left_boundary`` prescribes the Dirichlet value at x = 0 for every
-    level; the moving endpoint is always 0.  ``source`` is an optional
-    per-level forcing paired against test functions (used by the
-    backward/forward equivalence oracle; the production systems are
-    homogeneous).
+    level; the moving endpoint is always 0.  ``ic0`` and ``ic1`` are the
+    initial displacement and velocity, ``(N+1,)`` arrays (zero when
+    None).  ``source`` is an optional ``(M+1, N+1)`` forcing paired
+    against test functions (used by the backward/forward equivalence
+    oracle; the production systems are homogeneous).
     """
 
     left_boundary: np.ndarray = field(repr=False)
-    ic0: Optional[NodalField] = None
-    ic1: Optional[NodalField] = None
-    source: Optional[Sequence[NodalField]] = None
+    ic0: Optional[np.ndarray] = field(default=None, repr=False)
+    ic1: Optional[np.ndarray] = field(default=None, repr=False)
+    source: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
 class BackwardProblem:
     """Terminal-value problem marched from t = T down to 0.
 
-    Boundary values are homogeneous at both ends.  ``terminal0`` and
-    ``terminal1`` are the state and its time derivative at t = T (zero
-    by default); the last two frames are seeded as terminal0 and
+    Boundary values are homogeneous at both ends.  ``source`` is an
+    ``(M+1, N+1)`` array; ``terminal0`` and ``terminal1`` are the state
+    and its time derivative at t = T, ``(N+1,)`` arrays (zero when
+    None).  The last two frames are seeded as terminal0 and
     terminal0 - dt*terminal1, mirroring the forward starting rule.
     """
 
-    source: Sequence[NodalField] = field(repr=False)
-    terminal0: Optional[NodalField] = None
-    terminal1: Optional[NodalField] = None
+    source: np.ndarray = field(repr=False)
+    terminal0: Optional[np.ndarray] = field(default=None, repr=False)
+    terminal1: Optional[np.ndarray] = field(default=None, repr=False)
+
+
+def _check_shape(name: str, a, shape: tuple):
+    if a is not None and np.shape(a) != shape:
+        raise ValueError(f"{name} has shape {np.shape(a)}, expected {shape}")
 
 
 def assemble_left_boundary(controls, grid: TimeGrid) -> np.ndarray:
@@ -170,34 +181,31 @@ def _plan_for(plan: Optional[_LevelPlan], spec, grid: TimeGrid, N: int) -> _Leve
     return plan
 
 
-def _march(meshes, S, cos2, dt, x0, v0, left, source):
+def _march(meshes, S, cos2, dt, x0, v0, left, source, out):
     """Run the three-level implicit scheme over ``meshes`` in march order.
 
-    Frame 0 is the displacement ``x0`` and frame 1 the first-order start
-    x0 + dt*v0 interpolated onto the second mesh; for i >= 1 the frame
-    i+1 solves
+    Row 0 of ``out`` is the displacement ``x0`` and row 1 the first-order
+    start x0 + dt*v0 interpolated onto the second mesh; for i >= 1 the
+    row i+1 solves
 
         M (v - 2 f~^i + f~^{i-1})/dt^2 + K v = M s^{i+1}
 
     on mesh i+1 with Dirichlet values ``left[i+1]`` at x = 0 and 0 at the
     moving end, where the tilde marks interpolation onto that mesh.  All
-    data are arrays in march order; ``source`` may be None.  ``S, cos2``
-    is the sine basis of the meshes' N.  Returns one array of nodal values
+    data are in march order; ``source`` may be None.  ``S, cos2`` is the
+    sine basis of the meshes' N.  ``out`` is filled in place, one row
     per mesh.
     """
-    N = meshes[0].n_nodes - 1
-    frames = [None] * len(meshes)
-    frames[0] = x0.copy()
-    frames[1] = interpolate(x0 + dt * v0, meshes[1], meshes[0])
-    for i in (0, 1):
-        frames[i][0] = left[i]
-        frames[i][-1] = 0.0
+    out[0] = x0
+    out[1] = interpolate(x0 + dt * v0, meshes[1], meshes[0])
+    out[:2, 0] = left[:2]
+    out[:2, -1] = 0.0
     dt2 = dt * dt
     for i in range(1, len(meshes) - 1):
         mesh = meshes[i + 1]
         h = mesh.h
-        w = 2.0 * interpolate(frames[i], mesh, meshes[i])
-        w -= interpolate(frames[i - 1], mesh, meshes[i - 1])
+        w = 2.0 * interpolate(out[i], mesh, meshes[i])
+        w -= interpolate(out[i - 1], mesh, meshes[i - 1])
         if source is not None:
             w += dt2 * source[i + 1]
         # interior rows of the mass product: (h/6) (w_{j-1} + 4 w_j + w_{j+1})
@@ -207,17 +215,9 @@ def _march(meshes, S, cos2, dt, x0, v0, left, source):
         rhs *= h / (6.0 * dt2)
         off = -1.0 / h + h / (6.0 * dt2)
         rhs[0] -= off * left[i + 1]
-        out = np.empty(N + 1)
-        out[0] = left[i + 1]
-        out[-1] = 0.0
-        out[1:-1] = _toeplitz_solve(S, cos2, 2.0 / h + 2.0 * h / (3.0 * dt2), off, rhs)
-        frames[i + 1] = out
-    return frames
-
-
-def _as_trajectory(grid, meshes, values) -> Trajectory:
-    return Trajectory(grid=grid, frames=[NodalField(mesh=ms, values=v)
-                                         for ms, v in zip(meshes, values)])
+        out[i + 1, 0] = left[i + 1]
+        out[i + 1, -1] = 0.0
+        out[i + 1, 1:-1] = _toeplitz_solve(S, cos2, 2.0 / h + 2.0 * h / (3.0 * dt2), off, rhs)
 
 
 def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
@@ -239,20 +239,17 @@ def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
             f"left boundary has {len(problem.left_boundary)} values for "
             f"{grid.M + 1} levels"
         )
-    if problem.source is not None and len(problem.source) != grid.M + 1:
-        raise ValueError("source must provide one field per time level")
+    shape = (grid.M + 1, N + 1)
+    _check_shape("ic0", problem.ic0, shape[1:])
+    _check_shape("ic1", problem.ic1, shape[1:])
+    _check_shape("source", problem.source, shape)
     plan = _plan_for(plan, spec, grid, N)
-    meshes = plan.meshes
-    ic0 = problem.ic0 if problem.ic0 is not None else NodalField.zeros(meshes[0])
-    ic1 = problem.ic1 if problem.ic1 is not None else NodalField.zeros(meshes[0])
-    if ic0.mesh.n_nodes != N + 1 or ic1.mesh.n_nodes != N + 1:
-        raise ValueError("initial fields must live on the t=0 mesh with N+1 nodes")
-    source = None
-    if problem.source is not None:
-        source = [f.values for f in problem.source]
-    values = _march(meshes, plan.S, plan.cos2, grid.dt, ic0.values, ic1.values,
-                    problem.left_boundary, source)
-    return _as_trajectory(grid, meshes, values)
+    ic0 = problem.ic0 if problem.ic0 is not None else np.zeros(N + 1)
+    ic1 = problem.ic1 if problem.ic1 is not None else np.zeros(N + 1)
+    frames = np.empty(shape)
+    _march(plan.meshes, plan.S, plan.cos2, grid.dt, ic0, ic1,
+           problem.left_boundary, problem.source, frames)
+    return Trajectory(grid=grid, meshes=plan.meshes, frames=frames)
 
 
 def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
@@ -268,21 +265,27 @@ def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
     the forward march on the reversed levels with -terminal1 as the
     start velocity.  ``plan`` is as for ``solve_forward``.
     """
-    if len(problem.source) != grid.M + 1:
-        raise ValueError("source must provide one field per time level")
+    shape = (grid.M + 1, N + 1)
+    _check_shape("source", problem.source, shape)
+    _check_shape("terminal0", problem.terminal0, shape[1:])
+    _check_shape("terminal1", problem.terminal1, shape[1:])
     plan = _plan_for(plan, spec, grid, N)
-    meshes = plan.meshes
-    term0 = problem.terminal0 if problem.terminal0 is not None else NodalField.zeros(meshes[-1])
-    term1 = problem.terminal1 if problem.terminal1 is not None else NodalField.zeros(meshes[-1])
-    if term0.mesh.n_nodes != N + 1 or term1.mesh.n_nodes != N + 1:
-        raise ValueError("terminal fields must live on the t=T mesh with N+1 nodes")
-    values = _march(meshes[::-1], plan.S, plan.cos2, grid.dt, term0.values, -term1.values,
-                    np.zeros(grid.M + 1), [f.values for f in problem.source[::-1]])
-    return _as_trajectory(grid, meshes, values[::-1])
+    term0 = problem.terminal0 if problem.terminal0 is not None else np.zeros(N + 1)
+    term1 = problem.terminal1 if problem.terminal1 is not None else np.zeros(N + 1)
+    frames = np.empty(shape)
+    _march(plan.meshes[::-1], plan.S, plan.cos2, grid.dt, term0, -term1,
+           np.zeros(grid.M + 1), problem.source[::-1], frames[::-1])
+    return Trajectory(grid=grid, meshes=plan.meshes, frames=frames)
 
 
-def _mass_ip(a: NodalField, b: NodalField) -> float:
-    return float(a.values @ _mass_matvec(b.values, a.mesh.h))
+def _outward_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
+    """d/d nu = -d/dx at x = 0 on the trajectory's levels ``idx``, one flux call."""
+    h = np.array([traj.meshes[m].h for m in idx])
+    return -boundary_flux_left(traj.frames[idx], h)
+
+
+def _mass_ip(a: np.ndarray, b: np.ndarray, h: float) -> float:
+    return float(a @ _mass_matvec(b, h))
 
 
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
@@ -291,26 +294,25 @@ def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
         raise ValueError("trajectories live on different time grids")
     acc = 0.0
     for m in range(a.grid.M):
-        d = NodalField(mesh=a.frames[m].mesh,
-                       values=a.frames[m].values - b.frames[m].values)
-        acc += a.grid.dt * _mass_ip(d, d)
+        d = a.frames[m] - b.frames[m]
+        acc += a.grid.dt * _mass_ip(d, d, a.meshes[m].h)
     return float(np.sqrt(acc))
 
 
 def trajectory_l2_norm(a: Trajectory) -> float:
     acc = 0.0
     for m in range(a.grid.M):
-        acc += a.grid.dt * _mass_ip(a.frames[m], a.frames[m])
+        acc += a.grid.dt * _mass_ip(a.frames[m], a.frames[m], a.meshes[m].h)
     return float(np.sqrt(acc))
 
 
-def duality_residual(forward_bdata: ControlSamples, source: Sequence[NodalField],
+def duality_residual(forward_bdata: ControlSamples, source: np.ndarray,
                      spec: MovingDomainSpec, grid: TimeGrid, N: int) -> float:
     """Consistency gap between the state/adjoint pairing and the boundary term.
 
     Drives u-hat forward with the given boundary data and zero initial
-    data, drives p backward with the given source, and compares the
-    volume pairing sum_m dt <source^m, u-hat^m> against the boundary
+    data, drives p backward with the ``(M+1, N+1)`` source, and compares
+    the volume pairing sum_m dt <source^m, u-hat^m> against the boundary
     pairing sum_m dt (d p/d nu)(0, t^m) w^m, where d/d nu = -d/dx is the
     outward conormal derivative at the controlled end.  The two agree up
     to the O(dt + h^2) mismatch of the marching pair; the return value is
@@ -324,11 +326,9 @@ def duality_residual(forward_bdata: ControlSamples, source: Sequence[NodalField]
 
     volume = 0.0
     for m in range(grid.M):
-        volume += grid.dt * _mass_ip(source[m], u_hat.frames[m])
-    mask = forward_bdata.level_mask(grid)
-    boundary = 0.0
-    for m in np.nonzero(mask)[0]:
-        boundary += grid.dt * (-p.flux_left(int(m))) * forward_bdata.values[m]
+        volume += grid.dt * _mass_ip(source[m], u_hat.frames[m], plan.meshes[m].h)
+    idx = np.nonzero(forward_bdata.level_mask(grid))[0]
+    boundary = grid.dt * float(np.sum(_outward_flux(p, idx) * forward_bdata.values[idx]))
     scale = max(abs(volume), abs(boundary))
     if scale == 0.0:
         return 0.0

@@ -17,7 +17,7 @@ from .geometry import (
     compute_Tc,
     trapezoid_stats,
 )
-from .fem import ControlSamples, NodalField, assemble_mass, assemble_stiffness
+from .fem import ControlSamples, assemble_mass, assemble_stiffness
 from .solvers import (
     BackwardProblem,
     ForwardProblem,
@@ -56,14 +56,13 @@ def _manufactured_error(NM):
     x = mesh.nodes
     prob = ForwardProblem(
         left_boundary=np.zeros(NM + 1),
-        ic0=NodalField(mesh=mesh, values=np.sin(np.pi * x)),
-        ic1=NodalField.zeros(mesh),
+        ic0=np.sin(np.pi * x),
     )
     traj = solve_forward(prob, spec, grid, NM)
     err = 0.0
     for m in range(NM + 1):
         exact = np.sin(np.pi * x) * np.cos(np.pi * grid.levels[m])
-        d = traj.frames[m].values - exact
+        d = traj.frames[m] - exact
         err += grid.dt * float(d @ assemble_mass(mesh).matvec(d))
     return np.sqrt(err)
 
@@ -81,14 +80,11 @@ def _check_reversal():
     grid = build_time_grid(1.0, NM)
     mesh = build_spatial_mesh(spec, 0.0, NM)
     x = mesh.nodes
-    src = [NodalField(mesh=mesh, values=np.sin(2 * np.pi * x) * np.cos(3.0 * t))
-           for t in grid.levels]
+    src = np.outer(np.cos(3.0 * grid.levels), np.sin(2 * np.pi * x))
     back = solve_backward(BackwardProblem(source=src), spec, grid, NM)
-    rev = [src[NM - m] for m in range(NM + 1)]
-    fwd = solve_forward(ForwardProblem(left_boundary=np.zeros(NM + 1), source=rev),
+    fwd = solve_forward(ForwardProblem(left_boundary=np.zeros(NM + 1), source=src[::-1]),
                         spec, grid, NM)
-    gap = max(float(np.max(np.abs(back.frames[NM - m].values - fwd.frames[m].values)))
-              for m in range(NM + 1))
+    gap = float(np.max(np.abs(back.frames[::-1] - fwd.frames)))
     return "backward-reversal", gap <= 1e-10, f"max frame gap {gap:.2e}"
 
 
@@ -96,7 +92,7 @@ def _check_zero_data():
     spec = MovingDomainSpec(k=0.25, T=4.0)
     grid = build_time_grid(4.0, 32)
     traj = solve_forward(ForwardProblem(left_boundary=np.zeros(33)), spec, grid, 32)
-    ok = all(np.all(f.values == 0.0) for f in traj.frames)
+    ok = bool(np.all(traj.frames == 0.0))
     return "zero-data-zero-trajectory", ok, "all frames exactly zero" if ok else "nonzero frame"
 
 
@@ -108,17 +104,17 @@ def _check_dissipative():
     x = mesh.nodes
     prob = ForwardProblem(
         left_boundary=np.zeros(NM + 1),
-        ic0=NodalField(mesh=mesh, values=np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x)),
-        ic1=NodalField(mesh=mesh, values=0.5 * np.sin(2 * np.pi * x)),
+        ic0=np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x),
+        ic1=0.5 * np.sin(2 * np.pi * x),
     )
     traj = solve_forward(prob, spec, grid, NM)
     mass = assemble_mass(mesh)
     stiff = assemble_stiffness(mesh)
     energy = []
     for m in range(NM):
-        d = (traj.frames[m + 1].values - traj.frames[m].values) / grid.dt
+        d = (traj.frames[m + 1] - traj.frames[m]) / grid.dt
         kin = float(d @ mass.matvec(d))
-        cross = float(traj.frames[m + 1].values @ stiff.matvec(traj.frames[m].values))
+        cross = float(traj.frames[m + 1] @ stiff.matvec(traj.frames[m]))
         energy.append(kin + cross)
     drift = float(np.max(np.diff(energy)))
     ok = drift <= 1e-10 * max(1.0, abs(energy[0]))
@@ -132,8 +128,8 @@ def _check_degenerate():
     cfg = SNConfig(sigma=100.0, epsilon=1e-12, max_iter=3)
     res = fixed_point_solve(cfg, spec, grid, 40)
     ok = (np.all(res.w1.values == 0.0)
-          and all(np.all(f.values == 0.0) for f in res.psi.frames)
-          and all(np.all(f.values == 0.0) for f in res.phi.frames))
+          and np.all(res.psi.frames == 0.0)
+          and np.all(res.phi.frames == 0.0))
     return "degenerate-subsystem-zero", ok, "psi, phi, w1 exactly zero"
 
 
@@ -145,7 +141,7 @@ def _check_zero_target():
     res = fixed_point_solve(cfg, spec, grid, 40)
     ok = (res.converged and res.iterations == 1
           and np.all(res.w2.values == 0.0)
-          and all(np.all(f.values == 0.0) for f in res.u.frames))
+          and np.all(res.u.frames == 0.0))
     return "zero-target-fixed-point", ok, f"iterations = {res.iterations}"
 
 
@@ -155,8 +151,7 @@ def _check_duality():
     grid = build_time_grid(1.0, NM)
     mesh = build_spatial_mesh(spec, 0.0, NM)
     x = mesh.nodes
-    src = [NodalField(mesh=mesh, values=np.sin(np.pi * x) * (1.0 + t))
-           for t in grid.levels]
+    src = np.outer(1.0 + grid.levels, np.sin(np.pi * x))
     seg = (0.0, 0.5)
     vals = np.zeros(NM + 1)
     mask = grid.levels < 0.5

@@ -16,7 +16,6 @@ from snwave import (
     ControlSamples,
     ForwardProblem,
     MovingDomainSpec,
-    NodalField,
     SNConfig,
     assemble_mass,
     build_spatial_mesh,
@@ -147,14 +146,14 @@ def _manufactured_error(NM):
     x = mesh.nodes
     prob = ForwardProblem(
         left_boundary=np.zeros(NM + 1),
-        ic0=NodalField(mesh=mesh, values=np.sin(np.pi * x)),
-        ic1=NodalField.zeros(mesh),
+        ic0=np.sin(np.pi * x),
+        ic1=np.zeros(NM + 1),
     )
     traj = solve_forward(prob, spec, grid, NM)
     acc = 0.0
     mass = assemble_mass(mesh)
     for m in range(NM):
-        d = traj.frames[m].values - np.sin(np.pi * x) * np.cos(np.pi * grid.levels[m])
+        d = traj.frames[m] - np.sin(np.pi * x) * np.cos(np.pi * grid.levels[m])
         acc += grid.dt * float(d @ mass.matvec(d))
     return math.sqrt(acc)
 
@@ -170,14 +169,13 @@ def test_criterion_6_solver_verification():
     grid = build_time_grid(1.0, NM)
     mesh = build_spatial_mesh(spec, 0.0, NM)
     x = mesh.nodes
-    src = [NodalField(mesh=mesh, values=np.sin(2 * np.pi * x) * np.cos(3.0 * t))
-           for t in grid.levels]
+    src = np.array([np.sin(2 * np.pi * x) * np.cos(3.0 * t) for t in grid.levels])
     back = solve_backward(BackwardProblem(source=src), spec, grid, NM)
     fwd = solve_forward(
         ForwardProblem(left_boundary=np.zeros(NM + 1),
-                       source=[src[NM - m] for m in range(NM + 1)]),
+                       source=np.array([src[NM - m] for m in range(NM + 1)])),
         spec, grid, NM)
-    gap = max(float(np.max(np.abs(back.frames[NM - m].values - fwd.frames[m].values)))
+    gap = max(float(np.max(np.abs(back.frames[NM - m] - fwd.frames[m])))
               for m in range(NM + 1))
     assert gap <= 1e-10
     report(6, f"refinement factors {r1:.3f}, {r2:.3f}; reversal gap {gap:.2e}")
@@ -193,8 +191,8 @@ def test_criterion_7_degenerate_subsystem(tc):
     assert res.converged
     for w1, _w2, psi, phi in res.iterates:
         assert np.all(w1.values == 0.0)
-        assert all(np.all(f.values == 0.0) for f in psi.frames)
-        assert all(np.all(f.values == 0.0) for f in phi.frames)
+        assert np.all(psi.frames == 0.0)
+        assert np.all(phi.frames == 0.0)
     report(7, f"{len(res.iterates)} sweeps, psi/phi/w1 bit-zero throughout")
 
 
@@ -202,8 +200,7 @@ def _duality(NM):
     spec = MovingDomainSpec(k=0.0, T=1.0)
     grid = build_time_grid(1.0, NM)
     mesh = build_spatial_mesh(spec, 0.0, NM)
-    src = [NodalField(mesh=mesh, values=np.sin(np.pi * mesh.nodes) * (1.0 + t))
-           for t in grid.levels]
+    src = np.array([np.sin(np.pi * mesh.nodes) * (1.0 + t) for t in grid.levels])
     vals = np.zeros(NM + 1)
     mask = grid.levels < 0.5
     vals[mask] = np.sin(np.pi * grid.levels[mask] / 0.5) ** 2

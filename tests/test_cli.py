@@ -100,6 +100,38 @@ class TestConfigFile:
         assert rc == 2
         assert "sigma" in capsys.readouterr().err
 
+    def test_bool_value_applied(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("dump_frames = yes\nN = 10\nM = 10\nout = " + str(tmp_path) + "\n")
+        assert run_cli(["run", "--config", str(cfgfile)]) == 0
+        assert (tmp_path / "u_frames.csv").exists()
+
+    def test_malformed_bool_reports_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("dump_frames = banana\n")
+        rc = run_cli(["run", "--config", str(cfgfile)])
+        assert rc == 2
+        assert "dump_frames" in capsys.readouterr().err
+
+    def test_fractional_int_reports_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("N = 40.5\n")
+        rc = run_cli(["run", "--config", str(cfgfile)])
+        assert rc == 2
+        assert "'N'" in capsys.readouterr().err
+
+    def test_seed_is_unknown_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("seed = 1\n")
+        rc = run_cli(["run", "--config", str(cfgfile)])
+        assert rc == 2
+        assert "unknown key 'seed'" in capsys.readouterr().err
+
+    def test_seed_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--out", str(tmp_path), "--seed", "1"])
+        assert exc.value.code == 2
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("flag,value,key", [

@@ -3,7 +3,6 @@ import pytest
 
 from snwave import (
     ControlSamples,
-    NodalField,
     SpatialMesh,
     TriDiagMatrix,
     assemble_mass,
@@ -140,39 +139,37 @@ class TestInterpolate:
     def test_identity_same_mesh(self):
         mesh = uniform_mesh(1.0, 16)
         rng = np.random.default_rng(3)
-        f = NodalField(mesh=mesh, values=rng.standard_normal(17))
-        out = interpolate(f, mesh)
-        np.testing.assert_array_equal(out.values, f.values)
+        f = rng.standard_normal(17)
+        out = interpolate(f, mesh, mesh)
+        np.testing.assert_array_equal(out, f)
+        assert out is not f
 
     def test_exact_on_linear_resampling(self):
         src = uniform_mesh(1.0, 10)
         tgt = uniform_mesh(1.0, 17)
-        f = NodalField(mesh=src, values=src.nodes.copy())
-        out = interpolate(f, tgt)
-        np.testing.assert_allclose(out.values, tgt.nodes, rtol=0, atol=1e-14)
+        out = interpolate(src.nodes.copy(), tgt, src)
+        np.testing.assert_allclose(out, tgt.nodes, rtol=0, atol=1e-14)
 
     def test_zero_stays_zero(self):
         src = uniform_mesh(1.0, 8)
         tgt = uniform_mesh(1.5, 12)
-        out = interpolate(NodalField.zeros(src), tgt)
-        np.testing.assert_array_equal(out.values, 0.0)
+        out = interpolate(np.zeros(9), tgt, src)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_extension_by_zero_beyond_source(self):
         src = uniform_mesh(1.0, 8)
         tgt = uniform_mesh(2.0, 8)
-        f = NodalField(mesh=src, values=np.ones(9))
-        out = interpolate(f, tgt)
+        out = interpolate(np.ones(9), tgt, src)
         outside = tgt.nodes > 1.0
-        np.testing.assert_array_equal(out.values[outside], 0.0)
-        assert out.values[0] == 1.0
+        np.testing.assert_array_equal(out[outside], 0.0)
+        assert out[0] == 1.0
 
     def test_exact_on_shrinking_domain(self):
         # moving-mesh case used by the backward solver: target inside source
         src = uniform_mesh(1.5, 12)
         tgt = uniform_mesh(1.25, 12)
-        f = NodalField(mesh=src, values=2.0 * src.nodes - 0.5)
-        out = interpolate(f, tgt)
-        np.testing.assert_allclose(out.values, 2.0 * tgt.nodes - 0.5, atol=1e-13)
+        out = interpolate(2.0 * src.nodes - 0.5, tgt, src)
+        np.testing.assert_allclose(out, 2.0 * tgt.nodes - 0.5, atol=1e-13)
 
 
 def reference_interpolate(values, src, tgt):
@@ -229,39 +226,46 @@ class TestMassStencil:
 class TestBoundaryFlux:
     def test_exact_for_linear(self):
         mesh = uniform_mesh(1.0, 10)
-        f = NodalField(mesh=mesh, values=3.5 * mesh.nodes)
-        assert boundary_flux_left(f) == pytest.approx(3.5, rel=1e-13)
+        assert boundary_flux_left(3.5 * mesh.nodes, mesh.h) == pytest.approx(3.5, rel=1e-13)
 
     def test_exact_for_quadratic(self):
         # d/dx x^2 vanishes at 0 and the 3-point stencil reproduces it exactly:
         # (-3*0 + 4 h^2 - (2h)^2) / (2h) = 0
         mesh = uniform_mesh(1.0, 10)
-        f = NodalField(mesh=mesh, values=mesh.nodes**2)
-        assert boundary_flux_left(f) == 0.0
+        assert boundary_flux_left(mesh.nodes**2, mesh.h) == 0.0
 
     def test_quadratic_with_all_terms(self):
         mesh = uniform_mesh(1.0, 16)
-        f = NodalField(mesh=mesh, values=2.0 - 3.0 * mesh.nodes + 5.0 * mesh.nodes**2)
-        assert boundary_flux_left(f) == pytest.approx(-3.0, rel=1e-12)
+        f = 2.0 - 3.0 * mesh.nodes + 5.0 * mesh.nodes**2
+        assert boundary_flux_left(f, mesh.h) == pytest.approx(-3.0, rel=1e-12)
 
     def test_constant_is_zero(self):
         mesh = uniform_mesh(1.0, 5)
-        f = NodalField(mesh=mesh, values=np.full(6, 9.9))
-        assert boundary_flux_left(f) == 0.0
+        assert boundary_flux_left(np.full(6, 9.9), mesh.h) == 0.0
 
     def test_needs_three_nodes(self):
         tiny = uniform_mesh(1.0, 1)
         with pytest.raises(ValueError, match="3 nodes"):
-            boundary_flux_left(NodalField.zeros(tiny))
+            boundary_flux_left(np.zeros(2), tiny.h)
         mesh = uniform_mesh(1.0, 2)
-        boundary_flux_left(NodalField.zeros(mesh))  # 3 nodes: fine
+        boundary_flux_left(np.zeros(3), mesh.h)  # 3 nodes: fine
         with pytest.raises(ValueError, match="unknown flux method"):
-            boundary_flux_left(NodalField.zeros(mesh), method="nope")
+            boundary_flux_left(np.zeros(3), mesh.h, method="nope")
 
     def test_p1_gradient_alternative(self):
         mesh = uniform_mesh(1.0, 10)
-        f = NodalField(mesh=mesh, values=3.5 * mesh.nodes)
-        assert boundary_flux_left(f, method="p1-gradient") == pytest.approx(3.5, rel=1e-13)
+        got = boundary_flux_left(3.5 * mesh.nodes, mesh.h, method="p1-gradient")
+        assert got == pytest.approx(3.5, rel=1e-13)
+
+    @pytest.mark.parametrize("method", ["one-sided", "p1-gradient"])
+    def test_stack_of_rows_matches_each_row(self, method):
+        rng = np.random.default_rng(5)
+        h = rng.uniform(0.01, 0.1, size=7)
+        rows = rng.standard_normal((7, 12))
+        got = boundary_flux_left(rows, h, method=method)
+        assert got.shape == (7,)
+        for m in range(7):
+            assert got[m] == boundary_flux_left(rows[m], h[m], method=method)
 
 
 class TestControlNorm:

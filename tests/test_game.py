@@ -9,10 +9,11 @@ from snwave import (
     ControlSamples,
     ForwardProblem,
     MovingDomainSpec,
-    NodalField,
     SNConfig,
+    boundary_flux_left,
     build_spatial_mesh,
     build_time_grid,
+    control_l2_norm,
     evaluate_J,
     evaluate_J2,
     fixed_point_solve,
@@ -29,9 +30,9 @@ from snwave.solvers import Trajectory, _level_plan, assemble_left_boundary
 
 
 def make_trajectory(spec, grid, N, profile):
-    meshes = [build_spatial_mesh(spec, t, N) for t in grid.levels]
-    frames = [NodalField(mesh=m, values=profile(m.nodes)) for m in meshes]
-    return Trajectory(grid=grid, frames=frames)
+    meshes = tuple(build_spatial_mesh(spec, t, N) for t in grid.levels)
+    frames = np.array([profile(m.nodes) for m in meshes])
+    return Trajectory(grid=grid, meshes=meshes, frames=frames)
 
 
 @pytest.fixture
@@ -212,8 +213,7 @@ class TestFixedPoint:
         assert res.converged and res.iterations == 1
         assert np.all(res.w1.values == 0.0)
         assert np.all(res.w2.values == 0.0)
-        for f in res.u.frames:
-            assert np.all(f.values == 0.0)
+        assert np.all(res.u.frames == 0.0)
 
     def test_degenerate_subsystem_exact_zeros_every_sweep(self, small_setup):
         spec, grid, segs = small_setup
@@ -222,10 +222,8 @@ class TestFixedPoint:
         assert res.converged
         for w1, _w2, psi, phi in res.iterates:
             assert np.all(w1.values == 0.0)
-            for f in psi.frames:
-                assert np.all(f.values == 0.0)
-            for f in phi.frames:
-                assert np.all(f.values == 0.0)
+            assert np.all(psi.frames == 0.0)
+            assert np.all(phi.frames == 0.0)
 
     def test_converges_at_paper_scale(self, spec_quarter, tc_quarter):
         grid = build_time_grid(tc_quarter, 60)
@@ -246,8 +244,8 @@ class TestFixedPoint:
         scale = np.max(np.abs(tripled.w2.values))
         assert np.max(np.abs(tripled.w2.values - 3 * base.w2.values)) <= 1e-8 * scale
         for fa, fb in zip(base.u.frames, tripled.u.frames):
-            ref = max(1e-30, np.max(np.abs(fb.values)))
-            assert np.max(np.abs(fb.values - 3 * fa.values)) <= 1e-8 * ref
+            ref = max(1e-30, np.max(np.abs(fb)))
+            assert np.max(np.abs(fb - 3 * fa)) <= 1e-8 * ref
 
     def test_nonconvergence_flag_at_cap(self, small_setup):
         spec, grid, segs = small_setup
@@ -276,19 +274,18 @@ class TestFixedPoint:
         mesh_T = build_spatial_mesh(spec, grid.T, 30)
         x = mesh_T.nodes
         L = mesh_T.length
-        f0 = NodalField(mesh=mesh_T, values=4.0 * x * (L - x) / L**2)
+        f0 = 4.0 * x * (L - x) / L**2
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs,
                        phi_terminal=(f0, None), max_iter=50)
         res = fixed_point_solve(cfg, spec, grid, 30, keep_iterates=True)
         w1_first, _, psi_first, phi_first = res.iterates[0]
         # psi lags phi by one sweep, so the first sweep's psi is exactly zero
-        for f in psi_first.frames:
-            assert np.all(f.values == 0.0)
-        assert any(np.any(f.values != 0.0) for f in phi_first.frames)
+        assert np.all(psi_first.frames == 0.0)
+        assert np.any(phi_first.frames != 0.0)
         assert np.any(w1_first.values != 0.0)
         if len(res.iterates) > 1:
             _, _, psi_second, _ = res.iterates[1]
-            assert any(np.any(f.values != 0.0) for f in psi_second.frames)
+            assert np.any(psi_second.frames != 0.0)
 
 
 class TestMarchCounts:
@@ -315,23 +312,22 @@ class TestMarchCounts:
         N = 16
         phi_terminal = None
         if explicit_zero:
-            mesh_T = build_spatial_mesh(spec, grid.T, N)
-            phi_terminal = (NodalField.zeros(mesh_T), NodalField.zeros(mesh_T))
+            phi_terminal = (np.zeros(N + 1), np.zeros(N + 1))
         count = self._count_marches(monkeypatch)
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, phi_terminal=phi_terminal)
         res = fixed_point_solve(cfg, spec, grid, N, keep_iterates=True)
         assert res.iterations >= 2
         assert count[0] == 2 * res.iterations + 2
         assert np.all(res.w1.values == 0.0)
-        for f in res.psi.frames + res.phi.frames:
-            assert np.all(f.values == 0.0)
+        assert np.all(res.psi.frames == 0.0)
+        assert np.all(res.phi.frames == 0.0)
 
     def test_nonzero_phi_terminal_marches_the_chain(self, small_setup, monkeypatch):
         spec, grid, segs = small_setup
         N = 16
         mesh_T = build_spatial_mesh(spec, grid.T, N)
         x, L = mesh_T.nodes, mesh_T.length
-        f0 = NodalField(mesh=mesh_T, values=4.0 * x * (L - x) / L**2)
+        f0 = 4.0 * x * (L - x) / L**2
         count = self._count_marches(monkeypatch)
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs,
                        phi_terminal=(f0, None), max_iter=3)
@@ -351,10 +347,35 @@ class TestTarget:
                                  spec, grid, 16)
         assert call.iterations == const.iterations
         np.testing.assert_array_equal(call.w2.values, const.w2.values)
-        np.testing.assert_array_equal(call.u.frames[-1].values, const.u.frames[-1].values)
+        np.testing.assert_array_equal(call.u.frames[-1], const.u.frames[-1])
         assert [r.J2 for r in call.log] == [r.J2 for r in const.log]
         assert (evaluate_J2(const.u, const.w2, lambda x, t: 10.0, 100.0, grid)
                 == evaluate_J2(const.u, const.w2, 10.0, 100.0, grid))
+
+    def test_given_target_matches_evaluated_target(self, small_setup):
+        spec, grid, segs = small_setup
+        res = fixed_point_solve(SNConfig(sigma=100.0, u2=10.0, segments=segs),
+                                spec, grid, 16)
+
+        def u2(x, t):
+            return 10.0 + np.sin(x) * np.cos(t)
+
+        target = np.array([u2(ms.nodes, t) for ms, t in zip(res.u.meshes, grid.levels)])
+        for goal, given in ((10.0, np.full_like(target, 10.0)), (u2, target)):
+            assert (evaluate_J2(res.u, res.w2, goal, 100.0, grid, target=given)
+                    == evaluate_J2(res.u, res.w2, goal, 100.0, grid))
+
+    def test_target_evaluated_once_per_solve(self, small_setup):
+        spec, grid, segs = small_setup
+        calls = [0]
+
+        def u2(x, t):
+            calls[0] += 1
+            return np.full_like(x, 10.0)
+
+        res = fixed_point_solve(SNConfig(sigma=100.0, u2=u2, segments=segs), spec, grid, 16)
+        assert res.iterations >= 2
+        assert calls[0] == grid.M + 1
 
     @pytest.mark.parametrize("bad", [lambda x, t: np.ones(3),
                                      lambda x, t: np.ones((len(x), 2))])
@@ -396,8 +417,7 @@ class TestWorkCounts:
         phi_terminal = None
         if leader:
             mesh_T = build_spatial_mesh(spec, grid.T, N)
-            phi_terminal = (NodalField(mesh=mesh_T, values=np.sin(np.pi * mesh_T.nodes
-                                                                  / mesh_T.length)), None)
+            phi_terminal = (np.sin(np.pi * mesh_T.nodes / mesh_T.length), None)
         count = self._count(monkeypatch)
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, phi_terminal=phi_terminal,
                        max_iter=3)
@@ -415,6 +435,17 @@ class TestWorkCounts:
         nash_gradient_check(w1, w2, cfg, spec, grid, 16, n_directions=2)
         assert count == {"basis": 1, "mesh": grid.M + 1}
 
+    def test_trajectories_are_arrays_on_the_plan_meshes(self, small_setup):
+        spec, grid, segs = small_setup
+        res = fixed_point_solve(SNConfig(sigma=100.0, u2=10.0, segments=segs), spec, grid, 16)
+        for traj in (res.u, res.p, res.psi, res.phi):
+            assert isinstance(traj.frames, np.ndarray)
+            assert traj.frames.shape == (grid.M + 1, 17)
+            assert traj.meshes is res.u.meshes
+        assert res.psi is res.phi  # the shared all-zero chain
+        with pytest.raises(ValueError, match="read-only"):
+            res.phi.frames[3, 1] = 1.0
+
     def test_plan_is_read_only(self, small_setup):
         spec, grid, _ = small_setup
         plan = _level_plan(spec, grid, 16)
@@ -424,6 +455,23 @@ class TestWorkCounts:
             plan.S[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             plan.cos2[0] = 0.0
+
+
+class TestNashResidual:
+    def test_matches_per_level_loop(self, small_setup):
+        spec, grid, segs = small_setup
+        sigma = 100.0
+        res = fixed_point_solve(SNConfig(sigma=sigma, u2=10.0, segments=segs, max_iter=2),
+                                spec, grid, 16)
+        got = nash_residual(res.w2, res.p, sigma, segs, grid)
+        defect = 0.0
+        for m in np.nonzero(segs.follower_mask(grid))[0]:
+            flux = boundary_flux_left(res.p.frames[m], res.p.meshes[m].h)
+            r = sigma * res.w2.values[m] - (-flux)
+            defect += grid.dt * r * r
+        ref = math.sqrt(defect) / (sigma * control_l2_norm(res.w2, grid))
+        assert ref > 1e-6
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 class TestNashGradientCheck:

@@ -6,14 +6,16 @@ from snwave import (
     ControlSamples,
     ForwardProblem,
     MovingDomainSpec,
-    NodalField,
+    SNConfig,
     TriDiagMatrix,
     assemble_left_boundary,
     assemble_mass,
     assemble_stiffness,
+    boundary_flux_left,
     build_spatial_mesh,
     build_time_grid,
     duality_residual,
+    fixed_point_solve,
     interpolate,
     solve_backward,
     solve_forward,
@@ -21,7 +23,7 @@ from snwave import (
     trajectory_l2_distance,
     trajectory_l2_norm,
 )
-from snwave.solvers import _level_plan, _sine_basis, _toeplitz_solve
+from snwave.solvers import Trajectory, _level_plan, _sine_basis, _toeplitz_solve
 
 # Relative tolerance of the sine-basis kernel against the Thomas
 # reference: both solve the same SPD systems, so they differ by roundoff
@@ -46,17 +48,16 @@ def reference_forward(problem, spec, grid, N):
     """Forward march with per-step assembly and Thomas solves."""
     meshes = [build_spatial_mesh(spec, t, N) for t in grid.levels]
     dt, left = grid.dt, problem.left_boundary
-    frames = [problem.ic0.values.copy()]
+    frames = [problem.ic0.copy()]
     frames[0][[0, -1]] = left[0], 0.0
-    start = NodalField(mesh=meshes[0], values=problem.ic0.values + dt * problem.ic1.values)
-    frames.append(interpolate(start, meshes[1]).values)
+    frames.append(interpolate(problem.ic0 + dt * problem.ic1, meshes[1], meshes[0]))
     frames[1][[0, -1]] = left[1], 0.0
     for m in range(1, grid.M):
         mesh = meshes[m + 1]
-        um = interpolate(NodalField(mesh=meshes[m], values=frames[m]), mesh).values
-        umm = interpolate(NodalField(mesh=meshes[m - 1], values=frames[m - 1]), mesh).values
+        um = interpolate(frames[m], mesh, meshes[m])
+        umm = interpolate(frames[m - 1], mesh, meshes[m - 1])
         mass = assemble_mass(mesh)
-        rhs = mass.matvec((2.0 * um - umm) / dt**2) + mass.matvec(problem.source[m + 1].values)
+        rhs = mass.matvec((2.0 * um - umm) / dt**2) + mass.matvec(problem.source[m + 1])
         frames.append(thomas_step(mesh, dt, rhs, left[m + 1]))
     return frames
 
@@ -66,24 +67,23 @@ def reference_backward(problem, spec, grid, N):
     meshes = [build_spatial_mesh(spec, t, N) for t in grid.levels]
     dt, M = grid.dt, grid.M
     frames = [None] * (M + 1)
-    frames[M] = problem.terminal0.values.copy()
+    frames[M] = problem.terminal0.copy()
     frames[M][[0, -1]] = 0.0
-    start = NodalField(mesh=meshes[M],
-                       values=problem.terminal0.values - dt * problem.terminal1.values)
-    frames[M - 1] = interpolate(start, meshes[M - 1]).values
+    frames[M - 1] = interpolate(problem.terminal0 - dt * problem.terminal1,
+                                meshes[M - 1], meshes[M])
     frames[M - 1][[0, -1]] = 0.0
     for m in range(M - 1, 0, -1):
         mesh = meshes[m - 1]
-        pp = interpolate(NodalField(mesh=meshes[m + 1], values=frames[m + 1]), mesh).values
-        pm = interpolate(NodalField(mesh=meshes[m], values=frames[m]), mesh).values
-        rhs = assemble_mass(mesh).matvec(problem.source[m - 1].values + (2.0 * pm - pp) / dt**2)
+        pp = interpolate(frames[m + 1], mesh, meshes[m + 1])
+        pm = interpolate(frames[m], mesh, meshes[m])
+        rhs = assemble_mass(mesh).matvec(problem.source[m - 1] + (2.0 * pm - pp) / dt**2)
         frames[m - 1] = thomas_step(mesh, dt, rhs, 0.0)
     return frames
 
 
 def assert_frames_close(traj, ref):
     scale = max(np.max(np.abs(f)) for f in ref)
-    gap = max(np.max(np.abs(f.values - r)) for f, r in zip(traj.frames, ref))
+    gap = max(np.max(np.abs(f - r)) for f, r in zip(traj.frames, ref))
     assert gap <= ORACLE_RTOL * scale
 
 
@@ -92,8 +92,8 @@ def l2q_error_vs_separable(traj, exact):
     acc = 0.0
     grid = traj.grid
     for m in range(grid.M + 1):
-        mesh = traj.frames[m].mesh
-        d = traj.frames[m].values - exact(mesh.nodes, grid.levels[m])
+        mesh = traj.meshes[m]
+        d = traj.frames[m] - exact(mesh.nodes, grid.levels[m])
         w = grid.dt if m < grid.M else 0.0
         acc += w * float(d @ assemble_mass(mesh).matvec(d))
     return np.sqrt(acc)
@@ -105,8 +105,8 @@ def manufactured_error(NM):
     mesh = build_spatial_mesh(spec, 0.0, NM)
     prob = ForwardProblem(
         left_boundary=np.zeros(NM + 1),
-        ic0=NodalField(mesh=mesh, values=np.sin(np.pi * mesh.nodes)),
-        ic1=NodalField.zeros(mesh),
+        ic0=np.sin(np.pi * mesh.nodes),
+        ic1=np.zeros(NM + 1),
     )
     traj = solve_forward(prob, spec, grid, NM)
     return l2q_error_vs_separable(
@@ -118,8 +118,8 @@ class TestForward:
         spec = MovingDomainSpec(k=0.25, T=4.0)
         grid = build_time_grid(4.0, 24)
         traj = solve_forward(ForwardProblem(left_boundary=np.zeros(25)), spec, grid, 16)
-        for f in traj.frames:
-            assert np.all(f.values == 0.0)
+        assert traj.frames.shape == (25, 17)
+        assert np.all(traj.frames == 0.0)
 
     def test_manufactured_convergence_one_step(self):
         assert manufactured_error(50) / manufactured_error(100) >= 1.7
@@ -129,8 +129,8 @@ class TestForward:
         grid = build_time_grid(2.0, 20)
         traj = solve_forward(ForwardProblem(left_boundary=np.ones(21)), spec, grid, 12)
         for m in range(1, 21):
-            assert traj.frames[m].values[0] == 1.0
-            assert traj.frames[m].values[-1] == 0.0
+            assert traj.frames[m, 0] == 1.0
+            assert traj.frames[m, -1] == 0.0
 
     def test_linearity(self):
         spec = MovingDomainSpec(k=0.25, T=2.0)
@@ -143,9 +143,9 @@ class TestForward:
         t2 = solve_forward(ForwardProblem(left_boundary=b2), spec, grid, 24)
         t12 = solve_forward(ForwardProblem(left_boundary=a * b1 + b * b2), spec, grid, 24)
         for m in range(33):
-            combo = a * t1.frames[m].values + b * t2.frames[m].values
+            combo = a * t1.frames[m] + b * t2.frames[m]
             scale = max(1.0, np.max(np.abs(combo)))
-            assert np.max(np.abs(t12.frames[m].values - combo)) <= 1e-10 * scale
+            assert np.max(np.abs(t12.frames[m] - combo)) <= 1e-10 * scale
 
     def test_energy_dissipation_fixed_domain(self):
         NM = 64
@@ -155,16 +155,16 @@ class TestForward:
         x = mesh.nodes
         prob = ForwardProblem(
             left_boundary=np.zeros(NM + 1),
-            ic0=NodalField(mesh=mesh, values=np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x)),
-            ic1=NodalField(mesh=mesh, values=0.5 * np.sin(2 * np.pi * x)),
+            ic0=np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x),
+            ic1=0.5 * np.sin(2 * np.pi * x),
         )
         traj = solve_forward(prob, spec, grid, NM)
         mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
         energy = []
         for m in range(NM):
-            d = (traj.frames[m + 1].values - traj.frames[m].values) / grid.dt
+            d = (traj.frames[m + 1] - traj.frames[m]) / grid.dt
             energy.append(float(d @ mass.matvec(d))
-                          + float(traj.frames[m + 1].values @ stiff.matvec(traj.frames[m].values)))
+                          + float(traj.frames[m + 1] @ stiff.matvec(traj.frames[m])))
         assert np.all(np.diff(energy) <= 1e-10 * max(1.0, abs(energy[0])))
 
     def test_boundary_length_mismatch(self):
@@ -178,11 +178,10 @@ class TestBackward:
     def test_zero_source_zero_terminal(self):
         spec = MovingDomainSpec(k=0.25, T=2.0)
         grid = build_time_grid(2.0, 16)
-        meshes = [build_spatial_mesh(spec, t, 12) for t in grid.levels]
-        src = [NodalField.zeros(m) for m in meshes]
+        src = np.zeros((17, 13))
         traj = solve_backward(BackwardProblem(source=src), spec, grid, 12)
-        for f in traj.frames:
-            assert np.all(f.values == 0.0)
+        assert traj.frames.shape == (17, 13)
+        assert np.all(traj.frames == 0.0)
 
     def test_equals_reversed_forward_on_fixed_domain(self):
         NM = 64
@@ -190,56 +189,52 @@ class TestBackward:
         grid = build_time_grid(1.0, NM)
         mesh = build_spatial_mesh(spec, 0.0, NM)
         x = mesh.nodes
-        src = [NodalField(mesh=mesh,
-                          values=np.sin(2 * np.pi * x) * np.cos(3.0 * t) + 0.3 * x * (1 - x) * t)
-               for t in grid.levels]
+        src = np.array([np.sin(2 * np.pi * x) * np.cos(3.0 * t) + 0.3 * x * (1 - x) * t
+                        for t in grid.levels])
         back = solve_backward(BackwardProblem(source=src), spec, grid, NM)
         fwd = solve_forward(
             ForwardProblem(left_boundary=np.zeros(NM + 1),
-                           source=[src[NM - m] for m in range(NM + 1)]),
+                           source=np.array([src[NM - m] for m in range(NM + 1)])),
             spec, grid, NM)
         for m in range(NM + 1):
-            gap = np.max(np.abs(back.frames[NM - m].values - fwd.frames[m].values))
+            gap = np.max(np.abs(back.frames[NM - m] - fwd.frames[m]))
             assert gap <= 1e-10
 
     def test_constant_source_symmetric_solution(self):
         NM = 40
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, NM)
-        mesh = build_spatial_mesh(spec, 0.0, NM)
-        src = [NodalField(mesh=mesh, values=np.ones(NM + 1)) for _ in grid.levels]
+        src = np.ones((NM + 1, NM + 1))
         traj = solve_backward(BackwardProblem(source=src), spec, grid, NM)
         for f in traj.frames:
-            assert np.max(np.abs(f.values - f.values[::-1])) <= 1e-11
+            assert np.max(np.abs(f - f[::-1])) <= 1e-11
 
     def test_linearity(self):
         spec = MovingDomainSpec(k=0.3, T=1.5)
         grid = build_time_grid(1.5, 24)
-        meshes = [build_spatial_mesh(spec, t, 16) for t in grid.levels]
         rng = np.random.default_rng(9)
-        s1 = [NodalField(mesh=m, values=rng.standard_normal(17)) for m in meshes]
-        s2 = [NodalField(mesh=m, values=rng.standard_normal(17)) for m in meshes]
+        s1 = np.array([rng.standard_normal(17) for _ in grid.levels])
+        s2 = np.array([rng.standard_normal(17) for _ in grid.levels])
         a, b = 1.5, -0.75
         t1 = solve_backward(BackwardProblem(source=s1), spec, grid, 16)
         t2 = solve_backward(BackwardProblem(source=s2), spec, grid, 16)
-        s12 = [NodalField(mesh=m, values=a * f1.values + b * f2.values)
-               for m, f1, f2 in zip(meshes, s1, s2)]
+        s12 = a * s1 + b * s2
         t12 = solve_backward(BackwardProblem(source=s12), spec, grid, 16)
         for m in range(25):
-            combo = a * t1.frames[m].values + b * t2.frames[m].values
+            combo = a * t1.frames[m] + b * t2.frames[m]
             scale = max(1.0, np.max(np.abs(combo)))
-            assert np.max(np.abs(t12.frames[m].values - combo)) <= 1e-10 * scale
+            assert np.max(np.abs(t12.frames[m] - combo)) <= 1e-10 * scale
 
     def test_terminal_data_seeds_last_two_frames(self):
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, 10)
         mesh = build_spatial_mesh(spec, 1.0, 10)
         x = mesh.nodes
-        f0 = NodalField(mesh=mesh, values=x * (1 - x))
-        src = [NodalField.zeros(mesh) for _ in grid.levels]
+        f0 = x * (1 - x)
+        src = np.zeros((11, 11))
         traj = solve_backward(BackwardProblem(source=src, terminal0=f0), spec, grid, 10)
-        np.testing.assert_allclose(traj.frames[10].values, f0.values, atol=0)
-        np.testing.assert_allclose(traj.frames[9].values, f0.values, atol=0)
+        np.testing.assert_allclose(traj.frames[10], f0, atol=0)
+        np.testing.assert_allclose(traj.frames[9], f0, atol=0)
 
 
 class TestThomasOracle:
@@ -251,9 +246,8 @@ class TestThomasOracle:
         grid = build_time_grid(3.0, 36)
         N = 24
         meshes = [build_spatial_mesh(spec, t, N) for t in grid.levels]
-        source = [NodalField(mesh=ms, values=np.sin(np.pi * ms.nodes / ms.length) * np.cos(t)
-                             + 0.5 * ms.nodes * t)
-                  for ms, t in zip(meshes, grid.levels)]
+        source = np.array([np.sin(np.pi * ms.nodes / ms.length) * np.cos(t) + 0.5 * ms.nodes * t
+                           for ms, t in zip(meshes, grid.levels)])
         return spec, grid, N, meshes, source
 
     @pytest.mark.parametrize("N", [2, 3, 100, 300])
@@ -277,8 +271,8 @@ class TestThomasOracle:
         x = meshes[0].nodes
         problem = ForwardProblem(
             left_boundary=np.sin(0.7 * grid.levels) + 0.2,
-            ic0=NodalField(mesh=meshes[0], values=np.cos(2.0 * x) * (1.0 - x)),
-            ic1=NodalField(mesh=meshes[0], values=x * (1.0 - x) - 0.3),
+            ic0=np.cos(2.0 * x) * (1.0 - x),
+            ic1=x * (1.0 - x) - 0.3,
             source=source,
         )
         assert_frames_close(solve_forward(problem, spec, grid, N),
@@ -289,8 +283,8 @@ class TestThomasOracle:
         x, L = meshes[-1].nodes, meshes[-1].length
         problem = BackwardProblem(
             source=source,
-            terminal0=NodalField(mesh=meshes[-1], values=np.sin(np.pi * x / L) + 0.1 * x),
-            terminal1=NodalField(mesh=meshes[-1], values=x * (L - x) - 0.4),
+            terminal0=np.sin(np.pi * x / L) + 0.1 * x,
+            terminal1=x * (L - x) - 0.4,
         )
         assert_frames_close(solve_backward(problem, spec, grid, N),
                             reference_backward(problem, spec, grid, N))
@@ -323,14 +317,13 @@ class TestLevelPlan:
         left = np.sin(grid.levels)
         own = solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10)
         shared = solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10, plan=plan)
-        for a, b in zip(own.frames, shared.frames):
-            np.testing.assert_array_equal(a.values, b.values)
-        assert all(f.mesh is ms for f, ms in zip(shared.frames, plan.meshes))
-        source = [NodalField(mesh=ms, values=np.ones(11)) for ms in plan.meshes]
+        np.testing.assert_array_equal(own.frames, shared.frames)
+        assert shared.meshes is plan.meshes
+        source = np.ones((13, 11))
         own = solve_backward(BackwardProblem(source=source), spec, grid, 10)
         shared = solve_backward(BackwardProblem(source=source), spec, grid, 10, plan=plan)
-        for a, b in zip(own.frames, shared.frames):
-            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(own.frames, shared.frames)
+        assert shared.meshes is plan.meshes
 
     def test_mismatched_plan_rejected(self):
         spec = MovingDomainSpec(k=0.25, T=3.0)
@@ -340,6 +333,53 @@ class TestLevelPlan:
                      _level_plan(spec, grid, 8)):
             with pytest.raises(ValueError, match="level plan"):
                 solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10, plan=plan)
+
+
+class TestShapeChecks:
+    """Wrong-shaped data raise a ValueError naming the argument."""
+
+    N, M = 8, 6
+
+    @classmethod
+    def _solve(cls, name, value):
+        spec = MovingDomainSpec(k=0.25, T=1.0)
+        grid = build_time_grid(1.0, cls.M)
+        if name in ("ic0", "ic1"):
+            problem = ForwardProblem(left_boundary=np.zeros(cls.M + 1), **{name: value})
+            return solve_forward(problem, spec, grid, cls.N)
+        if name in ("terminal0", "terminal1"):
+            problem = BackwardProblem(source=np.zeros((cls.M + 1, cls.N + 1)), **{name: value})
+            return solve_backward(problem, spec, grid, cls.N)
+        if name == "source":
+            return solve_backward(BackwardProblem(source=value), spec, grid, cls.N)
+        if name == "forward source":
+            problem = ForwardProblem(left_boundary=np.zeros(cls.M + 1), source=value)
+            return solve_forward(problem, spec, grid, cls.N)
+        cfg = SNConfig(sigma=100.0, max_iter=1, phi_terminal=value)
+        return fixed_point_solve(cfg, spec, grid, cls.N)
+
+    @pytest.mark.parametrize("name,value,match", [
+        ("ic0", np.ones(N), "ic0"),
+        ("ic1", np.ones(N + 2), "ic1"),
+        ("terminal0", np.ones(N), "terminal0"),
+        ("terminal1", np.ones((2, N + 1)), "terminal1"),
+        ("source", np.ones((M, N + 1)), "source"),
+        ("source", np.ones((M + 1, N)), "source"),
+        ("forward source", np.ones((M + 2, N + 1)), "source"),
+        ("forward source", np.ones((M + 1, N + 2)), "source"),
+        ("phi_terminal", (np.ones(N), None), r"phi_terminal\[0\]"),
+        ("phi_terminal", (None, np.zeros(N + 2)), r"phi_terminal\[1\]"),
+        ("phi_terminal", (np.zeros(N), None), r"phi_terminal\[0\]"),
+    ])
+    def test_wrong_shape_names_argument(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            self._solve(name, value)
+
+    def test_right_shapes_pass(self):
+        for name, value in (("ic0", np.ones(self.N + 1)), ("terminal1", np.ones(self.N + 1)),
+                            ("source", np.ones((self.M + 1, self.N + 1))),
+                            ("phi_terminal", (np.ones(self.N + 1), None))):
+            self._solve(name, value)
 
 
 class TestLeftBoundaryAssembly:
@@ -368,9 +408,7 @@ class TestTrajectoryNorms:
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, 20)
         mesh = build_spatial_mesh(spec, 0.0, 20)
-        frames = [NodalField(mesh=mesh, values=np.ones(21)) for _ in grid.levels]
-        from snwave.solvers import Trajectory
-        traj = Trajectory(grid=grid, frames=frames)
+        traj = Trajectory(grid=grid, meshes=(mesh,) * 21, frames=np.ones((21, 21)))
         assert trajectory_l2_norm(traj) == pytest.approx(1.0, rel=1e-12)
 
     def test_distance_symmetry(self):
@@ -389,8 +427,7 @@ class TestDualityResidual:
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, NM)
         mesh = build_spatial_mesh(spec, 0.0, NM)
-        src = [NodalField(mesh=mesh, values=np.sin(np.pi * mesh.nodes) * (1.0 + t))
-               for t in grid.levels]
+        src = np.array([np.sin(np.pi * mesh.nodes) * (1.0 + t) for t in grid.levels])
         vals = np.zeros(NM + 1)
         mask = grid.levels < 0.5
         vals[mask] = np.sin(np.pi * grid.levels[mask] / 0.5) ** 2
@@ -400,14 +437,29 @@ class TestDualityResidual:
     def test_zero_source_gives_zero(self):
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, 20)
-        mesh = build_spatial_mesh(spec, 0.0, 20)
-        src = [NodalField.zeros(mesh) for _ in grid.levels]
+        src = np.zeros((21, 21))
         ctrl = ControlSamples.zeros((0.0, 0.5), grid)
         assert duality_residual(ctrl, src, spec, grid, 20) == 0.0
 
     def test_small_for_smooth_data(self):
         ctrl, src, spec, grid = self._setup(200)
         assert duality_residual(ctrl, src, spec, grid, 200) <= 0.05
+
+    def test_matches_per_level_loop(self):
+        ctrl, src, spec, grid = self._setup(100)
+        got = duality_residual(ctrl, src, spec, grid, 100)
+        # the same pairings, the boundary term accumulated level by level
+        left = assemble_left_boundary([ctrl], grid)
+        u_hat = solve_forward(ForwardProblem(left_boundary=left), spec, grid, 100)
+        p = solve_backward(BackwardProblem(source=src), spec, grid, 100)
+        volume = boundary = 0.0
+        for m in range(grid.M):
+            volume += grid.dt * float(src[m] @ assemble_mass(p.meshes[m]).matvec(u_hat.frames[m]))
+        for m in np.nonzero(ctrl.level_mask(grid))[0]:
+            flux = boundary_flux_left(p.frames[m], p.meshes[m].h)
+            boundary += grid.dt * -flux * ctrl.values[m]
+        ref = abs(volume + boundary) / max(abs(volume), abs(boundary))
+        assert abs(got - ref) <= 1e-12
 
     def test_decreases_under_refinement(self):
         r_coarse = duality_residual(*self._setup(100), 100)
