@@ -181,11 +181,8 @@ def _build_problem(cfg: RunConfig):
 
 
 def _dump_trajectory(path: Path, traj):
-    rows = []
-    for m, (mesh, frame) in enumerate(zip(traj.meshes, traj.frames)):
-        t = traj.grid.levels[m]
-        for x, v in zip(mesh.nodes, frame):
-            rows.append((m, t, x, v))
+    rows = [(m, t, x, v) for m, t in enumerate(traj.grid.levels)
+            for x, v in zip(traj.plan.nodes[m], traj.frames[m])]
     write_csv(path, ("m", "t", "x", "value"), rows)
 
 
@@ -205,7 +202,7 @@ def cmd_run(cfg: RunConfig) -> int:
               ("n", "stop_qty", "du_L2", "dw_L2", "J", "J2"),
               [(r.n, r.stop_qty, r.du_l2, r.dw_l2, r.J, r.J2) for r in result.log])
     write_csv(outdir / "final_state.csv", ("x", "u"),
-              list(zip(result.u.meshes[-1].nodes, result.u.frames[-1])))
+              list(zip(result.u.plan.nodes[-1], result.u.frames[-1])))
     if cfg.dump_frames:
         _dump_trajectory(outdir / "u_frames.csv", result.u)
         _dump_trajectory(outdir / "p_frames.csv", result.p)
@@ -217,36 +214,35 @@ def cmd_run(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_table_T(cfg: RunConfig) -> int:
+def _solve_table(cfg: RunConfig, name: str, header, cases) -> int:
+    """Solve each ``(label, sub-config)`` of ``cases``; one progress line, one row each."""
     rows = []
-    for mult in range(1, 11):
-        sub = replace(cfg, T_multiple=float(mult), T=0.0)
+    for label, sub in cases:
         spec, grid, sn = _build_problem(sub)
-        result = fixed_point_solve(sn, spec, grid, sub.N)
-        last = result.log[-1]
-        rows.append((mult, grid.T, result.iterations, result.converged,
-                     last.stop_qty, last.du_l2, last.dw_l2, last.J, last.J2))
-        print(f"T={mult:2d}*Tc: iterations={result.iterations} "
-              f"converged={result.converged} stop={last.stop_qty:.3e}")
-    _write_table(cfg, "table_T.csv",
-                 ("multiple", "T", "iterations", "converged", "stop_final",
-                  "du_L2_final", "dw_L2_final", "J", "J2"), rows)
+        res = fixed_point_solve(sn, spec, grid, sub.N)
+        last = res.log[-1]
+        print(f"{label}: iterations={res.iterations} "
+              f"converged={res.converged} stop={last.stop_qty:.3e}")
+        row = dict(multiple=int(sub.T_multiple), T=grid.T, sigma=sub.sigma,
+                   iterations=res.iterations, converged=res.converged,
+                   stop_final=last.stop_qty, du_L2_final=last.du_l2,
+                   dw_L2_final=last.dw_l2, J=last.J, J2=last.J2)
+        rows.append([row[col] for col in header])
+    _write_table(cfg, name, header, rows)
     return 0
+
+
+def cmd_table_T(cfg: RunConfig) -> int:
+    header = ("multiple", "T", "iterations", "converged", "stop_final",
+              "du_L2_final", "dw_L2_final", "J", "J2")
+    cases = [(f"T={m:2d}*Tc", replace(cfg, T_multiple=float(m), T=0.0)) for m in range(1, 11)]
+    return _solve_table(cfg, "table_T.csv", header, cases)
 
 
 def cmd_table_sigma(cfg: RunConfig) -> int:
-    rows = []
-    for expo in range(1, 11):
-        sub = replace(cfg, sigma=10.0 ** expo)
-        spec, grid, sn = _build_problem(sub)
-        result = fixed_point_solve(sn, spec, grid, sub.N)
-        last = result.log[-1]
-        rows.append((sub.sigma, result.iterations, result.converged, last.stop_qty))
-        print(f"sigma=1e{expo:02d}: iterations={result.iterations} "
-              f"converged={result.converged} stop={last.stop_qty:.3e}")
-    _write_table(cfg, "table_sigma.csv",
-                 ("sigma", "iterations", "converged", "stop_final"), rows)
-    return 0
+    header = ("sigma", "iterations", "converged", "stop_final")
+    cases = [(f"sigma=1e{e:02d}", replace(cfg, sigma=10.0 ** e)) for e in range(1, 11)]
+    return _solve_table(cfg, "table_sigma.csv", header, cases)
 
 
 def cmd_table_mesh(cfg: RunConfig) -> int:

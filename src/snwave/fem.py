@@ -1,16 +1,16 @@
 """1D P1 finite-element building blocks.
 
-Mass/stiffness assembly on uniform meshes, inter-mesh interpolation
-(the per-level meshes differ because the domain moves), boundary-
+Mass/stiffness assembly on uniform meshes, inter-level interpolation
+(the level meshes differ because the domain moves), boundary-
 derivative recovery at the controlled end, and the discrete L2 norm of
-boundary controls.  A field is a bare array of nodal values; the mesh
-it lives on is passed beside it.  ``interpolate`` is ``np.interp`` on
-the source nodes, extended by zero where a target node lies beyond the
-source's right endpoint.  ``boundary_flux_left`` takes one frame or a
-stack of frames with their spacings.  The mass pairings of the solvers
-and the game apply the mass matrix as an h-scaled stencil that gives
-the same bits as ``assemble_mass(mesh).matvec``, so they assemble
-nothing.
+boundary controls.  A field is a bare array of nodal values; its nodes
+or its spacing are passed beside it.  ``interpolate`` is ``np.interp``
+between two node arrays, extended by zero where a target node lies
+beyond the source's right endpoint.  ``boundary_flux_left`` takes one
+frame or a stack of frames with their spacings.  The mass pairings of
+the solvers and the game apply the mass matrix as an h-scaled stencil
+that gives the same bits as ``assemble_mass(mesh).matvec``, so they
+assemble nothing.
 
 ``solve_tridiagonal`` is a Thomas solve for the assembled systems; the
 marches use the sine-basis step solve in ``solvers`` instead, and the
@@ -142,20 +142,16 @@ def _mass_matvec(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def interpolate(values: np.ndarray, target: SpatialMesh, source: SpatialMesh) -> np.ndarray:
-    """Evaluate the P1 function with nodal ``values`` on ``source`` at the
-    nodes of another uniform mesh.
+def interpolate(values: np.ndarray, x_target: np.ndarray, x_source: np.ndarray) -> np.ndarray:
+    """The P1 function with nodal ``values`` at ``x_source``, evaluated at
+    ``x_target``: ``np.interp(x_target, x_source, values, right=0.0)``.
 
-    On the same mesh this is a copy; otherwise it is
-    ``np.interp(target.nodes, source.nodes, values, right=0.0)``: target
-    points beyond the source domain's right endpoint receive 0, and a
-    point at the endpoint itself takes the last value.  The fields being
-    transported vanish at the moving end, so extension by zero is
-    consistent to discretization order.
+    Points beyond the source's right endpoint receive 0 (the transported
+    fields vanish at the moving end, so extension by zero is consistent
+    to discretization order).  A point on a source node takes that
+    node's value exactly, so on identical nodes this is a copy.
     """
-    if source.n_nodes == target.n_nodes and source.h == target.h:
-        return values.copy()
-    return np.interp(target.nodes, source.nodes, values, right=0.0)
+    return np.interp(x_target, x_source, values, right=0.0)
 
 
 def boundary_flux_left(values: np.ndarray, h, method: str = "one-sided"):

@@ -28,7 +28,7 @@ nonzero phi terminal data.
 ``fixed_point_solve`` and ``nash_gradient_check`` each build one level
 plan (see ``solvers``) and pass it to every march they run, and
 evaluate the target u2 once, as one ``(M+1, N+1)`` array on the plan's
-meshes; the adjoint source is the state's frames minus it.  Each
+nodes; the adjoint source is the state's frames minus it.  Each
 control update reads the flux of all its segment's levels in one
 ``boundary_flux_left`` call on the adjoint's rows.
 """
@@ -188,21 +188,20 @@ def stopping_quantity(new: tuple, old: tuple, grid: TimeGrid) -> float:
     return num / den
 
 
-def _target(u2: TargetLike, meshes, grid: TimeGrid) -> np.ndarray:
-    """The target u2 on every level: row m holds its values on ``meshes[m]``.
+def _target(u2: TargetLike, nodes: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The target u2 on every level: row m holds its values at ``nodes[m]``.
 
-    A callable returning a scalar is broadcast to the mesh like a
+    A callable returning a scalar is broadcast to the level like a
     constant target; any other shape but one value per node is an error.
     """
-    shape = (grid.M + 1, meshes[0].n_nodes)
     if not callable(u2):
-        return np.full(shape, float(u2))
-    out = np.empty(shape)
-    for m, (mesh, t) in enumerate(zip(meshes, grid.levels)):
-        vals = np.asarray(u2(mesh.nodes, float(t)), dtype=float)
-        if vals.ndim != 0 and vals.shape != shape[1:]:
+        return np.full(nodes.shape, float(u2))
+    out = np.empty(nodes.shape)
+    for m, (x, t) in enumerate(zip(nodes, grid.levels)):
+        vals = np.asarray(u2(x, float(t)), dtype=float)
+        if vals.ndim != 0 and vals.shape != x.shape:
             raise ValueError(f"target u2 returned shape {vals.shape} at t={t}, "
-                             f"expected a scalar or {shape[1:]}")
+                             f"expected a scalar or {x.shape}")
         out[m] = vals
     return out
 
@@ -217,11 +216,11 @@ def evaluate_J2(u: Trajectory, w2: ControlSamples, u2: TargetLike, sigma: float,
     """
     w2.check_aligned(grid)
     if target is None:
-        target = _target(u2, u.meshes, grid)
+        target = _target(u2, u.plan.nodes, grid)
     track = 0.0
-    for m in range(grid.M):
+    for m, h in zip(range(grid.M), u.plan.h.tolist()):
         d = u.frames[m] - target[m]
-        track += grid.dt * float(d @ _mass_matvec(d, u.meshes[m].h))
+        track += grid.dt * float(d @ _mass_matvec(d, h))
     return 0.5 * track + 0.5 * sigma * control_l2_norm(w2, grid) ** 2
 
 
@@ -246,12 +245,13 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
 
     Hitting the cap returns a result with ``converged=False``; only
     non-finite values raise (``DivergenceError`` with a diagnostics
-    payload).  With ``keep_iterates`` the result also records every
-    sweep's updated controls and auxiliary fields.
+    payload) in the state, the controls or a sweep's logged ``stop_qty``,
+    ``du_l2``, ``dw_l2`` or ``J2``.  With ``keep_iterates`` the result also
+    records every sweep's updated controls and auxiliary fields.
     """
     segments = config.segments or BoundarySegments.disjoint_halves(grid.T)
     plan = _level_plan(spec, grid, N)
-    target = _target(config.u2, plan.meshes, grid)
+    target = _target(config.u2, plan.nodes, grid)
 
     phi_terminal = (None, None)
     if config.phi_terminal is not None:
@@ -261,8 +261,7 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
             _check_shape(f"phi_terminal[{i}]", f, (N + 1,))
     zero_chain = None
     if all(f is None or not f.any() for f in phi_terminal):
-        zero_chain = Trajectory(grid=grid, meshes=plan.meshes,
-                                frames=np.broadcast_to(0.0, (grid.M + 1, N + 1)))
+        zero_chain = Trajectory(grid, plan, np.broadcast_to(0.0, plan.nodes.shape))
 
     if config.initial_controls is not None:
         w1, w2 = config.initial_controls
@@ -280,64 +279,63 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
     converged = False
     iterations = config.max_iter
 
+    def diverged(n: int, what: str, field: str, **details) -> DivergenceError:
+        payload = {"iteration": n, "field": field, "sigma": config.sigma,
+                   "T": grid.T, "M": grid.M, "N": N, **details}
+        return DivergenceError(f"non-finite {what} values at sweep {n}", payload)
+
     follower_idx = np.nonzero(segments.follower_mask(grid))[0]
-    for n in range(config.max_iter):
-        u = _solve_state(w1, w2, spec, grid, N, plan)
-        if not np.isfinite(u.frames[grid.M]).all():
-            raise DivergenceError(
-                f"non-finite state values at sweep {n}",
-                payload={"iteration": n, "field": "state", "sigma": config.sigma,
-                         "T": grid.T, "M": grid.M, "N": N},
-            )
-        p = _solve_adjoint(u, target, spec, grid, N, plan)
+    # overflow is reported by the non-finite checks below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(config.max_iter):
+            u = _solve_state(w1, w2, spec, grid, N, plan)
+            if not np.isfinite(u.frames[grid.M]).all():
+                raise diverged(n, "state", "state")
+            p = _solve_adjoint(u, target, spec, grid, N, plan)
 
-        psi_bc = np.zeros(grid.M + 1)
-        if phi_prev is not None:
-            psi_bc[follower_idx] = _outward_flux(phi_prev, follower_idx) / config.sigma
-            psi_bc[grid.M] = psi_bc[grid.M - 1]
-        if zero_chain is not None and not psi_bc.any():
-            psi = phi = zero_chain
-        else:
-            psi = solve_forward(ForwardProblem(left_boundary=psi_bc), spec, grid, N,
-                                plan=plan)
-            phi = solve_backward(
-                BackwardProblem(source=psi.frames, terminal0=phi_terminal[0],
-                                terminal1=phi_terminal[1]),
-                spec, grid, N, plan=plan,
-            )
+            psi_bc = np.zeros(grid.M + 1)
+            if phi_prev is not None:
+                psi_bc[follower_idx] = _outward_flux(phi_prev, follower_idx) / config.sigma
+                psi_bc[grid.M] = psi_bc[grid.M - 1]
+            if zero_chain is not None and not psi_bc.any():
+                psi = phi = zero_chain
+            else:
+                psi = solve_forward(ForwardProblem(left_boundary=psi_bc), spec, grid, N,
+                                    plan=plan)
+                phi = solve_backward(
+                    BackwardProblem(source=psi.frames, terminal0=phi_terminal[0],
+                                    terminal1=phi_terminal[1]),
+                    spec, grid, N, plan=plan,
+                )
 
-        w1_new = leader_update(phi, segments, grid)
-        w2_new = follower_update(p, config.sigma, segments, grid)
-        if not (np.all(np.isfinite(w1_new.values)) and np.all(np.isfinite(w2_new.values))):
-            raise DivergenceError(
-                f"non-finite control values at sweep {n}",
-                payload={"iteration": n, "field": "controls", "sigma": config.sigma,
-                         "T": grid.T, "M": grid.M, "N": N,
-                         "w1_finite": bool(np.all(np.isfinite(w1_new.values))),
-                         "w2_finite": bool(np.all(np.isfinite(w2_new.values)))},
-            )
+            w1_new = leader_update(phi, segments, grid)
+            w2_new = follower_update(p, config.sigma, segments, grid)
+            if not (np.isfinite(w1_new.values).all() and np.isfinite(w2_new.values).all()):
+                raise diverged(n, "control", "controls",
+                               w1_finite=bool(np.isfinite(w1_new.values).all()),
+                               w2_finite=bool(np.isfinite(w2_new.values).all()))
 
-        stop = stopping_quantity((w1_new, w2_new), (w1, w2), grid)
-        du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
-        dw = (control_l2_norm(_diff(w1_new, w1), grid)
-              + control_l2_norm(_diff(w2_new, w2), grid))
-        log.append(IterationRecord(
-            n=n, stop_qty=stop, du_l2=du, dw_l2=dw,
-            J=evaluate_J(w1, grid),
-            J2=evaluate_J2(u, w2, config.u2, config.sigma, grid, target=target),
-        ))
+            stop = stopping_quantity((w1_new, w2_new), (w1, w2), grid)
+            du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
+            dw = (control_l2_norm(_diff(w1_new, w1), grid)
+                  + control_l2_norm(_diff(w2_new, w2), grid))
+            J2 = evaluate_J2(u, w2, config.u2, config.sigma, grid, target=target)
+            if not all(map(math.isfinite, (stop, du, dw, J2))):
+                raise diverged(n, "log", "log", stop_qty=stop, du_l2=du, dw_l2=dw, J2=J2)
+            log.append(IterationRecord(n=n, stop_qty=stop, du_l2=du, dw_l2=dw,
+                                       J=evaluate_J(w1, grid), J2=J2))
 
-        w1, w2 = w1_new, w2_new
-        phi_prev, u_prev = phi, u
-        if keep_iterates:
-            iterates.append((w1, w2, psi, phi))
-        if stop <= config.epsilon:
-            converged = True
-            iterations = n + 1
-            break
+            w1, w2 = w1_new, w2_new
+            phi_prev, u_prev = phi, u
+            if keep_iterates:
+                iterates.append((w1, w2, psi, phi))
+            if stop <= config.epsilon:
+                converged = True
+                iterations = n + 1
+                break
 
-    u_final = _solve_state(w1, w2, spec, grid, N, plan)
-    p_final = _solve_adjoint(u_final, target, spec, grid, N, plan)
+        u_final = _solve_state(w1, w2, spec, grid, N, plan)
+        p_final = _solve_adjoint(u_final, target, spec, grid, N, plan)
     return SNResult(converged=converged, iterations=iterations, w1=w1, w2=w2,
                     u=u_final, p=p_final, psi=psi, phi=phi, log=log,
                     iterates=iterates)
@@ -397,7 +395,7 @@ def nash_gradient_check(w1: ControlSamples, w2: ControlSamples, config: SNConfig
 
     plan = _level_plan(spec, grid, N)
     u = _solve_state(w1, w2, spec, grid, N, plan)
-    target = _target(config.u2, plan.meshes, grid)
+    target = _target(config.u2, plan.nodes, grid)
     p = _solve_adjoint(u, target, spec, grid, N, plan)
     flux = _outward_flux(p, idx)  # dp/dnu at x=0
 

@@ -1,8 +1,10 @@
-"""Moving-domain geometry: time grid, per-level spatial meshes, boundary split.
+"""Moving-domain geometry: time grid, level meshes, boundary split.
 
 The spatial domain at time t is the interval (0, alpha(t)) with
 alpha(t) = 1 + k*t, so the right endpoint recedes at constant speed k
 while the left endpoint (where the controls act) stays fixed.  Every
+level's mesh is one uniform mesh rescaled by h = alpha(t)/N; ``level_nodes``
+builds many levels as two arrays, ``build_spatial_mesh`` one.  Every
 operation here is cheap, deterministic and side-effect free; the solver
 modules consume these values and never mutate them.
 """
@@ -24,6 +26,7 @@ __all__ = [
     "compute_Tc",
     "build_time_grid",
     "build_spatial_mesh",
+    "level_nodes",
     "segment_mask",
     "trapezoid_stats",
     "analytic_perimeter",
@@ -75,10 +78,11 @@ class SpatialMesh:
         return len(self.nodes)
 
 
-def alpha(spec: MovingDomainSpec, t: float) -> float:
-    """Right endpoint of the spatial domain at time t: 1 + k*t."""
-    if t < 0.0 or t > spec.T:
-        raise ValueError(f"time {t} outside [0, {spec.T}]")
+def alpha(spec: MovingDomainSpec, t):
+    """Right endpoint 1 + k*t of the domain at time t, or at each of an array of times."""
+    lo, hi = np.min(t), np.max(t)
+    if lo < 0.0 or hi > spec.T:
+        raise ValueError(f"time {lo if lo < 0.0 else hi} outside [0, {spec.T}]")
     return 1.0 + spec.k * t
 
 
@@ -103,19 +107,26 @@ def build_time_grid(T: float, M: int) -> TimeGrid:
     return TimeGrid(T=T, M=M, dt=T / M, levels=levels)
 
 
-def build_spatial_mesh(spec: MovingDomainSpec, t: float, N: int) -> SpatialMesh:
-    """Uniform N+1-node mesh on [0, alpha(t)].
+def level_nodes(spec: MovingDomainSpec, times, N: int):
+    """Spacings ``h`` and nodes ``(len(times), N+1)`` of the uniform
+    N+1-node meshes on [0, alpha(t)], one row per time.
 
     The node count is the same at every level; only the spacing scales
     with the domain, so node j keeps its identity across time levels.
     """
     if N < 2:
         raise ValueError(f"need at least 2 elements, got N={N}")
-    length = alpha(spec, t)
-    h = length / N
-    nodes = np.arange(N + 1) * h  # the same bits as np.linspace(0, length, N + 1)
-    nodes[-1] = length
-    return SpatialMesh(nodes=nodes, h=h, length=length)
+    lengths = alpha(spec, np.asarray(times, dtype=float))
+    h = lengths / N
+    nodes = np.arange(N + 1) * h[:, None]  # each row: the bits of np.linspace(0, length, N+1)
+    nodes[:, -1] = lengths
+    return h, nodes
+
+
+def build_spatial_mesh(spec: MovingDomainSpec, t: float, N: int) -> SpatialMesh:
+    """Uniform N+1-node mesh on [0, alpha(t)]: ``level_nodes`` at the one time t."""
+    h, nodes = level_nodes(spec, [t], N)
+    return SpatialMesh(nodes=nodes[0], h=float(h[0]), length=float(nodes[0, -1]))
 
 
 def segment_mask(segment: tuple, grid: TimeGrid) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Time-marching wave solvers on the per-level moving meshes.
+"""Time-marching wave solvers on the moving level meshes.
 
 Both solvers run one march kernel, the three-level implicit scheme with
 the stiffness matrix applied to the unknown frame.  Marching forward the
 unknown is u^{m+1}; marching backward it is p^{m-1}, and the backward
 march is the forward march on the reversed level order.  Each step
-interpolates the two known frames onto the unknown's own mesh and solves
+interpolates the two known frames onto the unknown's own nodes and solves
 one symmetric tridiagonal system after Dirichlet elimination.
 
 Every level mesh is the same uniform mesh rescaled, so the interior
@@ -14,17 +14,18 @@ One orthonormal sine basis S[i, j] = sqrt(2/N) sin(i j pi/N) diagonalizes
 all of them, with eigenvalues diag_m + off_m * 2 cos(j pi/N), so a step
 solve is two products with S and a division.
 
-A solve builds its level plan once: the M+1 level meshes and the sine
-basis, read-only, shared by every march of the solve.  ``solve_forward``
+A solve builds its level plan once: the spacings ``h`` ``(M+1,)``, the
+nodes ``(M+1, N+1)`` and the sine basis, read-only, shared by every
+march of the solve.  ``solve_forward``
 and ``solve_backward`` take it as the keyword ``plan`` and build their
 own when given none; ``game.fixed_point_solve``,
 ``game.nash_gradient_check`` and ``duality_residual`` build one and pass
 it to every march.  Nothing is cached across solves.
 
 A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
-values of level m, beside the plan's tuple of level meshes.  A march
-fills one preallocated array; the backward march writes it through the
-reversed view.  Initial, terminal and source data are arrays of the
+values of level m at ``plan.nodes[m]``, beside the plan.  A march fills
+one preallocated array; the backward march runs on reversed views of
+the plan's arrays and of its own.  Initial, terminal and source data are arrays of the
 same layout: ``(N+1,)`` for one frame, ``(M+1, N+1)`` for a source.
 """
 
@@ -36,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import MovingDomainSpec, TimeGrid, build_spatial_mesh
+from .geometry import MovingDomainSpec, TimeGrid, level_nodes
 from .fem import ControlSamples, _mass_matvec, boundary_flux_left, interpolate
 
 __all__ = [
@@ -54,22 +55,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Nodal values of every time level: row m of ``frames`` lives on ``meshes[m]``.
+    """Nodal values of every time level: row m of ``frames`` lives on ``plan.nodes[m]``.
 
-    ``frames`` has shape ``(M+1, N+1)``; ``meshes`` is the solve's tuple
-    of level meshes, shared, not copied.
+    ``frames`` has shape ``(M+1, N+1)``; ``plan`` is the solve's level
+    plan, shared, not copied.
     """
 
     grid: TimeGrid
-    meshes: tuple = field(repr=False)
+    plan: "_LevelPlan" = field(repr=False)
     frames: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = (self.grid.M + 1, self.meshes[0].n_nodes)
-        if len(self.meshes) != shape[0] or self.frames.shape != shape:
+        shape = self.plan.nodes.shape
+        if shape[0] != self.grid.M + 1 or self.frames.shape != shape:
             raise ValueError(
-                f"trajectory of shape {self.frames.shape} on {len(self.meshes)} meshes, "
-                f"expected {shape}"
+                f"trajectory of shape {self.frames.shape} on a plan of shape {shape}, "
+                f"expected {(self.grid.M + 1, shape[1])}"
             )
 
 
@@ -150,74 +151,71 @@ def _toeplitz_solve(S, cos2, diag, off, rhs):
 
 @dataclass(frozen=True)
 class _LevelPlan:
-    """What a solve's marches share: the level meshes and the sine basis.
+    """What a solve's marches share, all read-only: level m's spacing
+    ``h[m]`` and nodes ``nodes[m]``, and ``S, cos2 = _sine_basis(N)``."""
 
-    ``meshes[m]`` is the mesh of level m; ``S, cos2`` are ``_sine_basis(N)``.
-    All arrays are read-only.
-    """
-
-    meshes: tuple
+    h: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False)
     S: np.ndarray = field(repr=False)
     cos2: np.ndarray = field(repr=False)
 
 
 def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
-    meshes = tuple(build_spatial_mesh(spec, float(t), N) for t in grid.levels)
-    S, cos2 = _sine_basis(N)
-    for a in (S, cos2, *(ms.nodes for ms in meshes)):
+    plan = _LevelPlan(*level_nodes(spec, grid.levels, N), *_sine_basis(N))
+    for a in (plan.h, plan.nodes, plan.S, plan.cos2):
         a.flags.writeable = False
-    return _LevelPlan(meshes=meshes, S=S, cos2=cos2)
+    return plan
 
 
 def _plan_for(plan: Optional[_LevelPlan], spec, grid: TimeGrid, N: int) -> _LevelPlan:
     """``plan``, checked against the grid and N, or a new plan if None."""
     if plan is None:
         return _level_plan(spec, grid, N)
-    if len(plan.meshes) != grid.M + 1 or plan.meshes[0].n_nodes != N + 1:
+    if plan.nodes.shape != (grid.M + 1, N + 1):
         raise ValueError(
-            f"level plan has {len(plan.meshes)} meshes of {plan.meshes[0].n_nodes} "
-            f"nodes, expected {grid.M + 1} of {N + 1}"
+            f"level plan has nodes of shape {plan.nodes.shape}, "
+            f"expected {(grid.M + 1, N + 1)}"
         )
     return plan
 
 
-def _march(meshes, S, cos2, dt, x0, v0, left, source, out):
-    """Run the three-level implicit scheme over ``meshes`` in march order.
+def _march(h, nodes, S, cos2, dt, x0, v0, left, source, out):
+    """Run the three-level implicit scheme over the levels ``h``, ``nodes`` in march order.
 
     Row 0 of ``out`` is the displacement ``x0`` and row 1 the first-order
-    start x0 + dt*v0 interpolated onto the second mesh; for i >= 1 the
+    start x0 + dt*v0 interpolated onto the second level; for i >= 1 the
     row i+1 solves
 
         M (v - 2 f~^i + f~^{i-1})/dt^2 + K v = M s^{i+1}
 
-    on mesh i+1 with Dirichlet values ``left[i+1]`` at x = 0 and 0 at the
-    moving end, where the tilde marks interpolation onto that mesh.  All
-    data are in march order; ``source`` may be None.  ``S, cos2`` is the
-    sine basis of the meshes' N.  ``out`` is filled in place, one row
-    per mesh.
+    on level i+1 with Dirichlet values ``left[i+1]`` at x = 0 and 0 at the
+    moving end, where the tilde marks interpolation onto that level's
+    nodes.  All data are in march order; ``source`` may be None.
+    ``S, cos2`` is the sine basis of the levels' N.  ``out`` is filled in
+    place, one row per level.
     """
     out[0] = x0
-    out[1] = interpolate(x0 + dt * v0, meshes[1], meshes[0])
+    out[1] = interpolate(x0 + dt * v0, nodes[1], nodes[0])
     out[:2, 0] = left[:2]
     out[:2, -1] = 0.0
     dt2 = dt * dt
-    for i in range(1, len(meshes) - 1):
-        mesh = meshes[i + 1]
-        h = mesh.h
-        w = 2.0 * interpolate(out[i], mesh, meshes[i])
-        w -= interpolate(out[i - 1], mesh, meshes[i - 1])
+    scale = (h / (6.0 * dt2)).tolist()  # level m's mass rows / dt^2: scale[m] (1, 4, 1)
+    off = (-1.0 / h + h / (6.0 * dt2)).tolist()  # its system: tridiag(off, diag, off)
+    diag = (2.0 / h + 2.0 * h / (3.0 * dt2)).tolist()
+    for i in range(1, len(h) - 1):
+        x = nodes[i + 1]
+        w = 2.0 * interpolate(out[i], x, nodes[i])
+        w -= interpolate(out[i - 1], x, nodes[i - 1])
         if source is not None:
             w += dt2 * source[i + 1]
-        # interior rows of the mass product: (h/6) (w_{j-1} + 4 w_j + w_{j+1})
         rhs = 4.0 * w[1:-1]
         rhs += w[:-2]
         rhs += w[2:]
-        rhs *= h / (6.0 * dt2)
-        off = -1.0 / h + h / (6.0 * dt2)
-        rhs[0] -= off * left[i + 1]
+        rhs *= scale[i + 1]
+        rhs[0] -= off[i + 1] * left[i + 1]
         out[i + 1, 0] = left[i + 1]
         out[i + 1, -1] = 0.0
-        out[i + 1, 1:-1] = _toeplitz_solve(S, cos2, 2.0 / h + 2.0 * h / (3.0 * dt2), off, rhs)
+        out[i + 1, 1:-1] = _toeplitz_solve(S, cos2, diag[i + 1], off[i + 1], rhs)
 
 
 def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
@@ -230,8 +228,8 @@ def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
 
         M (v - 2 u~^m + u~^{m-1})/dt^2 + K v = M s^{m+1}
 
-    on the level-(m+1) mesh, where the tilde marks interpolation of the
-    earlier frames onto that mesh.  ``plan`` is the solve's level plan;
+    on the level-(m+1) nodes, where the tilde marks interpolation of the
+    earlier frames onto them.  ``plan`` is the solve's level plan;
     without one the march builds its own.
     """
     if len(problem.left_boundary) != grid.M + 1:
@@ -247,9 +245,9 @@ def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
     ic0 = problem.ic0 if problem.ic0 is not None else np.zeros(N + 1)
     ic1 = problem.ic1 if problem.ic1 is not None else np.zeros(N + 1)
     frames = np.empty(shape)
-    _march(plan.meshes, plan.S, plan.cos2, grid.dt, ic0, ic1,
+    _march(plan.h, plan.nodes, plan.S, plan.cos2, grid.dt, ic0, ic1,
            problem.left_boundary, problem.source, frames)
-    return Trajectory(grid=grid, meshes=plan.meshes, frames=frames)
+    return Trajectory(grid=grid, plan=plan, frames=frames)
 
 
 def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
@@ -261,7 +259,7 @@ def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
 
         M (p~^{m+1} - 2 p~^m + v)/dt^2 + K v = M s^{m-1}
 
-    on the level-(m-1) mesh with homogeneous Dirichlet values.  This is
+    on the level-(m-1) nodes with homogeneous Dirichlet values.  This is
     the forward march on the reversed levels with -terminal1 as the
     start velocity.  ``plan`` is as for ``solve_forward``.
     """
@@ -273,15 +271,14 @@ def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
     term0 = problem.terminal0 if problem.terminal0 is not None else np.zeros(N + 1)
     term1 = problem.terminal1 if problem.terminal1 is not None else np.zeros(N + 1)
     frames = np.empty(shape)
-    _march(plan.meshes[::-1], plan.S, plan.cos2, grid.dt, term0, -term1,
+    _march(plan.h[::-1], plan.nodes[::-1], plan.S, plan.cos2, grid.dt, term0, -term1,
            np.zeros(grid.M + 1), problem.source[::-1], frames[::-1])
-    return Trajectory(grid=grid, meshes=plan.meshes, frames=frames)
+    return Trajectory(grid=grid, plan=plan, frames=frames)
 
 
 def _outward_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
     """d/d nu = -d/dx at x = 0 on the trajectory's levels ``idx``, one flux call."""
-    h = np.array([traj.meshes[m].h for m in idx])
-    return -boundary_flux_left(traj.frames[idx], h)
+    return -boundary_flux_left(traj.frames[idx], traj.plan.h[idx])
 
 
 def _mass_ip(a: np.ndarray, b: np.ndarray, h: float) -> float:
@@ -293,16 +290,16 @@ def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
     if a.grid.M != b.grid.M:
         raise ValueError("trajectories live on different time grids")
     acc = 0.0
-    for m in range(a.grid.M):
+    for m, h in zip(range(a.grid.M), a.plan.h.tolist()):
         d = a.frames[m] - b.frames[m]
-        acc += a.grid.dt * _mass_ip(d, d, a.meshes[m].h)
+        acc += a.grid.dt * _mass_ip(d, d, h)
     return float(np.sqrt(acc))
 
 
 def trajectory_l2_norm(a: Trajectory) -> float:
     acc = 0.0
-    for m in range(a.grid.M):
-        acc += a.grid.dt * _mass_ip(a.frames[m], a.frames[m], a.meshes[m].h)
+    for m, h in zip(range(a.grid.M), a.plan.h.tolist()):
+        acc += a.grid.dt * _mass_ip(a.frames[m], a.frames[m], h)
     return float(np.sqrt(acc))
 
 
@@ -325,8 +322,8 @@ def duality_residual(forward_bdata: ControlSamples, source: np.ndarray,
     p = solve_backward(BackwardProblem(source=source), spec, grid, N, plan=plan)
 
     volume = 0.0
-    for m in range(grid.M):
-        volume += grid.dt * _mass_ip(source[m], u_hat.frames[m], plan.meshes[m].h)
+    for m, h in zip(range(grid.M), plan.h.tolist()):
+        volume += grid.dt * _mass_ip(source[m], u_hat.frames[m], h)
     idx = np.nonzero(forward_bdata.level_mask(grid))[0]
     boundary = grid.dt * float(np.sum(_outward_flux(p, idx) * forward_bdata.values[idx]))
     scale = max(abs(volume), abs(boundary))

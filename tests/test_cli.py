@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import pytest
 
 import snwave.cli as cli
@@ -195,6 +198,22 @@ class TestDivergenceExit:
         monkeypatch.setattr(cli, "fixed_point_solve", boom)
         rc = run_cli(["run", "--out", str(tmp_path), *FAST])
         assert rc == 3
+
+    def test_non_finite_sweep_exits_three(self, tmp_path, capsys):
+        # k = 0.5 at sigma = 100 does not contract: the sweep's log goes to
+        # inf/nan long before the 100-sweep cap, without reaching the state
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(["run", "--out", str(tmp_path), "--k", "0.5", "--sigma", "100",
+                          "--N", "20", "--M", "20"])
+        assert rc == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("divergence: ") and err.count("\n") == 1
+        assert "Warning" not in err
+        assert "'field': 'log'" in err
+        sweep = int(re.search(r"'iteration': (\d+)", err).group(1))
+        assert sweep < 100
 
 
 class TestVerify:

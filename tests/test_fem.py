@@ -140,26 +140,38 @@ class TestInterpolate:
         mesh = uniform_mesh(1.0, 16)
         rng = np.random.default_rng(3)
         f = rng.standard_normal(17)
-        out = interpolate(f, mesh, mesh)
+        out = interpolate(f, mesh.nodes, mesh.nodes)
         np.testing.assert_array_equal(out, f)
+        assert out is not f
+
+    @pytest.mark.parametrize("N", [2, 3, 100, 300])
+    def test_identical_nodes_give_the_source_bits(self, N):
+        # on identical node arrays np.interp takes each node's value as is,
+        # so the result is a bitwise copy, the sign of a zero included
+        nodes = uniform_mesh(1.3, N).nodes
+        f = np.random.default_rng(N).standard_normal(N + 1)
+        f[1] = -0.0
+        f[-1] = -0.0
+        out = interpolate(f, nodes.copy(), nodes)
+        np.testing.assert_array_equal(out.view(np.int64), f.view(np.int64))
         assert out is not f
 
     def test_exact_on_linear_resampling(self):
         src = uniform_mesh(1.0, 10)
         tgt = uniform_mesh(1.0, 17)
-        out = interpolate(src.nodes.copy(), tgt, src)
+        out = interpolate(src.nodes.copy(), tgt.nodes, src.nodes)
         np.testing.assert_allclose(out, tgt.nodes, rtol=0, atol=1e-14)
 
     def test_zero_stays_zero(self):
         src = uniform_mesh(1.0, 8)
         tgt = uniform_mesh(1.5, 12)
-        out = interpolate(np.zeros(9), tgt, src)
+        out = interpolate(np.zeros(9), tgt.nodes, src.nodes)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_extension_by_zero_beyond_source(self):
         src = uniform_mesh(1.0, 8)
         tgt = uniform_mesh(2.0, 8)
-        out = interpolate(np.ones(9), tgt, src)
+        out = interpolate(np.ones(9), tgt.nodes, src.nodes)
         outside = tgt.nodes > 1.0
         np.testing.assert_array_equal(out[outside], 0.0)
         assert out[0] == 1.0
@@ -168,7 +180,7 @@ class TestInterpolate:
         # moving-mesh case used by the backward solver: target inside source
         src = uniform_mesh(1.5, 12)
         tgt = uniform_mesh(1.25, 12)
-        out = interpolate(2.0 * src.nodes - 0.5, tgt, src)
+        out = interpolate(2.0 * src.nodes - 0.5, tgt.nodes, src.nodes)
         np.testing.assert_allclose(out, 2.0 * tgt.nodes - 0.5, atol=1e-13)
 
 
@@ -192,7 +204,7 @@ class TestInterpolateOracle:
         src = uniform_mesh(1.3, N)
         tgt = uniform_mesh(1.3 * ratio, N)
         values = np.random.default_rng(N).standard_normal(N + 1)
-        got = interpolate(values, tgt, src)
+        got = interpolate(values, tgt.nodes, src.nodes)
         ref = reference_interpolate(values, src, tgt)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(values))
         outside = tgt.nodes > src.length
@@ -206,7 +218,7 @@ class TestInterpolateOracle:
         tgt = uniform_mesh(2.0, 2 * N)
         assert tgt.nodes[N] == src.length
         values = np.random.default_rng(N).standard_normal(N + 1)
-        got = interpolate(values, tgt, src)
+        got = interpolate(values, tgt.nodes, src.nodes)
         ref = reference_interpolate(values, src, tgt)
         assert got[N] == ref[N] == values[-1]
         np.testing.assert_array_equal(got[N + 1:], 0.0)

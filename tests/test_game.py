@@ -25,14 +25,15 @@ from snwave import (
     stopping_quantity,
 )
 import snwave.game as game
+import snwave.geometry as geometry
 import snwave.solvers as solvers
 from snwave.solvers import Trajectory, _level_plan, assemble_left_boundary
 
 
 def make_trajectory(spec, grid, N, profile):
-    meshes = tuple(build_spatial_mesh(spec, t, N) for t in grid.levels)
-    frames = np.array([profile(m.nodes) for m in meshes])
-    return Trajectory(grid=grid, meshes=meshes, frames=frames)
+    plan = _level_plan(spec, grid, N)
+    frames = np.array([profile(x) for x in plan.nodes])
+    return Trajectory(grid=grid, plan=plan, frames=frames)
 
 
 @pytest.fixture
@@ -360,7 +361,7 @@ class TestTarget:
         def u2(x, t):
             return 10.0 + np.sin(x) * np.cos(t)
 
-        target = np.array([u2(ms.nodes, t) for ms, t in zip(res.u.meshes, grid.levels)])
+        target = np.array([u2(x, t) for x, t in zip(res.u.plan.nodes, grid.levels)])
         for goal, given in ((10.0, np.full_like(target, 10.0)), (u2, target)):
             assert (evaluate_J2(res.u, res.w2, goal, 100.0, grid, target=given)
                     == evaluate_J2(res.u, res.w2, goal, 100.0, grid))
@@ -389,25 +390,26 @@ class TestTarget:
 
 
 class TestWorkCounts:
-    """A solve builds its level plan once: one sine basis and M+1 meshes."""
+    """A solve builds its level plan once: one sine basis, one node stack
+    and no ``SpatialMesh``."""
 
     @staticmethod
     def _count(monkeypatch):
-        count = {"basis": 0, "mesh": 0}
-        basis, mesh = solvers._sine_basis, solvers.build_spatial_mesh
+        count = {"basis": 0, "nodes": 0, "mesh": 0}
+        originals = {"basis": solvers._sine_basis, "nodes": geometry.level_nodes,
+                     "mesh": geometry.build_spatial_mesh}
 
-        def counted_basis(*args):
-            count["basis"] += 1
-            return basis(*args)
+        def counted(key):
+            def call(*args):
+                count[key] += 1
+                return originals[key](*args)
+            return call
 
-        def counted_mesh(*args):
-            count["mesh"] += 1
-            return mesh(*args)
-
-        monkeypatch.setattr(solvers, "_sine_basis", counted_basis)
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("snwave") and getattr(mod, "build_spatial_mesh", None) is mesh:
-                monkeypatch.setattr(mod, "build_spatial_mesh", counted_mesh)
+        monkeypatch.setattr(solvers, "_sine_basis", counted("basis"))
+        for key, attr in (("nodes", "level_nodes"), ("mesh", "build_spatial_mesh")):
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("snwave") and getattr(mod, attr, None) is originals[key]:
+                    monkeypatch.setattr(mod, attr, counted(key))
         return count
 
     @pytest.mark.parametrize("leader", [False, True])
@@ -422,9 +424,9 @@ class TestWorkCounts:
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, phi_terminal=phi_terminal,
                        max_iter=3)
         fixed_point_solve(cfg, spec, grid, N)
-        assert count == {"basis": 1, "mesh": grid.M + 1}
+        assert count == {"basis": 1, "nodes": 1, "mesh": 0}
         fixed_point_solve(cfg, spec, grid, N)
-        assert count == {"basis": 2, "mesh": 2 * (grid.M + 1)}
+        assert count == {"basis": 2, "nodes": 2, "mesh": 0}
 
     def test_nash_gradient_check_builds_one_plan(self, small_setup, monkeypatch):
         spec, grid, segs = small_setup
@@ -433,7 +435,7 @@ class TestWorkCounts:
         w2 = ControlSamples.zeros(segs.sigma2, grid)
         count = self._count(monkeypatch)
         nash_gradient_check(w1, w2, cfg, spec, grid, 16, n_directions=2)
-        assert count == {"basis": 1, "mesh": grid.M + 1}
+        assert count == {"basis": 1, "nodes": 1, "mesh": 0}
 
     def test_trajectories_are_arrays_on_the_plan_meshes(self, small_setup):
         spec, grid, segs = small_setup
@@ -441,7 +443,7 @@ class TestWorkCounts:
         for traj in (res.u, res.p, res.psi, res.phi):
             assert isinstance(traj.frames, np.ndarray)
             assert traj.frames.shape == (grid.M + 1, 17)
-            assert traj.meshes is res.u.meshes
+            assert traj.plan is res.u.plan
         assert res.psi is res.phi  # the shared all-zero chain
         with pytest.raises(ValueError, match="read-only"):
             res.phi.frames[3, 1] = 1.0
@@ -450,7 +452,9 @@ class TestWorkCounts:
         spec, grid, _ = small_setup
         plan = _level_plan(spec, grid, 16)
         with pytest.raises(ValueError, match="read-only"):
-            plan.meshes[3].nodes[1] = 0.0
+            plan.nodes[3, 1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.h[3] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             plan.S[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
@@ -466,7 +470,7 @@ class TestNashResidual:
         got = nash_residual(res.w2, res.p, sigma, segs, grid)
         defect = 0.0
         for m in np.nonzero(segs.follower_mask(grid))[0]:
-            flux = boundary_flux_left(res.p.frames[m], res.p.meshes[m].h)
+            flux = boundary_flux_left(res.p.frames[m], res.p.plan.h[m])
             r = sigma * res.w2.values[m] - (-flux)
             defect += grid.dt * r * r
         ref = math.sqrt(defect) / (sigma * control_l2_norm(res.w2, grid))

@@ -48,6 +48,14 @@ class TestAlpha:
         with pytest.raises(ValueError, match="outside"):
             alpha(spec, 2.5)
 
+    def test_array_of_times(self):
+        spec = MovingDomainSpec(k=0.25, T=2.0)
+        np.testing.assert_array_equal(alpha(spec, np.array([0.0, 1.0, 2.0])), [1.0, 1.25, 1.5])
+        with pytest.raises(ValueError, match="time 2.5 outside"):
+            alpha(spec, np.array([0.0, 1.0, 2.5]))
+        with pytest.raises(ValueError, match="time -0.5 outside"):
+            alpha(spec, np.array([-0.5, 1.0, 2.5]))
+
 
 class TestSpec:
     def test_k_zero_accepted(self):

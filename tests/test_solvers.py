@@ -7,6 +7,7 @@ from snwave import (
     ForwardProblem,
     MovingDomainSpec,
     SNConfig,
+    SpatialMesh,
     TriDiagMatrix,
     assemble_left_boundary,
     assemble_mass,
@@ -44,18 +45,24 @@ def thomas_step(mesh, dt, rhs_full, v_left):
     return out
 
 
+def level_mesh(plan, m):
+    """Level m of a level plan as a ``SpatialMesh``, for the assembled operators."""
+    x = plan.nodes[m]
+    return SpatialMesh(nodes=x, h=float(plan.h[m]), length=float(x[-1]))
+
+
 def reference_forward(problem, spec, grid, N):
     """Forward march with per-step assembly and Thomas solves."""
     meshes = [build_spatial_mesh(spec, t, N) for t in grid.levels]
     dt, left = grid.dt, problem.left_boundary
     frames = [problem.ic0.copy()]
     frames[0][[0, -1]] = left[0], 0.0
-    frames.append(interpolate(problem.ic0 + dt * problem.ic1, meshes[1], meshes[0]))
+    frames.append(interpolate(problem.ic0 + dt * problem.ic1, meshes[1].nodes, meshes[0].nodes))
     frames[1][[0, -1]] = left[1], 0.0
     for m in range(1, grid.M):
         mesh = meshes[m + 1]
-        um = interpolate(frames[m], mesh, meshes[m])
-        umm = interpolate(frames[m - 1], mesh, meshes[m - 1])
+        um = interpolate(frames[m], mesh.nodes, meshes[m].nodes)
+        umm = interpolate(frames[m - 1], mesh.nodes, meshes[m - 1].nodes)
         mass = assemble_mass(mesh)
         rhs = mass.matvec((2.0 * um - umm) / dt**2) + mass.matvec(problem.source[m + 1])
         frames.append(thomas_step(mesh, dt, rhs, left[m + 1]))
@@ -70,12 +77,12 @@ def reference_backward(problem, spec, grid, N):
     frames[M] = problem.terminal0.copy()
     frames[M][[0, -1]] = 0.0
     frames[M - 1] = interpolate(problem.terminal0 - dt * problem.terminal1,
-                                meshes[M - 1], meshes[M])
+                                meshes[M - 1].nodes, meshes[M].nodes)
     frames[M - 1][[0, -1]] = 0.0
     for m in range(M - 1, 0, -1):
         mesh = meshes[m - 1]
-        pp = interpolate(frames[m + 1], mesh, meshes[m + 1])
-        pm = interpolate(frames[m], mesh, meshes[m])
+        pp = interpolate(frames[m + 1], mesh.nodes, meshes[m + 1].nodes)
+        pm = interpolate(frames[m], mesh.nodes, meshes[m].nodes)
         rhs = assemble_mass(mesh).matvec(problem.source[m - 1] + (2.0 * pm - pp) / dt**2)
         frames[m - 1] = thomas_step(mesh, dt, rhs, 0.0)
     return frames
@@ -92,7 +99,7 @@ def l2q_error_vs_separable(traj, exact):
     acc = 0.0
     grid = traj.grid
     for m in range(grid.M + 1):
-        mesh = traj.meshes[m]
+        mesh = level_mesh(traj.plan, m)
         d = traj.frames[m] - exact(mesh.nodes, grid.levels[m])
         w = grid.dt if m < grid.M else 0.0
         acc += w * float(d @ assemble_mass(mesh).matvec(d))
@@ -300,13 +307,21 @@ class TestLevelPlan:
         assert mesh.nodes[-1] == mesh.length
 
     def test_plan_meshes_and_basis(self):
-        spec = MovingDomainSpec(k=0.25, T=3.0)
-        grid = build_time_grid(3.0, 12)
-        plan = _level_plan(spec, grid, 10)
-        assert len(plan.meshes) == grid.M + 1
-        for mesh, t in zip(plan.meshes, grid.levels):
-            np.testing.assert_array_equal(mesh.nodes, build_spatial_mesh(spec, t, 10).nodes)
+        for k in (0.0, 0.25, 0.5):
+            spec = MovingDomainSpec(k=k, T=3.0)
+            for M in (7, 12):
+                grid = build_time_grid(3.0, M)
+                for N in (2, 3, 100, 300):
+                    plan = _level_plan(spec, grid, N)
+                    assert plan.h.shape == (M + 1,)
+                    assert plan.nodes.shape == (M + 1, N + 1)
+                    for m, t in enumerate(grid.levels):
+                        mesh = build_spatial_mesh(spec, t, N)
+                        assert plan.h[m].view(np.int64) == np.float64(mesh.h).view(np.int64)
+                        np.testing.assert_array_equal(plan.nodes[m].view(np.int64),
+                                                      mesh.nodes.view(np.int64))
         S, cos2 = _sine_basis(10)
+        plan = _level_plan(MovingDomainSpec(k=0.25, T=3.0), build_time_grid(3.0, 12), 10)
         np.testing.assert_array_equal(plan.S, S)
         np.testing.assert_array_equal(plan.cos2, cos2)
 
@@ -318,12 +333,12 @@ class TestLevelPlan:
         own = solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10)
         shared = solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10, plan=plan)
         np.testing.assert_array_equal(own.frames, shared.frames)
-        assert shared.meshes is plan.meshes
+        assert shared.plan is plan
         source = np.ones((13, 11))
         own = solve_backward(BackwardProblem(source=source), spec, grid, 10)
         shared = solve_backward(BackwardProblem(source=source), spec, grid, 10, plan=plan)
         np.testing.assert_array_equal(own.frames, shared.frames)
-        assert shared.meshes is plan.meshes
+        assert shared.plan is plan
 
     def test_mismatched_plan_rejected(self):
         spec = MovingDomainSpec(k=0.25, T=3.0)
@@ -407,9 +422,18 @@ class TestTrajectoryNorms:
     def test_norm_of_constant_one(self):
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, 20)
-        mesh = build_spatial_mesh(spec, 0.0, 20)
-        traj = Trajectory(grid=grid, meshes=(mesh,) * 21, frames=np.ones((21, 21)))
+        traj = Trajectory(grid=grid, plan=_level_plan(spec, grid, 20), frames=np.ones((21, 21)))
         assert trajectory_l2_norm(traj) == pytest.approx(1.0, rel=1e-12)
+
+    def test_frames_must_match_the_plan(self):
+        spec = MovingDomainSpec(k=0.25, T=1.0)
+        grid = build_time_grid(1.0, 8)
+        plan = _level_plan(spec, grid, 6)
+        for bad_plan, frames in ((plan, np.ones((9, 8))), (plan, np.ones((8, 7))),
+                                 (_level_plan(spec, build_time_grid(1.0, 10), 6),
+                                  np.ones((11, 7)))):
+            with pytest.raises(ValueError, match="trajectory of shape"):
+                Trajectory(grid=grid, plan=bad_plan, frames=frames)
 
     def test_distance_symmetry(self):
         spec = MovingDomainSpec(k=0.25, T=1.0)
@@ -454,9 +478,10 @@ class TestDualityResidual:
         p = solve_backward(BackwardProblem(source=src), spec, grid, 100)
         volume = boundary = 0.0
         for m in range(grid.M):
-            volume += grid.dt * float(src[m] @ assemble_mass(p.meshes[m]).matvec(u_hat.frames[m]))
+            mass = assemble_mass(level_mesh(p.plan, m))
+            volume += grid.dt * float(src[m] @ mass.matvec(u_hat.frames[m]))
         for m in np.nonzero(ctrl.level_mask(grid))[0]:
-            flux = boundary_flux_left(p.frames[m], p.meshes[m].h)
+            flux = boundary_flux_left(p.frames[m], p.plan.h[m])
             boundary += grid.dt * -flux * ctrl.values[m]
         ref = abs(volume + boundary) / max(abs(volume), abs(boundary))
         assert abs(got - ref) <= 1e-12
