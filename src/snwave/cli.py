@@ -21,7 +21,10 @@ table_mesh.csv      multiple, T, n_vertices, n_triangles, border_length
 
 Configuration comes from defaults, overridden by an optional flat
 ``key=value`` file (--config), overridden by command-line flags.  Exit
-codes: 0 success, 2 usage error, 3 divergence (non-finite values).
+codes: 0 success, 2 usage error, 3 divergence (non-finite values), 4 a
+finite ``run`` that reached max_iter without converging (its CSVs are
+written).  A table records a case that diverges as a row with
+converged=false and nan final values, and goes on to the next case.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .geometry import (
     compute_Tc,
     trapezoid_stats,
 )
-from .game import DivergenceError, SNConfig, fixed_point_solve
+from .game import DivergenceError, IterationRecord, SNConfig, fixed_point_solve
 from .verification import run_all
 
 # Border subdivisions per unit of T for mesh tables; tuned so vertex
@@ -211,7 +214,7 @@ def cmd_run(cfg: RunConfig) -> int:
     print(f"converged={result.converged} iterations={result.iterations} "
           f"stop={last.stop_qty:.3e} J={last.J:.6e} J2={last.J2:.6e} "
           f"T={grid.T:.6f} out={outdir}")
-    return 0
+    return 0 if result.converged else 4
 
 
 def _solve_table(cfg: RunConfig, name: str, header, cases) -> int:
@@ -219,12 +222,19 @@ def _solve_table(cfg: RunConfig, name: str, header, cases) -> int:
     rows = []
     for label, sub in cases:
         spec, grid, sn = _build_problem(sub)
-        res = fixed_point_solve(sn, spec, grid, sub.N)
-        last = res.log[-1]
-        print(f"{label}: iterations={res.iterations} "
-              f"converged={res.converged} stop={last.stop_qty:.3e}")
+        try:
+            res = fixed_point_solve(sn, spec, grid, sub.N)
+        except DivergenceError as exc:
+            # the sweeps run, counting the one that went non-finite
+            iterations, converged = exc.payload["iteration"] + 1, False
+            last = IterationRecord(iterations - 1, *[math.nan] * 5)
+            note = f"diverged: {exc}"
+        else:
+            iterations, converged, last = res.iterations, res.converged, res.log[-1]
+            note = f"stop={last.stop_qty:.3e}"
+        print(f"{label}: iterations={iterations} converged={converged} {note}")
         row = dict(multiple=int(sub.T_multiple), T=grid.T, sigma=sub.sigma,
-                   iterations=res.iterations, converged=res.converged,
+                   iterations=iterations, converged=converged,
                    stop_final=last.stop_qty, du_L2_final=last.du_l2,
                    dw_L2_final=last.dw_l2, J=last.J, J2=last.J2)
         rows.append([row[col] for col in header])

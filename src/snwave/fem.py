@@ -7,10 +7,10 @@ boundary controls.  A field is a bare array of nodal values; its nodes
 or its spacing are passed beside it.  ``interpolate`` is ``np.interp``
 between two node arrays, extended by zero where a target node lies
 beyond the source's right endpoint.  ``boundary_flux_left`` takes one
-frame or a stack of frames with their spacings.  The mass pairings of
-the solvers and the game apply the mass matrix as an h-scaled stencil
-that gives the same bits as ``assemble_mass(mesh).matvec``, so they
-assemble nothing.
+frame or a stack of frames with their spacings.  The space-time mass
+pairings of the solvers, the game and the verification battery are one
+row-wise stencil over a stack of frames, ``_mass_pairing``, so they
+assemble nothing and loop over no level.
 
 ``solve_tridiagonal`` is a Thomas solve for the assembled systems; the
 marches use the sine-basis step solve in ``solvers`` instead, and the
@@ -128,18 +128,18 @@ def solve_tridiagonal(A: TriDiagMatrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mass_matvec(v: np.ndarray, h: float) -> np.ndarray:
-    """The P1 mass matrix of a uniform mesh with spacing h applied to v.
+def _mass_pairing(a: np.ndarray, b: np.ndarray, h: np.ndarray) -> float:
+    """Sum over rows r of the P1 mass pairing of ``a[r]`` and ``b[r]`` on spacing ``h[r]``.
 
-    Same operations in the same order as ``assemble_mass(mesh).matvec(v)``,
-    so the same bits, without building the matrix.
+    ``a`` and ``b`` are ``(R, N+1)`` stacks of nodal values and ``h`` has
+    R spacings.  The mass matrix of a uniform mesh is h tridiag(1/6, 2/3,
+    1/6) with 1/3 at both ends, so row r contributes
+    h[r] (4 sum_j a_j b_j - 2 (a_0 b_0 + a_N b_N) + sum_j (a_j b_{j+1} + a_{j+1} b_j)) / 6.
     """
-    out = (2.0 * h / 3.0) * v
-    out[0] = (h / 3.0) * v[0]
-    out[-1] = (h / 3.0) * v[-1]
-    out[:-1] += (h / 6.0) * v[1:]
-    out[1:] += (h / 6.0) * v[:-1]
-    return out
+    inner = np.einsum("rj,rj->r", a, b)
+    cross = np.einsum("rj,rj->r", a[:, :-1], b[:, 1:]) + np.einsum("rj,rj->r", a[:, 1:], b[:, :-1])
+    ends = a[:, 0] * b[:, 0] + a[:, -1] * b[:, -1]
+    return float(h @ (4.0 * inner - 2.0 * ends + cross)) / 6.0
 
 
 def interpolate(values: np.ndarray, x_target: np.ndarray, x_source: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ nonzero phi terminal data.
 ``fixed_point_solve`` and ``nash_gradient_check`` each build one level
 plan (see ``solvers``) and pass it to every march they run, and
 evaluate the target u2 once, as one ``(M+1, N+1)`` array on the plan's
-nodes; the adjoint source is the state's frames minus it.  Each
+nodes (a read-only broadcast when u2 is a constant); the adjoint
+source is the state's frames minus it.  Each
 control update reads the flux of all its segment's levels in one
 ``boundary_flux_left`` call on the adjoint's rows.
 """
@@ -42,7 +43,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .geometry import BoundarySegments, MovingDomainSpec, TimeGrid
-from .fem import ControlSamples, _mass_matvec, control_l2_norm
+from .fem import ControlSamples, _mass_pairing, control_l2_norm
 from .solvers import (
     BackwardProblem,
     ForwardProblem,
@@ -191,11 +192,13 @@ def stopping_quantity(new: tuple, old: tuple, grid: TimeGrid) -> float:
 def _target(u2: TargetLike, nodes: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """The target u2 on every level: row m holds its values at ``nodes[m]``.
 
-    A callable returning a scalar is broadcast to the level like a
-    constant target; any other shape but one value per node is an error.
+    A constant target is a read-only broadcast of its value, which holds
+    no frame memory.  A callable returning a scalar is broadcast to the
+    level like a constant target; any other shape but one value per node
+    is an error.
     """
     if not callable(u2):
-        return np.full(nodes.shape, float(u2))
+        return np.broadcast_to(float(u2), nodes.shape)
     out = np.empty(nodes.shape)
     for m, (x, t) in enumerate(zip(nodes, grid.levels)):
         vals = np.asarray(u2(x, float(t)), dtype=float)
@@ -217,10 +220,9 @@ def evaluate_J2(u: Trajectory, w2: ControlSamples, u2: TargetLike, sigma: float,
     w2.check_aligned(grid)
     if target is None:
         target = _target(u2, u.plan.nodes, grid)
-    track = 0.0
-    for m, h in zip(range(grid.M), u.plan.h.tolist()):
-        d = u.frames[m] - target[m]
-        track += grid.dt * float(d @ _mass_matvec(d, h))
+    M = grid.M
+    d = u.frames[:M] - target[:M]
+    track = grid.dt * _mass_pairing(d, d, u.plan.h[:M])
     return 0.5 * track + 0.5 * sigma * control_l2_norm(w2, grid) ** 2
 
 

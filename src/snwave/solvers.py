@@ -9,13 +9,25 @@ one symmetric tridiagonal system after Dirichlet elimination.
 
 Every level mesh is the same uniform mesh rescaled, so the interior
 system of level m is the Toeplitz matrix tridiag(off_m, diag_m, off_m)
-with diag_m = 2/h_m + 2 h_m/(3 dt^2) and off_m = -1/h_m + h_m/(6 dt^2).
-One orthonormal sine basis S[i, j] = sqrt(2/N) sin(i j pi/N) diagonalizes
-all of them, with eigenvalues diag_m + off_m * 2 cos(j pi/N), so a step
-solve is two products with S and a division.
+with diag_m = 2/h_m + 2 h_m/(3 dt^2) and off_m = -1/h_m + h_m/(6 dt^2),
+and its right-hand side is scale_m T w, where w is the full frame
+2 u~^i - u~^{i-1} (+ dt^2 s), scale_m = h_m/(6 dt^2), T is the (1, 4, 1)
+mass stencil from the N+1 nodes onto the N-1 interior ones, and the
+left Dirichlet value g enters as w_0 -= lift_m g with
+lift_m = off_m/scale_m.  One orthonormal sine basis
+S[i, j] = sqrt(2/N) sin(i j pi/N) diagonalizes every interior matrix,
+with eigenvalues lambda_m = diag_m + off_m c and c = 2 cos(j pi/N), and
+it diagonalizes T's interior block too: S T_int = diag(4 + c) S.  With
+ST = S T, S symmetric, the step solve S ((scale_m S T w) / lambda_m) is
+
+    v = ST[:, 1:-1]^T (G[m] * (ST w)),   G[m] = scale_m / (lambda_m (4 + c)),
+
+two products with one operator and one scaling; the boundary nodes of
+v are the Dirichlet values.
 
 A solve builds its level plan once: the spacings ``h`` ``(M+1,)``, the
-nodes ``(M+1, N+1)`` and the sine basis, read-only, shared by every
+nodes ``(M+1, N+1)`` and the step operators ``ST`` ``(N-1, N+1)``,
+``G`` ``(M+1, N-1)`` and ``lift`` ``(M+1,)``, read-only, shared by every
 march of the solve.  ``solve_forward``
 and ``solve_backward`` take it as the keyword ``plan`` and build their
 own when given none; ``game.fixed_point_solve``,
@@ -38,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import MovingDomainSpec, TimeGrid, level_nodes
-from .fem import ControlSamples, _mass_matvec, boundary_flux_left, interpolate
+from .fem import ControlSamples, _mass_pairing, boundary_flux_left, interpolate
 
 __all__ = [
     "Trajectory",
@@ -128,7 +140,7 @@ def assemble_left_boundary(controls, grid: TimeGrid) -> np.ndarray:
 
 
 def _sine_basis(N: int):
-    """Orthonormal sine basis of the N-1 interior nodes and 2 cos(j pi/N).
+    """Orthonormal sine basis S of the N-1 interior nodes and c = 2 cos(j pi/N).
 
     S[i, j] = sqrt(2/N) sin(i j pi/N) for i, j = 1..N-1 is symmetric and
     its own inverse; S tridiag(b, a, b) S = diag(a + b * 2 cos(j pi/N)).
@@ -144,25 +156,41 @@ def _sine_basis(N: int):
     return S, 2.0 * np.cos(j * (math.pi / N))
 
 
-def _toeplitz_solve(S, cos2, diag, off, rhs):
-    """Solve tridiag(off, diag, off) x = rhs in the sine basis."""
-    return S @ ((S @ rhs) / (diag + off * cos2))
+def _step_operators(h: np.ndarray, dt: float, N: int):
+    """``ST``, ``G`` and ``lift`` of the levels with spacings ``h`` (module docstring)."""
+    S, c = _sine_basis(N)
+    ST = np.empty((N - 1, N + 1))
+    np.multiply(S, 4.0, out=ST[:, 1:-1])
+    ST[:, 0] = ST[:, -1] = 0.0
+    ST[:, :-2] += S
+    ST[:, 2:] += S
+    dt2 = dt * dt
+    scale = h / (6.0 * dt2)
+    off = -1.0 / h + h / (6.0 * dt2)
+    G = np.multiply.outer(off, c)
+    G += (2.0 / h + 2.0 * h / (3.0 * dt2))[:, None]
+    G *= 4.0 + c
+    np.divide(scale[:, None], G, out=G)
+    return ST, G, off / scale
 
 
 @dataclass(frozen=True)
 class _LevelPlan:
     """What a solve's marches share, all read-only: level m's spacing
-    ``h[m]`` and nodes ``nodes[m]``, and ``S, cos2 = _sine_basis(N)``."""
+    ``h[m]`` and nodes ``nodes[m]``, and the step operators ``ST``, ``G``
+    and ``lift`` of ``_step_operators``."""
 
     h: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
-    S: np.ndarray = field(repr=False)
-    cos2: np.ndarray = field(repr=False)
+    ST: np.ndarray = field(repr=False)
+    G: np.ndarray = field(repr=False)
+    lift: np.ndarray = field(repr=False)
 
 
 def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
-    plan = _LevelPlan(*level_nodes(spec, grid.levels, N), *_sine_basis(N))
-    for a in (plan.h, plan.nodes, plan.S, plan.cos2):
+    h, nodes = level_nodes(spec, grid.levels, N)
+    plan = _LevelPlan(h, nodes, *_step_operators(h, grid.dt, N))
+    for a in (plan.h, plan.nodes, plan.ST, plan.G, plan.lift):
         a.flags.writeable = False
     return plan
 
@@ -179,8 +207,8 @@ def _plan_for(plan: Optional[_LevelPlan], spec, grid: TimeGrid, N: int) -> _Leve
     return plan
 
 
-def _march(h, nodes, S, cos2, dt, x0, v0, left, source, out):
-    """Run the three-level implicit scheme over the levels ``h``, ``nodes`` in march order.
+def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
+    """Run the three-level implicit scheme over the levels of ``nodes``, ``G`` and ``lift``.
 
     Row 0 of ``out`` is the displacement ``x0`` and row 1 the first-order
     start x0 + dt*v0 interpolated onto the second level; for i >= 1 the
@@ -190,32 +218,28 @@ def _march(h, nodes, S, cos2, dt, x0, v0, left, source, out):
 
     on level i+1 with Dirichlet values ``left[i+1]`` at x = 0 and 0 at the
     moving end, where the tilde marks interpolation onto that level's
-    nodes.  All data are in march order; ``source`` may be None.
-    ``S, cos2`` is the sine basis of the levels' N.  ``out`` is filled in
-    place, one row per level.
+    nodes.  All data are in march order; ``source`` may be None.  ``ST``
+    is the levels' shared step operator.  ``out`` is filled in place, one
+    row per level, its boundary columns once per march.
     """
     out[0] = x0
     out[1] = interpolate(x0 + dt * v0, nodes[1], nodes[0])
-    out[:2, 0] = left[:2]
-    out[:2, -1] = 0.0
+    out[:, 0] = left
+    out[:, -1] = 0.0
     dt2 = dt * dt
-    scale = (h / (6.0 * dt2)).tolist()  # level m's mass rows / dt^2: scale[m] (1, 4, 1)
-    off = (-1.0 / h + h / (6.0 * dt2)).tolist()  # its system: tridiag(off, diag, off)
-    diag = (2.0 / h + 2.0 * h / (3.0 * dt2)).tolist()
-    for i in range(1, len(h) - 1):
+    lifted = (lift * left).tolist()
+    back = ST[:, 1:-1].T
+    for i in range(1, len(nodes) - 1):
         x = nodes[i + 1]
-        w = 2.0 * interpolate(out[i], x, nodes[i])
+        w = interpolate(out[i], x, nodes[i])
+        w *= 2.0
         w -= interpolate(out[i - 1], x, nodes[i - 1])
         if source is not None:
             w += dt2 * source[i + 1]
-        rhs = 4.0 * w[1:-1]
-        rhs += w[:-2]
-        rhs += w[2:]
-        rhs *= scale[i + 1]
-        rhs[0] -= off[i + 1] * left[i + 1]
-        out[i + 1, 0] = left[i + 1]
-        out[i + 1, -1] = 0.0
-        out[i + 1, 1:-1] = _toeplitz_solve(S, cos2, diag[i + 1], off[i + 1], rhs)
+        w[0] -= lifted[i + 1]
+        y = ST @ w
+        y *= G[i + 1]
+        np.matmul(back, y, out=out[i + 1, 1:-1])
 
 
 def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
@@ -245,7 +269,7 @@ def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
     ic0 = problem.ic0 if problem.ic0 is not None else np.zeros(N + 1)
     ic1 = problem.ic1 if problem.ic1 is not None else np.zeros(N + 1)
     frames = np.empty(shape)
-    _march(plan.h, plan.nodes, plan.S, plan.cos2, grid.dt, ic0, ic1,
+    _march(plan.nodes, plan.ST, plan.G, plan.lift, grid.dt, ic0, ic1,
            problem.left_boundary, problem.source, frames)
     return Trajectory(grid=grid, plan=plan, frames=frames)
 
@@ -271,8 +295,8 @@ def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
     term0 = problem.terminal0 if problem.terminal0 is not None else np.zeros(N + 1)
     term1 = problem.terminal1 if problem.terminal1 is not None else np.zeros(N + 1)
     frames = np.empty(shape)
-    _march(plan.h[::-1], plan.nodes[::-1], plan.S, plan.cos2, grid.dt, term0, -term1,
-           np.zeros(grid.M + 1), problem.source[::-1], frames[::-1])
+    _march(plan.nodes[::-1], plan.ST, plan.G[::-1], plan.lift[::-1], grid.dt, term0,
+           -term1, np.zeros(grid.M + 1), problem.source[::-1], frames[::-1])
     return Trajectory(grid=grid, plan=plan, frames=frames)
 
 
@@ -281,26 +305,18 @@ def _outward_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
     return -boundary_flux_left(traj.frames[idx], traj.plan.h[idx])
 
 
-def _mass_ip(a: np.ndarray, b: np.ndarray, h: float) -> float:
-    return float(a @ _mass_matvec(b, h))
-
-
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
     """Space-time L2 distance, rectangle rule in time, mass pairing in space."""
     if a.grid.M != b.grid.M:
         raise ValueError("trajectories live on different time grids")
-    acc = 0.0
-    for m, h in zip(range(a.grid.M), a.plan.h.tolist()):
-        d = a.frames[m] - b.frames[m]
-        acc += a.grid.dt * _mass_ip(d, d, h)
-    return float(np.sqrt(acc))
+    M = a.grid.M
+    d = a.frames[:M] - b.frames[:M]
+    return float(np.sqrt(a.grid.dt * _mass_pairing(d, d, a.plan.h[:M])))
 
 
 def trajectory_l2_norm(a: Trajectory) -> float:
-    acc = 0.0
-    for m, h in zip(range(a.grid.M), a.plan.h.tolist()):
-        acc += a.grid.dt * _mass_ip(a.frames[m], a.frames[m], h)
-    return float(np.sqrt(acc))
+    M = a.grid.M
+    return float(np.sqrt(a.grid.dt * _mass_pairing(a.frames[:M], a.frames[:M], a.plan.h[:M])))
 
 
 def duality_residual(forward_bdata: ControlSamples, source: np.ndarray,
@@ -321,9 +337,8 @@ def duality_residual(forward_bdata: ControlSamples, source: np.ndarray,
     u_hat = solve_forward(ForwardProblem(left_boundary=left), spec, grid, N, plan=plan)
     p = solve_backward(BackwardProblem(source=source), spec, grid, N, plan=plan)
 
-    volume = 0.0
-    for m, h in zip(range(grid.M), plan.h.tolist()):
-        volume += grid.dt * _mass_ip(source[m], u_hat.frames[m], h)
+    M = grid.M
+    volume = grid.dt * _mass_pairing(source[:M], u_hat.frames[:M], plan.h[:M])
     idx = np.nonzero(forward_bdata.level_mask(grid))[0]
     boundary = grid.dt * float(np.sum(_outward_flux(p, idx) * forward_bdata.values[idx]))
     scale = max(abs(volume), abs(boundary))

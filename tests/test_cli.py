@@ -36,8 +36,15 @@ class TestRun:
 
     def test_max_iter_one_graceful(self, tmp_path, capsys):
         rc = run_cli(["run", "--out", str(tmp_path), "--max-iter", "1", *FAST])
-        assert rc == 0
+        assert rc == 4
         assert "converged=False" in capsys.readouterr().out
+
+    def test_not_converged_exits_four_after_writing_csvs(self, tmp_path, capsys):
+        rc = run_cli(["run", "--out", str(tmp_path), "--max-iter", "2", *FAST])
+        assert rc == 4
+        assert "converged=False iterations=2 " in capsys.readouterr().out
+        assert len((tmp_path / "iteration_log.csv").read_text().splitlines()) == 3
+        assert len((tmp_path / "final_state.csv").read_text().splitlines()) == 42
 
     def test_huge_sigma_fast_convergence(self, tmp_path, capsys):
         rc = run_cli(["run", "--out", str(tmp_path), "--sigma", "1e10", *FAST])
@@ -73,7 +80,7 @@ class TestConfigFile:
         cfgfile.write_text("max_iter = 1\nN = 40\nM = 40\n# comment\n\nout = "
                            + str(tmp_path) + "\n")
         rc = run_cli(["run", "--config", str(cfgfile)])
-        assert rc == 0
+        assert rc == 4
         assert "converged=False" in capsys.readouterr().out
 
     def test_cli_overrides_file(self, tmp_path, capsys):
@@ -179,6 +186,21 @@ class TestTables:
         assert len(rows) == 11
         iters = [int(r.split(",")[1]) for r in rows[1:]]
         assert all(b <= a for a, b in zip(iters, iters[1:]))
+
+    def test_table_survives_divergence(self, tmp_path, capsys):
+        # k = 0.5 does not contract at small sigma: sigma = 1e1..1e3 go
+        # non-finite, 1e4 hits the cap, the rest converge
+        rc = run_cli(["table-sigma", "--out", str(tmp_path), "--k", "0.5",
+                      "--N", "20", "--M", "20"])
+        assert rc == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "table_sigma.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 10
+        for row in rows[:3]:
+            assert row[2:] == ["false", "nan"] and 0 < int(row[1]) < 100
+        assert rows[3][1:3] == ["100", "false"]
+        assert all(row[2] == "true" for row in rows[4:])
+        assert capsys.readouterr().out.count("diverged: non-finite") == 3
 
     def test_table_T_small(self, tmp_path):
         rc = run_cli(["table-T", "--out", str(tmp_path), "--N", "30", "--M", "30"])

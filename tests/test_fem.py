@@ -13,7 +13,22 @@ from snwave import (
     interpolate,
     solve_tridiagonal,
 )
-from snwave.fem import _mass_matvec
+from snwave.fem import _mass_pairing
+
+
+def _mass_matvec(v: np.ndarray, h: float) -> np.ndarray:
+    """The P1 mass matrix of a uniform mesh with spacing h applied to v.
+
+    Same operations in the same order as ``assemble_mass(mesh).matvec(v)``,
+    so the same bits, without building the matrix: the per-level
+    reference of the row-wise ``_mass_pairing``.
+    """
+    out = (2.0 * h / 3.0) * v
+    out[0] = (h / 3.0) * v[0]
+    out[-1] = (h / 3.0) * v[-1]
+    out[:-1] += (h / 6.0) * v[1:]
+    out[1:] += (h / 6.0) * v[:-1]
+    return out
 
 
 def uniform_mesh(length, N):
@@ -233,6 +248,26 @@ class TestMassStencil:
         v = np.random.default_rng(N).standard_normal(N + 1)
         np.testing.assert_array_equal(_mass_matvec(v, mesh.h),
                                       assemble_mass(mesh).matvec(v))
+
+
+class TestMassPairing:
+    """The row-wise pairing against the per-level loop it replaced."""
+
+    @pytest.mark.parametrize("N", [2, 3, 100])
+    def test_matches_per_level_loop(self, N):
+        rng = np.random.default_rng(N)
+        rows = 9
+        h = (1.3 / N) * (1.0 + 0.25 * rng.random(rows))
+        a = rng.standard_normal((rows, N + 1))
+        b = rng.standard_normal((rows, N + 1))
+
+        def loop(a, b):
+            return sum(float(a[r] @ _mass_matvec(b[r], h[r])) for r in range(rows))
+
+        aa, bb = loop(a, a), loop(b, b)
+        assert abs(_mass_pairing(a, a, h) - aa) <= 1e-13 * aa
+        # a mixed pairing may cancel, so its scale is the Cauchy-Schwarz bound
+        assert abs(_mass_pairing(a, b, h) - loop(a, b)) <= 1e-13 * np.sqrt(aa * bb)
 
 
 class TestBoundaryFlux:

@@ -456,9 +456,11 @@ class TestWorkCounts:
         with pytest.raises(ValueError, match="read-only"):
             plan.h[3] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            plan.S[0, 0] = 0.0
+            plan.ST[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            plan.cos2[0] = 0.0
+            plan.G[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.lift[0] = 0.0
 
 
 class TestNashResidual:

@@ -24,9 +24,9 @@ from snwave import (
     trajectory_l2_distance,
     trajectory_l2_norm,
 )
-from snwave.solvers import Trajectory, _level_plan, _sine_basis, _toeplitz_solve
+from snwave.solvers import Trajectory, _level_plan, _march, _sine_basis, _step_operators
 
-# Relative tolerance of the sine-basis kernel against the Thomas
+# Relative tolerance of the fused sine-basis step against the Thomas
 # reference: both solve the same SPD systems, so they differ by roundoff
 # only (about 1e-15 per step).
 ORACLE_RTOL = 1e-12
@@ -260,18 +260,22 @@ class TestThomasOracle:
     @pytest.mark.parametrize("N", [2, 3, 100, 300])
     @pytest.mark.parametrize("dt_over_h", [1.0, 0.1])  # off_m < 0, off_m > 0
     def test_step_solve_matches_thomas(self, N, dt_over_h):
+        """One fused step of ``_march``: with zero start frames, level 2
+        solves (M/dt^2 + K) v = M s with the Dirichlet value left[2]."""
         h = 1.3 / N
         dt = dt_over_h * h
-        diag = 2.0 / h + 2.0 * h / (3.0 * dt**2)
         off = -1.0 / h + h / (6.0 * dt**2)
         assert (off > 0.0) == (dt_over_h < 0.5)
-        rhs = np.random.default_rng(N).standard_normal(N - 1)
-        A = TriDiagMatrix(lower=np.full(N - 2, off), diagonal=np.full(N - 1, diag),
-                          upper=np.full(N - 2, off))
-        ref = solve_tridiagonal(A, rhs)
-        S, cos2 = _sine_basis(N)
-        got = _toeplitz_solve(S, cos2, diag, off, rhs)
-        assert np.max(np.abs(got - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
+        rng = np.random.default_rng(N)
+        mesh = SpatialMesh(nodes=np.linspace(0.0, 1.3, N + 1), h=h, length=1.3)
+        source = rng.standard_normal((3, N + 1))
+        left = np.array([0.0, 0.0, rng.standard_normal()])
+        out = np.empty((3, N + 1))
+        zero = np.zeros(N + 1)
+        _march(np.array([mesh.nodes] * 3), *_step_operators(np.full(3, h), dt, N), dt,
+               zero, zero, left, source, out)
+        ref = thomas_step(mesh, dt, assemble_mass(mesh).matvec(source[2]), left[2])
+        assert np.max(np.abs(out[2] - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
 
     def test_forward_matches_thomas_march(self):
         spec, grid, N, meshes, source = self._setup()
@@ -320,10 +324,26 @@ class TestLevelPlan:
                         assert plan.h[m].view(np.int64) == np.float64(mesh.h).view(np.int64)
                         np.testing.assert_array_equal(plan.nodes[m].view(np.int64),
                                                       mesh.nodes.view(np.int64))
-        S, cos2 = _sine_basis(10)
-        plan = _level_plan(MovingDomainSpec(k=0.25, T=3.0), build_time_grid(3.0, 12), 10)
-        np.testing.assert_array_equal(plan.S, S)
-        np.testing.assert_array_equal(plan.cos2, cos2)
+        grid = build_time_grid(3.0, 12)
+        dt2 = grid.dt**2
+        for N in (2, 3, 10, 100):
+            plan = _level_plan(MovingDomainSpec(k=0.25, T=3.0), grid, N)
+            S, c = _sine_basis(N)
+            T = np.zeros((N - 1, N + 1))
+            for i in range(N - 1):
+                T[i, i:i + 3] = (1.0, 4.0, 1.0)
+            atol = 1e-14 * np.max(np.abs(S))
+            np.testing.assert_allclose(plan.ST, S @ T, rtol=0, atol=atol)
+            # S T_int = diag(4 + c) S, which lets the step's back-transform
+            # read ST: the identity the fused step rests on
+            np.testing.assert_allclose(plan.ST[:, 1:-1], (4.0 + c)[:, None] * S,
+                                       rtol=0, atol=atol)
+            h = plan.h[:, None]
+            scale = h / (6.0 * dt2)
+            off = -1.0 / h + h / (6.0 * dt2)
+            eig = 2.0 / h + 2.0 * h / (3.0 * dt2) + off * c
+            np.testing.assert_allclose(plan.G, scale / (eig * (4.0 + c)), rtol=1e-14)
+            np.testing.assert_allclose(plan.lift, (off / scale)[:, 0], rtol=1e-14)
 
     def test_given_plan_gives_the_same_march(self):
         spec = MovingDomainSpec(k=0.25, T=3.0)
