@@ -92,12 +92,37 @@ class RunConfig:
             raise UsageError(f"N, M: must be at least 2, got N={self.N} M={self.M}")
         if self.max_iter < 1:
             raise UsageError(f"max_iter: must be at least 1, got {self.max_iter}")
+        if self.T < 0:
+            raise UsageError(f"T: must be positive, or 0 for T_multiple * T_c, got {self.T}")
         if self.T_multiple <= 0 and self.T <= 0:
             raise UsageError(f"T_multiple: must be positive, got {self.T_multiple}")
         if self.segments not in ("disjoint-halves", "additive-overlap"):
             raise UsageError(f"segments: unknown mode {self.segments!r}")
-        if not (self.phi_terminal == "zero" or self.phi_terminal.startswith("bump")):
-            raise UsageError(f"phi_terminal: unknown spec {self.phi_terminal!r}")
+        self.bump_amplitude()
+
+    def bump_amplitude(self):
+        """Amplitude of the phi terminal bump, or None for ``zero``.
+
+        The spec is exactly ``zero``, ``bump`` (amplitude 1) or
+        ``bump:<finite float>``.
+        """
+        spec = self.phi_terminal
+        if spec == "zero":
+            return None
+        if spec == "bump":
+            return 1.0
+        name, sep, text = spec.partition(":")
+        if name != "bump" or not sep:
+            raise UsageError(f"phi_terminal: unknown spec {spec!r}, "
+                             "expected 'zero', 'bump' or 'bump:<amplitude>'")
+        try:
+            amp = float(text)
+        except ValueError:
+            amp = math.nan
+        if not math.isfinite(amp):
+            raise UsageError(f"phi_terminal: bump amplitude must be a finite number, "
+                             f"got {text!r}")
+        return amp
 
     def horizon(self) -> float:
         if self.T > 0:
@@ -169,10 +194,8 @@ def _build_problem(cfg: RunConfig):
         segs = BoundarySegments.additive_overlap(T)
 
     phi_terminal = None
-    if cfg.phi_terminal.startswith("bump"):
-        amp = 1.0
-        if ":" in cfg.phi_terminal:
-            amp = float(cfg.phi_terminal.split(":", 1)[1])
+    amp = cfg.bump_amplitude()
+    if amp is not None:
         mesh = build_spatial_mesh(spec, T, cfg.N)
         x = mesh.nodes
         L = mesh.length

@@ -15,15 +15,20 @@ makes each update the descent direction for the discrete cost it
 minimizes; a finite-difference probe of the follower cost is provided as
 an independent check (``nash_gradient_check``).
 
-With zero phi terminal data and a zero initial leader, psi, phi and w1
-stay exactly zero at every sweep and the iteration reduces to the
-u <-> p loop in the follower control.  ``fixed_point_solve`` skips both
-the psi and the phi march of a sweep whenever psi's boundary data and
-phi's terminal data are all exactly zero, and uses one shared all-zero
-trajectory for both, a read-only broadcast of 0.0 that holds no frame
-memory; the scheme maps zero data to exactly zero frames,
-so the result is the same.  The skip never applies to a run with
-nonzero phi terminal data.
+The scheme maps all-zero data to exactly zero frames, so
+``fixed_point_solve`` marches no field whose data are all exactly zero:
+such a field is the solve's one shared zero trajectory, a read-only
+broadcast of 0.0 that holds no frame memory.  The rule covers the state
+u when its boundary data are all zero (the first sweep, from zero
+controls), psi when its boundary data are all zero (the first sweep,
+and every sweep of a run with zero phi terminal data), and phi when psi
+is the zero trajectory and phi's terminal data are zero.  With zero phi
+terminal data and a zero initial leader, psi, phi and w1 therefore stay
+exactly zero and the iteration reduces to the u <-> p loop in the
+follower control.  ``SNResult.u``, ``psi`` and ``phi`` may be the zero
+trajectory; ``SNResult.p``, the adjoint of the final state, is marched
+on its first read, since most runs never read it.  ``solve_forward`` and
+``solve_backward`` themselves always march.
 
 ``fixed_point_solve`` and ``nash_gradient_check`` each build one level
 plan (see ``solvers``) and pass it to every march they run, and
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -76,6 +82,9 @@ __all__ = [
 # Denominators below this are treated as exactly zero in the relative
 # stopping criterion.
 _ZERO_NORM = 1e-14
+
+# Overflow is reported by the sweep's non-finite checks, not as warnings.
+_SWEEP_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
 TargetLike = Union[float, Callable[[np.ndarray, float], np.ndarray]]
 
@@ -133,7 +142,9 @@ class SNResult:
 
     ``u`` and ``p`` are recomputed from the final controls so the stored
     state/adjoint pair is consistent with ``w1``/``w2``; ``psi`` and
-    ``phi`` are the last sweep's fields.
+    ``phi`` are the last sweep's fields.  ``p`` is marched on its first
+    read, from ``u`` and ``target`` (u2 on u's levels) on u's plan, and
+    kept.
     """
 
     converged: bool
@@ -141,11 +152,19 @@ class SNResult:
     w1: ControlSamples
     w2: ControlSamples
     u: Trajectory
-    p: Trajectory
     psi: Trajectory
     phi: Trajectory
+    spec: MovingDomainSpec
+    target: np.ndarray = field(repr=False)
     log: list = field(default_factory=list)
     iterates: Optional[list] = None  # per-sweep (w1, w2, psi, phi) when requested
+
+    @cached_property
+    def p(self) -> Trajectory:
+        """The adjoint of ``u``: source u - target, zero terminal data."""
+        with np.errstate(**_SWEEP_ERRSTATE):
+            return _solve_adjoint(self.u, self.target, self.spec, self.u.grid,
+                                  self.u.frames.shape[1] - 1, self.u.plan)
 
 
 def follower_update(p: Trajectory, sigma: float, segments: BoundarySegments,
@@ -261,9 +280,14 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
                              for f in config.phi_terminal)
         for i, f in enumerate(phi_terminal):
             _check_shape(f"phi_terminal[{i}]", f, (N + 1,))
-    zero_chain = None
-    if all(f is None or not f.any() for f in phi_terminal):
-        zero_chain = Trajectory(grid, plan, np.broadcast_to(0.0, plan.nodes.shape))
+    zero_terminal = all(f is None or not f.any() for f in phi_terminal)
+    zero = Trajectory(grid, plan, np.broadcast_to(0.0, plan.nodes.shape))
+
+    def forward(left: np.ndarray) -> Trajectory:
+        """The march from rest with boundary data ``left``; zero data need none."""
+        if not left.any():
+            return zero
+        return solve_forward(ForwardProblem(left_boundary=left), spec, grid, N, plan=plan)
 
     if config.initial_controls is not None:
         w1, w2 = config.initial_controls
@@ -287,10 +311,9 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
         return DivergenceError(f"non-finite {what} values at sweep {n}", payload)
 
     follower_idx = np.nonzero(segments.follower_mask(grid))[0]
-    # overflow is reported by the non-finite checks below, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_SWEEP_ERRSTATE):
         for n in range(config.max_iter):
-            u = _solve_state(w1, w2, spec, grid, N, plan)
+            u = forward(assemble_left_boundary([w1, w2], grid))
             if not np.isfinite(u.frames[grid.M]).all():
                 raise diverged(n, "state", "state")
             p = _solve_adjoint(u, target, spec, grid, N, plan)
@@ -299,11 +322,10 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
             if phi_prev is not None:
                 psi_bc[follower_idx] = _outward_flux(phi_prev, follower_idx) / config.sigma
                 psi_bc[grid.M] = psi_bc[grid.M - 1]
-            if zero_chain is not None and not psi_bc.any():
-                psi = phi = zero_chain
+            psi = forward(psi_bc)
+            if psi is zero and zero_terminal:
+                phi = zero
             else:
-                psi = solve_forward(ForwardProblem(left_boundary=psi_bc), spec, grid, N,
-                                    plan=plan)
                 phi = solve_backward(
                     BackwardProblem(source=psi.frames, terminal0=phi_terminal[0],
                                     terminal1=phi_terminal[1]),
@@ -336,10 +358,9 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
                 iterations = n + 1
                 break
 
-        u_final = _solve_state(w1, w2, spec, grid, N, plan)
-        p_final = _solve_adjoint(u_final, target, spec, grid, N, plan)
+        u_final = forward(assemble_left_boundary([w1, w2], grid))
     return SNResult(converged=converged, iterations=iterations, w1=w1, w2=w2,
-                    u=u_final, p=p_final, psi=psi, phi=phi, log=log,
+                    u=u_final, psi=psi, phi=phi, spec=spec, target=target, log=log,
                     iterates=iterates)
 
 

@@ -28,8 +28,9 @@ v are the Dirichlet values.
 A solve builds its level plan once: the spacings ``h`` ``(M+1,)``, the
 nodes ``(M+1, N+1)`` and the step operators ``ST`` ``(N-1, N+1)``,
 ``G`` ``(M+1, N-1)`` and ``lift`` ``(M+1,)``, read-only, shared by every
-march of the solve.  ``solve_forward``
-and ``solve_backward`` take it as the keyword ``plan`` and build their
+march of the solve, with the ``k``, ``T`` and ``dt`` it was built for.
+``solve_forward`` and ``solve_backward`` take it as the keyword ``plan``,
+reject one built for another k, T, dt, M or N, and build their
 own when given none; ``game.fixed_point_solve``,
 ``game.nash_gradient_check`` and ``duality_residual`` build one and pass
 it to every march.  Nothing is cached across solves.
@@ -178,8 +179,12 @@ def _step_operators(h: np.ndarray, dt: float, N: int):
 class _LevelPlan:
     """What a solve's marches share, all read-only: level m's spacing
     ``h[m]`` and nodes ``nodes[m]``, and the step operators ``ST``, ``G``
-    and ``lift`` of ``_step_operators``."""
+    and ``lift`` of ``_step_operators``, built for the boundary speed
+    ``k``, the horizon ``T`` and the time step ``dt``."""
 
+    k: float
+    T: float
+    dt: float
     h: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     ST: np.ndarray = field(repr=False)
@@ -189,14 +194,14 @@ class _LevelPlan:
 
 def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
     h, nodes = level_nodes(spec, grid.levels, N)
-    plan = _LevelPlan(h, nodes, *_step_operators(h, grid.dt, N))
+    plan = _LevelPlan(spec.k, grid.T, grid.dt, h, nodes, *_step_operators(h, grid.dt, N))
     for a in (plan.h, plan.nodes, plan.ST, plan.G, plan.lift):
         a.flags.writeable = False
     return plan
 
 
 def _plan_for(plan: Optional[_LevelPlan], spec, grid: TimeGrid, N: int) -> _LevelPlan:
-    """``plan``, checked against the grid and N, or a new plan if None."""
+    """``plan``, checked against the spec, the grid and N, or a new plan if None."""
     if plan is None:
         return _level_plan(spec, grid, N)
     if plan.nodes.shape != (grid.M + 1, N + 1):
@@ -204,6 +209,10 @@ def _plan_for(plan: Optional[_LevelPlan], spec, grid: TimeGrid, N: int) -> _Leve
             f"level plan has nodes of shape {plan.nodes.shape}, "
             f"expected {(grid.M + 1, N + 1)}"
         )
+    for name, want in (("k", spec.k), ("T", grid.T), ("dt", grid.dt)):
+        if getattr(plan, name) != want:
+            raise ValueError(f"level plan was built for {name}={getattr(plan, name)!r}, "
+                             f"expected {name}={want!r}")
     return plan
 
 

@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 import snwave.cli as cli
+import snwave.solvers as solvers
 from snwave.game import DivergenceError
 
 
@@ -155,6 +156,26 @@ class TestInputValidation:
         assert rc == 2
         assert f"{key}: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--phi-terminal", "bump:nan", "phi_terminal"),
+        ("--phi-terminal", "bump:inf", "phi_terminal"),
+        ("--phi-terminal", "bump:abc", "phi_terminal"),
+        ("--phi-terminal", "bump:", "phi_terminal"),
+        ("--phi-terminal", "bumpy", "phi_terminal"),
+        ("--T", "-1", "T"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, flag, value, key):
+        rc = run_cli(["run", "--out", str(tmp_path), *FAST, flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+        assert not (tmp_path / "iteration_log.csv").exists()
+
+    @pytest.mark.parametrize("spec,amp", [("zero", None), ("bump", 1.0),
+                                          ("bump:2.5", 2.5), ("bump:-1e-3", -1e-3)])
+    def test_phi_terminal_specs(self, spec, amp):
+        assert cli.RunConfig(phi_terminal=spec).bump_amplitude() == amp
+
 
 class TestTables:
     def test_table_mesh(self, tmp_path):
@@ -236,6 +257,30 @@ class TestDivergenceExit:
         assert "'field': 'log'" in err
         sweep = int(re.search(r"'iteration': (\d+)", err).group(1))
         assert sweep < 100
+
+
+class TestMarchCounts:
+    """Marches per ``snwave run`` on the benchmark's three configurations:
+    two per sweep, four with the leader chain live, less the first sweep's
+    all-zero state and psi, plus the final state; the final adjoint is
+    not read, so it is not marched."""
+
+    @pytest.mark.parametrize("args,marches", [
+        ([], 12),
+        (["--phi-terminal", "bump:1.0", "--T-multiple", "10"], 67),
+        (["--N", "300", "--M", "300"], 20),
+    ], ids=["run-default", "run-leader", "run-fine"])
+    def test_marches_per_run(self, tmp_path, monkeypatch, args, marches):
+        count = [0]
+        march = solvers._march
+
+        def counted(*a, **kw):
+            count[0] += 1
+            return march(*a, **kw)
+
+        monkeypatch.setattr(solvers, "_march", counted)
+        assert run_cli(["run", "--out", str(tmp_path), *args]) == 0
+        assert count[0] == marches
 
 
 class TestVerify:

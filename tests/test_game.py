@@ -1,10 +1,12 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from snwave import (
+    BackwardProblem,
     BoundarySegments,
     ControlSamples,
     ForwardProblem,
@@ -13,6 +15,7 @@ from snwave import (
     boundary_flux_left,
     build_spatial_mesh,
     build_time_grid,
+    compute_Tc,
     control_l2_norm,
     evaluate_J,
     evaluate_J2,
@@ -21,12 +24,14 @@ from snwave import (
     leader_update,
     nash_gradient_check,
     nash_residual,
+    solve_backward,
     solve_forward,
     stopping_quantity,
 )
 import snwave.game as game
 import snwave.geometry as geometry
 import snwave.solvers as solvers
+import snwave.verification as verification
 from snwave.solvers import Trajectory, _level_plan, assemble_left_boundary
 
 
@@ -290,8 +295,11 @@ class TestFixedPoint:
 
 
 class TestMarchCounts:
-    """Marches per run are deterministic: u and p every sweep plus the
-    final pair, and psi and phi only while the leader chain is live."""
+    """Marches per run are deterministic.  A field whose data are all zero
+    is not marched: the first sweep's state (zero controls) and psi
+    (no previous phi), and phi while psi is zero and its terminal data
+    are zero.  The final state is marched after the last sweep and its
+    adjoint only when ``res.p`` is first read."""
 
     @staticmethod
     def _count_marches(monkeypatch):
@@ -318,7 +326,7 @@ class TestMarchCounts:
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, phi_terminal=phi_terminal)
         res = fixed_point_solve(cfg, spec, grid, N, keep_iterates=True)
         assert res.iterations >= 2
-        assert count[0] == 2 * res.iterations + 2
+        assert count[0] == 2 * res.iterations
         assert np.all(res.w1.values == 0.0)
         assert np.all(res.psi.frames == 0.0)
         assert np.all(res.phi.frames == 0.0)
@@ -334,7 +342,65 @@ class TestMarchCounts:
                        phi_terminal=(f0, None), max_iter=3)
         res = fixed_point_solve(cfg, spec, grid, N)
         assert res.iterations == 3
-        assert count[0] == 4 * res.iterations + 2
+        assert count[0] == 4 * res.iterations - 1
+
+    def test_adjoint_marched_on_first_read_only(self, small_setup, monkeypatch):
+        spec, grid, segs = small_setup
+        count = self._count_marches(monkeypatch)
+        res = fixed_point_solve(SNConfig(sigma=100.0, u2=10.0, segments=segs),
+                                spec, grid, 16)
+        solved = count[0]
+        p = res.p
+        assert count[0] == solved + 1
+        assert res.p is p
+        assert count[0] == solved + 1
+
+    def test_zero_target_marches_only_the_first_adjoint(self, small_setup, monkeypatch):
+        spec, grid, segs = small_setup
+        count = self._count_marches(monkeypatch)
+        res = fixed_point_solve(SNConfig(sigma=100.0, u2=0.0, segments=segs),
+                                spec, grid, 16)
+        assert res.iterations == 1
+        assert count[0] == 1  # the adjoint of the zero state; u itself is not marched
+        assert res.u is res.psi is res.phi
+
+
+class TestLazyAdjoint:
+    """``res.p`` is the backward march of ``res.u - target`` on u's plan."""
+
+    @pytest.mark.parametrize("u2", [10.0, lambda x, t: 10.0 + np.sin(x) * np.cos(t)])
+    def test_equals_backward_march_of_final_state(self, small_setup, u2):
+        spec, grid, segs = small_setup
+        N = 16
+        res = fixed_point_solve(SNConfig(sigma=100.0, u2=u2, segments=segs), spec, grid, N)
+        plan = res.u.plan
+        target = game._target(u2, plan.nodes, grid)
+        want = solve_backward(BackwardProblem(source=res.u.frames - target), spec, grid, N,
+                              plan=plan)
+        np.testing.assert_array_equal(res.p.frames, want.frames)
+        assert res.p.plan is plan
+
+    def test_verify_follower_best_response_line(self):
+        name, ok, detail = verification._check_nash_residual()
+        tc = compute_Tc(0.25)
+        spec = MovingDomainSpec(k=0.25, T=tc)
+        grid = build_time_grid(tc, 50)
+        res = fixed_point_solve(SNConfig(sigma=100.0), spec, grid, 50)
+        p = solve_backward(BackwardProblem(source=res.u.frames - 10.0), spec, grid, 50,
+                           plan=res.u.plan)
+        r = nash_residual(res.w2, p, 100.0, BoundarySegments.disjoint_halves(tc), grid)
+        assert (name, ok) == ("follower-best-response", True)
+        assert detail == f"residual {r:.2e}, iterations {res.iterations}"
+
+    def test_marched_under_the_sweep_errstate(self, small_setup):
+        spec, grid, segs = small_setup
+        res = fixed_point_solve(SNConfig(sigma=100.0, u2=10.0, segments=segs), spec, grid, 16)
+        res.target = np.full(res.u.frames.shape, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                frames = res.p.frames
+        assert not np.isfinite(frames).all()
 
 
 class TestTarget:

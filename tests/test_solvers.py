@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -368,6 +370,25 @@ class TestLevelPlan:
                      _level_plan(spec, grid, 8)):
             with pytest.raises(ValueError, match="level plan"):
                 solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10, plan=plan)
+
+    @pytest.mark.parametrize("name,spec_k,plan_T,dt_factor", [
+        ("k", 0.5, 3.0, 1.0),
+        ("T", 0.25, 6.0, 1.0),
+        ("dt", 0.25, 3.0, 2.0),
+    ])
+    def test_plan_for_another_problem_rejected(self, name, spec_k, plan_T, dt_factor):
+        # same node shape (M=12, N=10), built for another k, horizon or step
+        spec = MovingDomainSpec(k=0.25, T=3.0)
+        grid = build_time_grid(3.0, 12)
+        plan = _level_plan(MovingDomainSpec(k=spec_k, T=plan_T),
+                           build_time_grid(plan_T, 12), 10)
+        grid = replace(grid, dt=grid.dt * dt_factor)
+        left = np.sin(grid.levels)
+        with pytest.raises(ValueError, match=rf"level plan was built for {name}="):
+            solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10, plan=plan)
+        with pytest.raises(ValueError, match=rf"level plan was built for {name}="):
+            solve_backward(BackwardProblem(source=np.ones((13, 11))), spec, grid, 10,
+                           plan=plan)
 
 
 class TestShapeChecks:
