@@ -94,6 +94,9 @@ class RunConfig:
             raise UsageError(f"max_iter: must be at least 1, got {self.max_iter}")
         if self.T < 0:
             raise UsageError(f"T: must be positive, or 0 for T_multiple * T_c, got {self.T}")
+        if self.target_edge < 0:
+            raise UsageError(f"target_edge: must be positive, or 0 for "
+                             f"T/{BORDER_SEGMENTS} per row, got {self.target_edge}")
         if self.T_multiple <= 0 and self.T <= 0:
             raise UsageError(f"T_multiple: must be positive, got {self.T_multiple}")
         if self.segments not in ("disjoint-halves", "additive-overlap"):
@@ -313,6 +316,25 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value configuration file")
+    common.add_argument("--k", type=float, help="boundary speed in [0, 1)")
+    common.add_argument("--T-multiple", dest="T_multiple", type=float,
+                        help="horizon as a multiple of T_c(k)")
+    common.add_argument("--T", type=float, help="explicit horizon (overrides the multiple)")
+    common.add_argument("--N", type=int, help="spatial elements per level")
+    common.add_argument("--M", type=int, help="time steps")
+    common.add_argument("--sigma", type=float, help="follower penalty weight")
+    common.add_argument("--epsilon", type=float, help="stopping tolerance")
+    common.add_argument("--max-iter", dest="max_iter", type=int, help="sweep cap")
+    common.add_argument("--u2", type=float, help="tracking target value")
+    common.add_argument("--segments", choices=["disjoint-halves", "additive-overlap"],
+                        help="boundary segment split")
+    common.add_argument("--phi-terminal", dest="phi_terminal",
+                        help="'zero' or 'bump[:amplitude]'")
+    common.add_argument("--out", help="output directory for CSV files")
+    common.add_argument("--target-edge", dest="target_edge", type=float,
+                        help="mesh table edge length (default T/128 per row)")
     specs = {
         "run": "single fixed-point solve",
         "table-T": "sweep the horizon T = 1..10 x T_c",
@@ -321,25 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify": "run the built-in oracle battery",
     }
     for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--k", type=float, help="boundary speed in [0, 1)")
-        p.add_argument("--T-multiple", dest="T_multiple", type=float,
-                       help="horizon as a multiple of T_c(k)")
-        p.add_argument("--T", type=float, help="explicit horizon (overrides the multiple)")
-        p.add_argument("--N", type=int, help="spatial elements per level")
-        p.add_argument("--M", type=int, help="time steps")
-        p.add_argument("--sigma", type=float, help="follower penalty weight")
-        p.add_argument("--epsilon", type=float, help="stopping tolerance")
-        p.add_argument("--max-iter", dest="max_iter", type=int, help="sweep cap")
-        p.add_argument("--u2", type=float, help="tracking target value")
-        p.add_argument("--segments", choices=["disjoint-halves", "additive-overlap"],
-                       help="boundary segment split")
-        p.add_argument("--phi-terminal", dest="phi_terminal",
-                       help="'zero' or 'bump[:amplitude]'")
-        p.add_argument("--out", help="output directory for CSV files")
-        p.add_argument("--target-edge", dest="target_edge", type=float,
-                       help="mesh table edge length (default T/128 per row)")
+        p = sub.add_parser(name, help=help_text, parents=[common])
         if name == "run":
             p.add_argument("--dump-frames", dest="dump_frames", action="store_true",
                            default=None, help="also write per-level trajectory CSVs")

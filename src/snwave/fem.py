@@ -150,6 +150,9 @@ def interpolate(values: np.ndarray, x_target: np.ndarray, x_source: np.ndarray) 
     fields vanish at the moving end, so extension by zero is consistent
     to discretization order).  A point on a source node takes that
     node's value exactly, so on identical nodes this is a copy.
+    ``x_target`` may be a stack of node rows, such as the nodes of
+    several levels; the result has its shape, and each point's value
+    depends on that point alone, so it has the bits of one call per row.
     """
     return np.interp(x_target, x_source, values, right=0.0)
 

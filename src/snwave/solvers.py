@@ -3,9 +3,11 @@
 Both solvers run one march kernel, the three-level implicit scheme with
 the stiffness matrix applied to the unknown frame.  Marching forward the
 unknown is u^{m+1}; marching backward it is p^{m-1}, and the backward
-march is the forward march on the reversed level order.  Each step
-interpolates the two known frames onto the unknown's own nodes and solves
-one symmetric tridiagonal system after Dirichlet elimination.
+march is the forward march on the reversed level order.  Each step needs
+the two known frames on the unknown's own nodes and solves one symmetric
+tridiagonal system after Dirichlet elimination.  A frame is interpolated
+once, by one call onto the nodes of the next two levels: the first row
+serves the step that follows it, the second the step after that.
 
 Every level mesh is the same uniform mesh rescaled, so the interior
 system of level m is the Toeplitz matrix tridiag(off_m, diag_m, off_m)
@@ -230,6 +232,12 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
     nodes.  All data are in march order; ``source`` may be None.  ``ST``
     is the levels' shared step operator.  ``out`` is filled in place, one
     row per level, its boundary columns once per march.
+
+    Frame i is needed on level i+1 at step i and on level i+2 at step
+    i+1, so step i interpolates it once, onto the two rows
+    ``nodes[i+1:i+3]``, and keeps the second row for the next step; a
+    prologue puts frame 0 on level 2.  A march makes M+1 interpolation
+    calls.
     """
     out[0] = x0
     out[1] = interpolate(x0 + dt * v0, nodes[1], nodes[0])
@@ -238,11 +246,13 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
     dt2 = dt * dt
     lifted = (lift * left).tolist()
     back = ST[:, 1:-1].T
+    ahead = interpolate(out[0], nodes[2:3], nodes[0])
     for i in range(1, len(nodes) - 1):
-        x = nodes[i + 1]
-        w = interpolate(out[i], x, nodes[i])
+        r = interpolate(out[i], nodes[i + 1:i + 3], nodes[i])
+        w = r[0]
         w *= 2.0
-        w -= interpolate(out[i - 1], x, nodes[i - 1])
+        w -= ahead[-1]
+        ahead = r
         if source is not None:
             w += dt2 * source[i + 1]
         w[0] -= lifted[i + 1]

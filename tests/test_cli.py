@@ -163,6 +163,7 @@ class TestInputValidation:
         ("--phi-terminal", "bump:", "phi_terminal"),
         ("--phi-terminal", "bumpy", "phi_terminal"),
         ("--T", "-1", "T"),
+        ("--target-edge", "-1", "target_edge"),
     ])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, flag, value, key):
         rc = run_cli(["run", "--out", str(tmp_path), *FAST, flag, value])
@@ -263,24 +264,24 @@ class TestMarchCounts:
     """Marches per ``snwave run`` on the benchmark's three configurations:
     two per sweep, four with the leader chain live, less the first sweep's
     all-zero state and psi, plus the final state; the final adjoint is
-    not read, so it is not marched."""
+    not read, so it is not marched.  Each march makes M+1 interpolation
+    calls, one per frame."""
 
-    @pytest.mark.parametrize("args,marches", [
-        ([], 12),
-        (["--phi-terminal", "bump:1.0", "--T-multiple", "10"], 67),
-        (["--N", "300", "--M", "300"], 20),
+    @pytest.mark.parametrize("args,marches,interpolations", [
+        ([], 12, 12 * 101),
+        (["--phi-terminal", "bump:1.0", "--T-multiple", "10"], 67, 67 * 101),
+        (["--N", "300", "--M", "300"], 20, 20 * 301),
     ], ids=["run-default", "run-leader", "run-fine"])
-    def test_marches_per_run(self, tmp_path, monkeypatch, args, marches):
-        count = [0]
-        march = solvers._march
+    def test_marches_per_run(self, tmp_path, monkeypatch, args, marches, interpolations):
+        count = {"_march": 0, "interpolate": 0}
+        for name in count:
+            def counted(*a, _name=name, _call=getattr(solvers, name), **kw):
+                count[_name] += 1
+                return _call(*a, **kw)
 
-        def counted(*a, **kw):
-            count[0] += 1
-            return march(*a, **kw)
-
-        monkeypatch.setattr(solvers, "_march", counted)
+            monkeypatch.setattr(solvers, name, counted)
         assert run_cli(["run", "--out", str(tmp_path), *args]) == 0
-        assert count[0] == marches
+        assert count == {"_march": marches, "interpolate": interpolations}
 
 
 class TestVerify:

@@ -198,6 +198,26 @@ class TestInterpolate:
         out = interpolate(2.0 * src.nodes - 0.5, tgt.nodes, src.nodes)
         np.testing.assert_allclose(out, 2.0 * tgt.nodes - 0.5, atol=1e-13)
 
+    @pytest.mark.parametrize("N", [2, 3, 100])
+    @pytest.mark.parametrize("ratios", [(1.0, 1.0), (1.1, 1.2), (0.9, 0.8), (1.0, 1.5)],
+                             ids=["identical", "growing", "shrinking", "mixed"])
+    def test_stack_of_rows_matches_each_row(self, N, ratios):
+        src = uniform_mesh(1.3, N)
+        stack = np.array([uniform_mesh(1.3 * r, N).nodes for r in ratios])
+        values = np.random.default_rng(N).standard_normal(N + 1)
+        values[1] = -0.0
+        got = interpolate(values, stack, src.nodes)
+        assert got.shape == (2, N + 1)
+        for row, x in zip(got, stack):
+            np.testing.assert_array_equal(row.view(np.int64),
+                                          interpolate(values, x, src.nodes).view(np.int64))
+        outside = stack > src.length
+        assert outside.any() == (max(ratios) > 1.0)
+        np.testing.assert_array_equal(got[outside], 0.0)
+        if ratios == (1.0, 1.0):
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          np.array([values, values]).view(np.int64))
+
 
 def reference_interpolate(values, src, tgt):
     """Index-and-weight P1 interpolation, extended by zero beyond the source."""

@@ -26,6 +26,7 @@ from snwave import (
     trajectory_l2_distance,
     trajectory_l2_norm,
 )
+import snwave.solvers as solvers
 from snwave.solvers import Trajectory, _level_plan, _march, _sine_basis, _step_operators
 
 # Relative tolerance of the fused sine-basis step against the Thomas
@@ -88,6 +89,30 @@ def reference_backward(problem, spec, grid, N):
         rhs = assemble_mass(mesh).matvec(problem.source[m - 1] + (2.0 * pm - pp) / dt**2)
         frames[m - 1] = thomas_step(mesh, dt, rhs, 0.0)
     return frames
+
+
+def reference_march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
+    """``_march`` with two interpolation calls per step, frames i and i-1
+    onto level i+1: the reference for the one call per frame of the
+    library, which must give the same bits."""
+    out[0] = x0
+    out[1] = interpolate(x0 + dt * v0, nodes[1], nodes[0])
+    out[:, 0] = left
+    out[:, -1] = 0.0
+    dt2 = dt * dt
+    lifted = (lift * left).tolist()
+    back = ST[:, 1:-1].T
+    for i in range(1, len(nodes) - 1):
+        x = nodes[i + 1]
+        w = interpolate(out[i], x, nodes[i])
+        w *= 2.0
+        w -= interpolate(out[i - 1], x, nodes[i - 1])
+        if source is not None:
+            w += dt2 * source[i + 1]
+        w[0] -= lifted[i + 1]
+        y = ST @ w
+        y *= G[i + 1]
+        np.matmul(back, y, out=out[i + 1, 1:-1])
 
 
 def assert_frames_close(traj, ref):
@@ -301,6 +326,58 @@ class TestThomasOracle:
         )
         assert_frames_close(solve_backward(problem, spec, grid, N),
                             reference_backward(problem, spec, grid, N))
+
+
+class TestOneInterpolationPerFrame:
+    """Each frame is interpolated once, onto the next two levels: the
+    same bits as the two-call reference, and M+1 calls per march."""
+
+    @staticmethod
+    def _problems(k, N, M):
+        spec = MovingDomainSpec(k=k, T=3.0)
+        grid = build_time_grid(3.0, M)
+        rng = np.random.default_rng(100 * N + M)
+        forward = ForwardProblem(left_boundary=np.sin(0.7 * grid.levels) + 0.2,
+                                 ic0=rng.standard_normal(N + 1),
+                                 ic1=rng.standard_normal(N + 1),
+                                 source=rng.standard_normal((M + 1, N + 1)))
+        backward = BackwardProblem(source=rng.standard_normal((M + 1, N + 1)),
+                                   terminal0=rng.standard_normal(N + 1),
+                                   terminal1=rng.standard_normal(N + 1))
+        return spec, grid, forward, backward
+
+    @pytest.mark.parametrize("k", [0.0, 0.25])
+    @pytest.mark.parametrize("N", [2, 3, 100])
+    @pytest.mark.parametrize("M", [2, 3, 12])  # M=2: one step, a one-row block
+    def test_same_bits_as_two_calls_per_step(self, k, N, M):
+        spec, grid, forward, backward = self._problems(k, N, M)
+        plan = _level_plan(spec, grid, N)
+        ref = np.empty((M + 1, N + 1))
+        reference_march(plan.nodes, plan.ST, plan.G, plan.lift, grid.dt, forward.ic0,
+                        forward.ic1, forward.left_boundary, forward.source, ref)
+        got = solve_forward(forward, spec, grid, N, plan=plan).frames
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        reference_march(plan.nodes[::-1], plan.ST, plan.G[::-1], plan.lift[::-1], grid.dt,
+                        backward.terminal0, -backward.terminal1, np.zeros(M + 1),
+                        backward.source[::-1], ref[::-1])
+        got = solve_backward(backward, spec, grid, N, plan=plan).frames
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("M", [2, 3, 12])
+    def test_interpolations_per_march(self, monkeypatch, M):
+        count = [0]
+        interp = solvers.interpolate
+
+        def counted(*args):
+            count[0] += 1
+            return interp(*args)
+
+        monkeypatch.setattr(solvers, "interpolate", counted)
+        spec, grid, forward, backward = self._problems(0.25, 10, M)
+        solve_forward(forward, spec, grid, 10)
+        assert count[0] == M + 1
+        solve_backward(backward, spec, grid, 10)
+        assert count[0] == 2 * (M + 1)
 
 
 class TestLevelPlan:
