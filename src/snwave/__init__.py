@@ -6,24 +6,18 @@ from .geometry import (
     BoundarySegments,
     MovingDomainSpec,
     SpaceTimeMeshStats,
-    SpatialMesh,
     TimeGrid,
     alpha,
     analytic_perimeter,
-    build_spatial_mesh,
     build_time_grid,
     compute_Tc,
     trapezoid_stats,
 )
 from .fem import (
     ControlSamples,
-    TriDiagMatrix,
-    assemble_mass,
-    assemble_stiffness,
     boundary_flux_left,
     control_l2_norm,
     interpolate,
-    solve_tridiagonal,
 )
 from .solvers import (
     BackwardProblem,

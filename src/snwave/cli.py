@@ -41,9 +41,9 @@ import numpy as np
 from .geometry import (
     BoundarySegments,
     MovingDomainSpec,
-    build_spatial_mesh,
     build_time_grid,
     compute_Tc,
+    level_nodes,
     trapezoid_stats,
 )
 from .game import DivergenceError, IterationRecord, SNConfig, fixed_point_solve
@@ -199,9 +199,8 @@ def _build_problem(cfg: RunConfig):
     phi_terminal = None
     amp = cfg.bump_amplitude()
     if amp is not None:
-        mesh = build_spatial_mesh(spec, T, cfg.N)
-        x = mesh.nodes
-        L = mesh.length
+        _, x = level_nodes(spec, T, cfg.N)
+        L = x[-1]
         phi_terminal = (amp * 4.0 * x * (L - x) / L**2, np.zeros(cfg.N + 1))
 
     sn = SNConfig(sigma=cfg.sigma, epsilon=cfg.epsilon, max_iter=cfg.max_iter,

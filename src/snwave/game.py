@@ -83,8 +83,9 @@ __all__ = [
 # stopping criterion.
 _ZERO_NORM = 1e-14
 
-# Overflow is reported by the sweep's non-finite checks, not as warnings.
-_SWEEP_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
+# Overflow, and a division by a time step squared that underflowed to 0,
+# are reported by the sweep's non-finite checks, not as warnings.
+_SWEEP_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 TargetLike = Union[float, Callable[[np.ndarray, float], np.ndarray]]
 
@@ -107,7 +108,6 @@ class SNConfig:
     u2: TargetLike = 10.0
     segments: Optional[BoundarySegments] = None
     phi_terminal: Optional[tuple] = None  # (value, velocity) at t = T, (N+1,) arrays or None
-    initial_controls: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.sigma > 0.0:
@@ -271,7 +271,8 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
     records every sweep's updated controls and auxiliary fields.
     """
     segments = config.segments or BoundarySegments.disjoint_halves(grid.T)
-    plan = _level_plan(spec, grid, N)
+    with np.errstate(**_SWEEP_ERRSTATE):
+        plan = _level_plan(spec, grid, N)
     target = _target(config.u2, plan.nodes, grid)
 
     phi_terminal = (None, None)
@@ -289,13 +290,8 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
             return zero
         return solve_forward(ForwardProblem(left_boundary=left), spec, grid, N, plan=plan)
 
-    if config.initial_controls is not None:
-        w1, w2 = config.initial_controls
-        w1.check_aligned(grid)
-        w2.check_aligned(grid)
-    else:
-        w1 = ControlSamples.zeros(segments.sigma1, grid)
-        w2 = ControlSamples.zeros(segments.sigma2, grid)
+    w1 = ControlSamples.zeros(segments.sigma1, grid)
+    w2 = ControlSamples.zeros(segments.sigma2, grid)
 
     phi_prev: Optional[Trajectory] = None
     u_prev: Optional[Trajectory] = None
@@ -387,7 +383,8 @@ class NashCheckResult:
     ``fd`` holds centered-difference directional derivatives of the
     follower cost, ``analytic`` the adjoint-flux pairing for the same
     directions.  ``max_rel_discrepancy`` is the largest |fd - analytic|
-    over max(|fd|, |analytic|, sigma*||w2||*||direction||), and
+    over max(|fd|, |analytic|, sigma*||w2||*||direction||), 0 where
+    that maximum is 0, and
     ``max_scaled_analytic`` the largest |analytic| under the same scale;
     both are small at a true equilibrium.
     """
@@ -453,7 +450,9 @@ def nash_gradient_check(w1: ControlSamples, w2: ControlSamples, config: SNConfig
             np.sum((config.sigma * w2.values[idx] - flux) * direction.values[idx])
         )
         scale = config.sigma * w2_norm  # directions have unit norm
-        rels[d] = abs(fd[d] - analytic[d]) / max(abs(fd[d]), abs(analytic[d]), scale)
+        # a zero denominator means fd and analytic are both exactly 0
+        denom = max(abs(fd[d]), abs(analytic[d]), scale)
+        rels[d] = abs(fd[d] - analytic[d]) / denom if denom > 0.0 else 0.0
 
     scaled_ana = np.abs(analytic) / max(scale, _ZERO_NORM)
     return NashCheckResult(

@@ -3,10 +3,11 @@
 The spatial domain at time t is the interval (0, alpha(t)) with
 alpha(t) = 1 + k*t, so the right endpoint recedes at constant speed k
 while the left endpoint (where the controls act) stays fixed.  Every
-level's mesh is one uniform mesh rescaled by h = alpha(t)/N; ``level_nodes``
-builds many levels as two arrays, ``build_spatial_mesh`` one.  Every
-operation here is cheap, deterministic and side-effect free; the solver
-modules consume these values and never mutate them.
+level's mesh is one uniform mesh rescaled by h = alpha(t)/N, so a level
+is its spacing and its nodes, which ``level_nodes`` builds at one time or
+at an array of times.  Every operation here is cheap, deterministic and
+side-effect free; the solver modules consume these values and never
+mutate them.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ import numpy as np
 __all__ = [
     "MovingDomainSpec",
     "TimeGrid",
-    "SpatialMesh",
     "BoundarySegments",
     "SpaceTimeMeshStats",
     "alpha",
     "compute_Tc",
     "build_time_grid",
-    "build_spatial_mesh",
     "level_nodes",
     "segment_mask",
     "trapezoid_stats",
@@ -61,22 +60,6 @@ class TimeGrid:
     dt: float
     levels: np.ndarray = field(repr=False)
 
-    def __len__(self):
-        return self.M + 1
-
-
-@dataclass(frozen=True)
-class SpatialMesh:
-    """Uniform nodes on [0, length] with spacing h = length/N."""
-
-    nodes: np.ndarray = field(repr=False)
-    h: float = 0.0
-    length: float = 0.0
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
 
 def alpha(spec: MovingDomainSpec, t):
     """Right endpoint 1 + k*t of the domain at time t, or at each of an array of times."""
@@ -108,25 +91,22 @@ def build_time_grid(T: float, M: int) -> TimeGrid:
 
 
 def level_nodes(spec: MovingDomainSpec, times, N: int):
-    """Spacings ``h`` and nodes ``(len(times), N+1)`` of the uniform
-    N+1-node meshes on [0, alpha(t)], one row per time.
+    """Spacings ``h`` and nodes of the uniform N+1-node meshes on [0, alpha(t)].
 
-    The node count is the same at every level; only the spacing scales
-    with the domain, so node j keeps its identity across time levels.
+    At an array of times, ``h`` holds one spacing per time and ``nodes``
+    one row of N+1 nodes per time; at one scalar time, ``h`` is one
+    spacing and ``nodes`` one row, with the bits of that time's row in
+    the array call.  The node count is the same at every level; only the
+    spacing scales with the domain, so node j keeps its identity across
+    time levels.
     """
     if N < 2:
         raise ValueError(f"need at least 2 elements, got N={N}")
     lengths = alpha(spec, np.asarray(times, dtype=float))
     h = lengths / N
-    nodes = np.arange(N + 1) * h[:, None]  # each row: the bits of np.linspace(0, length, N+1)
-    nodes[:, -1] = lengths
+    nodes = np.arange(N + 1) * h[..., None]  # each row: the bits of np.linspace(0, length, N+1)
+    nodes[..., -1] = lengths
     return h, nodes
-
-
-def build_spatial_mesh(spec: MovingDomainSpec, t: float, N: int) -> SpatialMesh:
-    """Uniform N+1-node mesh on [0, alpha(t)]: ``level_nodes`` at the one time t."""
-    h, nodes = level_nodes(spec, [t], N)
-    return SpatialMesh(nodes=nodes[0], h=float(h[0]), length=float(nodes[0, -1]))
 
 
 def segment_mask(segment: tuple, grid: TimeGrid) -> np.ndarray:
@@ -147,17 +127,16 @@ class BoundarySegments:
 
     sigma1: tuple
     sigma2: tuple
-    mode: str = "disjoint-halves"
 
     @classmethod
     def disjoint_halves(cls, T: float) -> "BoundarySegments":
         """Follower on (0, T/2), leader on (T/2, T)."""
-        return cls(sigma1=(T / 2.0, T), sigma2=(0.0, T / 2.0), mode="disjoint-halves")
+        return cls(sigma1=(T / 2.0, T), sigma2=(0.0, T / 2.0))
 
     @classmethod
     def additive_overlap(cls, T: float) -> "BoundarySegments":
         """Both controls act on all of (0, T); boundary data is their sum."""
-        return cls(sigma1=(0.0, T), sigma2=(0.0, T), mode="additive-overlap")
+        return cls(sigma1=(0.0, T), sigma2=(0.0, T))
 
     def leader_mask(self, grid: TimeGrid) -> np.ndarray:
         return segment_mask(self.sigma1, grid)

@@ -1,6 +1,6 @@
 import pytest
 
-from snwave import MovingDomainSpec, build_spatial_mesh, build_time_grid, compute_Tc
+from snwave import MovingDomainSpec, compute_Tc
 
 
 @pytest.fixture(scope="session")
@@ -11,18 +11,3 @@ def tc_quarter():
 @pytest.fixture(scope="session")
 def spec_quarter(tc_quarter):
     return MovingDomainSpec(k=0.25, T=tc_quarter)
-
-
-@pytest.fixture
-def fixed_spec():
-    return MovingDomainSpec(k=0.0, T=1.0)
-
-
-@pytest.fixture
-def fixed_grid():
-    return build_time_grid(1.0, 64)
-
-
-@pytest.fixture
-def fixed_mesh(fixed_spec):
-    return build_spatial_mesh(fixed_spec, 0.0, 64)

@@ -17,8 +17,6 @@ from snwave import (
     ForwardProblem,
     MovingDomainSpec,
     SNConfig,
-    assemble_mass,
-    build_spatial_mesh,
     build_time_grid,
     compute_Tc,
     duality_residual,
@@ -29,6 +27,8 @@ from snwave import (
     solve_forward,
     trapezoid_stats,
 )
+from p1_dense import mass_matrix
+from snwave.geometry import level_nodes
 from snwave.solvers import BackwardProblem
 
 K = 0.25
@@ -142,8 +142,7 @@ def test_criterion_5_nash_optimality(sigma_sweep, t_sweep):
 def _manufactured_error(NM):
     spec = MovingDomainSpec(k=0.0, T=1.0)
     grid = build_time_grid(1.0, NM)
-    mesh = build_spatial_mesh(spec, 0.0, NM)
-    x = mesh.nodes
+    h, x = level_nodes(spec, 0.0, NM)
     prob = ForwardProblem(
         left_boundary=np.zeros(NM + 1),
         ic0=np.sin(np.pi * x),
@@ -151,10 +150,10 @@ def _manufactured_error(NM):
     )
     traj = solve_forward(prob, spec, grid, NM)
     acc = 0.0
-    mass = assemble_mass(mesh)
+    mass = mass_matrix(NM, h)
     for m in range(NM):
         d = traj.frames[m] - np.sin(np.pi * x) * np.cos(np.pi * grid.levels[m])
-        acc += grid.dt * float(d @ mass.matvec(d))
+        acc += grid.dt * float(d @ mass @ d)
     return math.sqrt(acc)
 
 
@@ -167,8 +166,7 @@ def test_criterion_6_solver_verification():
     NM = 64
     spec = MovingDomainSpec(k=0.0, T=1.0)
     grid = build_time_grid(1.0, NM)
-    mesh = build_spatial_mesh(spec, 0.0, NM)
-    x = mesh.nodes
+    _, x = level_nodes(spec, 0.0, NM)
     src = np.array([np.sin(2 * np.pi * x) * np.cos(3.0 * t) for t in grid.levels])
     back = solve_backward(BackwardProblem(source=src), spec, grid, NM)
     fwd = solve_forward(
@@ -199,8 +197,8 @@ def test_criterion_7_degenerate_subsystem(tc):
 def _duality(NM):
     spec = MovingDomainSpec(k=0.0, T=1.0)
     grid = build_time_grid(1.0, NM)
-    mesh = build_spatial_mesh(spec, 0.0, NM)
-    src = np.array([np.sin(np.pi * mesh.nodes) * (1.0 + t) for t in grid.levels])
+    _, x = level_nodes(spec, 0.0, NM)
+    src = np.array([np.sin(np.pi * x) * (1.0 + t) for t in grid.levels])
     vals = np.zeros(NM + 1)
     mask = grid.levels < 0.5
     vals[mask] = np.sin(np.pi * grid.levels[mask] / 0.5) ** 2

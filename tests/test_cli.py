@@ -259,6 +259,18 @@ class TestDivergenceExit:
         sweep = int(re.search(r"'iteration': (\d+)", err).group(1))
         assert sweep < 100
 
+    def test_underflowing_time_step_exits_three_without_warnings(self, tmp_path, capsys):
+        # dt^2 underflows to 0, so the level plan divides by zero; that is
+        # reported by the sweep's non-finite checks, not as numpy warnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(["run", "--out", str(tmp_path), "--T", "1e-300",
+                          "--N", "10", "--M", "10"])
+        assert rc == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("divergence: ") and err.count("\n") == 1
+
 
 class TestMarchCounts:
     """Marches per ``snwave run`` on the benchmark's three configurations:

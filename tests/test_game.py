@@ -13,7 +13,6 @@ from snwave import (
     MovingDomainSpec,
     SNConfig,
     boundary_flux_left,
-    build_spatial_mesh,
     build_time_grid,
     compute_Tc,
     control_l2_norm,
@@ -32,6 +31,7 @@ import snwave.game as game
 import snwave.geometry as geometry
 import snwave.solvers as solvers
 import snwave.verification as verification
+from snwave.geometry import level_nodes
 from snwave.solvers import Trajectory, _level_plan, assemble_left_boundary
 
 
@@ -277,9 +277,8 @@ class TestFixedPoint:
 
     def test_phi_terminal_activates_leader(self, small_setup):
         spec, grid, segs = small_setup
-        mesh_T = build_spatial_mesh(spec, grid.T, 30)
-        x = mesh_T.nodes
-        L = mesh_T.length
+        _, x = level_nodes(spec, grid.T, 30)
+        L = x[-1]
         f0 = 4.0 * x * (L - x) / L**2
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs,
                        phi_terminal=(f0, None), max_iter=50)
@@ -334,8 +333,8 @@ class TestMarchCounts:
     def test_nonzero_phi_terminal_marches_the_chain(self, small_setup, monkeypatch):
         spec, grid, segs = small_setup
         N = 16
-        mesh_T = build_spatial_mesh(spec, grid.T, N)
-        x, L = mesh_T.nodes, mesh_T.length
+        _, x = level_nodes(spec, grid.T, N)
+        L = x[-1]
         f0 = 4.0 * x * (L - x) / L**2
         count = self._count_marches(monkeypatch)
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs,
@@ -456,14 +455,12 @@ class TestTarget:
 
 
 class TestWorkCounts:
-    """A solve builds its level plan once: one sine basis, one node stack
-    and no ``SpatialMesh``."""
+    """A solve builds its level plan once: one sine basis and one node stack."""
 
     @staticmethod
     def _count(monkeypatch):
-        count = {"basis": 0, "nodes": 0, "mesh": 0}
-        originals = {"basis": solvers._sine_basis, "nodes": geometry.level_nodes,
-                     "mesh": geometry.build_spatial_mesh}
+        count = {"basis": 0, "nodes": 0}
+        originals = {"basis": solvers._sine_basis, "nodes": geometry.level_nodes}
 
         def counted(key):
             def call(*args):
@@ -472,10 +469,10 @@ class TestWorkCounts:
             return call
 
         monkeypatch.setattr(solvers, "_sine_basis", counted("basis"))
-        for key, attr in (("nodes", "level_nodes"), ("mesh", "build_spatial_mesh")):
-            for name, mod in list(sys.modules.items()):
-                if name.startswith("snwave") and getattr(mod, attr, None) is originals[key]:
-                    monkeypatch.setattr(mod, attr, counted(key))
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("snwave")
+                    and getattr(mod, "level_nodes", None) is originals["nodes"]):
+                monkeypatch.setattr(mod, "level_nodes", counted("nodes"))
         return count
 
     @pytest.mark.parametrize("leader", [False, True])
@@ -484,15 +481,15 @@ class TestWorkCounts:
         N = 16
         phi_terminal = None
         if leader:
-            mesh_T = build_spatial_mesh(spec, grid.T, N)
-            phi_terminal = (np.sin(np.pi * mesh_T.nodes / mesh_T.length), None)
+            _, x = level_nodes(spec, grid.T, N)
+            phi_terminal = (np.sin(np.pi * x / x[-1]), None)
         count = self._count(monkeypatch)
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, phi_terminal=phi_terminal,
                        max_iter=3)
         fixed_point_solve(cfg, spec, grid, N)
-        assert count == {"basis": 1, "nodes": 1, "mesh": 0}
+        assert count == {"basis": 1, "nodes": 1}
         fixed_point_solve(cfg, spec, grid, N)
-        assert count == {"basis": 2, "nodes": 2, "mesh": 0}
+        assert count == {"basis": 2, "nodes": 2}
 
     def test_nash_gradient_check_builds_one_plan(self, small_setup, monkeypatch):
         spec, grid, segs = small_setup
@@ -501,7 +498,7 @@ class TestWorkCounts:
         w2 = ControlSamples.zeros(segs.sigma2, grid)
         count = self._count(monkeypatch)
         nash_gradient_check(w1, w2, cfg, spec, grid, 16, n_directions=2)
-        assert count == {"basis": 1, "nodes": 1, "mesh": 0}
+        assert count == {"basis": 1, "nodes": 1}
 
     def test_trajectories_are_arrays_on_the_plan_meshes(self, small_setup):
         spec, grid, segs = small_setup
@@ -593,6 +590,19 @@ class TestNashGradientCheck:
         for fd, ana in zip(chk.fd, chk.analytic):
             if abs(fd) > 0.05 * chk.scale:
                 assert abs(fd - ana) <= 0.1 * abs(fd)
+
+    def test_zero_point_has_zero_discrepancy(self):
+        # u2 = 0 and zero controls: fd, analytic and the scale are all exactly 0
+        spec = MovingDomainSpec(k=0.25, T=4.0)
+        grid = build_time_grid(4.0, 20)
+        segs = BoundarySegments.disjoint_halves(4.0)
+        cfg = SNConfig(sigma=100.0, u2=0.0, segments=segs)
+        w1 = ControlSamples.zeros(segs.sigma1, grid)
+        w2 = ControlSamples.zeros(segs.sigma2, grid)
+        chk = nash_gradient_check(w1, w2, cfg, spec, grid, 20)
+        assert chk.scale == 0.0
+        assert np.all(chk.fd == 0.0) and np.all(chk.analytic == 0.0)
+        assert chk.max_rel_discrepancy == 0.0
 
 
 class TestConfigValidation:

@@ -8,12 +8,11 @@ from snwave import (
     MovingDomainSpec,
     alpha,
     analytic_perimeter,
-    build_spatial_mesh,
     build_time_grid,
     compute_Tc,
     trapezoid_stats,
 )
-from snwave.geometry import BoundarySegments
+from snwave.geometry import BoundarySegments, level_nodes
 
 
 def mp_tc(k: str) -> float:
@@ -118,30 +117,46 @@ class TestTimeGrid:
 
 
 class TestSpatialMesh:
+    """``level_nodes``: one level's mesh at a scalar time, one row per time at an array."""
+
     def test_at_zero(self):
         spec = MovingDomainSpec(k=0.25, T=8.0)
-        mesh = build_spatial_mesh(spec, 0.0, 4)
-        np.testing.assert_allclose(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
+        h, x = level_nodes(spec, 0.0, 4)
+        assert h == 0.25
+        np.testing.assert_allclose(x, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
 
     def test_scaled_level(self):
         spec = MovingDomainSpec(k=0.25, T=8.0)
-        mesh = build_spatial_mesh(spec, 4.0, 4)
-        np.testing.assert_allclose(mesh.nodes, [0.0, 0.5, 1.0, 1.5, 2.0], rtol=1e-15)
+        _, x = level_nodes(spec, 4.0, 4)
+        np.testing.assert_allclose(x, [0.0, 0.5, 1.0, 1.5, 2.0], rtol=1e-15)
 
     def test_fixed_domain(self):
         spec = MovingDomainSpec(k=0.0, T=1.0)
-        mesh = build_spatial_mesh(spec, 0.7, 2)
-        np.testing.assert_allclose(mesh.nodes, [0.0, 0.5, 1.0], atol=0)
+        _, x = level_nodes(spec, 0.7, 2)
+        np.testing.assert_allclose(x, [0.0, 0.5, 1.0], atol=0)
 
     def test_node_count_constant_across_levels(self):
         spec = MovingDomainSpec(k=0.4, T=3.0)
-        counts = {build_spatial_mesh(spec, t, 17).n_nodes for t in (0.0, 1.5, 3.0)}
-        assert counts == {18}
+        shapes = {level_nodes(spec, t, 17)[1].shape for t in (0.0, 1.5, 3.0)}
+        assert shapes == {(18,)}
+        assert level_nodes(spec, [0.0, 1.5, 3.0], 17)[1].shape == (3, 18)
 
     def test_too_few_elements(self):
         spec = MovingDomainSpec(k=0.25, T=1.0)
-        with pytest.raises(ValueError, match="at least 2"):
-            build_spatial_mesh(spec, 0.0, 1)
+        for times in (0.0, [0.0, 0.5]):
+            with pytest.raises(ValueError, match="at least 2"):
+                level_nodes(spec, times, 1)
+
+    @pytest.mark.parametrize("N", [2, 3, 100])
+    def test_scalar_time_is_the_row_of_the_array_call(self, N):
+        spec = MovingDomainSpec(k=0.37, T=4.0)
+        grid = build_time_grid(4.0, 7)
+        h, nodes = level_nodes(spec, grid.levels, N)
+        for m, t in enumerate(grid.levels):
+            h_t, x_t = level_nodes(spec, float(t), N)
+            assert np.shape(h_t) == () and x_t.shape == (N + 1,)
+            assert np.float64(h_t).view(np.int64) == h[m].view(np.int64)
+            np.testing.assert_array_equal(x_t.view(np.int64), nodes[m].view(np.int64))
 
 
 class TestBoundarySegments:

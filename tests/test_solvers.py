@@ -9,85 +9,62 @@ from snwave import (
     ForwardProblem,
     MovingDomainSpec,
     SNConfig,
-    SpatialMesh,
-    TriDiagMatrix,
     assemble_left_boundary,
-    assemble_mass,
-    assemble_stiffness,
     boundary_flux_left,
-    build_spatial_mesh,
     build_time_grid,
     duality_residual,
     fixed_point_solve,
     interpolate,
     solve_backward,
     solve_forward,
-    solve_tridiagonal,
     trajectory_l2_distance,
     trajectory_l2_norm,
 )
 import snwave.solvers as solvers
+from p1_dense import dense_step, mass_matrix, stiffness_matrix
+from snwave.geometry import level_nodes
 from snwave.solvers import Trajectory, _level_plan, _march, _sine_basis, _step_operators
 
-# Relative tolerance of the fused sine-basis step against the Thomas
+# Relative tolerance of the fused sine-basis step against the dense
 # reference: both solve the same SPD systems, so they differ by roundoff
 # only (about 1e-15 per step).
 ORACLE_RTOL = 1e-12
 
 
-def thomas_step(mesh, dt, rhs_full, v_left):
-    """Solve (M/dt^2 + K) v = rhs, Dirichlet values eliminated by rows."""
-    A = assemble_stiffness(mesh).add(assemble_mass(mesh), 1.0 / dt**2)
-    rhs = rhs_full[1:-1].copy()
-    rhs[0] -= A.lower[0] * v_left
-    interior = TriDiagMatrix(lower=A.lower[1:-1], diagonal=A.diagonal[1:-1],
-                             upper=A.upper[1:-1])
-    out = np.zeros(mesh.n_nodes)
-    out[0] = v_left
-    out[1:-1] = solve_tridiagonal(interior, rhs)
-    return out
-
-
-def level_mesh(plan, m):
-    """Level m of a level plan as a ``SpatialMesh``, for the assembled operators."""
-    x = plan.nodes[m]
-    return SpatialMesh(nodes=x, h=float(plan.h[m]), length=float(x[-1]))
-
-
 def reference_forward(problem, spec, grid, N):
-    """Forward march with per-step assembly and Thomas solves."""
-    meshes = [build_spatial_mesh(spec, t, N) for t in grid.levels]
+    """Forward march with per-step dense assembly and solves."""
+    h, nodes = level_nodes(spec, grid.levels, N)
     dt, left = grid.dt, problem.left_boundary
     frames = [problem.ic0.copy()]
     frames[0][[0, -1]] = left[0], 0.0
-    frames.append(interpolate(problem.ic0 + dt * problem.ic1, meshes[1].nodes, meshes[0].nodes))
+    frames.append(interpolate(problem.ic0 + dt * problem.ic1, nodes[1], nodes[0]))
     frames[1][[0, -1]] = left[1], 0.0
     for m in range(1, grid.M):
-        mesh = meshes[m + 1]
-        um = interpolate(frames[m], mesh.nodes, meshes[m].nodes)
-        umm = interpolate(frames[m - 1], mesh.nodes, meshes[m - 1].nodes)
-        mass = assemble_mass(mesh)
-        rhs = mass.matvec((2.0 * um - umm) / dt**2) + mass.matvec(problem.source[m + 1])
-        frames.append(thomas_step(mesh, dt, rhs, left[m + 1]))
+        x = nodes[m + 1]
+        um = interpolate(frames[m], x, nodes[m])
+        umm = interpolate(frames[m - 1], x, nodes[m - 1])
+        mass = mass_matrix(N, h[m + 1])
+        rhs = mass @ ((2.0 * um - umm) / dt**2) + mass @ problem.source[m + 1]
+        frames.append(dense_step(h[m + 1], dt, rhs, left[m + 1]))
     return frames
 
 
 def reference_backward(problem, spec, grid, N):
-    """Backward march with per-step assembly and Thomas solves."""
-    meshes = [build_spatial_mesh(spec, t, N) for t in grid.levels]
+    """Backward march with per-step dense assembly and solves."""
+    h, nodes = level_nodes(spec, grid.levels, N)
     dt, M = grid.dt, grid.M
     frames = [None] * (M + 1)
     frames[M] = problem.terminal0.copy()
     frames[M][[0, -1]] = 0.0
     frames[M - 1] = interpolate(problem.terminal0 - dt * problem.terminal1,
-                                meshes[M - 1].nodes, meshes[M].nodes)
+                                nodes[M - 1], nodes[M])
     frames[M - 1][[0, -1]] = 0.0
     for m in range(M - 1, 0, -1):
-        mesh = meshes[m - 1]
-        pp = interpolate(frames[m + 1], mesh.nodes, meshes[m + 1].nodes)
-        pm = interpolate(frames[m], mesh.nodes, meshes[m].nodes)
-        rhs = assemble_mass(mesh).matvec(problem.source[m - 1] + (2.0 * pm - pp) / dt**2)
-        frames[m - 1] = thomas_step(mesh, dt, rhs, 0.0)
+        x = nodes[m - 1]
+        pp = interpolate(frames[m + 1], x, nodes[m + 1])
+        pm = interpolate(frames[m], x, nodes[m])
+        rhs = mass_matrix(N, h[m - 1]) @ (problem.source[m - 1] + (2.0 * pm - pp) / dt**2)
+        frames[m - 1] = dense_step(h[m - 1], dt, rhs, 0.0)
     return frames
 
 
@@ -124,22 +101,21 @@ def assert_frames_close(traj, ref):
 def l2q_error_vs_separable(traj, exact):
     """Space-time L2 distance to an exact solution x, t -> u(x, t)."""
     acc = 0.0
-    grid = traj.grid
-    for m in range(grid.M + 1):
-        mesh = level_mesh(traj.plan, m)
-        d = traj.frames[m] - exact(mesh.nodes, grid.levels[m])
-        w = grid.dt if m < grid.M else 0.0
-        acc += w * float(d @ assemble_mass(mesh).matvec(d))
+    grid, plan = traj.grid, traj.plan
+    N = plan.nodes.shape[1] - 1
+    for m in range(grid.M):
+        d = traj.frames[m] - exact(plan.nodes[m], grid.levels[m])
+        acc += grid.dt * float(d @ mass_matrix(N, plan.h[m]) @ d)
     return np.sqrt(acc)
 
 
 def manufactured_error(NM):
     spec = MovingDomainSpec(k=0.0, T=1.0)
     grid = build_time_grid(1.0, NM)
-    mesh = build_spatial_mesh(spec, 0.0, NM)
+    _, x = level_nodes(spec, 0.0, NM)
     prob = ForwardProblem(
         left_boundary=np.zeros(NM + 1),
-        ic0=np.sin(np.pi * mesh.nodes),
+        ic0=np.sin(np.pi * x),
         ic1=np.zeros(NM + 1),
     )
     traj = solve_forward(prob, spec, grid, NM)
@@ -185,20 +161,19 @@ class TestForward:
         NM = 64
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, NM)
-        mesh = build_spatial_mesh(spec, 0.0, NM)
-        x = mesh.nodes
+        h, x = level_nodes(spec, 0.0, NM)
         prob = ForwardProblem(
             left_boundary=np.zeros(NM + 1),
             ic0=np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x),
             ic1=0.5 * np.sin(2 * np.pi * x),
         )
         traj = solve_forward(prob, spec, grid, NM)
-        mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
+        mass, stiff = mass_matrix(NM, h), stiffness_matrix(NM, h)
         energy = []
         for m in range(NM):
             d = (traj.frames[m + 1] - traj.frames[m]) / grid.dt
-            energy.append(float(d @ mass.matvec(d))
-                          + float(traj.frames[m + 1] @ stiff.matvec(traj.frames[m])))
+            energy.append(float(d @ mass @ d)
+                          + float(traj.frames[m + 1] @ stiff @ traj.frames[m]))
         assert np.all(np.diff(energy) <= 1e-10 * max(1.0, abs(energy[0])))
 
     def test_boundary_length_mismatch(self):
@@ -221,8 +196,7 @@ class TestBackward:
         NM = 64
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, NM)
-        mesh = build_spatial_mesh(spec, 0.0, NM)
-        x = mesh.nodes
+        _, x = level_nodes(spec, 0.0, NM)
         src = np.array([np.sin(2 * np.pi * x) * np.cos(3.0 * t) + 0.3 * x * (1 - x) * t
                         for t in grid.levels])
         back = solve_backward(BackwardProblem(source=src), spec, grid, NM)
@@ -262,8 +236,7 @@ class TestBackward:
     def test_terminal_data_seeds_last_two_frames(self):
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, 10)
-        mesh = build_spatial_mesh(spec, 1.0, 10)
-        x = mesh.nodes
+        _, x = level_nodes(spec, 1.0, 10)
         f0 = x * (1 - x)
         src = np.zeros((11, 11))
         traj = solve_backward(BackwardProblem(source=src, terminal0=f0), spec, grid, 10)
@@ -272,17 +245,19 @@ class TestBackward:
 
 
 class TestThomasOracle:
-    """The sine-basis march against per-step assembly and Thomas solves."""
+    """The sine-basis march against per-step dense assembly and
+    ``np.linalg.solve`` (``p1_dense``), which share neither its stencils
+    nor its basis."""
 
     @staticmethod
     def _setup():
         spec = MovingDomainSpec(k=0.25, T=3.0)
         grid = build_time_grid(3.0, 36)
         N = 24
-        meshes = [build_spatial_mesh(spec, t, N) for t in grid.levels]
-        source = np.array([np.sin(np.pi * ms.nodes / ms.length) * np.cos(t) + 0.5 * ms.nodes * t
-                           for ms, t in zip(meshes, grid.levels)])
-        return spec, grid, N, meshes, source
+        _, nodes = level_nodes(spec, grid.levels, N)
+        source = np.array([np.sin(np.pi * x / x[-1]) * np.cos(t) + 0.5 * x * t
+                           for x, t in zip(nodes, grid.levels)])
+        return spec, grid, N, nodes, source
 
     @pytest.mark.parametrize("N", [2, 3, 100, 300])
     @pytest.mark.parametrize("dt_over_h", [1.0, 0.1])  # off_m < 0, off_m > 0
@@ -294,19 +269,19 @@ class TestThomasOracle:
         off = -1.0 / h + h / (6.0 * dt**2)
         assert (off > 0.0) == (dt_over_h < 0.5)
         rng = np.random.default_rng(N)
-        mesh = SpatialMesh(nodes=np.linspace(0.0, 1.3, N + 1), h=h, length=1.3)
+        x = np.linspace(0.0, 1.3, N + 1)
         source = rng.standard_normal((3, N + 1))
         left = np.array([0.0, 0.0, rng.standard_normal()])
         out = np.empty((3, N + 1))
         zero = np.zeros(N + 1)
-        _march(np.array([mesh.nodes] * 3), *_step_operators(np.full(3, h), dt, N), dt,
+        _march(np.array([x] * 3), *_step_operators(np.full(3, h), dt, N), dt,
                zero, zero, left, source, out)
-        ref = thomas_step(mesh, dt, assemble_mass(mesh).matvec(source[2]), left[2])
+        ref = dense_step(h, dt, mass_matrix(N, h) @ source[2], left[2])
         assert np.max(np.abs(out[2] - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
 
     def test_forward_matches_thomas_march(self):
-        spec, grid, N, meshes, source = self._setup()
-        x = meshes[0].nodes
+        spec, grid, N, nodes, source = self._setup()
+        x = nodes[0]
         problem = ForwardProblem(
             left_boundary=np.sin(0.7 * grid.levels) + 0.2,
             ic0=np.cos(2.0 * x) * (1.0 - x),
@@ -317,8 +292,9 @@ class TestThomasOracle:
                             reference_forward(problem, spec, grid, N))
 
     def test_backward_matches_thomas_march(self):
-        spec, grid, N, meshes, source = self._setup()
-        x, L = meshes[-1].nodes, meshes[-1].length
+        spec, grid, N, nodes, source = self._setup()
+        x = nodes[-1]
+        L = x[-1]
         problem = BackwardProblem(
             source=source,
             terminal0=np.sin(np.pi * x / L) + 0.1 * x,
@@ -385,9 +361,9 @@ class TestLevelPlan:
     @pytest.mark.parametrize("N", [2, 3, 100, 300])
     def test_mesh_nodes_bitwise_equal_to_linspace(self, t, N):
         spec = MovingDomainSpec(k=0.37, T=4.0)
-        mesh = build_spatial_mesh(spec, t, N)
-        np.testing.assert_array_equal(mesh.nodes, np.linspace(0.0, 1.0 + 0.37 * t, N + 1))
-        assert mesh.nodes[-1] == mesh.length
+        _, x = level_nodes(spec, t, N)
+        np.testing.assert_array_equal(x, np.linspace(0.0, 1.0 + 0.37 * t, N + 1))
+        assert x[-1] == 1.0 + 0.37 * t
 
     def test_plan_meshes_and_basis(self):
         for k in (0.0, 0.25, 0.5):
@@ -399,10 +375,10 @@ class TestLevelPlan:
                     assert plan.h.shape == (M + 1,)
                     assert plan.nodes.shape == (M + 1, N + 1)
                     for m, t in enumerate(grid.levels):
-                        mesh = build_spatial_mesh(spec, t, N)
-                        assert plan.h[m].view(np.int64) == np.float64(mesh.h).view(np.int64)
+                        h, x = level_nodes(spec, t, N)
+                        assert plan.h[m].view(np.int64) == h.view(np.int64)
                         np.testing.assert_array_equal(plan.nodes[m].view(np.int64),
-                                                      mesh.nodes.view(np.int64))
+                                                      x.view(np.int64))
         grid = build_time_grid(3.0, 12)
         dt2 = grid.dt**2
         for N in (2, 3, 10, 100):
@@ -568,8 +544,8 @@ class TestDualityResidual:
     def _setup(NM):
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, NM)
-        mesh = build_spatial_mesh(spec, 0.0, NM)
-        src = np.array([np.sin(np.pi * mesh.nodes) * (1.0 + t) for t in grid.levels])
+        _, x = level_nodes(spec, 0.0, NM)
+        src = np.array([np.sin(np.pi * x) * (1.0 + t) for t in grid.levels])
         vals = np.zeros(NM + 1)
         mask = grid.levels < 0.5
         vals[mask] = np.sin(np.pi * grid.levels[mask] / 0.5) ** 2
@@ -596,8 +572,8 @@ class TestDualityResidual:
         p = solve_backward(BackwardProblem(source=src), spec, grid, 100)
         volume = boundary = 0.0
         for m in range(grid.M):
-            mass = assemble_mass(level_mesh(p.plan, m))
-            volume += grid.dt * float(src[m] @ mass.matvec(u_hat.frames[m]))
+            mass = mass_matrix(100, p.plan.h[m])
+            volume += grid.dt * float(src[m] @ mass @ u_hat.frames[m])
         for m in np.nonzero(ctrl.level_mask(grid))[0]:
             flux = boundary_flux_left(p.frames[m], p.plan.h[m])
             boundary += grid.dt * -flux * ctrl.values[m]
