@@ -39,11 +39,8 @@ from .game import (
     evaluate_J,
     evaluate_J2,
     fixed_point_solve,
-    follower_update,
-    leader_update,
     nash_gradient_check,
     nash_residual,
-    stopping_quantity,
 )
 
 __version__ = "0.1.0"

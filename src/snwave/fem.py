@@ -103,8 +103,18 @@ class ControlSamples:
             )
 
 
+def _on_segment(c: ControlSamples, grid: TimeGrid) -> np.ndarray:
+    """The control as a bare ``(M+1,)`` array, zero off its segment."""
+    c.check_aligned(grid)
+    return np.where(c.level_mask(grid), c.values, 0.0)
+
+
+def _segment_norm(values: np.ndarray, levels, dt: float) -> float:
+    """sqrt(sum_m dt * values_m^2) over ``levels``, level indices or a mask."""
+    return float(np.sqrt(dt * np.sum(values[levels] ** 2)))
+
+
 def control_l2_norm(c: ControlSamples, grid: TimeGrid) -> float:
     """Discrete L2 norm over the control's segment: sqrt(sum_m dt * c_m^2)."""
     c.check_aligned(grid)
-    mask = c.level_mask(grid)
-    return float(np.sqrt(grid.dt * np.sum(c.values[mask] ** 2)))
+    return _segment_norm(c.values, c.level_mask(grid), grid.dt)

@@ -1,42 +1,34 @@
-"""Hierarchical two-control fixed point: state, adjoints and control updates.
+"""Hierarchical two-control fixed point: one sweep map and the loop around it.
 
-One sweep solves the four fields in sequence: the state u driven by the
-current controls, its adjoint p (source u - u2, zero terminal data), the
-auxiliary forward field psi, and its adjoint phi (source psi).  Both
-control updates read the outward conormal derivative d/d nu = -d/dx of
-the matching adjoint at the controlled end x = 0:
+A solve builds one private sweep map, ``_Sweep``, holding the level plan
+(see ``solvers``), the target u2 evaluated once on the plan's nodes (a
+read-only broadcast when u2 is a constant), the shared zero trajectory,
+the leader's and the follower's level indices, sigma and the phi
+terminal data.  It maps the state ``(w1, w2, psi_bc)``, bare ``(M+1,)``
+arrays that are zero off their segments, to the next state and the
+fields of the sweep:
 
-    follower   w2 = (1/sigma) * d p / d nu     on its segment,
-    leader     w1 =             d phi / d nu   on its segment,
+    u  forward from the trace of w1 + w2,    w1'     =           d phi/d nu,
+    p  backward from source u - u2,          w2'     = (1/sigma) d p/d nu,
+    psi  forward from the trace of psi_bc,   psi_bc' = (1/sigma) d phi/d nu,
+    phi  backward from source psi and the phi terminal data,
 
-and psi's boundary data on the follower segment is (1/sigma) d phi/d nu
-of the previous sweep's phi.  The outward-normal orientation is what
-makes each update the descent direction for the discrete cost it
-minimizes; a finite-difference probe of the follower cost is provided as
-an independent check (``nash_gradient_check``).
+with w1' on the leader's segment, w2' and psi_bc' on the follower's, and
+d/d nu = -d/dx the outward conormal derivative at x = 0: the orientation
+that makes each update the descent direction of the cost it minimizes
+(``nash_gradient_check`` probes the follower cost by finite
+differences).  The leader chain ``psi_bc -> phi -> (w1', psi_bc')``
+reads neither w1 nor w2, so the map is block lower-triangular.
+``fixed_point_solve`` is the loop: call the map, check, log.
 
-The scheme maps all-zero data to exactly zero frames, so
-``fixed_point_solve`` marches no field whose data are all exactly zero:
-such a field is the solve's one shared zero trajectory, a read-only
-broadcast of 0.0 that holds no frame memory.  The rule covers the state
-u when its boundary data are all zero (the first sweep, from zero
-controls), psi when its boundary data are all zero (the first sweep,
-and every sweep of a run with zero phi terminal data), and phi when psi
-is the zero trajectory and phi's terminal data are zero.  With zero phi
-terminal data and a zero initial leader, psi, phi and w1 therefore stay
-exactly zero and the iteration reduces to the u <-> p loop in the
-follower control.  ``SNResult.u``, ``psi`` and ``phi`` may be the zero
-trajectory; ``SNResult.p``, the adjoint of the final state, is marched
-on its first read, since most runs never read it.  ``solve_forward`` and
-``solve_backward`` themselves always march.
-
-``fixed_point_solve`` and ``nash_gradient_check`` each build one level
-plan (see ``solvers``) and pass it to every march they run, and
-evaluate the target u2 once, as one ``(M+1, N+1)`` array on the plan's
-nodes (a read-only broadcast when u2 is a constant); the adjoint
-source is the state's frames minus it.  Each
-control update reads the flux of all its segment's levels in one
-``boundary_flux_left`` call on the adjoint's rows.
+The scheme maps all-zero data to exactly zero frames, so the map marches
+no forward field whose boundary data are all zero and no phi when psi is
+zero and phi's terminal data are zero: such a field is the solve's one
+read-only zero trajectory.  With zero phi terminal data psi, phi and w1
+stay exactly zero and the sweep is the u <-> p loop in the follower
+control.  ``SNResult.p`` is marched by the map on its first read, since
+most runs never read it; ``solve_forward`` and ``solve_backward``
+themselves always march.
 """
 
 from __future__ import annotations
@@ -49,15 +41,17 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .geometry import BoundarySegments, MovingDomainSpec, TimeGrid
-from .fem import ControlSamples, _mass_pairing, control_l2_norm
+from .fem import ControlSamples, _mass_pairing, _on_segment, _segment_norm, control_l2_norm
 from .solvers import (
+    _SWEEP_ERRSTATE,
     BackwardProblem,
     ForwardProblem,
     Trajectory,
+    _LevelPlan,
     _check_shape,
+    _left_trace,
     _level_plan,
     _outward_flux,
-    assemble_left_boundary,
     solve_backward,
     solve_forward,
     trajectory_l2_distance,
@@ -69,9 +63,6 @@ __all__ = [
     "SNResult",
     "NashCheckResult",
     "DivergenceError",
-    "follower_update",
-    "leader_update",
-    "stopping_quantity",
     "fixed_point_solve",
     "evaluate_J",
     "evaluate_J2",
@@ -82,10 +73,6 @@ __all__ = [
 # Denominators below this are treated as exactly zero in the relative
 # stopping criterion.
 _ZERO_NORM = 1e-14
-
-# Overflow, and a division by a time step squared that underflowed to 0,
-# are reported by the sweep's non-finite checks, not as warnings.
-_SWEEP_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 TargetLike = Union[float, Callable[[np.ndarray, float], np.ndarray]]
 
@@ -110,10 +97,10 @@ class SNConfig:
     phi_terminal: Optional[tuple] = None  # (value, velocity) at t = T, (N+1,) arrays or None
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        for name in ("sigma", "epsilon"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -136,78 +123,6 @@ class IterationRecord:
     J2: float
 
 
-@dataclass
-class SNResult:
-    """Outcome of a fixed-point run.
-
-    ``u`` and ``p`` are recomputed from the final controls so the stored
-    state/adjoint pair is consistent with ``w1``/``w2``; ``psi`` and
-    ``phi`` are the last sweep's fields.  ``p`` is marched on its first
-    read, from ``u`` and ``target`` (u2 on u's levels) on u's plan, and
-    kept.
-    """
-
-    converged: bool
-    iterations: int
-    w1: ControlSamples
-    w2: ControlSamples
-    u: Trajectory
-    psi: Trajectory
-    phi: Trajectory
-    spec: MovingDomainSpec
-    target: np.ndarray = field(repr=False)
-    log: list = field(default_factory=list)
-    iterates: Optional[list] = None  # per-sweep (w1, w2, psi, phi) when requested
-
-    @cached_property
-    def p(self) -> Trajectory:
-        """The adjoint of ``u``: source u - target, zero terminal data."""
-        with np.errstate(**_SWEEP_ERRSTATE):
-            return _solve_adjoint(self.u, self.target, self.spec, self.u.grid,
-                                  self.u.frames.shape[1] - 1, self.u.plan)
-
-
-def follower_update(p: Trajectory, sigma: float, segments: BoundarySegments,
-                    grid: TimeGrid) -> ControlSamples:
-    """Best response of the follower: (1/sigma) times p's outward flux at x=0."""
-    idx = np.nonzero(segments.follower_mask(grid))[0]
-    values = np.zeros(grid.M + 1)
-    values[idx] = _outward_flux(p, idx) / sigma
-    return ControlSamples(segment=segments.sigma2, values=values)
-
-
-def leader_update(phi: Trajectory, segments: BoundarySegments,
-                  grid: TimeGrid) -> ControlSamples:
-    """Leader update: phi's outward flux at x=0 on the leader segment."""
-    idx = np.nonzero(segments.leader_mask(grid))[0]
-    values = np.zeros(grid.M + 1)
-    values[idx] = _outward_flux(phi, idx)
-    return ControlSamples(segment=segments.sigma1, values=values)
-
-
-def _pair_norm(w1: ControlSamples, w2: ControlSamples, grid: TimeGrid) -> float:
-    return math.hypot(control_l2_norm(w1, grid), control_l2_norm(w2, grid))
-
-
-def _diff(a: ControlSamples, b: ControlSamples) -> ControlSamples:
-    return ControlSamples(segment=a.segment, values=a.values - b.values)
-
-
-def stopping_quantity(new: tuple, old: tuple, grid: TimeGrid) -> float:
-    """Relative change of the control pair, ||new - old|| / ||new||.
-
-    When the denominator vanishes the quantity is 0 if the numerator
-    also vanishes (a genuine fixed point at zero) and +inf otherwise.
-    """
-    w1n, w2n = new
-    w1o, w2o = old
-    num = _pair_norm(_diff(w1n, w1o), _diff(w2n, w2o), grid)
-    den = _pair_norm(w1n, w2n, grid)
-    if den < _ZERO_NORM:
-        return 0.0 if num < _ZERO_NORM else math.inf
-    return num / den
-
-
 def _target(u2: TargetLike, nodes: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """The target u2 on every level: row m holds its values at ``nodes[m]``.
 
@@ -228,6 +143,141 @@ def _target(u2: TargetLike, nodes: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return out
 
 
+def _segment_flux(f: Trajectory, idx: np.ndarray) -> np.ndarray:
+    """``f``'s outward flux at x = 0 on the levels ``idx``, 0 elsewhere."""
+    flux = np.zeros(len(f.frames))
+    flux[idx] = _outward_flux(f, idx)
+    return flux
+
+
+def _control_change(new: tuple, old: tuple, idx: tuple, dt: float) -> tuple:
+    """The log's ``(stop_qty, dw_l2)`` for the update ``old -> new`` of a
+    (leader, follower) pair of bare arrays with level indices ``idx``.
+
+    ``stop_qty`` is ||new - old|| / ||new||; when the denominator vanishes
+    it is 0 if the numerator also does (a fixed point at zero), else +inf.
+    ``dw_l2`` sums the norms of the two changes.
+    """
+    changes = [_segment_norm(a - b, i, dt) for a, b, i in zip(new, old, idx)]
+    num = math.hypot(*changes)
+    den = math.hypot(*(_segment_norm(a, i, dt) for a, i in zip(new, idx)))
+    dw = changes[0] + changes[1]
+    if den < _ZERO_NORM:
+        return (0.0 if num < _ZERO_NORM else math.inf), dw
+    return num / den, dw
+
+
+def _follower_cost(u: Trajectory, w2: np.ndarray, target: np.ndarray, sigma: float,
+                   levels, dt: float) -> float:
+    """J2 of the state ``u`` and the bare follower control ``w2`` on its
+    segment's ``levels``, with u2 given as ``target`` on u's levels."""
+    M = len(u.frames) - 1
+    d = u.frames[:M] - target[:M]
+    track = dt * _mass_pairing(d, d, u.plan.h[:M])
+    return 0.5 * track + 0.5 * sigma * _segment_norm(w2, levels, dt) ** 2
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """The sweep map of one solve (module docstring), built by ``of``.
+
+    ``sweep(w1, w2, psi_bc)`` returns ``((w1', w2', psi_bc'), (u, p, psi,
+    phi))``; ``nash_gradient_check`` and ``SNResult.p`` reuse its
+    ``state`` and ``adjoint``.  ``phi_terminal`` is None for zero data.
+    """
+
+    spec: MovingDomainSpec
+    grid: TimeGrid
+    N: int
+    plan: _LevelPlan
+    target: np.ndarray
+    zero: Trajectory
+    segments: BoundarySegments
+    leader: np.ndarray  # level indices of the leader's segment
+    follower: np.ndarray  # level indices of the follower's segment
+    sigma: float
+    phi_terminal: Optional[tuple]
+
+    @classmethod
+    def of(cls, config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid, N: int) -> "_Sweep":
+        segments = config.segments or BoundarySegments.disjoint_halves(grid.T)
+        plan = _level_plan(spec, grid, N)
+        terminal = tuple(None if f is None else np.asarray(f, dtype=float)
+                         for f in config.phi_terminal or (None, None))
+        for i, f in enumerate(terminal):
+            _check_shape(f"phi_terminal[{i}]", f, (N + 1,))
+        if not any(f is not None and f.any() for f in terminal):
+            terminal = None
+        zero = Trajectory(grid, plan, np.broadcast_to(0.0, plan.nodes.shape))
+        return cls(spec, grid, N, plan, _target(config.u2, plan.nodes, grid), zero, segments,
+                   np.nonzero(segments.leader_mask(grid))[0],
+                   np.nonzero(segments.follower_mask(grid))[0], config.sigma, terminal)
+
+    def forward(self, left: np.ndarray) -> Trajectory:
+        """The march from rest with boundary data ``left``; zero data need none."""
+        if not left.any():
+            return self.zero
+        return solve_forward(ForwardProblem(left_boundary=left), self.spec, self.grid, self.N,
+                             plan=self.plan)
+
+    def state(self, w1: np.ndarray, w2: np.ndarray) -> Trajectory:
+        return self.forward(_left_trace(w1, w2))
+
+    def adjoint(self, u: Trajectory, target: np.ndarray) -> Trajectory:
+        """The adjoint of ``u``: source u - target, zero terminal data."""
+        return solve_backward(BackwardProblem(source=u.frames - target), self.spec, self.grid,
+                              self.N, plan=self.plan)
+
+    def __call__(self, w1: np.ndarray, w2: np.ndarray, psi_bc: np.ndarray):
+        u = self.state(w1, w2)
+        p = self.adjoint(u, self.target)
+        psi = self.forward(_left_trace(psi_bc))
+        if psi is self.zero and self.phi_terminal is None:
+            phi = self.zero
+        else:
+            phi = solve_backward(BackwardProblem(psi.frames, *(self.phi_terminal or ())),
+                                 self.spec, self.grid, self.N, plan=self.plan)
+        nxt = (_segment_flux(phi, self.leader),
+               _segment_flux(p, self.follower) / self.sigma,
+               _segment_flux(phi, self.follower) / self.sigma)
+        return nxt, (u, p, psi, phi)
+
+    def controls(self, w1: np.ndarray, w2: np.ndarray) -> tuple:
+        """The bare pair as the public ``ControlSamples`` pair."""
+        return (ControlSamples(segment=self.segments.sigma1, values=w1),
+                ControlSamples(segment=self.segments.sigma2, values=w2))
+
+
+@dataclass
+class SNResult:
+    """Outcome of a fixed-point run.
+
+    ``u`` and ``p`` are recomputed from the final controls so the stored
+    state/adjoint pair is consistent with ``w1``/``w2``; ``psi`` and
+    ``phi`` are the last sweep's fields.  ``p`` is marched on its first
+    read by the solve's sweep map, from ``u`` and ``target`` (u2 on u's
+    levels), and kept.
+    """
+
+    converged: bool
+    iterations: int
+    w1: ControlSamples
+    w2: ControlSamples
+    u: Trajectory
+    psi: Trajectory
+    phi: Trajectory
+    target: np.ndarray = field(repr=False)
+    _sweep: _Sweep = field(repr=False, compare=False)
+    log: list = field(default_factory=list)
+    iterates: Optional[list] = None  # per-sweep (w1, w2, psi, phi) when requested
+
+    @cached_property
+    def p(self) -> Trajectory:
+        """The adjoint of ``u``: source u - target, zero terminal data."""
+        with np.errstate(**_SWEEP_ERRSTATE):
+            return self._sweep.adjoint(self.u, self.target)
+
+
 def evaluate_J2(u: Trajectory, w2: ControlSamples, u2: TargetLike, sigma: float,
                 grid: TimeGrid, *, target: Optional[np.ndarray] = None) -> float:
     """Follower cost: tracking misfit over the space-time domain plus
@@ -239,10 +289,7 @@ def evaluate_J2(u: Trajectory, w2: ControlSamples, u2: TargetLike, sigma: float,
     w2.check_aligned(grid)
     if target is None:
         target = _target(u2, u.plan.nodes, grid)
-    M = grid.M
-    d = u.frames[:M] - target[:M]
-    track = grid.dt * _mass_pairing(d, d, u.plan.h[:M])
-    return 0.5 * track + 0.5 * sigma * control_l2_norm(w2, grid) ** 2
+    return _follower_cost(u, w2.values, target, sigma, w2.level_mask(grid), grid.dt)
 
 
 def evaluate_J(w1: ControlSamples, grid: TimeGrid) -> float:
@@ -250,18 +297,9 @@ def evaluate_J(w1: ControlSamples, grid: TimeGrid) -> float:
     return 0.5 * control_l2_norm(w1, grid) ** 2
 
 
-def _solve_state(w1, w2, spec, grid, N, plan):
-    left = assemble_left_boundary([w1, w2], grid)
-    return solve_forward(ForwardProblem(left_boundary=left), spec, grid, N, plan=plan)
-
-
-def _solve_adjoint(u, target, spec, grid, N, plan):
-    return solve_backward(BackwardProblem(source=u.frames - target), spec, grid, N, plan=plan)
-
-
 def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
                       N: int, keep_iterates: bool = False) -> SNResult:
-    """Iterate state, adjoints and control updates until the relative
+    """Iterate the sweep map from zero controls until the relative
     control change drops below epsilon or the iteration cap is reached.
 
     Hitting the cap returns a result with ``converged=False``; only
@@ -270,94 +308,45 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
     ``du_l2``, ``dw_l2`` or ``J2``.  With ``keep_iterates`` the result also
     records every sweep's updated controls and auxiliary fields.
     """
-    segments = config.segments or BoundarySegments.disjoint_halves(grid.T)
-    with np.errstate(**_SWEEP_ERRSTATE):
-        plan = _level_plan(spec, grid, N)
-    target = _target(config.u2, plan.nodes, grid)
-
-    phi_terminal = (None, None)
-    if config.phi_terminal is not None:
-        phi_terminal = tuple(None if f is None else np.asarray(f, dtype=float)
-                             for f in config.phi_terminal)
-        for i, f in enumerate(phi_terminal):
-            _check_shape(f"phi_terminal[{i}]", f, (N + 1,))
-    zero_terminal = all(f is None or not f.any() for f in phi_terminal)
-    zero = Trajectory(grid, plan, np.broadcast_to(0.0, plan.nodes.shape))
-
-    def forward(left: np.ndarray) -> Trajectory:
-        """The march from rest with boundary data ``left``; zero data need none."""
-        if not left.any():
-            return zero
-        return solve_forward(ForwardProblem(left_boundary=left), spec, grid, N, plan=plan)
-
-    w1 = ControlSamples.zeros(segments.sigma1, grid)
-    w2 = ControlSamples.zeros(segments.sigma2, grid)
-
-    phi_prev: Optional[Trajectory] = None
-    u_prev: Optional[Trajectory] = None
-    psi = phi = None
+    sweep = _Sweep.of(config, spec, grid, N)
+    idx, dt, M = (sweep.leader, sweep.follower), grid.dt, grid.M
+    w1 = w2 = psi_bc = np.zeros(M + 1)
+    u_prev = psi = phi = None
     log: list = []
     iterates: Optional[list] = [] if keep_iterates else None
-    converged = False
-    iterations = config.max_iter
+    converged, iterations = False, config.max_iter
 
     def diverged(n: int, what: str, field: str, **details) -> DivergenceError:
         payload = {"iteration": n, "field": field, "sigma": config.sigma,
-                   "T": grid.T, "M": grid.M, "N": N, **details}
+                   "T": grid.T, "M": M, "N": N, **details}
         return DivergenceError(f"non-finite {what} values at sweep {n}", payload)
 
-    follower_idx = np.nonzero(segments.follower_mask(grid))[0]
     with np.errstate(**_SWEEP_ERRSTATE):
         for n in range(config.max_iter):
-            u = forward(assemble_left_boundary([w1, w2], grid))
-            if not np.isfinite(u.frames[grid.M]).all():
+            (w1_new, w2_new, psi_bc), (u, _, psi, phi) = sweep(w1, w2, psi_bc)
+            if not np.isfinite(u.frames[M]).all():
                 raise diverged(n, "state", "state")
-            p = _solve_adjoint(u, target, spec, grid, N, plan)
-
-            psi_bc = np.zeros(grid.M + 1)
-            if phi_prev is not None:
-                psi_bc[follower_idx] = _outward_flux(phi_prev, follower_idx) / config.sigma
-                psi_bc[grid.M] = psi_bc[grid.M - 1]
-            psi = forward(psi_bc)
-            if psi is zero and zero_terminal:
-                phi = zero
-            else:
-                phi = solve_backward(
-                    BackwardProblem(source=psi.frames, terminal0=phi_terminal[0],
-                                    terminal1=phi_terminal[1]),
-                    spec, grid, N, plan=plan,
-                )
-
-            w1_new = leader_update(phi, segments, grid)
-            w2_new = follower_update(p, config.sigma, segments, grid)
-            if not (np.isfinite(w1_new.values).all() and np.isfinite(w2_new.values).all()):
-                raise diverged(n, "control", "controls",
-                               w1_finite=bool(np.isfinite(w1_new.values).all()),
-                               w2_finite=bool(np.isfinite(w2_new.values).all()))
-
-            stop = stopping_quantity((w1_new, w2_new), (w1, w2), grid)
+            finite = [bool(np.isfinite(w).all()) for w in (w1_new, w2_new)]
+            if not all(finite):
+                raise diverged(n, "control", "controls", w1_finite=finite[0], w2_finite=finite[1])
+            stop, dw = _control_change((w1_new, w2_new), (w1, w2), idx, dt)
             du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
-            dw = (control_l2_norm(_diff(w1_new, w1), grid)
-                  + control_l2_norm(_diff(w2_new, w2), grid))
-            J2 = evaluate_J2(u, w2, config.u2, config.sigma, grid, target=target)
+            J2 = _follower_cost(u, w2, sweep.target, config.sigma, sweep.follower, dt)
             if not all(map(math.isfinite, (stop, du, dw, J2))):
                 raise diverged(n, "log", "log", stop_qty=stop, du_l2=du, dw_l2=dw, J2=J2)
             log.append(IterationRecord(n=n, stop_qty=stop, du_l2=du, dw_l2=dw,
-                                       J=evaluate_J(w1, grid), J2=J2))
+                                       J=0.5 * _segment_norm(w1, sweep.leader, dt) ** 2, J2=J2))
 
-            w1, w2 = w1_new, w2_new
-            phi_prev, u_prev = phi, u
+            w1, w2, u_prev = w1_new, w2_new, u
             if keep_iterates:
-                iterates.append((w1, w2, psi, phi))
+                iterates.append((*sweep.controls(w1, w2), psi, phi))
             if stop <= config.epsilon:
-                converged = True
-                iterations = n + 1
+                converged, iterations = True, n + 1
                 break
 
-        u_final = forward(assemble_left_boundary([w1, w2], grid))
-    return SNResult(converged=converged, iterations=iterations, w1=w1, w2=w2,
-                    u=u_final, psi=psi, phi=phi, spec=spec, target=target, log=log,
-                    iterates=iterates)
+        u_final = sweep.state(w1, w2)
+    return SNResult(converged, iterations, *sweep.controls(w1, w2), u=u_final, psi=psi, phi=phi,
+                    target=sweep.target, _sweep=sweep, log=log, iterates=iterates)
 
 
 def nash_residual(w2: ControlSamples, p: Trajectory, sigma: float,
@@ -368,7 +357,7 @@ def nash_residual(w2: ControlSamples, p: Trajectory, sigma: float,
     exactly at the follower's best response to the state that produced p.
     """
     idx = np.nonzero(segments.follower_mask(grid))[0]
-    r = sigma * w2.values[idx] - _outward_flux(p, idx)
+    r = sigma * w2.values[idx] - _segment_flux(p, idx)[idx]
     defect = grid.dt * float(np.sum(r * r))
     denom = sigma * control_l2_norm(w2, grid)
     if denom == 0.0:
@@ -405,55 +394,46 @@ def nash_gradient_check(w1: ControlSamples, w2: ControlSamples, config: SNConfig
     Directions are smooth seeded sine profiles supported on the follower
     segment, normalized to unit control norm.  The centered difference
     uses delta = 1e-4 * max(1, ||w2||); the analytic pairing for a
-    direction d is sum_m dt (sigma w2_m - (dp/dnu)_m) d_m.
+    direction d is sum_m dt (sigma w2_m - (dp/dnu)_m) d_m.  A non-finite
+    derivative on either side raises ``DivergenceError`` with field
+    ``"nash_check"``.
     """
-    segments = config.segments or BoundarySegments.disjoint_halves(grid.T)
-    mask = segments.follower_mask(grid)
-    idx = np.nonzero(mask)[0]
+    sweep = _Sweep.of(config, spec, grid, N)
+    idx, sigma, dt = sweep.follower, config.sigma, grid.dt
     if len(idx) < 2:
         raise ValueError("follower segment holds fewer than 2 time levels")
+    v1, v2 = _on_segment(w1, grid), _on_segment(w2, grid)
 
-    plan = _level_plan(spec, grid, N)
-    u = _solve_state(w1, w2, spec, grid, N, plan)
-    target = _target(config.u2, plan.nodes, grid)
-    p = _solve_adjoint(u, target, spec, grid, N, plan)
-    flux = _outward_flux(p, idx)  # dp/dnu at x=0
-
-    a, b = segments.sigma2
+    a, b = sweep.segments.sigma2
     s = (grid.levels[idx] - a) / (b - a)
     rng = np.random.default_rng(seed)
     w2_norm = control_l2_norm(w2, grid)
     delta = 1e-4 * max(1.0, w2_norm)
+    scale = sigma * w2_norm  # directions have unit norm
 
     fd = np.empty(n_directions)
     analytic = np.empty(n_directions)
     rels = np.empty(n_directions)
-    scale = 0.0
-    for d in range(n_directions):
-        coefs = rng.standard_normal(3)
-        profile = sum(c * np.sin((j + 1) * np.pi * s) for j, c in enumerate(coefs))
-        dvals = np.zeros(grid.M + 1)
-        dvals[idx] = profile
-        direction = ControlSamples(segment=segments.sigma2, values=dvals)
-        dnorm = control_l2_norm(direction, grid)
-        direction = ControlSamples(segment=segments.sigma2, values=dvals / dnorm)
+    with np.errstate(**_SWEEP_ERRSTATE):
+        flux = _segment_flux(sweep.adjoint(sweep.state(v1, v2), sweep.target), idx)
+        for d in range(n_directions):
+            coefs = rng.standard_normal(3)
+            direction = np.zeros(grid.M + 1)
+            direction[idx] = sum(c * np.sin((j + 1) * np.pi * s) for j, c in enumerate(coefs))
+            direction /= _segment_norm(direction, idx, dt)
 
-        cost = []
-        for sgn in (+1.0, -1.0):
-            w2_pert = ControlSamples(segment=segments.sigma2,
-                                     values=w2.values + sgn * delta * direction.values)
-            u_pert = _solve_state(w1, w2_pert, spec, grid, N, plan)
-            cost.append(evaluate_J2(u_pert, w2_pert, config.u2, config.sigma, grid,
-                                    target=target))
-        fd[d] = (cost[0] - cost[1]) / (2.0 * delta)
-        analytic[d] = grid.dt * float(
-            np.sum((config.sigma * w2.values[idx] - flux) * direction.values[idx])
-        )
-        scale = config.sigma * w2_norm  # directions have unit norm
-        # a zero denominator means fd and analytic are both exactly 0
-        denom = max(abs(fd[d]), abs(analytic[d]), scale)
-        rels[d] = abs(fd[d] - analytic[d]) / denom if denom > 0.0 else 0.0
+            cost = [_follower_cost(sweep.state(v1, w), w, sweep.target, sigma, idx, dt)
+                    for w in (v2 + delta * direction, v2 - delta * direction)]
+            fd[d] = (cost[0] - cost[1]) / (2.0 * delta)
+            analytic[d] = dt * float(np.sum((sigma * w2.values[idx] - flux[idx]) * direction[idx]))
+            # a zero denominator means fd and analytic are both exactly 0
+            denom = max(abs(fd[d]), abs(analytic[d]), scale)
+            rels[d] = abs(fd[d] - analytic[d]) / denom if denom > 0.0 else 0.0
 
+    if not (np.isfinite(fd).all() and np.isfinite(analytic).all()):
+        raise DivergenceError("non-finite finite-difference check values",
+                              {"field": "nash_check", "sigma": sigma, "T": grid.T,
+                               "M": grid.M, "N": N})
     scaled_ana = np.abs(analytic) / max(scale, _ZERO_NORM)
     return NashCheckResult(
         max_rel_discrepancy=float(np.max(rels)),

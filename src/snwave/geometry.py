@@ -47,8 +47,8 @@ class MovingDomainSpec:
     def __post_init__(self):
         if not 0.0 <= self.k < 1.0:
             raise ValueError(f"boundary speed k must be in [0, 1), got {self.k}")
-        if not self.T > 0.0:
-            raise ValueError(f"final time T must be positive, got {self.T}")
+        if not (self.T > 0.0 and math.isfinite(self.T)):
+            raise ValueError(f"final time T must be positive and finite, got {self.T}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ def build_time_grid(T: float, M: int) -> TimeGrid:
     """Uniform time grid with M steps; the last level lands exactly on T."""
     if M < 2:
         raise ValueError(f"need at least 2 time steps, got M={M}")
-    if not T > 0.0:
-        raise ValueError(f"final time T must be positive, got {T}")
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValueError(f"final time T must be positive and finite, got {T}")
     levels = np.linspace(0.0, T, M + 1)
     return TimeGrid(T=T, M=M, dt=T / M, levels=levels)
 

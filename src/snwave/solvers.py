@@ -35,7 +35,9 @@ march of the solve, with the ``k``, ``T`` and ``dt`` it was built for.
 reject one built for another k, T, dt, M or N, and build their
 own when given none; ``game.fixed_point_solve``,
 ``game.nash_gradient_check`` and ``duality_residual`` build one and pass
-it to every march.  Nothing is cached across solves.
+it to every march.  Nothing is cached across solves.  A time step whose
+square underflows to 0 gives non-finite operators without a numpy
+warning; the game's checks report the values they produce.
 
 A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
 values of level m at ``plan.nodes[m]``, beside the plan.  A march fills
@@ -53,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import MovingDomainSpec, TimeGrid, level_nodes
-from .fem import ControlSamples, _mass_pairing, boundary_flux_left, interpolate
+from .fem import ControlSamples, _mass_pairing, _on_segment, boundary_flux_left, interpolate
 
 __all__ = [
     "Trajectory",
@@ -123,23 +125,30 @@ class BackwardProblem:
     terminal1: Optional[np.ndarray] = field(default=None, repr=False)
 
 
+# Overflow, and a division by a time step squared that underflowed to 0,
+# are reported by the callers' non-finite checks, not as warnings.
+_SWEEP_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
 def _check_shape(name: str, a, shape: tuple):
     if a is not None and np.shape(a) != shape:
         raise ValueError(f"{name} has shape {np.shape(a)}, expected {shape}")
 
 
-def assemble_left_boundary(controls, grid: TimeGrid) -> np.ndarray:
-    """Sum control samples into per-level Dirichlet data at x = 0.
-
-    The final level, which carries no sample of its own, takes the value
-    of the last interval so the boundary trace is left-continuous at T.
-    """
-    left = np.zeros(grid.M + 1)
+def _left_trace(*controls: np.ndarray) -> np.ndarray:
+    """Dirichlet data at x = 0: bare ``(M+1,)`` controls added in order to
+    zeros.  The final level, which carries no sample of its own, takes the
+    last interval's value, so the trace is left-continuous at T."""
+    left = np.zeros(len(controls[0]))
     for c in controls:
-        c.check_aligned(grid)
-        left += np.where(c.level_mask(grid), c.values, 0.0)
-    left[grid.M] = left[grid.M - 1]
+        left += c
+    left[-1] = left[-2]
     return left
+
+
+def assemble_left_boundary(controls, grid: TimeGrid) -> np.ndarray:
+    """The ``_left_trace`` of control samples, each zero off its segment."""
+    return _left_trace(*(_on_segment(c, grid) for c in controls))
 
 
 def _sine_basis(N: int):
@@ -196,7 +205,9 @@ class _LevelPlan:
 
 def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
     h, nodes = level_nodes(spec, grid.levels, N)
-    plan = _LevelPlan(spec.k, grid.T, grid.dt, h, nodes, *_step_operators(h, grid.dt, N))
+    with np.errstate(**_SWEEP_ERRSTATE):
+        ops = _step_operators(h, grid.dt, N)
+    plan = _LevelPlan(spec.k, grid.T, grid.dt, h, nodes, *ops)
     for a in (plan.h, plan.nodes, plan.ST, plan.G, plan.lift):
         a.flags.writeable = False
     return plan
@@ -350,7 +361,6 @@ def duality_residual(forward_bdata: ControlSamples, source: np.ndarray,
     to the O(dt + h^2) mismatch of the marching pair; the return value is
     their absolute sum over the larger magnitude.
     """
-    forward_bdata.check_aligned(grid)
     left = assemble_left_boundary([forward_bdata], grid)
     plan = _level_plan(spec, grid, N)
     u_hat = solve_forward(ForwardProblem(left_boundary=left), spec, grid, N, plan=plan)

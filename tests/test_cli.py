@@ -1,5 +1,6 @@
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +295,25 @@ class TestMarchCounts:
             monkeypatch.setattr(solvers, name, counted)
         assert run_cli(["run", "--out", str(tmp_path), *args]) == 0
         assert count == {"_march": marches, "interpolate": interpolations}
+
+
+class TestGoldenOutputs:
+    """``snwave run`` writes the CSVs stored in ``tests/golden`` byte for
+    byte: 4 sweeps each, the second with the leader chain live.  A change
+    that moves any bit of the arithmetic regenerates them and says why."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+    CASES = {
+        "default-N20-M20": [],
+        "leader-N20-M20-T2": ["--phi-terminal", "bump:1.0", "--T-multiple", "2"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_csv_bytes(self, tmp_path, case):
+        args = ["run", "--out", str(tmp_path), "--N", "20", "--M", "20", *self.CASES[case]]
+        assert run_cli(args) == 0
+        for name in ("iteration_log.csv", "final_state.csv"):
+            assert (tmp_path / name).read_bytes() == (self.GOLDEN / case / name).read_bytes()
 
 
 class TestVerify:

@@ -9,7 +9,9 @@ from snwave import (
     BackwardProblem,
     BoundarySegments,
     ControlSamples,
+    DivergenceError,
     ForwardProblem,
+    IterationRecord,
     MovingDomainSpec,
     SNConfig,
     boundary_flux_left,
@@ -19,20 +21,29 @@ from snwave import (
     evaluate_J,
     evaluate_J2,
     fixed_point_solve,
-    follower_update,
-    leader_update,
     nash_gradient_check,
     nash_residual,
     solve_backward,
     solve_forward,
-    stopping_quantity,
+    trajectory_l2_distance,
 )
+import snwave.fem as fem
 import snwave.game as game
 import snwave.geometry as geometry
 import snwave.solvers as solvers
 import snwave.verification as verification
 from snwave.geometry import level_nodes
 from snwave.solvers import Trajectory, _level_plan, assemble_left_boundary
+
+
+def follower_rule(p, sigma, segs, grid):
+    """The sweep map's follower update: (1/sigma) times p's segment flux."""
+    return game._segment_flux(p, np.nonzero(segs.follower_mask(grid))[0]) / sigma
+
+
+def leader_rule(phi, segs, grid):
+    """The sweep map's leader update: phi's segment flux."""
+    return game._segment_flux(phi, np.nonzero(segs.leader_mask(grid))[0])
 
 
 def make_trajectory(spec, grid, N, profile):
@@ -53,8 +64,8 @@ class TestFollowerUpdate:
     def test_zero_adjoint(self, small_setup):
         spec, grid, segs = small_setup
         p = make_trajectory(spec, grid, 20, lambda x: np.zeros_like(x))
-        w2 = follower_update(p, 100.0, segs, grid)
-        assert np.all(w2.values == 0.0)
+        w2 = follower_rule(p, 100.0, segs, grid)
+        assert np.all(w2 == 0.0)
 
     def test_linear_adjoint_gives_outward_flux_over_sigma(self, small_setup):
         # p = c*x has d/dx = c at the left end, so the outward conormal
@@ -62,17 +73,17 @@ class TestFollowerUpdate:
         spec, grid, segs = small_setup
         c = 5.0
         p = make_trajectory(spec, grid, 20, lambda x: c * x)
-        w2 = follower_update(p, 100.0, segs, grid)
+        w2 = follower_rule(p, 100.0, segs, grid)
         mask = segs.follower_mask(grid)
-        np.testing.assert_allclose(w2.values[mask], -c / 100.0, rtol=1e-12)
-        np.testing.assert_array_equal(w2.values[~mask], 0.0)
+        np.testing.assert_allclose(w2[mask], -c / 100.0, rtol=1e-12)
+        np.testing.assert_array_equal(w2[~mask], 0.0)
 
     def test_sigma_homogeneity(self, small_setup):
         spec, grid, segs = small_setup
         p = make_trajectory(spec, grid, 20, lambda x: np.sin(x))
-        a = follower_update(p, 10.0, segs, grid)
-        b = follower_update(p, 20.0, segs, grid)
-        np.testing.assert_allclose(b.values, 0.5 * a.values, rtol=1e-13)
+        a = follower_rule(p, 10.0, segs, grid)
+        b = follower_rule(p, 20.0, segs, grid)
+        np.testing.assert_allclose(b, 0.5 * a, rtol=1e-13)
 
     def test_update_is_descent_direction_for_J2(self):
         """Brute-force check that the update's sign decreases the follower cost.
@@ -103,59 +114,61 @@ class TestLeaderUpdate:
     def test_zero(self, small_setup):
         spec, grid, segs = small_setup
         phi = make_trajectory(spec, grid, 20, lambda x: np.zeros_like(x))
-        assert np.all(leader_update(phi, segs, grid).values == 0.0)
+        assert np.all(leader_rule(phi, segs, grid) == 0.0)
 
     def test_linear_field(self, small_setup):
         spec, grid, segs = small_setup
         c = 3.0
         phi = make_trajectory(spec, grid, 20, lambda x: c * x)
-        w1 = leader_update(phi, segs, grid)
+        w1 = leader_rule(phi, segs, grid)
         mask = segs.leader_mask(grid)
-        np.testing.assert_allclose(w1.values[mask], -c, rtol=1e-12)
-        np.testing.assert_array_equal(w1.values[~mask], 0.0)
+        np.testing.assert_allclose(w1[mask], -c, rtol=1e-12)
+        np.testing.assert_array_equal(w1[~mask], 0.0)
 
     def test_sign_flip(self, small_setup):
         spec, grid, segs = small_setup
         phi = make_trajectory(spec, grid, 20, lambda x: np.cos(x) - 1.0)
         neg = make_trajectory(spec, grid, 20, lambda x: 1.0 - np.cos(x))
-        a = leader_update(phi, segs, grid)
-        b = leader_update(neg, segs, grid)
-        np.testing.assert_allclose(b.values, -a.values, rtol=1e-13)
+        a = leader_rule(phi, segs, grid)
+        b = leader_rule(neg, segs, grid)
+        np.testing.assert_allclose(b, -a, rtol=1e-13)
+
+
+def stopping_quantity(new, old, grid):
+    """The sweep log's stop_qty for the update ``old -> new`` of a bare pair."""
+    idx = tuple(np.nonzero(geometry.segment_mask(seg, grid))[0]
+                for seg in ((0.5, 1.0), (0.0, 0.5)))
+    stop, _ = game._control_change(new, old, idx, grid.dt)
+    return stop
 
 
 class TestStoppingQuantity:
-    @staticmethod
-    def _pair(grid, v1, v2):
-        seg1, seg2 = (0.5, 1.0), (0.0, 0.5)
-        return (ControlSamples(segment=seg1, values=v1),
-                ControlSamples(segment=seg2, values=v2))
-
     def test_equal_nonzero_pairs(self):
         grid = build_time_grid(1.0, 10)
         vals = np.zeros(11)
         vals[grid.levels < 0.5] = 2.0
-        new = self._pair(grid, np.zeros(11), vals)
+        new = (np.zeros(11), vals)
         assert stopping_quantity(new, new, grid) == 0.0
 
     def test_from_zero_start(self):
         grid = build_time_grid(1.0, 10)
         vals = np.zeros(11)
         vals[grid.levels < 0.5] = 2.0
-        new = self._pair(grid, np.zeros(11), vals)
-        old = self._pair(grid, np.zeros(11), np.zeros(11))
+        new = (np.zeros(11), vals)
+        old = (np.zeros(11), np.zeros(11))
         assert stopping_quantity(new, old, grid) == pytest.approx(1.0, rel=1e-14)
 
     def test_both_zero_converged(self):
         grid = build_time_grid(1.0, 10)
-        z = self._pair(grid, np.zeros(11), np.zeros(11))
+        z = (np.zeros(11), np.zeros(11))
         assert stopping_quantity(z, z, grid) == 0.0
 
     def test_collapsing_to_zero_not_converged(self):
         grid = build_time_grid(1.0, 10)
         vals = np.zeros(11)
         vals[grid.levels < 0.5] = 1.0
-        old = self._pair(grid, np.zeros(11), vals)
-        zero = self._pair(grid, np.zeros(11), np.zeros(11))
+        old = (np.zeros(11), vals)
+        zero = (np.zeros(11), np.zeros(11))
         assert stopping_quantity(zero, old, grid) == math.inf
 
 
@@ -291,6 +304,89 @@ class TestFixedPoint:
         if len(res.iterates) > 1:
             _, _, psi_second, _ = res.iterates[1]
             assert np.any(psi_second.frames != 0.0)
+
+
+def bump_terminal(spec, grid, N):
+    _, x = level_nodes(spec, grid.T, N)
+    L = x[-1]
+    return (4.0 * x * (L - x) / L**2, None)
+
+
+class TestSweepMap:
+    """``game._Sweep`` maps the bare state ``(w1, w2, psi_bc)`` to the next
+    state and the fields ``(u, p, psi, phi)``; ``fixed_point_solve`` is
+    the loop around it."""
+
+    @pytest.mark.parametrize("leader", [False, True])
+    def test_stepping_by_hand_reproduces_the_solve(self, small_setup, leader):
+        spec, grid, segs = small_setup
+        N = 16
+        cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs,
+                       phi_terminal=bump_terminal(spec, grid, N) if leader else None)
+        res = fixed_point_solve(cfg, spec, grid, N)
+        assert res.iterations >= 3
+
+        sweep = game._Sweep.of(cfg, spec, grid, N)
+        state = (np.zeros(grid.M + 1),) * 3
+        log, u_prev = [], None
+        for n in range(cfg.max_iter):
+            nxt, (u, _p, _psi, _phi) = sweep(*state)
+            stop, dw = game._control_change(nxt[:2], state[:2], (sweep.leader, sweep.follower),
+                                            grid.dt)
+            du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
+            w1, w2 = (ControlSamples(seg, w) for seg, w in zip((segs.sigma1, segs.sigma2), state))
+            log.append(IterationRecord(n, stop, du, dw, evaluate_J(w1, grid),
+                                       evaluate_J2(u, w2, 10.0, 100.0, grid)))
+            state, u_prev = nxt, u
+            if stop <= cfg.epsilon:
+                break
+        assert log == res.log
+        assert np.array_equal(res.w1.values, state[0])
+        assert np.array_equal(res.w2.values, state[1])
+
+    def test_leader_chain_reads_no_control(self, small_setup):
+        # psi_bc -> (psi, phi, w1', psi_bc') is the same for any (w1, w2):
+        # the map is block lower-triangular
+        spec, grid, segs = small_setup
+        N = 16
+        cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs,
+                       phi_terminal=bump_terminal(spec, grid, N))
+        sweep = game._Sweep.of(cfg, spec, grid, N)
+        zeros = np.zeros(grid.M + 1)
+        (_, _, psi_bc), _ = sweep(zeros, zeros, zeros)
+        assert np.any(psi_bc != 0.0)
+
+        rng = np.random.default_rng(4)
+        w1, w2 = zeros.copy(), zeros.copy()
+        w1[sweep.leader] = rng.standard_normal(len(sweep.leader))
+        w2[sweep.follower] = rng.standard_normal(len(sweep.follower))
+        a_next, (a_u, _, a_psi, a_phi) = sweep(zeros, zeros, psi_bc)
+        b_next, (b_u, _, b_psi, b_phi) = sweep(w1, w2, psi_bc)
+        assert not np.array_equal(a_u.frames, b_u.frames)
+        assert not np.array_equal(a_next[1], b_next[1])
+        np.testing.assert_array_equal(a_psi.frames, b_psi.frames)
+        np.testing.assert_array_equal(a_phi.frames, b_phi.frames)
+        np.testing.assert_array_equal(a_next[0], b_next[0])
+        np.testing.assert_array_equal(a_next[2], b_next[2])
+
+    @pytest.mark.parametrize("max_iter", [1, 50])
+    def test_segment_masks_computed_once_per_solve(self, small_setup, monkeypatch, max_iter):
+        spec, grid, segs = small_setup
+        N = 16
+        count = [0]
+        original = geometry.segment_mask
+
+        def counted(*args):
+            count[0] += 1
+            return original(*args)
+
+        for mod in (geometry, fem):
+            monkeypatch.setattr(mod, "segment_mask", counted)
+        cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, max_iter=max_iter,
+                       phi_terminal=bump_terminal(spec, grid, N))
+        res = fixed_point_solve(cfg, spec, grid, N)
+        assert len(res.log) == res.iterations >= min(max_iter, 3)
+        assert count[0] == 2
 
 
 class TestMarchCounts:
@@ -591,6 +687,18 @@ class TestNashGradientCheck:
             if abs(fd) > 0.05 * chk.scale:
                 assert abs(fd - ana) <= 0.1 * abs(fd)
 
+    def test_non_finite_derivatives_raise(self):
+        # dt^2 underflows to 0, so every fd and analytic entry is nan
+        spec = MovingDomainSpec(k=0.25, T=1e-300)
+        grid = build_time_grid(1e-300, 10)
+        segs = BoundarySegments.disjoint_halves(1e-300)
+        cfg = SNConfig(sigma=100.0, segments=segs)
+        w1 = ControlSamples.zeros(segs.sigma1, grid)
+        w2 = ControlSamples.zeros(segs.sigma2, grid)
+        with pytest.raises(DivergenceError) as exc:
+            nash_gradient_check(w1, w2, cfg, spec, grid, 10)
+        assert exc.value.payload["field"] == "nash_check"
+
     def test_zero_point_has_zero_discrepancy(self):
         # u2 = 0 and zero controls: fd, analytic and the scale are all exactly 0
         spec = MovingDomainSpec(k=0.25, T=4.0)
@@ -613,6 +721,14 @@ class TestConfigValidation:
     def test_bad_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
             SNConfig(sigma=1.0, epsilon=0.0)
+
+    def test_infinite_sigma(self):
+        with pytest.raises(ValueError, match="sigma"):
+            SNConfig(sigma=math.inf)
+
+    def test_infinite_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            SNConfig(sigma=1.0, epsilon=math.inf)
 
     def test_bad_cap(self):
         with pytest.raises(ValueError, match="max_iter"):

@@ -69,6 +69,10 @@ class TestSpec:
         with pytest.raises(ValueError):
             MovingDomainSpec(k=0.25, T=0.0)
 
+    def test_infinite_horizon(self):
+        with pytest.raises(ValueError, match="finite"):
+            MovingDomainSpec(k=0.25, T=math.inf)
+
 
 class TestComputeTc:
     def test_quarter_against_high_precision(self):
@@ -114,6 +118,10 @@ class TestTimeGrid:
     def test_too_few_steps(self):
         with pytest.raises(ValueError, match="at least 2"):
             build_time_grid(1.0, 1)
+
+    def test_infinite_horizon(self):
+        with pytest.raises(ValueError, match="finite"):
+            build_time_grid(math.inf, 10)
 
 
 class TestSpatialMesh:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -489,6 +490,29 @@ class TestShapeChecks:
                             ("source", np.ones((self.M + 1, self.N + 1))),
                             ("phi_terminal", (np.ones(self.N + 1), None))):
             self._solve(name, value)
+
+
+class TestUnderflowingTimeStep:
+    """At T = 1e-300, dt^2 underflows to 0 and a plan-less march builds
+    non-finite step operators.  It returns non-finite frames without a
+    numpy warning."""
+
+    spec = MovingDomainSpec(k=0.25, T=1e-300)
+    grid = build_time_grid(1e-300, 10)
+
+    def test_forward_without_plan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = solve_forward(ForwardProblem(left_boundary=np.ones(11)),
+                                 self.spec, self.grid, 10)
+        assert not np.isfinite(traj.frames).all()
+
+    def test_backward_without_plan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = solve_backward(BackwardProblem(source=np.ones((11, 11))),
+                                  self.spec, self.grid, 10)
+        assert not np.isfinite(traj.frames).all()
 
 
 class TestLeftBoundaryAssembly:
