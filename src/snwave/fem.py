@@ -56,6 +56,9 @@ def interpolate(values: np.ndarray, x_target: np.ndarray, x_source: np.ndarray) 
     ``x_target`` may be a stack of node rows, such as the nodes of
     several levels; the result has its shape, and each point's value
     depends on that point alone, so it has the bits of one call per row.
+    Complex ``values`` are interpolated part by part in one call; numpy's
+    complex path multiplies by 1/dx where the real path divides by dx, so
+    each part may differ from a real call on it in the last bit.
     """
     return np.interp(x_target, x_source, values, right=0.0)
 

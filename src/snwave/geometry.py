@@ -13,6 +13,7 @@ mutate them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +81,16 @@ def compute_Tc(k: float) -> float:
     return math.exp(2.0 * k * (1.0 + k) / (1.0 - k) ** 3) / k
 
 
+def _check_integer(name: str, value):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer;
+    Python and numpy integers pass, floats do not, even integral ones."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def build_time_grid(T: float, M: int) -> TimeGrid:
     """Uniform time grid with M steps; the last level lands exactly on T."""
+    _check_integer("M", M)
     if M < 2:
         raise ValueError(f"need at least 2 time steps, got M={M}")
     if not (T > 0.0 and math.isfinite(T)):
@@ -100,6 +109,7 @@ def level_nodes(spec: MovingDomainSpec, times, N: int):
     spacing scales with the domain, so node j keeps its identity across
     time levels.
     """
+    _check_integer("N", N)
     if N < 2:
         raise ValueError(f"need at least 2 elements, got N={N}")
     lengths = alpha(spec, np.asarray(times, dtype=float))

@@ -44,6 +44,17 @@ values of level m at ``plan.nodes[m]``, beside the plan.  A march fills
 one preallocated array; the backward march runs on reversed views of
 the plan's arrays and of its own.  Initial, terminal and source data are arrays of the
 same layout: ``(N+1,)`` for one frame, ``(M+1, N+1)`` for a source.
+
+The data may be complex; the frames then are complex too.  The scheme
+is real and linear, so a complex march is two real marches, of the real
+and of the imaginary part of the data, in one pass: the interpolation,
+the combination 2 u~^i - u~^{i-1}, the lift and the source act on the
+two parts separately, and the two products with ``ST`` act on the
+``(N+1, 2)`` real view of each complex frame as one 2-column product.
+Neither part reads the other, so the real part of a march of a + i b
+has the same bits for any b; it agrees with the real march of a to
+roundoff, not to the bit (see ``fem.interpolate``).  The game marches
+the follower's and the leader's fields this way, in pairs.
 """
 
 from __future__ import annotations
@@ -229,6 +240,25 @@ def _plan_for(plan: Optional[_LevelPlan], spec, grid: TimeGrid, N: int) -> _Leve
     return plan
 
 
+class _Columns:
+    """``ST`` acting on a complex vector as on the ``(N+1, 2)`` real view
+    of it, its real and imaginary parts as two columns: one 2-column
+    product in place of two one-column ones."""
+
+    __slots__ = ("ST",)
+
+    def __init__(self, ST: np.ndarray):
+        self.ST = ST
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        return self.ST @ w.view(float).reshape(-1, 2)
+
+
+def _frame_dtype(*data) -> type:
+    """The frames' dtype: complex when any of ``data`` is, else float."""
+    return complex if any(map(np.iscomplexobj, data)) else float
+
+
 def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
     """Run the three-level implicit scheme over the levels of ``nodes``, ``G`` and ``lift``.
 
@@ -244,6 +274,13 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
     is the levels' shared step operator.  ``out`` is filled in place, one
     row per level, its boundary columns once per march.
 
+    A complex ``out`` marches two real fields at once, its real and its
+    imaginary part: each step forms ``w`` of both parts in one complex
+    row, and the two products act on the ``(N+1, 2)`` real view of that
+    row as one 2-column product, written into the matching view of
+    ``out``.  The views are chosen once per march; real data take the
+    one-column products on ``w`` itself.
+
     Frame i is needed on level i+1 at step i and on level i+2 at step
     i+1, so step i interpolates it once, onto the two rows
     ``nodes[i+1:i+3]``, and keeps the second row for the next step; a
@@ -257,6 +294,10 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
     dt2 = dt * dt
     lifted = (lift * left).tolist()
     back = ST[:, 1:-1].T
+    out_cols = out
+    if out.dtype.kind == "c":
+        ST, G = _Columns(ST), G[:, :, None]
+        out_cols = out.view(float).reshape(*out.shape, 2)
     ahead = interpolate(out[0], nodes[2:3], nodes[0])
     for i in range(1, len(nodes) - 1):
         r = interpolate(out[i], nodes[i + 1:i + 3], nodes[i])
@@ -269,7 +310,7 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
         w[0] -= lifted[i + 1]
         y = ST @ w
         y *= G[i + 1]
-        np.matmul(back, y, out=out[i + 1, 1:-1])
+        np.matmul(back, y, out=out_cols[i + 1, 1:-1])
 
 
 def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
@@ -298,7 +339,7 @@ def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
     plan = _plan_for(plan, spec, grid, N)
     ic0 = problem.ic0 if problem.ic0 is not None else np.zeros(N + 1)
     ic1 = problem.ic1 if problem.ic1 is not None else np.zeros(N + 1)
-    frames = np.empty(shape)
+    frames = np.empty(shape, _frame_dtype(problem.left_boundary, ic0, ic1, problem.source))
     _march(plan.nodes, plan.ST, plan.G, plan.lift, grid.dt, ic0, ic1,
            problem.left_boundary, problem.source, frames)
     return Trajectory(grid=grid, plan=plan, frames=frames)
@@ -324,7 +365,7 @@ def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
     plan = _plan_for(plan, spec, grid, N)
     term0 = problem.terminal0 if problem.terminal0 is not None else np.zeros(N + 1)
     term1 = problem.terminal1 if problem.terminal1 is not None else np.zeros(N + 1)
-    frames = np.empty(shape)
+    frames = np.empty(shape, _frame_dtype(problem.source, term0, term1))
     _march(plan.nodes[::-1], plan.ST, plan.G[::-1], plan.lift[::-1], grid.dt, term0,
            -term1, np.zeros(grid.M + 1), problem.source[::-1], frames[::-1])
     return Trajectory(grid=grid, plan=plan, frames=frames)

@@ -7,6 +7,8 @@ reduced resolution so the whole battery stays fast.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .geometry import (
@@ -80,6 +82,36 @@ def _check_reversal():
                         spec, grid, NM)
     gap = float(np.max(np.abs(back.frames[::-1] - fwd.frames)))
     return "backward-reversal", gap <= 1e-10, f"max frame gap {gap:.2e}"
+
+
+def _paired(re, im):
+    """The problem whose data are those of ``re`` plus i times those of ``im``."""
+    return type(re)(*(getattr(re, f.name) + 1j * getattr(im, f.name) for f in fields(re)))
+
+
+def _check_paired_march():
+    NM = 32
+    spec = MovingDomainSpec(k=0.25, T=4.0)
+    grid = build_time_grid(4.0, NM)
+    _, x = level_nodes(spec, 0.0, NM)
+    t = grid.levels[:, None]
+
+    def problems(a):
+        """A forward problem with a lift and a source, a backward one with terminal data."""
+        return (ForwardProblem(left_boundary=np.sin(0.7 * grid.levels + a),
+                               ic0=np.cos(a) * np.sin(np.pi * x), ic1=a * x * (1.0 - x),
+                               source=np.cos(t + a) * x),
+                BackwardProblem(source=np.sin(t - a) * (1.0 - x),
+                                terminal0=np.sin((2.0 + a) * np.pi * x),
+                                terminal1=np.cos(x + a)))
+
+    worst = 0.0
+    for solve, re, im in zip((solve_forward, solve_backward), problems(0.3), problems(1.1)):
+        got = solve(_paired(re, im), spec, grid, NM).frames
+        for part, problem in ((got.real, re), (got.imag, im)):
+            ref = solve(problem, spec, grid, NM).frames
+            worst = max(worst, float(np.max(np.abs(part - ref)) / np.max(np.abs(ref))))
+    return "paired-march", worst <= 1e-12, f"max relative gap {worst:.2e}"
 
 
 def _check_zero_data():
@@ -173,6 +205,7 @@ ALL_CHECKS = [
     _check_zero_target,
     _check_duality,
     _check_nash_residual,
+    _check_paired_march,
 ]
 
 

@@ -275,14 +275,15 @@ class TestDivergenceExit:
 
 class TestMarchCounts:
     """Marches per ``snwave run`` on the benchmark's three configurations:
-    two per sweep, four with the leader chain live, less the first sweep's
-    all-zero state and psi, plus the final state; the final adjoint is
-    not read, so it is not marched.  Each march makes M+1 interpolation
-    calls, one per frame."""
+    two per sweep, less the first sweep's all-zero state, plus the final
+    state; the final adjoint is not read, so it is not marched.  With the
+    leader chain live a complex march carries two fields, (u, psi) forward
+    and (p, phi) backward, so it is still two per sweep.  Each march makes
+    M+1 interpolation calls, one per frame."""
 
     @pytest.mark.parametrize("args,marches,interpolations", [
         ([], 12, 12 * 101),
-        (["--phi-terminal", "bump:1.0", "--T-multiple", "10"], 67, 67 * 101),
+        (["--phi-terminal", "bump:1.0", "--T-multiple", "10"], 34, 34 * 101),
         (["--N", "300", "--M", "300"], 20, 20 * 301),
     ], ids=["run-default", "run-leader", "run-fine"])
     def test_marches_per_run(self, tmp_path, monkeypatch, args, marches, interpolations):

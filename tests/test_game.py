@@ -393,8 +393,9 @@ class TestMarchCounts:
     """Marches per run are deterministic.  A field whose data are all zero
     is not marched: the first sweep's state (zero controls) and psi
     (no previous phi), and phi while psi is zero and its terminal data
-    are zero.  The final state is marched after the last sweep and its
-    adjoint only when ``res.p`` is first read."""
+    are zero.  With the leader chain live, (u, psi) and (p, phi) are two
+    complex marches per sweep.  The final state is marched after the last
+    sweep and its adjoint only when ``res.p`` is first read."""
 
     @staticmethod
     def _count_marches(monkeypatch):
@@ -437,7 +438,7 @@ class TestMarchCounts:
                        phi_terminal=(f0, None), max_iter=3)
         res = fixed_point_solve(cfg, spec, grid, N)
         assert res.iterations == 3
-        assert count[0] == 4 * res.iterations - 1
+        assert count[0] == 2 * res.iterations
 
     def test_adjoint_marched_on_first_read_only(self, small_setup, monkeypatch):
         spec, grid, segs = small_setup
@@ -733,3 +734,15 @@ class TestConfigValidation:
     def test_bad_cap(self):
         with pytest.raises(ValueError, match="max_iter"):
             SNConfig(sigma=1.0, max_iter=0)
+
+    def test_non_integral_cap(self):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SNConfig(sigma=100.0, max_iter=2.5)
+        assert SNConfig(sigma=100.0, max_iter=np.int64(3)).max_iter == 3
+
+    def test_non_integral_elements(self, small_setup):
+        spec, grid, segs = small_setup
+        cfg = SNConfig(sigma=100.0, segments=segs, max_iter=2)
+        with pytest.raises(ValueError, match="N must be an integer"):
+            fixed_point_solve(cfg, spec, grid, N=10.5)
+        assert fixed_point_solve(cfg, spec, grid, N=np.int64(10)).u.frames.shape[1] == 11

@@ -123,6 +123,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="finite"):
             build_time_grid(math.inf, 10)
 
+    def test_non_integral_steps(self):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            build_time_grid(2.0, 10.5)
+        assert build_time_grid(2.0, np.int64(10)).levels.shape == (11,)
+
 
 class TestSpatialMesh:
     """``level_nodes``: one level's mesh at a scalar time, one row per time at an array."""
@@ -148,6 +153,13 @@ class TestSpatialMesh:
         shapes = {level_nodes(spec, t, 17)[1].shape for t in (0.0, 1.5, 3.0)}
         assert shapes == {(18,)}
         assert level_nodes(spec, [0.0, 1.5, 3.0], 17)[1].shape == (3, 18)
+
+    def test_non_integral_elements(self):
+        spec = MovingDomainSpec(k=0.25, T=1.0)
+        for times in (1.0, [0.0, 0.5]):
+            with pytest.raises(ValueError, match="N must be an integer"):
+                level_nodes(spec, times, 10.5)
+        assert level_nodes(spec, 1.0, np.int32(10))[1].shape == (11,)
 
     def test_too_few_elements(self):
         spec = MovingDomainSpec(k=0.25, T=1.0)

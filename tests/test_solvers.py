@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 import warnings
 
 import numpy as np
@@ -91,6 +91,11 @@ def reference_march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
         y = ST @ w
         y *= G[i + 1]
         np.matmul(back, y, out=out[i + 1, 1:-1])
+
+
+def paired_problem(re, im):
+    """The problem whose data are those of ``re`` plus i times those of ``im``."""
+    return type(re)(*(getattr(re, f.name) + 1j * getattr(im, f.name) for f in fields(re)))
 
 
 def assert_frames_close(traj, ref):
@@ -339,6 +344,44 @@ class TestOneInterpolationPerFrame:
                         backward.source[::-1], ref[::-1])
         got = solve_backward(backward, spec, grid, N, plan=plan).frames
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @staticmethod
+    def _random_problems(grid, N, seed):
+        M = grid.M
+        rng = np.random.default_rng(seed)
+        forward = ForwardProblem(left_boundary=rng.standard_normal(M + 1),
+                                 ic0=rng.standard_normal(N + 1),
+                                 ic1=rng.standard_normal(N + 1),
+                                 source=rng.standard_normal((M + 1, N + 1)))
+        backward = BackwardProblem(source=rng.standard_normal((M + 1, N + 1)),
+                                   terminal0=rng.standard_normal(N + 1),
+                                   terminal1=rng.standard_normal(N + 1))
+        return forward, backward
+
+    @pytest.mark.parametrize("k", [0.0, 0.25])
+    @pytest.mark.parametrize("N", [2, 3, 100])
+    @pytest.mark.parametrize("M", [2, 3, 12])
+    def test_complex_march_is_two_real_marches(self, k, N, M):
+        spec, grid, *re = self._problems(k, N, M)
+        im = self._random_problems(grid, N, seed=1)
+        plan = _level_plan(spec, grid, N)
+        for solve, a, b in zip((solve_forward, solve_backward), re, im):
+            got = solve(paired_problem(a, b), spec, grid, N, plan=plan).frames
+            for part, problem in ((got.real, a), (got.imag, b)):
+                ref = solve(problem, spec, grid, N, plan=plan).frames
+                assert np.max(np.abs(part - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N", [2, 3, 100])
+    def test_real_part_reads_no_imaginary_part(self, N):
+        spec, grid, *re = self._problems(0.25, N, 12)
+        plan = _level_plan(spec, grid, N)
+        for solve, a, b, c in zip((solve_forward, solve_backward), re,
+                                  self._random_problems(grid, N, seed=1),
+                                  self._random_problems(grid, N, seed=2)):
+            ab = solve(paired_problem(a, b), spec, grid, N, plan=plan).frames
+            ac = solve(paired_problem(a, c), spec, grid, N, plan=plan).frames
+            assert not np.array_equal(ab.imag, ac.imag)
+            np.testing.assert_array_equal(ab.real.view(np.int64), ac.real.view(np.int64))
 
     @pytest.mark.parametrize("M", [2, 3, 12])
     def test_interpolations_per_march(self, monkeypatch, M):
