@@ -20,8 +20,6 @@ from .fem import (
     interpolate,
 )
 from .solvers import (
-    BackwardProblem,
-    ForwardProblem,
     Trajectory,
     assemble_left_boundary,
     duality_residual,

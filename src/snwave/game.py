@@ -22,18 +22,22 @@ reads neither w1 nor w2, so the map is block lower-triangular.
 ``fixed_point_solve`` is the loop: call the map, check, log.
 
 Within a sweep u and psi are independent, and so are p and phi, and all
-four share the level plan.  When the leader chain is live (phi terminal
-data present, or psi_bc nonzero: a test that reads neither w1 nor w2)
-the map marches each pair as one complex field (see ``solvers``): u + i
-psi forward from the trace of w1 + w2 plus i times that of psi_bc, then
-p + i phi backward from the source (u - u2) + i psi and the terminal
-data i times phi's.  u, psi, p and phi are the real and imaginary views
-of these two arrays, and the leader chain's bits still do not depend on
-the controls.  Two marches per sweep instead of four.
+four share the level plan.  Each sweep makes one forward and one
+backward march, and their data decide what a march carries (see
+``solvers`` for complex marches):
+
+- forward from the trace of w1 + w2, plus i times that of psi_bc when
+  psi_bc is nonzero: u, or u + i psi;
+- backward from the source u - u2, plus i psi when psi is not the zero
+  trajectory or phi has terminal data (then i times phi's): p, or
+  p + i phi.
+
+u, psi, p and phi are the real and imaginary views of the two arrays; a
+real march's imaginary view is the zero trajectory.  The leader chain's
+bits do not depend on the controls.
 
 The scheme maps all-zero data to exactly zero frames, so the map marches
-no forward field whose boundary data are all zero and no phi when psi is
-zero and phi's terminal data are zero: such a field is the solve's one
+no forward field whose boundary data are all zero: it is the solve's one
 read-only zero trajectory.  With zero phi terminal data psi, phi and w1
 stay exactly zero and the sweep is the u <-> p loop in the follower
 control, two real marches.  The final state is one real march, and so
@@ -55,8 +59,6 @@ from .geometry import BoundarySegments, MovingDomainSpec, TimeGrid, _check_integ
 from .fem import ControlSamples, _mass_pairing, _on_segment, _segment_norm, control_l2_norm
 from .solvers import (
     _SWEEP_ERRSTATE,
-    BackwardProblem,
-    ForwardProblem,
     Trajectory,
     _LevelPlan,
     _check_shape,
@@ -115,6 +117,11 @@ class SNConfig:
         _check_integer("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        pair = self.phi_terminal
+        if pair is not None and not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            size = f" of length {len(pair)}" if isinstance(pair, (tuple, list)) else ""
+            raise ValueError(f"phi_terminal must be None or a (value, velocity) pair, "
+                             f"got a {type(pair).__name__}{size}")
 
 
 @dataclass(frozen=True)
@@ -202,8 +209,9 @@ class _Sweep:
 
     ``sweep(w1, w2, psi_bc)`` returns ``((w1', w2', psi_bc'), (u, p, psi,
     phi))``; ``nash_gradient_check`` and ``SNResult.p`` reuse its
-    ``state`` and ``adjoint``.  ``phi_terminal`` is None for zero data,
-    else the terminal data times i, as the paired backward march takes it.
+    ``state`` and ``adjoint``.  ``phi_terminal`` holds phi's nonzero
+    terminal data times i, as ``solve_backward``'s keywords; it is empty
+    for zero data.
     """
 
     spec: MovingDomainSpec
@@ -216,20 +224,20 @@ class _Sweep:
     leader: np.ndarray  # level indices of the leader's segment
     follower: np.ndarray  # level indices of the follower's segment
     sigma: float
-    phi_terminal: Optional[tuple]
+    phi_terminal: dict
 
     @classmethod
     def of(cls, config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid, N: int) -> "_Sweep":
         segments = config.segments or BoundarySegments.disjoint_halves(grid.T)
         plan = _level_plan(spec, grid, N)
-        terminal = tuple(None if f is None else np.asarray(f, dtype=float)
-                         for f in config.phi_terminal or (None, None))
-        for i, f in enumerate(terminal):
-            _check_shape(f"phi_terminal[{i}]", f, (N + 1,))
-        if not any(f is not None and f.any() for f in terminal):
-            terminal = None
-        else:  # phi is the imaginary part of the paired backward march
-            terminal = tuple(None if f is None else _imaginary(f) for f in terminal)
+        terminal = {}
+        for i, f in enumerate(config.phi_terminal or ()):
+            if f is not None:
+                f = np.asarray(f, dtype=float)
+                _check_shape(f"phi_terminal[{i}]", f, (N + 1,))
+                terminal[f"terminal{i}"] = _imaginary(f)  # phi is the imaginary part of p + i phi
+        if not any(f.any() for f in terminal.values()):
+            terminal = {}
         zero = Trajectory(grid, plan, np.broadcast_to(0.0, plan.nodes.shape))
         return cls(spec, grid, N, plan, _target(config.u2, plan.nodes, grid), zero, segments,
                    np.nonzero(segments.leader_mask(grid))[0],
@@ -239,53 +247,44 @@ class _Sweep:
         """The march from rest with boundary data ``left``; zero data need none."""
         if not left.any():
             return self.zero
-        return solve_forward(ForwardProblem(left_boundary=left), self.spec, self.grid, self.N,
-                             plan=self.plan)
+        return solve_forward(left, self.spec, self.grid, self.N, plan=self.plan)
 
     def state(self, w1: np.ndarray, w2: np.ndarray) -> Trajectory:
         return self.forward(_left_trace(w1, w2))
 
-    def adjoint(self, u: Trajectory, target: np.ndarray) -> Trajectory:
-        """The adjoint of ``u``: source u - target, zero terminal data."""
-        return solve_backward(BackwardProblem(source=u.frames - target), self.spec, self.grid,
-                              self.N, plan=self.plan)
+    def adjoint(self, u: Trajectory, target: np.ndarray, psi: Optional[Trajectory] = None,
+                **terminal) -> Trajectory:
+        """The backward march from the source u - target: p.  With a nonzero
+        ``psi`` or with phi's terminal data (times i) it is the complex
+        march p + i phi from the source (u - target) + i psi."""
+        if psi is None:
+            psi = self.zero
+        if psi is self.zero and not terminal:
+            source = u.frames - target
+        else:
+            source = np.empty(self.plan.nodes.shape, complex)
+            np.subtract(u.frames, target, out=source.real)
+            source.imag = psi.frames
+        return solve_backward(source, self.spec, self.grid, self.N, plan=self.plan, **terminal)
 
     def __call__(self, w1: np.ndarray, w2: np.ndarray, psi_bc: np.ndarray):
-        if self.phi_terminal is None and not psi_bc.any():
-            u = self.state(w1, w2)
-            p = self.adjoint(u, self.target)
-            psi = phi = self.zero
-        else:
-            u, psi = self._paired_forward(w1, w2, psi_bc)
-            p, phi = self._paired_backward(u, psi)
+        left = _left_trace(w1, w2)
+        if psi_bc.any():
+            left = left + _imaginary(_left_trace(psi_bc))
+        u, psi = self._parts(self.forward(left))
+        p, phi = self._parts(self.adjoint(u, self.target, psi, **self.phi_terminal))
         nxt = (_segment_flux(phi, self.leader),
                _segment_flux(p, self.follower) / self.sigma,
                _segment_flux(phi, self.follower) / self.sigma)
         return nxt, (u, p, psi, phi)
 
     def _parts(self, f: Trajectory) -> tuple:
-        """The real and the imaginary part of a complex march, as two trajectories."""
-        if f is self.zero:
-            return f, f
+        """The real and the imaginary part of a march, as two trajectories;
+        a real march's imaginary part is the zero trajectory."""
+        if f.frames.dtype.kind != "c":
+            return f, self.zero
         return (Trajectory(self.grid, self.plan, f.frames.real),
                 Trajectory(self.grid, self.plan, f.frames.imag))
-
-    def _paired_forward(self, w1: np.ndarray, w2: np.ndarray, psi_bc: np.ndarray) -> tuple:
-        """``(u, psi)``, marched as one complex field from the trace of
-        w1 + w2 plus i times the trace of psi_bc."""
-        left = np.empty(len(w1), complex)
-        left.real = _left_trace(w1, w2)
-        left.imag = _left_trace(psi_bc)
-        return self._parts(self.forward(left))
-
-    def _paired_backward(self, u: Trajectory, psi: Trajectory) -> tuple:
-        """``(p, phi)``, marched as one complex field from the source
-        (u - target) + i psi and the terminal data i times phi's."""
-        source = np.empty(self.plan.nodes.shape, complex)
-        np.subtract(u.frames, self.target, out=source.real)
-        source.imag = psi.frames
-        return self._parts(solve_backward(BackwardProblem(source, *(self.phi_terminal or ())),
-                                          self.spec, self.grid, self.N, plan=self.plan))
 
     def controls(self, w1: np.ndarray, w2: np.ndarray) -> tuple:
         """The bare pair as the public ``ControlSamples`` pair."""
@@ -315,7 +314,6 @@ class SNResult:
     target: np.ndarray = field(repr=False)
     _sweep: _Sweep = field(repr=False, compare=False)
     log: list = field(default_factory=list)
-    iterates: Optional[list] = None  # per-sweep (w1, w2, psi, phi) when requested
 
     @cached_property
     def p(self) -> Trajectory:
@@ -344,22 +342,20 @@ def evaluate_J(w1: ControlSamples, grid: TimeGrid) -> float:
 
 
 def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
-                      N: int, keep_iterates: bool = False) -> SNResult:
+                      N: int) -> SNResult:
     """Iterate the sweep map from zero controls until the relative
     control change drops below epsilon or the iteration cap is reached.
 
     Hitting the cap returns a result with ``converged=False``; only
     non-finite values raise (``DivergenceError`` with a diagnostics
     payload) in the state, the controls or a sweep's logged ``stop_qty``,
-    ``du_l2``, ``dw_l2`` or ``J2``.  With ``keep_iterates`` the result also
-    records every sweep's updated controls and auxiliary fields.
+    ``du_l2``, ``dw_l2`` or ``J2``.
     """
     sweep = _Sweep.of(config, spec, grid, N)
     idx, dt, M = (sweep.leader, sweep.follower), grid.dt, grid.M
     w1 = w2 = psi_bc = np.zeros(M + 1)
     u_prev = psi = phi = None
     log: list = []
-    iterates: Optional[list] = [] if keep_iterates else None
     converged, iterations = False, config.max_iter
 
     def diverged(n: int, what: str, field: str, **details) -> DivergenceError:
@@ -384,15 +380,13 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
                                        J=0.5 * _segment_norm(w1, sweep.leader, dt) ** 2, J2=J2))
 
             w1, w2, u_prev = w1_new, w2_new, u
-            if keep_iterates:
-                iterates.append((*sweep.controls(w1, w2), psi, phi))
             if stop <= config.epsilon:
                 converged, iterations = True, n + 1
                 break
 
         u_final = sweep.state(w1, w2)
     return SNResult(converged, iterations, *sweep.controls(w1, w2), u=u_final, psi=psi, phi=phi,
-                    target=sweep.target, _sweep=sweep, log=log, iterates=iterates)
+                    target=sweep.target, _sweep=sweep, log=log)
 
 
 def nash_residual(w2: ControlSamples, p: Trajectory, sigma: float,
@@ -444,6 +438,9 @@ def nash_gradient_check(w1: ControlSamples, w2: ControlSamples, config: SNConfig
     derivative on either side raises ``DivergenceError`` with field
     ``"nash_check"``.
     """
+    _check_integer("n_directions", n_directions)
+    if n_directions < 1:
+        raise ValueError(f"n_directions must be at least 1, got {n_directions}")
     sweep = _Sweep.of(config, spec, grid, N)
     idx, sigma, dt = sweep.follower, config.sigma, grid.dt
     if len(idx) < 2:

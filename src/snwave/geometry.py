@@ -132,11 +132,17 @@ class BoundarySegments:
     ``sigma1`` is the leader's interval, ``sigma2`` the follower's.  A
     control sample at level m acts on [t^m, t^{m+1}), so level m belongs
     to a segment (a, b) when a <= t^m < b; the final level t^M carries no
-    sample of its own.
+    sample of its own.  Each segment needs finite ends with a < b.
     """
 
     sigma1: tuple
     sigma2: tuple
+
+    def __post_init__(self):
+        for name in ("sigma1", "sigma2"):
+            seg = tuple(getattr(self, name))
+            if not (len(seg) == 2 and all(map(math.isfinite, seg)) and seg[0] < seg[1]):
+                raise ValueError(f"{name} must be a segment (a, b) with finite a < b, got {seg}")
 
     @classmethod
     def disjoint_halves(cls, T: float) -> "BoundarySegments":

@@ -42,8 +42,11 @@ warning; the game's checks report the values they produce.
 A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
 values of level m at ``plan.nodes[m]``, beside the plan.  A march fills
 one preallocated array; the backward march runs on reversed views of
-the plan's arrays and of its own.  Initial, terminal and source data are arrays of the
-same layout: ``(N+1,)`` for one frame, ``(M+1, N+1)`` for a source.
+the plan's arrays and of its own.  A march takes its data as arrays of
+the same layout: ``solve_forward`` the ``(M+1,)`` Dirichlet values at
+x = 0 and, as keywords, the ``(N+1,)`` initial frames and an
+``(M+1, N+1)`` source; ``solve_backward`` the source and, as keywords,
+the terminal frames.  Omitted frames are zero.
 
 The data may be complex; the frames then are complex too.  The scheme
 is real and linear, so a complex march is two real marches, of the real
@@ -70,8 +73,6 @@ from .fem import ControlSamples, _mass_pairing, _on_segment, boundary_flux_left,
 
 __all__ = [
     "Trajectory",
-    "ForwardProblem",
-    "BackwardProblem",
     "solve_forward",
     "solve_backward",
     "duality_residual",
@@ -100,40 +101,6 @@ class Trajectory:
                 f"trajectory of shape {self.frames.shape} on a plan of shape {shape}, "
                 f"expected {(self.grid.M + 1, shape[1])}"
             )
-
-
-@dataclass(frozen=True)
-class ForwardProblem:
-    """Initial-value problem marched from t = 0.
-
-    ``left_boundary`` prescribes the Dirichlet value at x = 0 for every
-    level; the moving endpoint is always 0.  ``ic0`` and ``ic1`` are the
-    initial displacement and velocity, ``(N+1,)`` arrays (zero when
-    None).  ``source`` is an optional ``(M+1, N+1)`` forcing paired
-    against test functions (used by the backward/forward equivalence
-    oracle; the production systems are homogeneous).
-    """
-
-    left_boundary: np.ndarray = field(repr=False)
-    ic0: Optional[np.ndarray] = field(default=None, repr=False)
-    ic1: Optional[np.ndarray] = field(default=None, repr=False)
-    source: Optional[np.ndarray] = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
-class BackwardProblem:
-    """Terminal-value problem marched from t = T down to 0.
-
-    Boundary values are homogeneous at both ends.  ``source`` is an
-    ``(M+1, N+1)`` array; ``terminal0`` and ``terminal1`` are the state
-    and its time derivative at t = T, ``(N+1,)`` arrays (zero when
-    None).  The last two frames are seeded as terminal0 and
-    terminal0 - dt*terminal1, mirroring the forward starting rule.
-    """
-
-    source: np.ndarray = field(repr=False)
-    terminal0: Optional[np.ndarray] = field(default=None, repr=False)
-    terminal1: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 # Overflow, and a division by a time step squared that underflowed to 0,
@@ -313,9 +280,18 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
         np.matmul(back, y, out=out_cols[i + 1, 1:-1])
 
 
-def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
-                  grid: TimeGrid, N: int, *, plan: Optional[_LevelPlan] = None) -> Trajectory:
-    """March the three-level implicit scheme from the initial data.
+def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N: int,
+                  *, ic0: Optional[np.ndarray] = None, ic1: Optional[np.ndarray] = None,
+                  source: Optional[np.ndarray] = None,
+                  plan: Optional[_LevelPlan] = None) -> Trajectory:
+    """March the three-level implicit scheme from t = 0.
+
+    ``left_boundary`` ``(M+1,)`` prescribes the Dirichlet value at x = 0
+    for every level; the moving endpoint is always 0.  ``ic0`` and
+    ``ic1`` are the initial displacement and velocity, ``(N+1,)`` arrays
+    (zero when None).  ``source`` is an optional ``(M+1, N+1)`` forcing
+    paired against test functions (the backward/forward equivalence
+    oracle uses it; the game's systems are homogeneous).
 
     Frame 0 is the initial displacement, frame 1 the first-order start
     ic0 + dt*ic1, both carrying the prescribed boundary values; for
@@ -327,30 +303,34 @@ def solve_forward(problem: ForwardProblem, spec: MovingDomainSpec,
     earlier frames onto them.  ``plan`` is the solve's level plan;
     without one the march builds its own.
     """
-    if len(problem.left_boundary) != grid.M + 1:
-        raise ValueError(
-            f"left boundary has {len(problem.left_boundary)} values for "
-            f"{grid.M + 1} levels"
-        )
     shape = (grid.M + 1, N + 1)
-    _check_shape("ic0", problem.ic0, shape[1:])
-    _check_shape("ic1", problem.ic1, shape[1:])
-    _check_shape("source", problem.source, shape)
+    if np.shape(left_boundary) != shape[:1]:
+        raise ValueError(f"left boundary has shape {np.shape(left_boundary)}, expected "
+                         f"{shape[:1]}: one value for each of the {grid.M + 1} levels")
+    _check_shape("ic0", ic0, shape[1:])
+    _check_shape("ic1", ic1, shape[1:])
+    _check_shape("source", source, shape)
     plan = _plan_for(plan, spec, grid, N)
-    ic0 = problem.ic0 if problem.ic0 is not None else np.zeros(N + 1)
-    ic1 = problem.ic1 if problem.ic1 is not None else np.zeros(N + 1)
-    frames = np.empty(shape, _frame_dtype(problem.left_boundary, ic0, ic1, problem.source))
-    _march(plan.nodes, plan.ST, plan.G, plan.lift, grid.dt, ic0, ic1,
-           problem.left_boundary, problem.source, frames)
+    ic0 = ic0 if ic0 is not None else np.zeros(N + 1)
+    ic1 = ic1 if ic1 is not None else np.zeros(N + 1)
+    frames = np.empty(shape, _frame_dtype(left_boundary, ic0, ic1, source))
+    _march(plan.nodes, plan.ST, plan.G, plan.lift, grid.dt, ic0, ic1, left_boundary, source,
+           frames)
     return Trajectory(grid=grid, plan=plan, frames=frames)
 
 
-def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
-                   grid: TimeGrid, N: int, *, plan: Optional[_LevelPlan] = None) -> Trajectory:
+def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N: int, *,
+                   terminal0: Optional[np.ndarray] = None,
+                   terminal1: Optional[np.ndarray] = None,
+                   plan: Optional[_LevelPlan] = None) -> Trajectory:
     """March the adjoint-type scheme from t = T down to t = 0.
 
-    Frames M and M-1 are seeded from the terminal data; for m from M-1
-    down to 1 the frame m-1 solves
+    Boundary values are homogeneous at both ends.  ``source`` is an
+    ``(M+1, N+1)`` array; ``terminal0`` and ``terminal1`` are the state
+    and its time derivative at t = T, ``(N+1,)`` arrays (zero when
+    None).  Frames M and M-1 are seeded as terminal0 and
+    terminal0 - dt*terminal1, mirroring the forward starting rule; for m
+    from M-1 down to 1 the frame m-1 solves
 
         M (p~^{m+1} - 2 p~^m + v)/dt^2 + K v = M s^{m-1}
 
@@ -359,15 +339,15 @@ def solve_backward(problem: BackwardProblem, spec: MovingDomainSpec,
     start velocity.  ``plan`` is as for ``solve_forward``.
     """
     shape = (grid.M + 1, N + 1)
-    _check_shape("source", problem.source, shape)
-    _check_shape("terminal0", problem.terminal0, shape[1:])
-    _check_shape("terminal1", problem.terminal1, shape[1:])
+    _check_shape("source", source, shape)
+    _check_shape("terminal0", terminal0, shape[1:])
+    _check_shape("terminal1", terminal1, shape[1:])
     plan = _plan_for(plan, spec, grid, N)
-    term0 = problem.terminal0 if problem.terminal0 is not None else np.zeros(N + 1)
-    term1 = problem.terminal1 if problem.terminal1 is not None else np.zeros(N + 1)
-    frames = np.empty(shape, _frame_dtype(problem.source, term0, term1))
+    term0 = terminal0 if terminal0 is not None else np.zeros(N + 1)
+    term1 = terminal1 if terminal1 is not None else np.zeros(N + 1)
+    frames = np.empty(shape, _frame_dtype(source, term0, term1))
     _march(plan.nodes[::-1], plan.ST, plan.G[::-1], plan.lift[::-1], grid.dt, term0,
-           -term1, np.zeros(grid.M + 1), problem.source[::-1], frames[::-1])
+           -term1, np.zeros(grid.M + 1), source[::-1], frames[::-1])
     return Trajectory(grid=grid, plan=plan, frames=frames)
 
 
@@ -378,8 +358,9 @@ def _outward_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
 
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
     """Space-time L2 distance, rectangle rule in time, mass pairing in space."""
-    if a.grid.M != b.grid.M:
-        raise ValueError("trajectories live on different time grids")
+    if a.frames.shape != b.frames.shape:
+        raise ValueError(f"trajectories of frame shapes {a.frames.shape} and "
+                         f"{b.frames.shape} live on different grids")
     M = a.grid.M
     d = a.frames[:M] - b.frames[:M]
     return float(np.sqrt(a.grid.dt * _mass_pairing(d, d, a.plan.h[:M])))
@@ -404,8 +385,8 @@ def duality_residual(forward_bdata: ControlSamples, source: np.ndarray,
     """
     left = assemble_left_boundary([forward_bdata], grid)
     plan = _level_plan(spec, grid, N)
-    u_hat = solve_forward(ForwardProblem(left_boundary=left), spec, grid, N, plan=plan)
-    p = solve_backward(BackwardProblem(source=source), spec, grid, N, plan=plan)
+    u_hat = solve_forward(left, spec, grid, N, plan=plan)
+    p = solve_backward(source, spec, grid, N, plan=plan)
 
     M = grid.M
     volume = grid.dt * _mass_pairing(source[:M], u_hat.frames[:M], plan.h[:M])

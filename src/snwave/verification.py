@@ -7,8 +7,6 @@ reduced resolution so the whole battery stays fast.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 
 from .geometry import (
@@ -20,13 +18,7 @@ from .geometry import (
     trapezoid_stats,
 )
 from .fem import ControlSamples, _mass_pairing
-from .solvers import (
-    BackwardProblem,
-    ForwardProblem,
-    duality_residual,
-    solve_backward,
-    solve_forward,
-)
+from .solvers import duality_residual, solve_backward, solve_forward
 from .game import SNConfig, fixed_point_solve, nash_residual
 
 # Independently computed control-time constant for k = 1/4 (50-digit
@@ -55,11 +47,7 @@ def _manufactured_error(NM):
     spec = MovingDomainSpec(k=0.0, T=1.0)
     grid = build_time_grid(1.0, NM)
     _, x = level_nodes(spec, 0.0, NM)
-    prob = ForwardProblem(
-        left_boundary=np.zeros(NM + 1),
-        ic0=np.sin(np.pi * x),
-    )
-    traj = solve_forward(prob, spec, grid, NM)
+    traj = solve_forward(np.zeros(NM + 1), spec, grid, NM, ic0=np.sin(np.pi * x))
     d = traj.frames - np.outer(np.cos(np.pi * grid.levels), np.sin(np.pi * x))
     return np.sqrt(grid.dt * _mass_pairing(d, d, traj.plan.h))
 
@@ -77,16 +65,15 @@ def _check_reversal():
     grid = build_time_grid(1.0, NM)
     _, x = level_nodes(spec, 0.0, NM)
     src = np.outer(np.cos(3.0 * grid.levels), np.sin(2 * np.pi * x))
-    back = solve_backward(BackwardProblem(source=src), spec, grid, NM)
-    fwd = solve_forward(ForwardProblem(left_boundary=np.zeros(NM + 1), source=src[::-1]),
-                        spec, grid, NM)
+    back = solve_backward(src, spec, grid, NM)
+    fwd = solve_forward(np.zeros(NM + 1), spec, grid, NM, source=src[::-1])
     gap = float(np.max(np.abs(back.frames[::-1] - fwd.frames)))
     return "backward-reversal", gap <= 1e-10, f"max frame gap {gap:.2e}"
 
 
 def _paired(re, im):
-    """The problem whose data are those of ``re`` plus i times those of ``im``."""
-    return type(re)(*(getattr(re, f.name) + 1j * getattr(im, f.name) for f in fields(re)))
+    """The data of ``re`` plus i times those of ``im``, two dicts of march arguments."""
+    return {name: re[name] + 1j * im[name] for name in re}
 
 
 def _check_paired_march():
@@ -97,19 +84,19 @@ def _check_paired_march():
     t = grid.levels[:, None]
 
     def problems(a):
-        """A forward problem with a lift and a source, a backward one with terminal data."""
-        return (ForwardProblem(left_boundary=np.sin(0.7 * grid.levels + a),
-                               ic0=np.cos(a) * np.sin(np.pi * x), ic1=a * x * (1.0 - x),
-                               source=np.cos(t + a) * x),
-                BackwardProblem(source=np.sin(t - a) * (1.0 - x),
-                                terminal0=np.sin((2.0 + a) * np.pi * x),
-                                terminal1=np.cos(x + a)))
+        """Forward data with a lift and a source, backward data with terminal data."""
+        return (dict(left_boundary=np.sin(0.7 * grid.levels + a),
+                     ic0=np.cos(a) * np.sin(np.pi * x), ic1=a * x * (1.0 - x),
+                     source=np.cos(t + a) * x),
+                dict(source=np.sin(t - a) * (1.0 - x),
+                     terminal0=np.sin((2.0 + a) * np.pi * x),
+                     terminal1=np.cos(x + a)))
 
     worst = 0.0
     for solve, re, im in zip((solve_forward, solve_backward), problems(0.3), problems(1.1)):
-        got = solve(_paired(re, im), spec, grid, NM).frames
-        for part, problem in ((got.real, re), (got.imag, im)):
-            ref = solve(problem, spec, grid, NM).frames
+        got = solve(spec=spec, grid=grid, N=NM, **_paired(re, im)).frames
+        for part, data in ((got.real, re), (got.imag, im)):
+            ref = solve(spec=spec, grid=grid, N=NM, **data).frames
             worst = max(worst, float(np.max(np.abs(part - ref)) / np.max(np.abs(ref))))
     return "paired-march", worst <= 1e-12, f"max relative gap {worst:.2e}"
 
@@ -117,7 +104,7 @@ def _check_paired_march():
 def _check_zero_data():
     spec = MovingDomainSpec(k=0.25, T=4.0)
     grid = build_time_grid(4.0, 32)
-    traj = solve_forward(ForwardProblem(left_boundary=np.zeros(33)), spec, grid, 32)
+    traj = solve_forward(np.zeros(33), spec, grid, 32)
     ok = bool(np.all(traj.frames == 0.0))
     return "zero-data-zero-trajectory", ok, "all frames exactly zero" if ok else "nonzero frame"
 
@@ -127,12 +114,9 @@ def _check_dissipative():
     spec = MovingDomainSpec(k=0.0, T=1.0)
     grid = build_time_grid(1.0, NM)
     h, x = level_nodes(spec, 0.0, NM)
-    prob = ForwardProblem(
-        left_boundary=np.zeros(NM + 1),
-        ic0=np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x),
-        ic1=0.5 * np.sin(2 * np.pi * x),
-    )
-    traj = solve_forward(prob, spec, grid, NM)
+    traj = solve_forward(np.zeros(NM + 1), spec, grid, NM,
+                         ic0=np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x),
+                         ic1=0.5 * np.sin(2 * np.pi * x))
     energy = []
     for a, b in zip(traj.frames[:-1], traj.frames[1:]):
         d = (b - a)[None] / grid.dt

@@ -14,7 +14,6 @@ import pytest
 from snwave import (
     BoundarySegments,
     ControlSamples,
-    ForwardProblem,
     MovingDomainSpec,
     SNConfig,
     build_time_grid,
@@ -28,8 +27,8 @@ from snwave import (
     trapezoid_stats,
 )
 from p1_dense import mass_matrix
+import snwave.game as game
 from snwave.geometry import level_nodes
-from snwave.solvers import BackwardProblem
 
 K = 0.25
 N = M = 100
@@ -143,12 +142,8 @@ def _manufactured_error(NM):
     spec = MovingDomainSpec(k=0.0, T=1.0)
     grid = build_time_grid(1.0, NM)
     h, x = level_nodes(spec, 0.0, NM)
-    prob = ForwardProblem(
-        left_boundary=np.zeros(NM + 1),
-        ic0=np.sin(np.pi * x),
-        ic1=np.zeros(NM + 1),
-    )
-    traj = solve_forward(prob, spec, grid, NM)
+    traj = solve_forward(np.zeros(NM + 1), spec, grid, NM,
+                         ic0=np.sin(np.pi * x), ic1=np.zeros(NM + 1))
     acc = 0.0
     mass = mass_matrix(NM, h)
     for m in range(NM):
@@ -168,11 +163,9 @@ def test_criterion_6_solver_verification():
     grid = build_time_grid(1.0, NM)
     _, x = level_nodes(spec, 0.0, NM)
     src = np.array([np.sin(2 * np.pi * x) * np.cos(3.0 * t) for t in grid.levels])
-    back = solve_backward(BackwardProblem(source=src), spec, grid, NM)
-    fwd = solve_forward(
-        ForwardProblem(left_boundary=np.zeros(NM + 1),
-                       source=np.array([src[NM - m] for m in range(NM + 1)])),
-        spec, grid, NM)
+    back = solve_backward(src, spec, grid, NM)
+    fwd = solve_forward(np.zeros(NM + 1), spec, grid, NM,
+                        source=np.array([src[NM - m] for m in range(NM + 1)]))
     gap = max(float(np.max(np.abs(back.frames[NM - m] - fwd.frames[m])))
               for m in range(NM + 1))
     assert gap <= 1e-10
@@ -185,13 +178,17 @@ def test_criterion_7_degenerate_subsystem(tc):
     spec = MovingDomainSpec(k=K, T=tc)
     grid = build_time_grid(tc, M)
     cfg = SNConfig(sigma=SIGMA, epsilon=EPSILON, max_iter=100, u2=U2)
-    res = fixed_point_solve(cfg, spec, grid, N, keep_iterates=True)
+    res = fixed_point_solve(cfg, spec, grid, N)
     assert res.converged
-    for w1, _w2, psi, phi in res.iterates:
-        assert np.all(w1.values == 0.0)
+    # the solve's sweeps, stepped by hand: each updated w1 and its psi, phi
+    sweep = game._Sweep.of(cfg, spec, grid, N)
+    state = (np.zeros(M + 1),) * 3
+    for _ in range(res.iterations):
+        state, (_u, _p, psi, phi) = sweep(*state)
+        assert np.all(state[0] == 0.0)
         assert np.all(psi.frames == 0.0)
         assert np.all(phi.frames == 0.0)
-    report(7, f"{len(res.iterates)} sweeps, psi/phi/w1 bit-zero throughout")
+    report(7, f"{res.iterations} sweeps, psi/phi/w1 bit-zero throughout")
 
 
 def _duality(NM):

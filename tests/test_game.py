@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from snwave import (
-    BackwardProblem,
     BoundarySegments,
     ControlSamples,
     DivergenceError,
-    ForwardProblem,
     IterationRecord,
     MovingDomainSpec,
     SNConfig,
@@ -34,6 +32,18 @@ import snwave.solvers as solvers
 import snwave.verification as verification
 from snwave.geometry import level_nodes
 from snwave.solvers import Trajectory, _level_plan, assemble_left_boundary
+
+
+def stepped_sweeps(cfg, spec, grid, N, n):
+    """The first ``n`` sweeps of the solve of ``cfg``, stepped by hand on
+    ``game._Sweep``: each sweep's updated bare controls and its psi, phi."""
+    sweep = game._Sweep.of(cfg, spec, grid, N)
+    state = (np.zeros(grid.M + 1),) * 3
+    iterates = []
+    for _ in range(n):
+        state, (_u, _p, psi, phi) = sweep(*state)
+        iterates.append((state[0], state[1], psi, phi))
+    return iterates
 
 
 def follower_rule(p, sigma, segs, grid):
@@ -102,7 +112,7 @@ class TestFollowerUpdate:
         def j2_at(scale):
             w = ControlSamples(segment=segs.sigma2, values=scale * d.values)
             left = assemble_left_boundary([w], grid)
-            u = solve_forward(ForwardProblem(left_boundary=left), spec, grid, N)
+            u = solve_forward(left, spec, grid, N)
             return evaluate_J2(u, w, u2, sigma, grid)
 
         j0 = j2_at(0.0)
@@ -237,10 +247,10 @@ class TestFixedPoint:
     def test_degenerate_subsystem_exact_zeros_every_sweep(self, small_setup):
         spec, grid, segs = small_setup
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs)
-        res = fixed_point_solve(cfg, spec, grid, 30, keep_iterates=True)
+        res = fixed_point_solve(cfg, spec, grid, 30)
         assert res.converged
-        for w1, _w2, psi, phi in res.iterates:
-            assert np.all(w1.values == 0.0)
+        for w1, _w2, psi, phi in stepped_sweeps(cfg, spec, grid, 30, res.iterations):
+            assert np.all(w1 == 0.0)
             assert np.all(psi.frames == 0.0)
             assert np.all(phi.frames == 0.0)
 
@@ -295,14 +305,15 @@ class TestFixedPoint:
         f0 = 4.0 * x * (L - x) / L**2
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs,
                        phi_terminal=(f0, None), max_iter=50)
-        res = fixed_point_solve(cfg, spec, grid, 30, keep_iterates=True)
-        w1_first, _, psi_first, phi_first = res.iterates[0]
+        res = fixed_point_solve(cfg, spec, grid, 30)
+        iterates = stepped_sweeps(cfg, spec, grid, 30, res.iterations)
+        w1_first, _, psi_first, phi_first = iterates[0]
         # psi lags phi by one sweep, so the first sweep's psi is exactly zero
         assert np.all(psi_first.frames == 0.0)
         assert np.any(phi_first.frames != 0.0)
-        assert np.any(w1_first.values != 0.0)
-        if len(res.iterates) > 1:
-            _, _, psi_second, _ = res.iterates[1]
+        assert np.any(w1_first != 0.0)
+        if len(iterates) > 1:
+            _, _, psi_second, _ = iterates[1]
             assert np.any(psi_second.frames != 0.0)
 
 
@@ -420,7 +431,7 @@ class TestMarchCounts:
             phi_terminal = (np.zeros(N + 1), np.zeros(N + 1))
         count = self._count_marches(monkeypatch)
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, phi_terminal=phi_terminal)
-        res = fixed_point_solve(cfg, spec, grid, N, keep_iterates=True)
+        res = fixed_point_solve(cfg, spec, grid, N)
         assert res.iterations >= 2
         assert count[0] == 2 * res.iterations
         assert np.all(res.w1.values == 0.0)
@@ -471,8 +482,7 @@ class TestLazyAdjoint:
         res = fixed_point_solve(SNConfig(sigma=100.0, u2=u2, segments=segs), spec, grid, N)
         plan = res.u.plan
         target = game._target(u2, plan.nodes, grid)
-        want = solve_backward(BackwardProblem(source=res.u.frames - target), spec, grid, N,
-                              plan=plan)
+        want = solve_backward(res.u.frames - target, spec, grid, N, plan=plan)
         np.testing.assert_array_equal(res.p.frames, want.frames)
         assert res.p.plan is plan
 
@@ -482,8 +492,7 @@ class TestLazyAdjoint:
         spec = MovingDomainSpec(k=0.25, T=tc)
         grid = build_time_grid(tc, 50)
         res = fixed_point_solve(SNConfig(sigma=100.0), spec, grid, 50)
-        p = solve_backward(BackwardProblem(source=res.u.frames - 10.0), spec, grid, 50,
-                           plan=res.u.plan)
+        p = solve_backward(res.u.frames - 10.0, spec, grid, 50, plan=res.u.plan)
         r = nash_residual(res.w2, p, 100.0, BoundarySegments.disjoint_halves(tc), grid)
         assert (name, ok) == ("follower-best-response", True)
         assert detail == f"residual {r:.2e}, iterations {res.iterations}"
@@ -713,6 +722,17 @@ class TestNashGradientCheck:
         assert np.all(chk.fd == 0.0) and np.all(chk.analytic == 0.0)
         assert chk.max_rel_discrepancy == 0.0
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_direction_count_must_be_a_positive_integer(self, n):
+        spec = MovingDomainSpec(k=0.25, T=4.0)
+        grid = build_time_grid(4.0, 20)
+        segs = BoundarySegments.disjoint_halves(4.0)
+        cfg = SNConfig(sigma=100.0, segments=segs)
+        w1 = ControlSamples.zeros(segs.sigma1, grid)
+        w2 = ControlSamples.zeros(segs.sigma2, grid)
+        with pytest.raises(ValueError, match="n_directions"):
+            nash_gradient_check(w1, w2, cfg, spec, grid, 20, n_directions=n)
+
 
 class TestConfigValidation:
     def test_bad_sigma(self):
@@ -739,6 +759,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             SNConfig(sigma=100.0, max_iter=2.5)
         assert SNConfig(sigma=100.0, max_iter=np.int64(3)).max_iter == 3
+
+    @pytest.mark.parametrize("phi_terminal", [
+        (np.zeros(11), np.zeros(11), np.zeros(11)),
+        (np.ones(11),),
+        (),
+        np.ones(11),
+    ])
+    def test_phi_terminal_must_be_a_pair(self, phi_terminal):
+        with pytest.raises(ValueError, match="phi_terminal must be None or a"):
+            SNConfig(sigma=100.0, phi_terminal=phi_terminal)
 
     def test_non_integral_elements(self, small_setup):
         spec, grid, segs = small_setup

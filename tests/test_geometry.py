@@ -196,6 +196,18 @@ class TestBoundarySegments:
         grid = build_time_grid(10.0, 10)
         assert np.array_equal(segs.leader_mask(grid), segs.follower_mask(grid))
 
+    @pytest.mark.parametrize("sigma1,sigma2,name", [
+        ((4.0, 2.0), (2.0, 4.0), "sigma1"),
+        ((2.0, 4.0), (2.0, 0.0), "sigma2"),
+        ((2.0, 2.0), (0.0, 2.0), "sigma1"),
+        ((2.0, 4.0), (0.0, math.inf), "sigma2"),
+        ((math.nan, 4.0), (0.0, 2.0), "sigma1"),
+        ((2.0, 4.0, 6.0), (0.0, 2.0), "sigma1"),
+    ])
+    def test_reversed_empty_or_infinite_segment_rejected(self, sigma1, sigma2, name):
+        with pytest.raises(ValueError, match=name):
+            BoundarySegments(sigma1, sigma2)
+
 
 class TestTrapezoidStats:
     def test_border_matches_reference_values(self, tc_quarter):

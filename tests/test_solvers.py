@@ -1,13 +1,11 @@
-from dataclasses import fields, replace
+from dataclasses import replace
 import warnings
 
 import numpy as np
 import pytest
 
 from snwave import (
-    BackwardProblem,
     ControlSamples,
-    ForwardProblem,
     MovingDomainSpec,
     SNConfig,
     assemble_left_boundary,
@@ -32,39 +30,38 @@ from snwave.solvers import Trajectory, _level_plan, _march, _sine_basis, _step_o
 ORACLE_RTOL = 1e-12
 
 
-def reference_forward(problem, spec, grid, N):
+def reference_forward(left_boundary, spec, grid, N, *, ic0, ic1, source):
     """Forward march with per-step dense assembly and solves."""
     h, nodes = level_nodes(spec, grid.levels, N)
-    dt, left = grid.dt, problem.left_boundary
-    frames = [problem.ic0.copy()]
+    dt, left = grid.dt, left_boundary
+    frames = [ic0.copy()]
     frames[0][[0, -1]] = left[0], 0.0
-    frames.append(interpolate(problem.ic0 + dt * problem.ic1, nodes[1], nodes[0]))
+    frames.append(interpolate(ic0 + dt * ic1, nodes[1], nodes[0]))
     frames[1][[0, -1]] = left[1], 0.0
     for m in range(1, grid.M):
         x = nodes[m + 1]
         um = interpolate(frames[m], x, nodes[m])
         umm = interpolate(frames[m - 1], x, nodes[m - 1])
         mass = mass_matrix(N, h[m + 1])
-        rhs = mass @ ((2.0 * um - umm) / dt**2) + mass @ problem.source[m + 1]
+        rhs = mass @ ((2.0 * um - umm) / dt**2) + mass @ source[m + 1]
         frames.append(dense_step(h[m + 1], dt, rhs, left[m + 1]))
     return frames
 
 
-def reference_backward(problem, spec, grid, N):
+def reference_backward(source, spec, grid, N, *, terminal0, terminal1):
     """Backward march with per-step dense assembly and solves."""
     h, nodes = level_nodes(spec, grid.levels, N)
     dt, M = grid.dt, grid.M
     frames = [None] * (M + 1)
-    frames[M] = problem.terminal0.copy()
+    frames[M] = terminal0.copy()
     frames[M][[0, -1]] = 0.0
-    frames[M - 1] = interpolate(problem.terminal0 - dt * problem.terminal1,
-                                nodes[M - 1], nodes[M])
+    frames[M - 1] = interpolate(terminal0 - dt * terminal1, nodes[M - 1], nodes[M])
     frames[M - 1][[0, -1]] = 0.0
     for m in range(M - 1, 0, -1):
         x = nodes[m - 1]
         pp = interpolate(frames[m + 1], x, nodes[m + 1])
         pm = interpolate(frames[m], x, nodes[m])
-        rhs = mass_matrix(N, h[m - 1]) @ (problem.source[m - 1] + (2.0 * pm - pp) / dt**2)
+        rhs = mass_matrix(N, h[m - 1]) @ (source[m - 1] + (2.0 * pm - pp) / dt**2)
         frames[m - 1] = dense_step(h[m - 1], dt, rhs, 0.0)
     return frames
 
@@ -93,9 +90,9 @@ def reference_march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
         np.matmul(back, y, out=out[i + 1, 1:-1])
 
 
-def paired_problem(re, im):
-    """The problem whose data are those of ``re`` plus i times those of ``im``."""
-    return type(re)(*(getattr(re, f.name) + 1j * getattr(im, f.name) for f in fields(re)))
+def paired(re, im):
+    """The march data of ``re`` plus i times those of ``im``, dicts of keyword arguments."""
+    return {name: re[name] + 1j * im[name] for name in re}
 
 
 def assert_frames_close(traj, ref):
@@ -119,12 +116,8 @@ def manufactured_error(NM):
     spec = MovingDomainSpec(k=0.0, T=1.0)
     grid = build_time_grid(1.0, NM)
     _, x = level_nodes(spec, 0.0, NM)
-    prob = ForwardProblem(
-        left_boundary=np.zeros(NM + 1),
-        ic0=np.sin(np.pi * x),
-        ic1=np.zeros(NM + 1),
-    )
-    traj = solve_forward(prob, spec, grid, NM)
+    traj = solve_forward(np.zeros(NM + 1), spec, grid, NM,
+                         ic0=np.sin(np.pi * x), ic1=np.zeros(NM + 1))
     return l2q_error_vs_separable(
         traj, lambda x, t: np.sin(np.pi * x) * np.cos(np.pi * t))
 
@@ -133,7 +126,7 @@ class TestForward:
     def test_zero_data_is_exactly_zero(self):
         spec = MovingDomainSpec(k=0.25, T=4.0)
         grid = build_time_grid(4.0, 24)
-        traj = solve_forward(ForwardProblem(left_boundary=np.zeros(25)), spec, grid, 16)
+        traj = solve_forward(np.zeros(25), spec, grid, 16)
         assert traj.frames.shape == (25, 17)
         assert np.all(traj.frames == 0.0)
 
@@ -143,7 +136,7 @@ class TestForward:
     def test_dirichlet_exactness_moving_domain(self):
         spec = MovingDomainSpec(k=0.25, T=2.0)
         grid = build_time_grid(2.0, 20)
-        traj = solve_forward(ForwardProblem(left_boundary=np.ones(21)), spec, grid, 12)
+        traj = solve_forward(np.ones(21), spec, grid, 12)
         for m in range(1, 21):
             assert traj.frames[m, 0] == 1.0
             assert traj.frames[m, -1] == 0.0
@@ -155,9 +148,9 @@ class TestForward:
         b1 = rng.standard_normal(33)
         b2 = rng.standard_normal(33)
         a, b = 2.5, -1.25
-        t1 = solve_forward(ForwardProblem(left_boundary=b1), spec, grid, 24)
-        t2 = solve_forward(ForwardProblem(left_boundary=b2), spec, grid, 24)
-        t12 = solve_forward(ForwardProblem(left_boundary=a * b1 + b * b2), spec, grid, 24)
+        t1 = solve_forward(b1, spec, grid, 24)
+        t2 = solve_forward(b2, spec, grid, 24)
+        t12 = solve_forward(a * b1 + b * b2, spec, grid, 24)
         for m in range(33):
             combo = a * t1.frames[m] + b * t2.frames[m]
             scale = max(1.0, np.max(np.abs(combo)))
@@ -168,12 +161,9 @@ class TestForward:
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, NM)
         h, x = level_nodes(spec, 0.0, NM)
-        prob = ForwardProblem(
-            left_boundary=np.zeros(NM + 1),
-            ic0=np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x),
-            ic1=0.5 * np.sin(2 * np.pi * x),
-        )
-        traj = solve_forward(prob, spec, grid, NM)
+        traj = solve_forward(np.zeros(NM + 1), spec, grid, NM,
+                             ic0=np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x),
+                             ic1=0.5 * np.sin(2 * np.pi * x))
         mass, stiff = mass_matrix(NM, h), stiffness_matrix(NM, h)
         energy = []
         for m in range(NM):
@@ -186,7 +176,14 @@ class TestForward:
         spec = MovingDomainSpec(k=0.25, T=1.0)
         grid = build_time_grid(1.0, 10)
         with pytest.raises(ValueError, match="levels"):
-            solve_forward(ForwardProblem(left_boundary=np.zeros(5)), spec, grid, 8)
+            solve_forward(np.zeros(5), spec, grid, 8)
+
+    def test_two_dimensional_boundary_rejected(self):
+        # M+1 rows pass a length check; the shape must be (M+1,)
+        spec = MovingDomainSpec(k=0.25, T=1.0)
+        grid = build_time_grid(1.0, 10)
+        with pytest.raises(ValueError, match=r"left boundary has shape \(11, 2\).*levels"):
+            solve_forward(np.zeros((11, 2)), spec, grid, 8)
 
 
 class TestBackward:
@@ -194,7 +191,7 @@ class TestBackward:
         spec = MovingDomainSpec(k=0.25, T=2.0)
         grid = build_time_grid(2.0, 16)
         src = np.zeros((17, 13))
-        traj = solve_backward(BackwardProblem(source=src), spec, grid, 12)
+        traj = solve_backward(src, spec, grid, 12)
         assert traj.frames.shape == (17, 13)
         assert np.all(traj.frames == 0.0)
 
@@ -205,11 +202,9 @@ class TestBackward:
         _, x = level_nodes(spec, 0.0, NM)
         src = np.array([np.sin(2 * np.pi * x) * np.cos(3.0 * t) + 0.3 * x * (1 - x) * t
                         for t in grid.levels])
-        back = solve_backward(BackwardProblem(source=src), spec, grid, NM)
-        fwd = solve_forward(
-            ForwardProblem(left_boundary=np.zeros(NM + 1),
-                           source=np.array([src[NM - m] for m in range(NM + 1)])),
-            spec, grid, NM)
+        back = solve_backward(src, spec, grid, NM)
+        fwd = solve_forward(np.zeros(NM + 1), spec, grid, NM,
+                            source=np.array([src[NM - m] for m in range(NM + 1)]))
         for m in range(NM + 1):
             gap = np.max(np.abs(back.frames[NM - m] - fwd.frames[m]))
             assert gap <= 1e-10
@@ -219,7 +214,7 @@ class TestBackward:
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, NM)
         src = np.ones((NM + 1, NM + 1))
-        traj = solve_backward(BackwardProblem(source=src), spec, grid, NM)
+        traj = solve_backward(src, spec, grid, NM)
         for f in traj.frames:
             assert np.max(np.abs(f - f[::-1])) <= 1e-11
 
@@ -230,10 +225,10 @@ class TestBackward:
         s1 = np.array([rng.standard_normal(17) for _ in grid.levels])
         s2 = np.array([rng.standard_normal(17) for _ in grid.levels])
         a, b = 1.5, -0.75
-        t1 = solve_backward(BackwardProblem(source=s1), spec, grid, 16)
-        t2 = solve_backward(BackwardProblem(source=s2), spec, grid, 16)
+        t1 = solve_backward(s1, spec, grid, 16)
+        t2 = solve_backward(s2, spec, grid, 16)
         s12 = a * s1 + b * s2
-        t12 = solve_backward(BackwardProblem(source=s12), spec, grid, 16)
+        t12 = solve_backward(s12, spec, grid, 16)
         for m in range(25):
             combo = a * t1.frames[m] + b * t2.frames[m]
             scale = max(1.0, np.max(np.abs(combo)))
@@ -245,7 +240,7 @@ class TestBackward:
         _, x = level_nodes(spec, 1.0, 10)
         f0 = x * (1 - x)
         src = np.zeros((11, 11))
-        traj = solve_backward(BackwardProblem(source=src, terminal0=f0), spec, grid, 10)
+        traj = solve_backward(src, spec, grid, 10, terminal0=f0)
         np.testing.assert_allclose(traj.frames[10], f0, atol=0)
         np.testing.assert_allclose(traj.frames[9], f0, atol=0)
 
@@ -288,26 +283,18 @@ class TestThomasOracle:
     def test_forward_matches_thomas_march(self):
         spec, grid, N, nodes, source = self._setup()
         x = nodes[0]
-        problem = ForwardProblem(
-            left_boundary=np.sin(0.7 * grid.levels) + 0.2,
-            ic0=np.cos(2.0 * x) * (1.0 - x),
-            ic1=x * (1.0 - x) - 0.3,
-            source=source,
-        )
-        assert_frames_close(solve_forward(problem, spec, grid, N),
-                            reference_forward(problem, spec, grid, N))
+        left = np.sin(0.7 * grid.levels) + 0.2
+        data = dict(ic0=np.cos(2.0 * x) * (1.0 - x), ic1=x * (1.0 - x) - 0.3, source=source)
+        assert_frames_close(solve_forward(left, spec, grid, N, **data),
+                            reference_forward(left, spec, grid, N, **data))
 
     def test_backward_matches_thomas_march(self):
         spec, grid, N, nodes, source = self._setup()
         x = nodes[-1]
         L = x[-1]
-        problem = BackwardProblem(
-            source=source,
-            terminal0=np.sin(np.pi * x / L) + 0.1 * x,
-            terminal1=x * (L - x) - 0.4,
-        )
-        assert_frames_close(solve_backward(problem, spec, grid, N),
-                            reference_backward(problem, spec, grid, N))
+        data = dict(terminal0=np.sin(np.pi * x / L) + 0.1 * x, terminal1=x * (L - x) - 0.4)
+        assert_frames_close(solve_backward(source, spec, grid, N, **data),
+                            reference_backward(source, spec, grid, N, **data))
 
 
 class TestOneInterpolationPerFrame:
@@ -315,71 +302,71 @@ class TestOneInterpolationPerFrame:
     same bits as the two-call reference, and M+1 calls per march."""
 
     @staticmethod
-    def _problems(k, N, M):
+    def _data(k, N, M):
         spec = MovingDomainSpec(k=k, T=3.0)
         grid = build_time_grid(3.0, M)
         rng = np.random.default_rng(100 * N + M)
-        forward = ForwardProblem(left_boundary=np.sin(0.7 * grid.levels) + 0.2,
-                                 ic0=rng.standard_normal(N + 1),
-                                 ic1=rng.standard_normal(N + 1),
-                                 source=rng.standard_normal((M + 1, N + 1)))
-        backward = BackwardProblem(source=rng.standard_normal((M + 1, N + 1)),
-                                   terminal0=rng.standard_normal(N + 1),
-                                   terminal1=rng.standard_normal(N + 1))
+        forward = dict(left_boundary=np.sin(0.7 * grid.levels) + 0.2,
+                       ic0=rng.standard_normal(N + 1),
+                       ic1=rng.standard_normal(N + 1),
+                       source=rng.standard_normal((M + 1, N + 1)))
+        backward = dict(source=rng.standard_normal((M + 1, N + 1)),
+                        terminal0=rng.standard_normal(N + 1),
+                        terminal1=rng.standard_normal(N + 1))
         return spec, grid, forward, backward
 
     @pytest.mark.parametrize("k", [0.0, 0.25])
     @pytest.mark.parametrize("N", [2, 3, 100])
     @pytest.mark.parametrize("M", [2, 3, 12])  # M=2: one step, a one-row block
     def test_same_bits_as_two_calls_per_step(self, k, N, M):
-        spec, grid, forward, backward = self._problems(k, N, M)
+        spec, grid, forward, backward = self._data(k, N, M)
         plan = _level_plan(spec, grid, N)
         ref = np.empty((M + 1, N + 1))
-        reference_march(plan.nodes, plan.ST, plan.G, plan.lift, grid.dt, forward.ic0,
-                        forward.ic1, forward.left_boundary, forward.source, ref)
-        got = solve_forward(forward, spec, grid, N, plan=plan).frames
+        reference_march(plan.nodes, plan.ST, plan.G, plan.lift, grid.dt, forward["ic0"],
+                        forward["ic1"], forward["left_boundary"], forward["source"], ref)
+        got = solve_forward(spec=spec, grid=grid, N=N, plan=plan, **forward).frames
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
         reference_march(plan.nodes[::-1], plan.ST, plan.G[::-1], plan.lift[::-1], grid.dt,
-                        backward.terminal0, -backward.terminal1, np.zeros(M + 1),
-                        backward.source[::-1], ref[::-1])
-        got = solve_backward(backward, spec, grid, N, plan=plan).frames
+                        backward["terminal0"], -backward["terminal1"], np.zeros(M + 1),
+                        backward["source"][::-1], ref[::-1])
+        got = solve_backward(spec=spec, grid=grid, N=N, plan=plan, **backward).frames
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
     @staticmethod
-    def _random_problems(grid, N, seed):
+    def _random_data(grid, N, seed):
         M = grid.M
         rng = np.random.default_rng(seed)
-        forward = ForwardProblem(left_boundary=rng.standard_normal(M + 1),
-                                 ic0=rng.standard_normal(N + 1),
-                                 ic1=rng.standard_normal(N + 1),
-                                 source=rng.standard_normal((M + 1, N + 1)))
-        backward = BackwardProblem(source=rng.standard_normal((M + 1, N + 1)),
-                                   terminal0=rng.standard_normal(N + 1),
-                                   terminal1=rng.standard_normal(N + 1))
+        forward = dict(left_boundary=rng.standard_normal(M + 1),
+                       ic0=rng.standard_normal(N + 1),
+                       ic1=rng.standard_normal(N + 1),
+                       source=rng.standard_normal((M + 1, N + 1)))
+        backward = dict(source=rng.standard_normal((M + 1, N + 1)),
+                        terminal0=rng.standard_normal(N + 1),
+                        terminal1=rng.standard_normal(N + 1))
         return forward, backward
 
     @pytest.mark.parametrize("k", [0.0, 0.25])
     @pytest.mark.parametrize("N", [2, 3, 100])
     @pytest.mark.parametrize("M", [2, 3, 12])
     def test_complex_march_is_two_real_marches(self, k, N, M):
-        spec, grid, *re = self._problems(k, N, M)
-        im = self._random_problems(grid, N, seed=1)
+        spec, grid, *re = self._data(k, N, M)
+        im = self._random_data(grid, N, seed=1)
         plan = _level_plan(spec, grid, N)
         for solve, a, b in zip((solve_forward, solve_backward), re, im):
-            got = solve(paired_problem(a, b), spec, grid, N, plan=plan).frames
-            for part, problem in ((got.real, a), (got.imag, b)):
-                ref = solve(problem, spec, grid, N, plan=plan).frames
+            got = solve(spec=spec, grid=grid, N=N, plan=plan, **paired(a, b)).frames
+            for part, data in ((got.real, a), (got.imag, b)):
+                ref = solve(spec=spec, grid=grid, N=N, plan=plan, **data).frames
                 assert np.max(np.abs(part - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("N", [2, 3, 100])
     def test_real_part_reads_no_imaginary_part(self, N):
-        spec, grid, *re = self._problems(0.25, N, 12)
+        spec, grid, *re = self._data(0.25, N, 12)
         plan = _level_plan(spec, grid, N)
         for solve, a, b, c in zip((solve_forward, solve_backward), re,
-                                  self._random_problems(grid, N, seed=1),
-                                  self._random_problems(grid, N, seed=2)):
-            ab = solve(paired_problem(a, b), spec, grid, N, plan=plan).frames
-            ac = solve(paired_problem(a, c), spec, grid, N, plan=plan).frames
+                                  self._random_data(grid, N, seed=1),
+                                  self._random_data(grid, N, seed=2)):
+            ab = solve(spec=spec, grid=grid, N=N, plan=plan, **paired(a, b)).frames
+            ac = solve(spec=spec, grid=grid, N=N, plan=plan, **paired(a, c)).frames
             assert not np.array_equal(ab.imag, ac.imag)
             np.testing.assert_array_equal(ab.real.view(np.int64), ac.real.view(np.int64))
 
@@ -393,10 +380,10 @@ class TestOneInterpolationPerFrame:
             return interp(*args)
 
         monkeypatch.setattr(solvers, "interpolate", counted)
-        spec, grid, forward, backward = self._problems(0.25, 10, M)
-        solve_forward(forward, spec, grid, 10)
+        spec, grid, forward, backward = self._data(0.25, 10, M)
+        solve_forward(spec=spec, grid=grid, N=10, **forward)
         assert count[0] == M + 1
-        solve_backward(backward, spec, grid, 10)
+        solve_backward(spec=spec, grid=grid, N=10, **backward)
         assert count[0] == 2 * (M + 1)
 
 
@@ -449,13 +436,13 @@ class TestLevelPlan:
         grid = build_time_grid(3.0, 12)
         plan = _level_plan(spec, grid, 10)
         left = np.sin(grid.levels)
-        own = solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10)
-        shared = solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10, plan=plan)
+        own = solve_forward(left, spec, grid, 10)
+        shared = solve_forward(left, spec, grid, 10, plan=plan)
         np.testing.assert_array_equal(own.frames, shared.frames)
         assert shared.plan is plan
         source = np.ones((13, 11))
-        own = solve_backward(BackwardProblem(source=source), spec, grid, 10)
-        shared = solve_backward(BackwardProblem(source=source), spec, grid, 10, plan=plan)
+        own = solve_backward(source, spec, grid, 10)
+        shared = solve_backward(source, spec, grid, 10, plan=plan)
         np.testing.assert_array_equal(own.frames, shared.frames)
         assert shared.plan is plan
 
@@ -466,7 +453,7 @@ class TestLevelPlan:
         for plan in (_level_plan(spec, build_time_grid(3.0, 10), 10),
                      _level_plan(spec, grid, 8)):
             with pytest.raises(ValueError, match="level plan"):
-                solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10, plan=plan)
+                solve_forward(left, spec, grid, 10, plan=plan)
 
     @pytest.mark.parametrize("name,spec_k,plan_T,dt_factor", [
         ("k", 0.5, 3.0, 1.0),
@@ -482,10 +469,9 @@ class TestLevelPlan:
         grid = replace(grid, dt=grid.dt * dt_factor)
         left = np.sin(grid.levels)
         with pytest.raises(ValueError, match=rf"level plan was built for {name}="):
-            solve_forward(ForwardProblem(left_boundary=left), spec, grid, 10, plan=plan)
+            solve_forward(left, spec, grid, 10, plan=plan)
         with pytest.raises(ValueError, match=rf"level plan was built for {name}="):
-            solve_backward(BackwardProblem(source=np.ones((13, 11))), spec, grid, 10,
-                           plan=plan)
+            solve_backward(np.ones((13, 11)), spec, grid, 10, plan=plan)
 
 
 class TestShapeChecks:
@@ -498,16 +484,14 @@ class TestShapeChecks:
         spec = MovingDomainSpec(k=0.25, T=1.0)
         grid = build_time_grid(1.0, cls.M)
         if name in ("ic0", "ic1"):
-            problem = ForwardProblem(left_boundary=np.zeros(cls.M + 1), **{name: value})
-            return solve_forward(problem, spec, grid, cls.N)
+            return solve_forward(np.zeros(cls.M + 1), spec, grid, cls.N, **{name: value})
         if name in ("terminal0", "terminal1"):
-            problem = BackwardProblem(source=np.zeros((cls.M + 1, cls.N + 1)), **{name: value})
-            return solve_backward(problem, spec, grid, cls.N)
+            return solve_backward(np.zeros((cls.M + 1, cls.N + 1)), spec, grid, cls.N,
+                                  **{name: value})
         if name == "source":
-            return solve_backward(BackwardProblem(source=value), spec, grid, cls.N)
+            return solve_backward(value, spec, grid, cls.N)
         if name == "forward source":
-            problem = ForwardProblem(left_boundary=np.zeros(cls.M + 1), source=value)
-            return solve_forward(problem, spec, grid, cls.N)
+            return solve_forward(np.zeros(cls.M + 1), spec, grid, cls.N, source=value)
         cfg = SNConfig(sigma=100.0, max_iter=1, phi_terminal=value)
         return fixed_point_solve(cfg, spec, grid, cls.N)
 
@@ -546,15 +530,13 @@ class TestUnderflowingTimeStep:
     def test_forward_without_plan(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = solve_forward(ForwardProblem(left_boundary=np.ones(11)),
-                                 self.spec, self.grid, 10)
+            traj = solve_forward(np.ones(11), self.spec, self.grid, 10)
         assert not np.isfinite(traj.frames).all()
 
     def test_backward_without_plan(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = solve_backward(BackwardProblem(source=np.ones((11, 11))),
-                                  self.spec, self.grid, 10)
+            traj = solve_backward(np.ones((11, 11)), self.spec, self.grid, 10)
         assert not np.isfinite(traj.frames).all()
 
 
@@ -600,10 +582,19 @@ class TestTrajectoryNorms:
         spec = MovingDomainSpec(k=0.25, T=1.0)
         grid = build_time_grid(1.0, 8)
         b = np.linspace(0, 1, 9)
-        t1 = solve_forward(ForwardProblem(left_boundary=b), spec, grid, 8)
-        t2 = solve_forward(ForwardProblem(left_boundary=2 * b), spec, grid, 8)
+        t1 = solve_forward(b, spec, grid, 8)
+        t2 = solve_forward(2 * b, spec, grid, 8)
         assert trajectory_l2_distance(t1, t2) == pytest.approx(
             trajectory_l2_distance(t2, t1), rel=1e-14)
+
+    def test_distance_between_different_meshes_rejected(self):
+        spec = MovingDomainSpec(k=0.25, T=1.0)
+        grid = build_time_grid(1.0, 8)
+        b = np.linspace(0, 1, 9)
+        t1 = solve_forward(b, spec, grid, 8)
+        t2 = solve_forward(b, spec, grid, 6)
+        with pytest.raises(ValueError, match=r"frame shapes \(9, 9\) and \(9, 7\)"):
+            trajectory_l2_distance(t1, t2)
 
 
 class TestDualityResidual:
@@ -635,8 +626,8 @@ class TestDualityResidual:
         got = duality_residual(ctrl, src, spec, grid, 100)
         # the same pairings, the boundary term accumulated level by level
         left = assemble_left_boundary([ctrl], grid)
-        u_hat = solve_forward(ForwardProblem(left_boundary=left), spec, grid, 100)
-        p = solve_backward(BackwardProblem(source=src), spec, grid, 100)
+        u_hat = solve_forward(left, spec, grid, 100)
+        p = solve_backward(src, spec, grid, 100)
         volume = boundary = 0.0
         for m in range(grid.M):
             mass = mass_matrix(100, p.plan.h[m])
