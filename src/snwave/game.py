@@ -229,6 +229,12 @@ class _Sweep:
     @classmethod
     def of(cls, config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid, N: int) -> "_Sweep":
         segments = config.segments or BoundarySegments.disjoint_halves(grid.T)
+        leader = np.nonzero(segments.leader_mask(grid))[0]
+        follower = np.nonzero(segments.follower_mask(grid))[0]
+        for name, idx in (("sigma1", leader), ("sigma2", follower)):
+            if not len(idx):
+                raise ValueError(f"{name} {getattr(segments, name)} holds no time level "
+                                 f"of the grid (T={grid.T}, M={grid.M})")
         plan = _level_plan(spec, grid, N)
         terminal = {}
         for i, f in enumerate(config.phi_terminal or ()):
@@ -240,8 +246,7 @@ class _Sweep:
             terminal = {}
         zero = Trajectory(grid, plan, np.broadcast_to(0.0, plan.nodes.shape))
         return cls(spec, grid, N, plan, _target(config.u2, plan.nodes, grid), zero, segments,
-                   np.nonzero(segments.leader_mask(grid))[0],
-                   np.nonzero(segments.follower_mask(grid))[0], config.sigma, terminal)
+                   leader, follower, config.sigma, terminal)
 
     def forward(self, left: np.ndarray) -> Trajectory:
         """The march from rest with boundary data ``left``; zero data need none."""

@@ -132,7 +132,8 @@ class BoundarySegments:
     ``sigma1`` is the leader's interval, ``sigma2`` the follower's.  A
     control sample at level m acts on [t^m, t^{m+1}), so level m belongs
     to a segment (a, b) when a <= t^m < b; the final level t^M carries no
-    sample of its own.  Each segment needs finite ends with a < b.
+    sample of its own.  Each segment needs finite ends with a < b, and a
+    solve needs each to hold at least one level of its grid.
     """
 
     sigma1: tuple

@@ -27,9 +27,28 @@ ST = S T, S symmetric, the step solve S ((scale_m S T w) / lambda_m) is
 two products with one operator and one scaling; the boundary nodes of
 v are the Dirichlet values.
 
+The basis is symmetric under the reflection k -> N-k of the nodes:
+sin(i (N-k) pi/N) = (-1)^(i+1) sin(i k pi/N), and so
+
+    ST[i, N-k] = (-1)^(i+1) ST[i, k]        (k = 0..N).
+
+So the odd modes i see w only through s_k = w_k + w_{N-k} and the even
+modes only through d_k = w_k - w_{N-k}, for k = 0..N//2; and with a and
+b the odd and the even modes' parts of the back product on the nodes
+k = 1..N//2, v_k = a_k + b_k and v_{N-k} = a_k - b_k.  The folded step
+forms s and d, makes one product of the stacked odd- and even-mode
+blocks with them, scales, and one stacked product back: half the
+operator bytes and half the flops of the two full products, for four
+more small ufunc calls.  The step is memory-bound at large N and bound
+by per-call overhead at small N, so the plan folds its operators from
+N = ``_FOLD_N`` on: one march pair (forward and backward) at N = M = 300
+takes 0.85 of the unfolded time, at N = M = 100 1.2 of it, and the two
+cross between N = 150 and 200 (``_FOLD_N``'s comment).
+
 A solve builds its level plan once: the spacings ``h`` ``(M+1,)``, the
 nodes ``(M+1, N+1)`` and the step operators ``ST`` ``(N-1, N+1)``,
-``G`` ``(M+1, N-1)`` and ``lift`` ``(M+1,)``, read-only, shared by every
+``G`` ``(M+1, N-1)`` and ``lift`` ``(M+1,)`` (``ST`` and ``G`` folded
+from N = ``_FOLD_N`` on, see ``_fold``), read-only, shared by every
 march of the solve, with the ``k``, ``T`` and ``dt`` it was built for.
 ``solve_forward`` and ``solve_backward`` take it as the keyword ``plan``,
 reject one built for another k, T, dt, M or N, and build their
@@ -164,11 +183,55 @@ def _step_operators(h: np.ndarray, dt: float, N: int):
     return ST, G, off / scale
 
 
+# The smallest N whose plan holds folded step operators.  Interleaved
+# march pairs (one forward and one backward, N = M, 30 trials; median
+# folded over unfolded CPU time, two runs) read 1.25/1.21 at N=100,
+# 1.09/1.07 at 150, 1.03/0.97 at 180, 0.97/0.97 at 200, 0.91/0.92 at 250
+# and 0.85/0.85 at 300 on a 2-vCPU Xeon VM with OpenBLAS: the two forms
+# cross between N=150 and 200, and 200 is the smallest N tried that won
+# in both runs (BENCH_reflection-split.json).
+_FOLD_N = 200
+
+
+def _fold(ST: np.ndarray, G: np.ndarray):
+    """``ST`` and ``G`` folded by the basis's reflection k -> N-k (module docstring).
+
+    The folded ``ST`` is ``(2, R, 2n - 1)`` with R = N//2 modes and
+    n = N//2 + 1 nodes: block 0 holds the odd modes i = 1, 3, ..., block
+    1 the even ones, zero-padded to R rows.  Its first n columns are the
+    forward operator on s (block 0) and d (block 1) at k = 0..N//2, its
+    last n - 1 the back operator's columns k = 1..N//2.  For even N the
+    middle node is its own mirror, s there is 2 w, so the forward column
+    is halved.  The folded ``G`` is ``(M+1, 2, R)``, the same modes.
+    """
+    N = ST.shape[1] - 1
+    R, n = N // 2, N // 2 + 1
+    folded = np.zeros((2, R, 2 * n - 1))
+    G_folded = np.zeros((len(G), 2, R))
+    for parity in (0, 1):  # row i-1 of ST holds mode i
+        rows = ST[parity::2]
+        folded[parity, :len(rows), :n] = rows[:, :n]
+        folded[parity, :len(rows), n:] = rows[:, 1:n]
+        G_folded[:, parity, :len(rows)] = G[:, parity::2]
+    if N % 2 == 0:
+        folded[0, :, n - 1] *= 0.5
+    return folded, G_folded
+
+
+def _plan_operators(h: np.ndarray, dt: float, N: int):
+    """``_step_operators`` in the form a plan holds them: ``ST`` and ``G``
+    folded (``_fold``) from N = ``_FOLD_N`` on."""
+    ST, G, lift = _step_operators(h, dt, N)
+    if N >= _FOLD_N:
+        ST, G = _fold(ST, G)
+    return ST, G, lift
+
+
 @dataclass(frozen=True)
 class _LevelPlan:
     """What a solve's marches share, all read-only: level m's spacing
     ``h[m]`` and nodes ``nodes[m]``, and the step operators ``ST``, ``G``
-    and ``lift`` of ``_step_operators``, built for the boundary speed
+    and ``lift`` of ``_plan_operators``, built for the boundary speed
     ``k``, the horizon ``T`` and the time step ``dt``."""
 
     k: float
@@ -184,7 +247,7 @@ class _LevelPlan:
 def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
     h, nodes = level_nodes(spec, grid.levels, N)
     with np.errstate(**_SWEEP_ERRSTATE):
-        ops = _step_operators(h, grid.dt, N)
+        ops = _plan_operators(h, grid.dt, N)
     plan = _LevelPlan(spec.k, grid.T, grid.dt, h, nodes, *ops)
     for a in (plan.h, plan.nodes, plan.ST, plan.G, plan.lift):
         a.flags.writeable = False
@@ -200,11 +263,15 @@ def _plan_for(plan: Optional[_LevelPlan], spec, grid: TimeGrid, N: int) -> _Leve
             f"level plan has nodes of shape {plan.nodes.shape}, "
             f"expected {(grid.M + 1, N + 1)}"
         )
-    for name, want in (("k", spec.k), ("T", grid.T), ("dt", grid.dt)):
+    _check_built_for(plan, spec.k, grid.T, grid.dt)
+    return plan
+
+
+def _check_built_for(plan: _LevelPlan, k: float, T: float, dt: float):
+    for name, want in (("k", k), ("T", T), ("dt", dt)):
         if getattr(plan, name) != want:
             raise ValueError(f"level plan was built for {name}={getattr(plan, name)!r}, "
                              f"expected {name}={want!r}")
-    return plan
 
 
 class _Columns:
@@ -219,6 +286,12 @@ class _Columns:
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         return self.ST @ w.view(float).reshape(-1, 2)
+
+
+def _real_columns(a: np.ndarray) -> np.ndarray:
+    """``a`` as real columns on a last axis: the ``(..., 2)`` real view of
+    complex data, a ``(..., 1)`` view of real data."""
+    return a.view(float).reshape(*a.shape, 2) if a.dtype.kind == "c" else a[..., None]
 
 
 def _frame_dtype(*data) -> type:
@@ -248,6 +321,18 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
     ``out``.  The views are chosen once per march; real data take the
     one-column products on ``w`` itself.
 
+    Folded operators (a 3-D ``ST``, see ``_fold``) change only the
+    products: the step folds ``w`` into the rows s and d of a buffer,
+    makes the two stacked products on the buffer's real columns, and
+    writes a + b into the nodes 1..N//2 of ``out``'s real columns and
+    a - b into their mirrors N-1..N-N//2 through a reversed view.  For
+    even N the middle node is its own mirror and keeps a - b, written
+    last; b is zero there but for roundoff, as ``ST``'s even modes
+    vanish on it.  Complex data fold as complex numbers, and the
+    products act on the same real views.  The ufuncs take ``out``
+    positionally, which halves their call cost, and the back product
+    writes into a buffer whose halves a and b are bound once per march.
+
     Frame i is needed on level i+1 at step i and on level i+2 at step
     i+1, so step i interpolates it once, onto the two rows
     ``nodes[i+1:i+3]``, and keeps the second row for the next step; a
@@ -260,11 +345,22 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
     out[:, -1] = 0.0
     dt2 = dt * dt
     lifted = (lift * left).tolist()
-    back = ST[:, 1:-1].T
-    out_cols = out
-    if out.dtype.kind == "c":
-        ST, G = _Columns(ST), G[:, :, None]
-        out_cols = out.view(float).reshape(*out.shape, 2)
+    folded = ST.ndim == 3
+    if folded:
+        n = (ST.shape[2] + 1) // 2  # the fold's nodes 0..N//2
+        ST, back = ST[..., :n], ST[..., n:].transpose(0, 2, 1)
+        u = np.empty((2, n), out.dtype)
+        s, d = u
+        u, out_cols, G = _real_columns(u), _real_columns(out), G[..., None]
+        ab = np.empty((2, n - 1, u.shape[2]))
+        a, b = ab
+        head, tail = out_cols[:, 1:n], out_cols[:, -2:-n - 1:-1]
+    else:
+        back = ST[:, 1:-1].T
+        out_cols = out
+        if out.dtype.kind == "c":
+            ST, G = _Columns(ST), G[:, :, None]
+            out_cols = _real_columns(out)
     ahead = interpolate(out[0], nodes[2:3], nodes[0])
     for i in range(1, len(nodes) - 1):
         r = interpolate(out[i], nodes[i + 1:i + 3], nodes[i])
@@ -275,9 +371,19 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
         if source is not None:
             w += dt2 * source[i + 1]
         w[0] -= lifted[i + 1]
-        y = ST @ w
-        y *= G[i + 1]
-        np.matmul(back, y, out=out_cols[i + 1, 1:-1])
+        if folded:
+            lo, hi = w[:n], w[:-n - 1:-1]  # the fold's nodes and their mirrors
+            np.add(lo, hi, s)
+            np.subtract(lo, hi, d)
+            y = ST @ u
+            y *= G[i + 1]
+            np.matmul(back, y, ab)
+            np.add(a, b, head[i + 1])
+            np.subtract(a, b, tail[i + 1])
+        else:
+            y = ST @ w
+            y *= G[i + 1]
+            np.matmul(back, y, out=out_cols[i + 1, 1:-1])
 
 
 def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N: int,
@@ -357,10 +463,14 @@ def _outward_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
 
 
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
-    """Space-time L2 distance, rectangle rule in time, mass pairing in space."""
+    """Space-time L2 distance, rectangle rule in time, mass pairing in space.
+
+    ``b``'s plan must be built for the ``k``, ``T`` and ``dt`` of ``a``'s:
+    the pairing reads ``a``'s level spacings for both."""
     if a.frames.shape != b.frames.shape:
         raise ValueError(f"trajectories of frame shapes {a.frames.shape} and "
                          f"{b.frames.shape} live on different grids")
+    _check_built_for(b.plan, a.plan.k, a.plan.T, a.plan.dt)
     M = a.grid.M
     d = a.frames[:M] - b.frames[:M]
     return float(np.sqrt(a.grid.dt * _mass_pairing(d, d, a.plan.h[:M])))

@@ -770,6 +770,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="phi_terminal must be None or a"):
             SNConfig(sigma=100.0, phi_terminal=phi_terminal)
 
+    @pytest.mark.parametrize("sigma1,sigma2,name", [
+        ((5.0, 6.0), (10.0, 20.0), "sigma1"),  # both beyond T
+        ((2.0, 4.0), (10.0, 20.0), "sigma2"),
+        ((1.05, 1.15), (0.0, 2.0), "sigma1"),  # between the levels 1.0 and 1.2
+    ])
+    def test_segment_without_a_level_rejected(self, sigma1, sigma2, name):
+        spec = MovingDomainSpec(k=0.25, T=4.0)
+        grid = build_time_grid(4.0, 20)
+        cfg = SNConfig(sigma=100.0, segments=BoundarySegments(sigma1, sigma2))
+        with pytest.raises(ValueError, match=rf"{name} .* holds no time level"):
+            fixed_point_solve(cfg, spec, grid, 10)
+
     def test_non_integral_elements(self, small_setup):
         spec, grid, segs = small_setup
         cfg = SNConfig(sigma=100.0, segments=segs, max_iter=2)

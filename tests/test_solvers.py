@@ -22,7 +22,8 @@ from snwave import (
 import snwave.solvers as solvers
 from p1_dense import dense_step, mass_matrix, stiffness_matrix
 from snwave.geometry import level_nodes
-from snwave.solvers import Trajectory, _level_plan, _march, _sine_basis, _step_operators
+from snwave.solvers import (Trajectory, _FOLD_N, _level_plan, _march, _plan_operators,
+                             _sine_basis, _step_operators)
 
 # Relative tolerance of the fused sine-basis step against the dense
 # reference: both solve the same SPD systems, so they differ by roundoff
@@ -260,11 +261,12 @@ class TestThomasOracle:
                            for x, t in zip(nodes, grid.levels)])
         return spec, grid, N, nodes, source
 
-    @pytest.mark.parametrize("N", [2, 3, 100, 300])
+    @pytest.mark.parametrize("N", [2, 3, 100, 300, 301])  # 300, 301: folded (even, odd N)
     @pytest.mark.parametrize("dt_over_h", [1.0, 0.1])  # off_m < 0, off_m > 0
     def test_step_solve_matches_thomas(self, N, dt_over_h):
-        """One fused step of ``_march``: with zero start frames, level 2
-        solves (M/dt^2 + K) v = M s with the Dirichlet value left[2]."""
+        """One fused step of ``_march`` on the operators a plan holds: with
+        zero start frames, level 2 solves (M/dt^2 + K) v = M s with the
+        Dirichlet value left[2]."""
         h = 1.3 / N
         dt = dt_over_h * h
         off = -1.0 / h + h / (6.0 * dt**2)
@@ -275,7 +277,7 @@ class TestThomasOracle:
         left = np.array([0.0, 0.0, rng.standard_normal()])
         out = np.empty((3, N + 1))
         zero = np.zeros(N + 1)
-        _march(np.array([x] * 3), *_step_operators(np.full(3, h), dt, N), dt,
+        _march(np.array([x] * 3), *_plan_operators(np.full(3, h), dt, N), dt,
                zero, zero, left, source, out)
         ref = dense_step(h, dt, mass_matrix(N, h) @ source[2], left[2])
         assert np.max(np.abs(out[2] - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
@@ -346,7 +348,7 @@ class TestOneInterpolationPerFrame:
         return forward, backward
 
     @pytest.mark.parametrize("k", [0.0, 0.25])
-    @pytest.mark.parametrize("N", [2, 3, 100])
+    @pytest.mark.parametrize("N", [2, 3, 100, 300])  # 300: folded operators
     @pytest.mark.parametrize("M", [2, 3, 12])
     def test_complex_march_is_two_real_marches(self, k, N, M):
         spec, grid, *re = self._data(k, N, M)
@@ -385,6 +387,57 @@ class TestOneInterpolationPerFrame:
         assert count[0] == M + 1
         solve_backward(spec=spec, grid=grid, N=10, **backward)
         assert count[0] == 2 * (M + 1)
+
+
+class TestReflectionFold:
+    """From N = ``_FOLD_N`` on, a plan holds ``ST`` and ``G`` folded by
+    the sine basis's reflection k -> N-k, and a step makes its two
+    products on the folded halves."""
+
+    @pytest.mark.parametrize("N", [299, 300, 301])
+    def test_reflection_identity(self, N):
+        ST = _step_operators(np.ones(1), 1.0, N)[0]
+        sign = (-1.0) ** np.arange(2, N + 1)[:, None]  # (-1)^(i+1), mode i on row i-1
+        assert np.max(np.abs(ST[:, ::-1] - sign * ST)) <= 1e-14 * np.max(np.abs(ST))
+
+    @pytest.mark.parametrize("N", [_FOLD_N, _FOLD_N + 1, 300])
+    def test_marches_match_unfolded_reference(self, N):
+        """``solve_forward``/``solve_backward`` on a folded plan against
+        ``reference_march`` on ``_step_operators``' ``ST`` and ``G``, with
+        a lift, a source and start or terminal data."""
+        spec, grid, forward, backward = TestOneInterpolationPerFrame._data(0.25, N, 12)
+        plan = _level_plan(spec, grid, N)
+        assert plan.ST.ndim == 3
+        ST, G, lift = _step_operators(plan.h, grid.dt, N)
+        np.testing.assert_array_equal(lift, plan.lift)
+        ref = np.empty((grid.M + 1, N + 1))
+        reference_march(plan.nodes, ST, G, lift, grid.dt, forward["ic0"], forward["ic1"],
+                        forward["left_boundary"], forward["source"], ref)
+        got = solve_forward(spec=spec, grid=grid, N=N, plan=plan, **forward).frames
+        assert np.max(np.abs(got - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
+        reference_march(plan.nodes[::-1], ST, G[::-1], lift[::-1], grid.dt,
+                        backward["terminal0"], -backward["terminal1"], np.zeros(grid.M + 1),
+                        backward["source"][::-1], ref[::-1])
+        got = solve_backward(spec=spec, grid=grid, N=N, plan=plan, **backward).frames
+        assert np.max(np.abs(got - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N", [_FOLD_N - 1, _FOLD_N])
+    def test_selection_by_N(self, N):
+        grid = build_time_grid(3.0, 4)
+        plan = _level_plan(MovingDomainSpec(k=0.25, T=3.0), grid, N)
+        if N < _FOLD_N:
+            assert plan.ST.shape == (N - 1, N + 1)
+            assert plan.G.shape == (grid.M + 1, N - 1)
+        else:
+            assert plan.ST.shape == (2, N // 2, 2 * (N // 2) + 1)
+            assert plan.G.shape == (grid.M + 1, 2, N // 2)
+
+    def test_folded_operators_are_read_only(self):
+        plan = _level_plan(MovingDomainSpec(k=0.25, T=3.0), build_time_grid(3.0, 4), _FOLD_N)
+        with pytest.raises(ValueError, match="read-only"):
+            plan.ST[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.G[0, 0, 0] = 0.0
 
 
 class TestLevelPlan:
@@ -586,6 +639,22 @@ class TestTrajectoryNorms:
         t2 = solve_forward(2 * b, spec, grid, 8)
         assert trajectory_l2_distance(t1, t2) == pytest.approx(
             trajectory_l2_distance(t2, t1), rel=1e-14)
+
+    @pytest.mark.parametrize("name,k,T,dt_factor", [
+        ("k", 0.5, 4.0, 1.0),
+        ("T", 0.25, 5.0, 1.0),
+        ("dt", 0.25, 4.0, 2.0),
+    ])
+    def test_distance_between_different_domains_rejected(self, name, k, T, dt_factor):
+        # same frame shapes (M=20, N=10), built for another k, horizon or step
+        grid = build_time_grid(4.0, 20)
+        a = solve_forward(np.ones(21), MovingDomainSpec(k=0.25, T=4.0), grid, 10)
+        other = build_time_grid(T, 20)
+        other = replace(other, dt=other.dt * dt_factor)
+        b = solve_forward(np.ones(21), MovingDomainSpec(k=k, T=T), other, 10)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match=rf"level plan was built for {name}="):
+                trajectory_l2_distance(x, y)
 
     def test_distance_between_different_meshes_rejected(self):
         spec = MovingDomainSpec(k=0.25, T=1.0)
