@@ -30,6 +30,7 @@ converged=false and nan final values, and goes on to the next case.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -128,11 +129,22 @@ class RunConfig:
         return amp
 
     def horizon(self) -> float:
+        """``T``, or ``T_multiple * T_c(k)``, which must be a positive float."""
         if self.T > 0:
             return self.T
         if self.k == 0.0:
             raise UsageError("T: a fixed domain (k=0) needs an explicit horizon T")
-        return self.T_multiple * compute_Tc(self.k)
+        try:
+            tc = compute_Tc(self.k)
+        except ValueError as exc:
+            raise UsageError(f"k: {exc}; use a smaller k, or give run or table-sigma "
+                             "an explicit horizon with --T") from None
+        T = self.T_multiple * tc
+        if not 0.0 < T < math.inf:
+            raise UsageError(f"T_multiple: the horizon {self.T_multiple!r} * T_c(k) = {T!r} "
+                             "is not a positive float; use a smaller multiple, or give run "
+                             "or table-sigma an explicit horizon with --T")
+        return T
 
 
 def _parse_bool(text: str) -> bool:
@@ -284,10 +296,9 @@ def cmd_table_mesh(cfg: RunConfig) -> int:
     cfg.validate()
     if cfg.k == 0.0:
         raise UsageError("k: mesh table needs k > 0")
-    tc = compute_Tc(cfg.k)
     rows = []
     for mult in range(1, 11):
-        T = mult * tc
+        T = replace(cfg, T_multiple=float(mult), T=0.0).horizon()
         edge = cfg.target_edge if cfg.target_edge > 0 else T / BORDER_SEGMENTS
         stats = trapezoid_stats(MovingDomainSpec(k=cfg.k, T=T), edge)
         rows.append((mult, T, stats.n_vertices, stats.n_triangles, stats.border_length))
@@ -308,7 +319,10 @@ def cmd_verify(_cfg: RunConfig) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` returns a
+    new namespace each call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="snwave",
         description=__doc__,

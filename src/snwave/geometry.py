@@ -74,11 +74,18 @@ def compute_Tc(k: float) -> float:
     """Control-time constant exp(2k(1+k)/(1-k)^3)/k used as the base horizon.
 
     Strictly exceeds the controllability threshold (exp(...) - 1)/k for
-    every k in (0, 1).
+    every k in (0, 1).  It exceeds the float range from k ~ 0.837 on,
+    which raises a ``ValueError`` naming k.
     """
     if not 0.0 < k < 1.0:
         raise ValueError(f"compute_Tc requires 0 < k < 1, got {k}")
-    return math.exp(2.0 * k * (1.0 + k) / (1.0 - k) ** 3) / k
+    try:
+        Tc = math.exp(2.0 * k * (1.0 + k) / (1.0 - k) ** 3) / k
+    except OverflowError:  # from exp; the division by k overflows to inf
+        Tc = math.inf
+    if Tc == math.inf:
+        raise ValueError(f"T_c(k) = exp(2k(1+k)/(1-k)^3)/k overflows a float at k={k!r}")
+    return Tc
 
 
 def _check_integer(name: str, value):

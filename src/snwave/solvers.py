@@ -60,9 +60,11 @@ warning; the game's checks report the values they produce.
 
 A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
 values of level m at ``plan.nodes[m]``, beside the plan.  A march fills
-one preallocated array; the backward march runs on reversed views of
-the plan's arrays and of its own.  A march takes its data as arrays of
-the same layout: ``solve_forward`` the ``(M+1,)`` Dirichlet values at
+one preallocated array, and forms each step's right-hand side in one
+preallocated row (``_march``): a step's only temporaries are the
+interpolated rows and the forward product.  The backward march runs on
+reversed views of the plan's arrays and of its own.  A march takes its
+data as arrays of the same layout: ``solve_forward`` the ``(M+1,)`` Dirichlet values at
 x = 0 and, as keywords, the ``(N+1,)`` initial frames and an
 ``(M+1, N+1)`` source; ``solve_backward`` the source and, as keywords,
 the terminal frames.  Omitted frames are zero.
@@ -154,15 +156,15 @@ def _sine_basis(N: int):
     S[i, j] = sqrt(2/N) sin(i j pi/N) for i, j = 1..N-1 is symmetric and
     its own inverse; S tridiag(b, a, b) S = diag(a + b * 2 cos(j pi/N)).
     The angle i*j is reduced mod 2N while still an exact integer, which
-    keeps the sines accurate at large N.
+    keeps the sines accurate at large N, and S gathers its entries from
+    the 2N scaled sines of those residues.
     """
-    j = np.arange(1.0, N)
-    S = np.multiply.outer(j, j)
-    np.fmod(S, 2.0 * N, out=S)
-    S *= math.pi / N
-    np.sin(S, out=S)
-    S *= math.sqrt(2.0 / N)
-    return S, 2.0 * np.cos(j * (math.pi / N))
+    j = np.arange(1, N)
+    angles = np.multiply.outer(j, j)
+    np.remainder(angles, 2 * N, out=angles)
+    table = np.sin(np.arange(2.0 * N) * (math.pi / N))
+    table *= math.sqrt(2.0 / N)
+    return table[angles], 2.0 * np.cos(j * (math.pi / N))
 
 
 def _step_operators(h: np.ndarray, dt: float, N: int):
@@ -274,20 +276,6 @@ def _check_built_for(plan: _LevelPlan, k: float, T: float, dt: float):
                              f"expected {name}={want!r}")
 
 
-class _Columns:
-    """``ST`` acting on a complex vector as on the ``(N+1, 2)`` real view
-    of it, its real and imaginary parts as two columns: one 2-column
-    product in place of two one-column ones."""
-
-    __slots__ = ("ST",)
-
-    def __init__(self, ST: np.ndarray):
-        self.ST = ST
-
-    def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        return self.ST @ w.view(float).reshape(-1, 2)
-
-
 def _real_columns(a: np.ndarray) -> np.ndarray:
     """``a`` as real columns on a last axis: the ``(..., 2)`` real view of
     complex data, a ``(..., 1)`` view of real data."""
@@ -314,24 +302,35 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
     is the levels' shared step operator.  ``out`` is filled in place, one
     row per level, its boundary columns once per march.
 
+    A step makes only the numpy calls its arithmetic needs.  It forms
+    ``w`` in one preallocated row, 2 r - ahead, where r is the newest
+    frame on the next two levels and ``ahead`` the previous step's
+    second row, adds dt^2 s through a second preallocated row, and
+    subtracts the lift only where it is not exactly 0.0, so never in a
+    backward march: subtracting a zero could change only the sign of a
+    zero w_0, which the products' sums, started from +0, do not carry.
+    Every view the products read or write is bound once per march.  The
+    ufuncs take ``out`` positionally, which halves their call cost.  An
+    unfolded step is one interpolation, five ufunc or product calls, two
+    more with a source, and the scalar lift.
+
     A complex ``out`` marches two real fields at once, its real and its
     imaginary part: each step forms ``w`` of both parts in one complex
     row, and the two products act on the ``(N+1, 2)`` real view of that
     row as one 2-column product, written into the matching view of
-    ``out``.  The views are chosen once per march; real data take the
-    one-column products on ``w`` itself.
+    ``out``.  Real data take the one-column products on ``w`` itself.
 
     Folded operators (a 3-D ``ST``, see ``_fold``) change only the
-    products: the step folds ``w`` into the rows s and d of a buffer,
-    makes the two stacked products on the buffer's real columns, and
-    writes a + b into the nodes 1..N//2 of ``out``'s real columns and
-    a - b into their mirrors N-1..N-N//2 through a reversed view.  For
-    even N the middle node is its own mirror and keeps a - b, written
-    last; b is zero there but for roundoff, as ``ST``'s even modes
-    vanish on it.  Complex data fold as complex numbers, and the
-    products act on the same real views.  The ufuncs take ``out``
-    positionally, which halves their call cost, and the back product
-    writes into a buffer whose halves a and b are bound once per march.
+    products: the step folds ``w``, through its halves ``lo`` and its
+    mirrored ``hi``, into the rows s and d of a buffer, makes the two
+    stacked products on the buffer's real columns, and writes a + b into
+    the nodes 1..N//2 of ``out``'s real columns and a - b into their
+    mirrors N-1..N-N//2 through a reversed view.  For even N the middle
+    node is its own mirror and keeps a - b, written last; b is zero
+    there but for roundoff, as ``ST``'s even modes vanish on it.
+    Complex data fold as complex numbers, and the products act on the
+    same real views.  The back product writes into a buffer whose halves
+    a and b are bound once per march; four more ufunc calls per step.
 
     Frame i is needed on level i+1 at step i and on level i+2 at step
     i+1, so step i interpolates it once, onto the two rows
@@ -345,45 +344,46 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
     out[:, -1] = 0.0
     dt2 = dt * dt
     lifted = (lift * left).tolist()
+    w, sbuf = np.empty((2, out.shape[1]), out.dtype)  # the step row and its source term
     folded = ST.ndim == 3
     if folded:
         n = (ST.shape[2] + 1) // 2  # the fold's nodes 0..N//2
         ST, back = ST[..., :n], ST[..., n:].transpose(0, 2, 1)
         u = np.empty((2, n), out.dtype)
         s, d = u
-        u, out_cols, G = _real_columns(u), _real_columns(out), G[..., None]
-        ab = np.empty((2, n - 1, u.shape[2]))
+        lo, hi = w[:n], w[:-n - 1:-1]  # the fold's nodes and their mirrors
+        x, out_cols, G = _real_columns(u), _real_columns(out), G[..., None]
+        ab = np.empty((2, n - 1, x.shape[2]))
         a, b = ab
         head, tail = out_cols[:, 1:n], out_cols[:, -2:-n - 1:-1]
     else:
         back = ST[:, 1:-1].T
-        out_cols = out
+        x, inner = w, out[:, 1:-1]
         if out.dtype.kind == "c":
-            ST, G = _Columns(ST), G[:, :, None]
-            out_cols = _real_columns(out)
-    ahead = interpolate(out[0], nodes[2:3], nodes[0])
+            x, inner, G = _real_columns(w), _real_columns(out)[:, 1:-1], G[:, :, None]
+    ahead = interpolate(out[0], nodes[2], nodes[0])
     for i in range(1, len(nodes) - 1):
         r = interpolate(out[i], nodes[i + 1:i + 3], nodes[i])
-        w = r[0]
-        w *= 2.0
-        w -= ahead[-1]
-        ahead = r
+        np.multiply(r[0], 2.0, w)
+        np.subtract(w, ahead, w)
+        ahead = r[-1]
         if source is not None:
-            w += dt2 * source[i + 1]
-        w[0] -= lifted[i + 1]
+            np.multiply(source[i + 1], dt2, sbuf)
+            np.add(w, sbuf, w)
+        if lifted[i + 1]:
+            w[0] -= lifted[i + 1]
         if folded:
-            lo, hi = w[:n], w[:-n - 1:-1]  # the fold's nodes and their mirrors
             np.add(lo, hi, s)
             np.subtract(lo, hi, d)
-            y = ST @ u
-            y *= G[i + 1]
+            y = ST @ x
+            np.multiply(y, G[i + 1], y)
             np.matmul(back, y, ab)
             np.add(a, b, head[i + 1])
             np.subtract(a, b, tail[i + 1])
         else:
-            y = ST @ w
-            y *= G[i + 1]
-            np.matmul(back, y, out=out_cols[i + 1, 1:-1])
+            y = ST.dot(x)
+            np.multiply(y, G[i + 1], y)
+            np.matmul(back, y, inner[i + 1])
 
 
 def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N: int,
@@ -458,8 +458,9 @@ def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N
 
 
 def _outward_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
-    """d/d nu = -d/dx at x = 0 on the trajectory's levels ``idx``, one flux call."""
-    return -boundary_flux_left(traj.frames[idx], traj.plan.h[idx])
+    """d/d nu = -d/dx at x = 0 on the trajectory's levels ``idx``: one flux
+    call on the three nodes its stencil reads."""
+    return -boundary_flux_left(traj.frames[idx, :3], traj.plan.h[idx])
 
 
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
@@ -477,8 +478,8 @@ def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
 
 
 def trajectory_l2_norm(a: Trajectory) -> float:
-    M = a.grid.M
-    return float(np.sqrt(a.grid.dt * _mass_pairing(a.frames[:M], a.frames[:M], a.plan.h[:M])))
+    f = a.frames[:a.grid.M]
+    return float(np.sqrt(a.grid.dt * _mass_pairing(f, f, a.plan.h[:a.grid.M])))
 
 
 def duality_residual(forward_bdata: ControlSamples, source: np.ndarray,

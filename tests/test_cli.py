@@ -76,6 +76,19 @@ class TestRun:
         assert "T" in capsys.readouterr().err
 
 
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_share_no_options(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(["run", "--out", str(a), "--N", "20", "--M", "20", "--dump-frames"]) == 0
+        assert run_cli(["run", "--out", str(b), "--M", "20"]) == 0
+        assert len((a / "final_state.csv").read_text().splitlines()) == 1 + 21
+        assert len((b / "final_state.csv").read_text().splitlines()) == 1 + 101
+        assert (a / "u_frames.csv").exists() and not (b / "u_frames.csv").exists()
+
+
 class TestConfigFile:
     def test_file_values_applied(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -172,6 +185,20 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
         assert not (tmp_path / "iteration_log.csv").exists()
+
+    @pytest.mark.parametrize("args,key", [
+        (["run", "--k", "0.9"], "k"),
+        (["run", "--T-multiple", "1e308"], "T_multiple"),
+        (["table-mesh", "--k", "0.99"], "k"),
+    ])
+    def test_overflowing_horizon_is_usage_error(self, tmp_path, capsys, args, key):
+        """T_multiple * T_c(k) past the float range is named, not a traceback."""
+        rc = run_cli([*args, "--out", str(tmp_path), *FAST])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+        assert "explicit horizon with --T" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("spec,amp", [("zero", None), ("bump", 1.0),
                                           ("bump:2.5", 2.5), ("bump:-1e-3", -1e-3)])
@@ -300,19 +327,23 @@ class TestMarchCounts:
 
 class TestGoldenOutputs:
     """``snwave run`` writes the CSVs stored in ``tests/golden`` byte for
-    byte: 4 sweeps each, the second with the leader chain live.  A change
-    that moves any bit of the arithmetic regenerates them and says why."""
+    byte: 4 sweeps each, the leader cases with the leader chain live.  The
+    N=200 cases step on the folded operators (``solvers._FOLD_N``).  A
+    change that moves any bit of the arithmetic regenerates them and says
+    why."""
 
     GOLDEN = Path(__file__).parent / "golden"
+    LEADER = ["--phi-terminal", "bump:1.0", "--T-multiple", "2"]
     CASES = {
-        "default-N20-M20": [],
-        "leader-N20-M20-T2": ["--phi-terminal", "bump:1.0", "--T-multiple", "2"],
+        "default-N20-M20": ["--N", "20", "--M", "20"],
+        "leader-N20-M20-T2": ["--N", "20", "--M", "20", *LEADER],
+        "default-N200-M20": ["--N", "200", "--M", "20"],
+        "leader-N200-M20-T2": ["--N", "200", "--M", "20", *LEADER],
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_csv_bytes(self, tmp_path, case):
-        args = ["run", "--out", str(tmp_path), "--N", "20", "--M", "20", *self.CASES[case]]
-        assert run_cli(args) == 0
+        assert run_cli(["run", "--out", str(tmp_path), *self.CASES[case]]) == 0
         for name in ("iteration_log.csv", "final_state.csv"):
             assert (tmp_path / name).read_bytes() == (self.GOLDEN / case / name).read_bytes()
 

@@ -100,6 +100,16 @@ class TestComputeTc:
         with pytest.raises(ValueError):
             compute_Tc(k)
 
+    def test_finite_below_overflow(self):
+        assert compute_Tc(0.83) == pytest.approx(mp_tc("0.83"), rel=1e-11)
+
+    @pytest.mark.parametrize("k", [0.836974051614105, 0.84, 0.9, 0.99])
+    def test_overflow_is_a_value_error_naming_k(self, k):
+        # exp(2k(1+k)/(1-k)^3) exceeds the float range from k ~ 0.837 on;
+        # at the first k it is still finite and the division by k overflows
+        with pytest.raises(ValueError, match=rf"overflows a float at k={k}$"):
+            compute_Tc(k)
+
 
 class TestTimeGrid:
     def test_basic(self):

@@ -1,4 +1,6 @@
 from dataclasses import replace
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -484,6 +486,21 @@ class TestLevelPlan:
             np.testing.assert_allclose(plan.G, scale / (eig * (4.0 + c)), rtol=1e-14)
             np.testing.assert_allclose(plan.lift, (off / scale)[:, 0], rtol=1e-14)
 
+    @pytest.mark.parametrize("N", [2, 3, 10, 100, 101, 199, 200, 299, 300, 301, 1000])
+    def test_sine_table_has_the_bits_of_the_direct_formula(self, N):
+        """``_sine_basis`` gathers S from 2N scaled sines; the direct
+        formula, sin of every reduced angle, gives the same bits."""
+        j = np.arange(1.0, N)
+        S = np.multiply.outer(j, j)
+        np.fmod(S, 2.0 * N, out=S)
+        S *= math.pi / N
+        np.sin(S, out=S)
+        S *= math.sqrt(2.0 / N)
+        got, c = _sine_basis(N)
+        np.testing.assert_array_equal(got.view(np.int64), S.view(np.int64))
+        np.testing.assert_array_equal(c.view(np.int64),
+                                      (2.0 * np.cos(j * (math.pi / N))).view(np.int64))
+
     def test_given_plan_gives_the_same_march(self):
         spec = MovingDomainSpec(k=0.25, T=3.0)
         grid = build_time_grid(3.0, 12)
@@ -591,6 +608,40 @@ class TestUnderflowingTimeStep:
             warnings.simplefilter("error")
             traj = solve_backward(np.ones((11, 11)), self.spec, self.grid, 10)
         assert not np.isfinite(traj.frames).all()
+
+
+class TestMarchMemory:
+    """A march allocates its frames and a few rows of N+1 values besides:
+    the step row, its source term, the interpolated rows and the products.
+    A full-size temporary, such as the whole source scaled once per march,
+    takes M+1 rows.  tracemalloc sees numpy's buffers."""
+
+    @pytest.mark.parametrize("N", [100, 300])  # 300: folded operators
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_peak_beyond_the_frames(self, N, dtype):
+        spec = MovingDomainSpec(k=0.25, T=3.0)
+        grid = build_time_grid(3.0, N)
+        plan = _level_plan(spec, grid, N)
+        rng = np.random.default_rng(N)
+
+        def data(*shape):
+            a = rng.standard_normal(shape)
+            return a + 1j * rng.standard_normal(shape) if dtype is complex else a
+
+        left, x0, x1, source = data(N + 1), data(N + 1), data(N + 1), data(N + 1, N + 1)
+        row = (N + 1) * np.dtype(dtype).itemsize
+        for march in (
+            lambda: solve_forward(left, spec, grid, N, ic0=x0, ic1=x1, source=source, plan=plan),
+            lambda: solve_backward(source, spec, grid, N, terminal0=x0, terminal1=x1, plan=plan),
+        ):
+            march()  # first calls fill numpy's own caches outside the measure
+            tracemalloc.start()
+            try:
+                march()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - (N + 1) * row < 32 * row
 
 
 class TestLeftBoundaryAssembly:
