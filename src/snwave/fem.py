@@ -38,16 +38,9 @@ def _mass_pairing(a: np.ndarray, b: np.ndarray, h: np.ndarray) -> float:
     R spacings.  The mass matrix of a uniform mesh is h tridiag(1/6, 2/3,
     1/6) with 1/3 at both ends, so row r contributes
     h[r] (4 sum_j a_j b_j - 2 (a_0 b_0 + a_N b_N) + sum_j (a_j b_{j+1} + a_{j+1} b_j)) / 6.
-
-    When ``a`` is ``b`` the two cross sums form the same products in the
-    same order, so one of them, doubled, has the bits of both.
     """
     inner = np.einsum("rj,rj->r", a, b)
-    cross = np.einsum("rj,rj->r", a[:, :-1], b[:, 1:])
-    if a is b:
-        cross *= 2.0
-    else:
-        cross += np.einsum("rj,rj->r", a[:, 1:], b[:, :-1])
+    cross = np.einsum("rj,rj->r", a[:, :-1], b[:, 1:]) + np.einsum("rj,rj->r", a[:, 1:], b[:, :-1])
     ends = a[:, 0] * b[:, 0] + a[:, -1] * b[:, -1]
     return float(h @ (4.0 * inner - 2.0 * ends + cross)) / 6.0
 

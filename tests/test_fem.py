@@ -197,22 +197,6 @@ class TestMassPairing:
         # a mixed pairing may cancel, so its scale is the Cauchy-Schwarz bound
         assert abs(_mass_pairing(a, b, h) - loop(a, b)) <= 1e-13 * np.sqrt(aa * bb)
 
-    @pytest.mark.parametrize("N", [2, 3, 100])
-    def test_self_pairing_has_the_bits_of_both_cross_sums(self, N):
-        """``_mass_pairing(d, d, h)`` doubles one cross sum; the three-einsum
-        form, which the pairing of two distinct arrays still takes, has the
-        same bits."""
-        rng = np.random.default_rng(N)
-        h = (1.3 / N) * (1.0 + 0.25 * rng.random(9))
-        d = rng.standard_normal((9, N + 1))
-        inner = np.einsum("rj,rj->r", d, d)
-        cross = np.einsum("rj,rj->r", d[:, :-1], d[:, 1:]) + np.einsum("rj,rj->r", d[:, 1:],
-                                                                      d[:, :-1])
-        ends = d[:, 0] * d[:, 0] + d[:, -1] * d[:, -1]
-        ref = float(h @ (4.0 * inner - 2.0 * ends + cross)) / 6.0
-        assert _mass_pairing(d, d, h) == ref
-        assert _mass_pairing(d, d.copy(), h) == ref
-
 
 class TestBoundaryFlux:
     def test_exact_for_linear(self):

@@ -486,10 +486,11 @@ class TestLevelPlan:
             np.testing.assert_allclose(plan.G, scale / (eig * (4.0 + c)), rtol=1e-14)
             np.testing.assert_allclose(plan.lift, (off / scale)[:, 0], rtol=1e-14)
 
-    @pytest.mark.parametrize("N", [2, 3, 10, 100, 101, 199, 200, 299, 300, 301, 1000])
+    @pytest.mark.parametrize("N", [2, 3, 10, 17, 100, 101, 199, 200, 299, 300, 301, 1000])
     def test_sine_table_has_the_bits_of_the_direct_formula(self, N):
-        """``_sine_basis`` gathers S from 2N scaled sines; the direct
-        formula, sin of every reduced angle, gives the same bits."""
+        """``_sine_basis`` gathers S from 2N scaled sines, in blocks of rows
+        (N = 17: one full block and one row); the direct formula, sin of
+        every reduced angle, gives the same bits."""
         j = np.arange(1.0, N)
         S = np.multiply.outer(j, j)
         np.fmod(S, 2.0 * N, out=S)
@@ -500,6 +501,19 @@ class TestLevelPlan:
         np.testing.assert_array_equal(got.view(np.int64), S.view(np.int64))
         np.testing.assert_array_equal(c.view(np.int64),
                                       (2.0 * np.cos(j * (math.pi / N))).view(np.int64))
+
+    @pytest.mark.parametrize("N", [300, 1000])
+    def test_sine_basis_build_peaks_near_its_own_size(self, N):
+        """The gather holds a block of indices, not a full ``(N-1)^2``
+        index array beside S, which would double the build's peak."""
+        _sine_basis(N)  # first calls fill numpy's own caches outside the measure
+        tracemalloc.start()
+        try:
+            _sine_basis(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (N - 1) ** 2 * 8
 
     def test_given_plan_gives_the_same_march(self):
         spec = MovingDomainSpec(k=0.25, T=3.0)
