@@ -14,14 +14,12 @@ from .geometry import (
     trapezoid_stats,
 )
 from .fem import (
-    ControlSamples,
     boundary_flux_left,
     control_l2_norm,
     interpolate,
 )
 from .solvers import (
     Trajectory,
-    assemble_left_boundary,
     duality_residual,
     solve_backward,
     solve_forward,

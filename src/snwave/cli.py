@@ -279,7 +279,15 @@ def _solve_table(cfg: RunConfig, name: str, header, cases) -> int:
     return 0
 
 
+def _check_no_horizon(cfg: RunConfig, command: str):
+    """The horizon tables set T themselves; an explicit one is an error, not ignored."""
+    if cfg.T != 0.0:
+        raise UsageError(f"T: {command} runs the multiples 1..10 of T_c and takes no "
+                         f"explicit horizon, got T={cfg.T!r}")
+
+
 def cmd_table_T(cfg: RunConfig) -> int:
+    _check_no_horizon(cfg, "table-T")
     header = ("multiple", "T", "iterations", "converged", "stop_final",
               "du_L2_final", "dw_L2_final", "J", "J2")
     cases = [(f"T={m:2d}*Tc", replace(cfg, T_multiple=float(m), T=0.0)) for m in range(1, 11)]
@@ -294,6 +302,7 @@ def cmd_table_sigma(cfg: RunConfig) -> int:
 
 def cmd_table_mesh(cfg: RunConfig) -> int:
     cfg.validate()
+    _check_no_horizon(cfg, "table-mesh")
     if cfg.k == 0.0:
         raise UsageError("k: mesh table needs k > 0")
     rows = []
@@ -334,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k", type=float, help="boundary speed in [0, 1)")
     common.add_argument("--T-multiple", dest="T_multiple", type=float,
                         help="horizon as a multiple of T_c(k)")
-    common.add_argument("--T", type=float, help="explicit horizon (overrides the multiple)")
+    common.add_argument("--T", type=float,
+                        help="explicit horizon for run and table-sigma (overrides the multiple)")
     common.add_argument("--N", type=int, help="spatial elements per level")
     common.add_argument("--M", type=int, help="time steps")
     common.add_argument("--sigma", type=float, help="follower penalty weight")

@@ -3,7 +3,9 @@
 Inter-level interpolation (the level meshes differ because the domain
 moves), boundary-derivative recovery at the controlled end, and the
 discrete L2 norm of boundary controls.  A field is a bare array of nodal
-values; its nodes or its spacing are passed beside it.  ``interpolate``
+values; its nodes or its spacing are passed beside it.  A control is
+likewise a bare ``(M+1,)`` array, one sample per time level, with its
+segment ``(a, b)`` passed beside it.  ``interpolate``
 is ``np.interp`` between two node arrays, extended by zero where a
 target node lies beyond the source's right endpoint.
 ``boundary_flux_left`` takes one frame or a stack of frames with their
@@ -17,14 +19,11 @@ applies both operators through the level plan of ``solvers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .geometry import TimeGrid, segment_mask
 
 __all__ = [
-    "ControlSamples",
     "interpolate",
     "boundary_flux_left",
     "control_l2_norm",
@@ -80,44 +79,18 @@ def boundary_flux_left(values: np.ndarray, h):
     return (4.0 * (v[..., 1] - v[..., 0]) - (v[..., 2] - v[..., 0])) / (2.0 * h)
 
 
-@dataclass(frozen=True)
-class ControlSamples:
-    """Piecewise-constant-in-time boundary control on a segment of (0, T).
-
-    ``values`` holds one scalar per time level (length M+1) and is zero
-    at levels outside the segment; the sample at level m acts on
-    [t^m, t^{m+1}).
-    """
-
-    segment: tuple
-    values: np.ndarray = field(repr=False)
-
-    @classmethod
-    def zeros(cls, segment: tuple, grid: TimeGrid) -> "ControlSamples":
-        return cls(segment=segment, values=np.zeros(grid.M + 1))
-
-    def level_mask(self, grid: TimeGrid) -> np.ndarray:
-        return segment_mask(self.segment, grid)
-
-    def check_aligned(self, grid: TimeGrid):
-        if len(self.values) != grid.M + 1:
-            raise ValueError(
-                f"control has {len(self.values)} samples for grid with {grid.M + 1} levels"
-            )
-
-
-def _on_segment(c: ControlSamples, grid: TimeGrid) -> np.ndarray:
-    """The control as a bare ``(M+1,)`` array, zero off its segment."""
-    c.check_aligned(grid)
-    return np.where(c.level_mask(grid), c.values, 0.0)
-
-
 def _segment_norm(values: np.ndarray, levels, dt: float) -> float:
     """sqrt(sum_m dt * values_m^2) over ``levels``, level indices or a mask."""
     return float(np.sqrt(dt * np.sum(values[levels] ** 2)))
 
 
-def control_l2_norm(c: ControlSamples, grid: TimeGrid) -> float:
-    """Discrete L2 norm over the control's segment: sqrt(sum_m dt * c_m^2)."""
-    c.check_aligned(grid)
-    return _segment_norm(c.values, c.level_mask(grid), grid.dt)
+def _check_shape(name: str, a, shape: tuple):
+    """Reject an array argument ``name`` (None passes) whose shape is not ``shape``."""
+    if a is not None and np.shape(a) != shape:
+        raise ValueError(f"{name} has shape {np.shape(a)}, expected {shape}")
+
+
+def control_l2_norm(values: np.ndarray, segment: tuple, grid: TimeGrid) -> float:
+    """Discrete L2 norm over ``segment``: sqrt(sum_m dt * values_m^2) on its levels."""
+    _check_shape("values", values, (grid.M + 1,))
+    return _segment_norm(values, segment_mask(segment, grid), grid.dt)

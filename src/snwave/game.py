@@ -55,13 +55,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .geometry import BoundarySegments, MovingDomainSpec, TimeGrid, _check_integer
-from .fem import ControlSamples, _mass_pairing, _on_segment, _segment_norm, control_l2_norm
+from .geometry import BoundarySegments, MovingDomainSpec, TimeGrid, _check_integer, segment_mask
+from .fem import _check_shape, _mass_pairing, _segment_norm
 from .solvers import (
     _SWEEP_ERRSTATE,
     Trajectory,
     _LevelPlan,
-    _check_shape,
     _left_trace,
     _level_plan,
     _outward_flux,
@@ -291,28 +290,26 @@ class _Sweep:
         return (Trajectory(self.grid, self.plan, f.frames.real),
                 Trajectory(self.grid, self.plan, f.frames.imag))
 
-    def controls(self, w1: np.ndarray, w2: np.ndarray) -> tuple:
-        """The bare pair as the public ``ControlSamples`` pair."""
-        return (ControlSamples(segment=self.segments.sigma1, values=w1),
-                ControlSamples(segment=self.segments.sigma2, values=w2))
-
 
 @dataclass
 class SNResult:
     """Outcome of a fixed-point run.
 
-    ``u`` and ``p`` are recomputed from the final controls so the stored
-    state/adjoint pair is consistent with ``w1``/``w2``; ``psi`` and
-    ``phi`` are the last sweep's fields; with a live leader chain they are
-    the imaginary views of that sweep's two complex marches.  ``p`` is
-    marched on its first read by the solve's sweep map, from ``u`` and
-    ``target`` (u2 on u's levels), and kept.
+    ``w1`` and ``w2`` are the final controls, bare ``(M+1,)`` arrays that
+    are zero off their segments, the leader's ``segments.sigma1`` and the
+    follower's ``segments.sigma2``.  ``u`` and ``p`` are recomputed from
+    them so the stored state/adjoint pair is consistent with ``w1``/``w2``;
+    ``psi`` and ``phi`` are the last sweep's fields; with a live leader
+    chain they are the imaginary views of that sweep's two complex
+    marches.  ``p`` is marched on its first read by the solve's sweep map,
+    from ``u`` and ``target`` (u2 on u's levels), and kept.
     """
 
     converged: bool
     iterations: int
-    w1: ControlSamples
-    w2: ControlSamples
+    w1: np.ndarray
+    w2: np.ndarray
+    segments: BoundarySegments
     u: Trajectory
     psi: Trajectory
     phi: Trajectory
@@ -327,23 +324,24 @@ class SNResult:
             return self._sweep.adjoint(self.u, self.target)
 
 
-def evaluate_J2(u: Trajectory, w2: ControlSamples, u2: TargetLike, sigma: float,
+def evaluate_J2(u: Trajectory, w2: np.ndarray, segment: tuple, u2: TargetLike, sigma: float,
                 grid: TimeGrid, *, target: Optional[np.ndarray] = None) -> float:
     """Follower cost: tracking misfit over the space-time domain plus
-    sigma/2 times the squared control norm.
+    sigma/2 times the squared norm of the control ``w2`` on ``segment``.
 
     ``target`` is u2 already evaluated on u's levels, as a solve keeps
     it; without it u2 is evaluated here.
     """
-    w2.check_aligned(grid)
+    _check_shape("w2", w2, (grid.M + 1,))
     if target is None:
         target = _target(u2, u.plan.nodes, grid)
-    return _follower_cost(u, w2.values, target, sigma, w2.level_mask(grid), grid.dt)
+    return _follower_cost(u, w2, target, sigma, segment_mask(segment, grid), grid.dt)
 
 
-def evaluate_J(w1: ControlSamples, grid: TimeGrid) -> float:
-    """Leader cost: half the squared control norm on its segment."""
-    return 0.5 * control_l2_norm(w1, grid) ** 2
+def evaluate_J(w1: np.ndarray, segment: tuple, grid: TimeGrid) -> float:
+    """Leader cost: half the squared norm of the control ``w1`` on ``segment``."""
+    _check_shape("w1", w1, (grid.M + 1,))
+    return 0.5 * _segment_norm(w1, segment_mask(segment, grid), grid.dt) ** 2
 
 
 def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
@@ -390,21 +388,23 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
                 break
 
         u_final = sweep.state(w1, w2)
-    return SNResult(converged, iterations, *sweep.controls(w1, w2), u=u_final, psi=psi, phi=phi,
+    return SNResult(converged, iterations, w1, w2, sweep.segments, u=u_final, psi=psi, phi=phi,
                     target=sweep.target, _sweep=sweep, log=log)
 
 
-def nash_residual(w2: ControlSamples, p: Trajectory, sigma: float,
+def nash_residual(w2: np.ndarray, p: Trajectory, sigma: float,
                   segments: BoundarySegments, grid: TimeGrid) -> float:
     """Relative defect of the follower characterization at a candidate point.
 
-    Measures || sigma*w2 - dp/dnu ||_{L2(segment)} / (sigma ||w2||); zero
-    exactly at the follower's best response to the state that produced p.
+    Measures || sigma*w2 - dp/dnu ||_{L2(segment)} / (sigma ||w2||) on the
+    follower's segment ``segments.sigma2``; zero exactly at the follower's
+    best response to the state that produced p.
     """
+    _check_shape("w2", w2, (grid.M + 1,))
     idx = np.nonzero(segments.follower_mask(grid))[0]
-    r = sigma * w2.values[idx] - _segment_flux(p, idx)[idx]
+    r = sigma * w2[idx] - _segment_flux(p, idx)[idx]
     defect = grid.dt * float(np.sum(r * r))
-    denom = sigma * control_l2_norm(w2, grid)
+    denom = sigma * _segment_norm(w2, idx, grid.dt)
     if denom == 0.0:
         return math.sqrt(defect)
     return math.sqrt(defect) / denom
@@ -430,12 +430,15 @@ class NashCheckResult:
     scale: float
 
 
-def nash_gradient_check(w1: ControlSamples, w2: ControlSamples, config: SNConfig,
+def nash_gradient_check(w1: np.ndarray, w2: np.ndarray, config: SNConfig,
                         spec: MovingDomainSpec, grid: TimeGrid, N: int,
                         n_directions: int = 5, seed: int = 0) -> NashCheckResult:
     """Compare brute-force directional derivatives of the follower cost
     against the adjoint-flux pairing.
 
+    ``w1`` and ``w2`` are ``(M+1,)`` arrays, taken as zero off the
+    leader's and the follower's segments (``config.segments``, or the
+    disjoint halves of (0, T) when it is None).
     Directions are smooth seeded sine profiles supported on the follower
     segment, normalized to unit control norm.  The centered difference
     uses delta = 1e-4 * max(1, ||w2||); the analytic pairing for a
@@ -446,16 +449,20 @@ def nash_gradient_check(w1: ControlSamples, w2: ControlSamples, config: SNConfig
     _check_integer("n_directions", n_directions)
     if n_directions < 1:
         raise ValueError(f"n_directions must be at least 1, got {n_directions}")
+    _check_shape("w1", w1, (grid.M + 1,))
+    _check_shape("w2", w2, (grid.M + 1,))
     sweep = _Sweep.of(config, spec, grid, N)
     idx, sigma, dt = sweep.follower, config.sigma, grid.dt
     if len(idx) < 2:
         raise ValueError("follower segment holds fewer than 2 time levels")
-    v1, v2 = _on_segment(w1, grid), _on_segment(w2, grid)
+    v1, v2 = np.zeros(grid.M + 1), np.zeros(grid.M + 1)
+    v1[sweep.leader] = w1[sweep.leader]
+    v2[idx] = w2[idx]
 
     a, b = sweep.segments.sigma2
     s = (grid.levels[idx] - a) / (b - a)
     rng = np.random.default_rng(seed)
-    w2_norm = control_l2_norm(w2, grid)
+    w2_norm = _segment_norm(w2, idx, dt)
     delta = 1e-4 * max(1.0, w2_norm)
     scale = sigma * w2_norm  # directions have unit norm
 
@@ -473,7 +480,7 @@ def nash_gradient_check(w1: ControlSamples, w2: ControlSamples, config: SNConfig
             cost = [_follower_cost(sweep.state(v1, w), w, sweep.target, sigma, idx, dt)
                     for w in (v2 + delta * direction, v2 - delta * direction)]
             fd[d] = (cost[0] - cost[1]) / (2.0 * delta)
-            analytic[d] = dt * float(np.sum((sigma * w2.values[idx] - flux[idx]) * direction[idx]))
+            analytic[d] = dt * float(np.sum((sigma * v2[idx] - flux[idx]) * direction[idx]))
             # a zero denominator means fd and analytic are both exactly 0
             denom = max(abs(fd[d]), abs(analytic[d]), scale)
             rels[d] = abs(fd[d] - analytic[d]) / denom if denom > 0.0 else 0.0

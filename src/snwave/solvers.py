@@ -89,15 +89,14 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import MovingDomainSpec, TimeGrid, level_nodes
-from .fem import ControlSamples, _mass_pairing, _on_segment, boundary_flux_left, interpolate
+from .geometry import MovingDomainSpec, TimeGrid, level_nodes, segment_mask
+from .fem import _check_shape, _mass_pairing, boundary_flux_left, interpolate
 
 __all__ = [
     "Trajectory",
     "solve_forward",
     "solve_backward",
     "duality_residual",
-    "assemble_left_boundary",
     "trajectory_l2_distance",
     "trajectory_l2_norm",
 ]
@@ -129,11 +128,6 @@ class Trajectory:
 _SWEEP_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
-def _check_shape(name: str, a, shape: tuple):
-    if a is not None and np.shape(a) != shape:
-        raise ValueError(f"{name} has shape {np.shape(a)}, expected {shape}")
-
-
 def _left_trace(*controls: np.ndarray) -> np.ndarray:
     """Dirichlet data at x = 0: bare ``(M+1,)`` controls added in order to
     zeros.  The final level, which carries no sample of its own, takes the
@@ -143,11 +137,6 @@ def _left_trace(*controls: np.ndarray) -> np.ndarray:
         left += c
     left[-1] = left[-2]
     return left
-
-
-def assemble_left_boundary(controls, grid: TimeGrid) -> np.ndarray:
-    """The ``_left_trace`` of control samples, each zero off its segment."""
-    return _left_trace(*(_on_segment(c, grid) for c in controls))
 
 
 # Rows of the sine basis gathered per call: the index buffer holds 16
@@ -492,11 +481,12 @@ def trajectory_l2_norm(a: Trajectory) -> float:
     return float(np.sqrt(a.grid.dt * _mass_pairing(a.frames[:M], a.frames[:M], a.plan.h[:M])))
 
 
-def duality_residual(forward_bdata: ControlSamples, source: np.ndarray,
+def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
                      spec: MovingDomainSpec, grid: TimeGrid, N: int) -> float:
     """Consistency gap between the state/adjoint pairing and the boundary term.
 
-    Drives u-hat forward with the given boundary data and zero initial
+    Drives u-hat forward with the boundary data ``control``, an
+    ``(M+1,)`` array taken as zero off ``segment``, and zero initial
     data, drives p backward with the ``(M+1, N+1)`` source, and compares
     the volume pairing sum_m dt <source^m, u-hat^m> against the boundary
     pairing sum_m dt (d p/d nu)(0, t^m) w^m, where d/d nu = -d/dx is the
@@ -504,15 +494,16 @@ def duality_residual(forward_bdata: ControlSamples, source: np.ndarray,
     to the O(dt + h^2) mismatch of the marching pair; the return value is
     their absolute sum over the larger magnitude.
     """
-    left = assemble_left_boundary([forward_bdata], grid)
+    _check_shape("control", control, (grid.M + 1,))
+    mask = segment_mask(segment, grid)
     plan = _level_plan(spec, grid, N)
-    u_hat = solve_forward(left, spec, grid, N, plan=plan)
+    u_hat = solve_forward(_left_trace(np.where(mask, control, 0.0)), spec, grid, N, plan=plan)
     p = solve_backward(source, spec, grid, N, plan=plan)
 
     M = grid.M
     volume = grid.dt * _mass_pairing(source[:M], u_hat.frames[:M], plan.h[:M])
-    idx = np.nonzero(forward_bdata.level_mask(grid))[0]
-    boundary = grid.dt * float(np.sum(_outward_flux(p, idx) * forward_bdata.values[idx]))
+    idx = np.nonzero(mask)[0]
+    boundary = grid.dt * float(np.sum(_outward_flux(p, idx) * control[idx]))
     scale = max(abs(volume), abs(boundary))
     if scale == 0.0:
         return 0.0

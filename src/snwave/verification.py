@@ -10,14 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import (
-    BoundarySegments,
     MovingDomainSpec,
     build_time_grid,
     compute_Tc,
     level_nodes,
     trapezoid_stats,
 )
-from .fem import ControlSamples, _mass_pairing
+from .fem import _mass_pairing
 from .solvers import duality_residual, solve_backward, solve_forward
 from .game import SNConfig, fixed_point_solve, nash_residual
 
@@ -133,7 +132,7 @@ def _check_degenerate():
     grid = build_time_grid(tc, 40)
     cfg = SNConfig(sigma=100.0, epsilon=1e-12, max_iter=3)
     res = fixed_point_solve(cfg, spec, grid, 40)
-    ok = (np.all(res.w1.values == 0.0)
+    ok = (np.all(res.w1 == 0.0)
           and np.all(res.psi.frames == 0.0)
           and np.all(res.phi.frames == 0.0))
     return "degenerate-subsystem-zero", ok, "psi, phi, w1 exactly zero"
@@ -146,23 +145,29 @@ def _check_zero_target():
     cfg = SNConfig(sigma=100.0, u2=0.0)
     res = fixed_point_solve(cfg, spec, grid, 40)
     ok = (res.converged and res.iterations == 1
-          and np.all(res.w2.values == 0.0)
+          and np.all(res.w2 == 0.0)
           and np.all(res.u.frames == 0.0))
     return "zero-target-fixed-point", ok, f"iterations = {res.iterations}"
 
 
-def _check_duality():
-    NM = 100
+def _duality_probe(NM):
+    """The duality check's data at k = 0, N = M = NM: a smooth control on
+    (0, 0.5) and the source (1 + t) sin(pi x), as ``(control, segment,
+    source, spec, grid)``."""
     spec = MovingDomainSpec(k=0.0, T=1.0)
     grid = build_time_grid(1.0, NM)
     _, x = level_nodes(spec, 0.0, NM)
-    src = np.outer(1.0 + grid.levels, np.sin(np.pi * x))
-    seg = (0.0, 0.5)
-    vals = np.zeros(NM + 1)
+    source = np.outer(1.0 + grid.levels, np.sin(np.pi * x))
+    segment = (0.0, 0.5)
+    control = np.zeros(NM + 1)
     mask = grid.levels < 0.5
-    vals[mask] = np.sin(np.pi * grid.levels[mask] / 0.5) ** 2
-    ctrl = ControlSamples(segment=seg, values=vals)
-    res = duality_residual(ctrl, src, spec, grid, NM)
+    control[mask] = np.sin(np.pi * grid.levels[mask] / 0.5) ** 2
+    return control, segment, source, spec, grid
+
+
+def _check_duality():
+    NM = 100
+    res = duality_residual(*_duality_probe(NM), NM)
     return "duality-residual", res <= 0.05, f"relative residual {res:.4f}"
 
 
@@ -172,8 +177,7 @@ def _check_nash_residual():
     grid = build_time_grid(tc, 50)
     cfg = SNConfig(sigma=100.0)
     res = fixed_point_solve(cfg, spec, grid, 50)
-    segs = BoundarySegments.disjoint_halves(tc)
-    r = nash_residual(res.w2, res.p, 100.0, segs, grid)
+    r = nash_residual(res.w2, res.p, 100.0, res.segments, grid)
     ok = res.converged and r <= 1e-3
     return "follower-best-response", ok, f"residual {r:.2e}, iterations {res.iterations}"
 

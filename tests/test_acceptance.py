@@ -13,7 +13,6 @@ import pytest
 
 from snwave import (
     BoundarySegments,
-    ControlSamples,
     MovingDomainSpec,
     SNConfig,
     build_time_grid,
@@ -29,6 +28,7 @@ from snwave import (
 from p1_dense import mass_matrix
 import snwave.game as game
 from snwave.geometry import level_nodes
+from snwave.verification import _duality_probe
 
 K = 0.25
 N = M = 100
@@ -192,15 +192,7 @@ def test_criterion_7_degenerate_subsystem(tc):
 
 
 def _duality(NM):
-    spec = MovingDomainSpec(k=0.0, T=1.0)
-    grid = build_time_grid(1.0, NM)
-    _, x = level_nodes(spec, 0.0, NM)
-    src = np.array([np.sin(np.pi * x) * (1.0 + t) for t in grid.levels])
-    vals = np.zeros(NM + 1)
-    mask = grid.levels < 0.5
-    vals[mask] = np.sin(np.pi * grid.levels[mask] / 0.5) ** 2
-    ctrl = ControlSamples(segment=(0.0, 0.5), values=vals)
-    return duality_residual(ctrl, src, spec, grid, NM)
+    return duality_residual(*_duality_probe(NM), NM)
 
 
 def test_criterion_8_duality_residual():

@@ -252,6 +252,22 @@ class TestTables:
         assert all(row[2] == "true" for row in rows[4:])
         assert capsys.readouterr().out.count("diverged: non-finite") == 3
 
+    @pytest.mark.parametrize("command", ["table-T", "table-mesh"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_explicit_horizon_is_usage_error(self, tmp_path, capsys, command, source):
+        # the tables set their own horizons, T = 1..10 x T_c
+        if source == "flag":
+            args = ["--T", "5"]
+        else:
+            cfgfile = tmp_path / "table.cfg"
+            cfgfile.write_text("T = 5\n")
+            args = ["--config", str(cfgfile)]
+        rc = run_cli([command, *args, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"^error: T: {command} runs the multiples 1\.\.10 of T_c", err)
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_table_T_small(self, tmp_path):
         rc = run_cli(["table-T", "--out", str(tmp_path), "--N", "30", "--M", "30"])
         assert rc == 0

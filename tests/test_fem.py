@@ -3,7 +3,6 @@ import pytest
 
 from p1_dense import mass_matrix, stiffness_matrix
 from snwave import (
-    ControlSamples,
     boundary_flux_left,
     build_time_grid,
     control_l2_norm,
@@ -235,16 +234,14 @@ class TestBoundaryFlux:
 class TestControlNorm:
     def test_zero(self):
         grid = build_time_grid(1.0, 10)
-        c = ControlSamples.zeros((0.0, 0.5), grid)
-        assert control_l2_norm(c, grid) == 0.0
+        assert control_l2_norm(np.zeros(11), (0.0, 0.5), grid) == 0.0
 
     def test_constant_over_segment(self):
         grid = build_time_grid(10.0, 100)
         seg = (0.0, 5.0)
         vals = np.zeros(101)
         vals[grid.levels < 5.0] = 1.0
-        c = ControlSamples(segment=seg, values=vals)
-        assert control_l2_norm(c, grid) == pytest.approx(np.sqrt(5.0), rel=1e-12)
+        assert control_l2_norm(vals, seg, grid) == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
     def test_homogeneity(self):
         grid = build_time_grid(2.0, 20)
@@ -252,12 +249,6 @@ class TestControlNorm:
         vals = np.zeros(21)
         mask = grid.levels < 1.0
         vals[mask] = rng.standard_normal(mask.sum())
-        c1 = ControlSamples(segment=(0.0, 1.0), values=vals)
-        c2 = ControlSamples(segment=(0.0, 1.0), values=2.0 * vals)
-        assert control_l2_norm(c2, grid) == pytest.approx(2 * control_l2_norm(c1, grid), rel=1e-13)
-
-    def test_misaligned_grid(self):
-        grid = build_time_grid(1.0, 10)
-        c = ControlSamples(segment=(0.0, 0.5), values=np.zeros(5))
-        with pytest.raises(ValueError, match="samples"):
-            control_l2_norm(c, grid)
+        seg = (0.0, 1.0)
+        assert control_l2_norm(2.0 * vals, seg, grid) == pytest.approx(
+            2 * control_l2_norm(vals, seg, grid), rel=1e-13)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -7,15 +8,16 @@ import pytest
 
 from snwave import (
     BoundarySegments,
-    ControlSamples,
     DivergenceError,
     IterationRecord,
     MovingDomainSpec,
+    NashCheckResult,
     SNConfig,
     boundary_flux_left,
     build_time_grid,
     compute_Tc,
     control_l2_norm,
+    duality_residual,
     evaluate_J,
     evaluate_J2,
     fixed_point_solve,
@@ -30,8 +32,8 @@ import snwave.game as game
 import snwave.geometry as geometry
 import snwave.solvers as solvers
 import snwave.verification as verification
-from snwave.geometry import level_nodes
-from snwave.solvers import Trajectory, _level_plan, assemble_left_boundary
+from snwave.geometry import level_nodes, segment_mask
+from snwave.solvers import Trajectory, _left_trace, _level_plan
 
 
 def stepped_sweeps(cfg, spec, grid, N, n):
@@ -110,10 +112,9 @@ class TestFollowerUpdate:
         d = res.w2  # first update from the zero control
 
         def j2_at(scale):
-            w = ControlSamples(segment=segs.sigma2, values=scale * d.values)
-            left = assemble_left_boundary([w], grid)
-            u = solve_forward(left, spec, grid, N)
-            return evaluate_J2(u, w, u2, sigma, grid)
+            w = scale * d
+            u = solve_forward(_left_trace(w), spec, grid, N)
+            return evaluate_J2(u, w, segs.sigma2, u2, sigma, grid)
 
         j0 = j2_at(0.0)
         assert j2_at(0.25) < j0
@@ -187,16 +188,15 @@ class TestFunctionals:
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, 20)
         u = make_trajectory(spec, grid, 20, lambda x: np.full_like(x, 7.0))
-        w2 = ControlSamples.zeros((0.0, 0.5), grid)
-        assert evaluate_J2(u, w2, 7.0, 100.0, grid) == 0.0
+        assert evaluate_J2(u, np.zeros(21), (0.0, 0.5), 7.0, 100.0, grid) == 0.0
 
     def test_j2_constant_misfit_exact_value(self):
         # |u - u2| = 10 over the unit space-time square: J2 = 0.5*100 = 50
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, 100)
         u = make_trajectory(spec, grid, 100, lambda x: np.zeros_like(x))
-        w2 = ControlSamples.zeros((0.0, 0.5), grid)
-        assert evaluate_J2(u, w2, 10.0, 100.0, grid) == pytest.approx(50.0, rel=1e-12)
+        assert evaluate_J2(u, np.zeros(101), (0.0, 0.5), 10.0, 100.0, grid) == pytest.approx(
+            50.0, rel=1e-12)
 
     def test_j2_control_term_quadratic(self):
         spec = MovingDomainSpec(k=0.0, T=1.0)
@@ -204,24 +204,21 @@ class TestFunctionals:
         u = make_trajectory(spec, grid, 20, lambda x: np.zeros_like(x))
         vals = np.zeros(21)
         vals[grid.levels < 0.5] = 1.5
-        w2 = ControlSamples(segment=(0.0, 0.5), values=vals)
-        w2x2 = ControlSamples(segment=(0.0, 0.5), values=2 * vals)
-        sigma, u2 = 40.0, 0.0
-        base = evaluate_J2(u, ControlSamples.zeros((0.0, 0.5), grid), u2, sigma, grid)
-        j1 = evaluate_J2(u, w2, u2, sigma, grid) - base
-        j2 = evaluate_J2(u, w2x2, u2, sigma, grid) - base
+        seg, sigma, u2 = (0.0, 0.5), 40.0, 0.0
+        base = evaluate_J2(u, np.zeros(21), seg, u2, sigma, grid)
+        j1 = evaluate_J2(u, vals, seg, u2, sigma, grid) - base
+        j2 = evaluate_J2(u, 2 * vals, seg, u2, sigma, grid) - base
         assert j2 == pytest.approx(4.0 * j1, rel=1e-12)
 
     def test_j_zero(self):
         grid = build_time_grid(1.0, 10)
-        assert evaluate_J(ControlSamples.zeros((0.5, 1.0), grid), grid) == 0.0
+        assert evaluate_J(np.zeros(11), (0.5, 1.0), grid) == 0.0
 
     def test_j_constant_over_segment(self):
         grid = build_time_grid(10.0, 100)
         vals = np.zeros(101)
         vals[(grid.levels >= 5.0) & (grid.levels < 10.0)] = 1.0
-        w1 = ControlSamples(segment=(5.0, 10.0), values=vals)
-        assert evaluate_J(w1, grid) == pytest.approx(2.5, rel=1e-12)  # L/2 = 5/2
+        assert evaluate_J(vals, (5.0, 10.0), grid) == pytest.approx(2.5, rel=1e-12)  # L/2 = 5/2
 
     def test_j_quadratic_homogeneity(self):
         grid = build_time_grid(2.0, 16)
@@ -229,9 +226,9 @@ class TestFunctionals:
         vals = np.zeros(17)
         mask = (grid.levels >= 1.0) & (grid.levels < 2.0)
         vals[mask] = rng.standard_normal(mask.sum())
-        w = ControlSamples(segment=(1.0, 2.0), values=vals)
-        w3 = ControlSamples(segment=(1.0, 2.0), values=3 * vals)
-        assert evaluate_J(w3, grid) == pytest.approx(9 * evaluate_J(w, grid), rel=1e-12)
+        seg = (1.0, 2.0)
+        assert evaluate_J(3 * vals, seg, grid) == pytest.approx(9 * evaluate_J(vals, seg, grid),
+                                                               rel=1e-12)
 
 
 class TestFixedPoint:
@@ -240,8 +237,8 @@ class TestFixedPoint:
         cfg = SNConfig(sigma=100.0, u2=0.0, segments=segs)
         res = fixed_point_solve(cfg, spec, grid, 30)
         assert res.converged and res.iterations == 1
-        assert np.all(res.w1.values == 0.0)
-        assert np.all(res.w2.values == 0.0)
+        assert np.all(res.w1 == 0.0)
+        assert np.all(res.w2 == 0.0)
         assert np.all(res.u.frames == 0.0)
 
     def test_degenerate_subsystem_exact_zeros_every_sweep(self, small_setup):
@@ -270,8 +267,8 @@ class TestFixedPoint:
         tripled = fixed_point_solve(SNConfig(sigma=100.0, u2=30.0, segments=segs),
                                     spec, grid, 30)
         assert base.iterations == tripled.iterations
-        scale = np.max(np.abs(tripled.w2.values))
-        assert np.max(np.abs(tripled.w2.values - 3 * base.w2.values)) <= 1e-8 * scale
+        scale = np.max(np.abs(tripled.w2))
+        assert np.max(np.abs(tripled.w2 - 3 * base.w2)) <= 1e-8 * scale
         for fa, fb in zip(base.u.frames, tripled.u.frames):
             ref = max(1e-30, np.max(np.abs(fb)))
             assert np.max(np.abs(fb - 3 * fa)) <= 1e-8 * ref
@@ -294,9 +291,9 @@ class TestFixedPoint:
         assert res.converged
         # phi loop stays homogeneous, so the leader is zero and the
         # boundary datum is the follower alone, now on all of (0, T)
-        assert np.all(res.w1.values == 0.0)
+        assert np.all(res.w1 == 0.0)
         mask = segs.follower_mask(grid)
-        assert np.any(res.w2.values[mask] != 0.0)
+        assert np.any(res.w2[mask] != 0.0)
 
     def test_phi_terminal_activates_leader(self, small_setup):
         spec, grid, segs = small_setup
@@ -345,15 +342,14 @@ class TestSweepMap:
             stop, dw = game._control_change(nxt[:2], state[:2], (sweep.leader, sweep.follower),
                                             grid.dt)
             du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
-            w1, w2 = (ControlSamples(seg, w) for seg, w in zip((segs.sigma1, segs.sigma2), state))
-            log.append(IterationRecord(n, stop, du, dw, evaluate_J(w1, grid),
-                                       evaluate_J2(u, w2, 10.0, 100.0, grid)))
+            log.append(IterationRecord(n, stop, du, dw, evaluate_J(state[0], segs.sigma1, grid),
+                                       evaluate_J2(u, state[1], segs.sigma2, 10.0, 100.0, grid)))
             state, u_prev = nxt, u
             if stop <= cfg.epsilon:
                 break
         assert log == res.log
-        assert np.array_equal(res.w1.values, state[0])
-        assert np.array_equal(res.w2.values, state[1])
+        assert np.array_equal(res.w1, state[0])
+        assert np.array_equal(res.w2, state[1])
 
     def test_leader_chain_reads_no_control(self, small_setup):
         # psi_bc -> (psi, phi, w1', psi_bc') is the same for any (w1, w2):
@@ -434,7 +430,7 @@ class TestMarchCounts:
         res = fixed_point_solve(cfg, spec, grid, N)
         assert res.iterations >= 2
         assert count[0] == 2 * res.iterations
-        assert np.all(res.w1.values == 0.0)
+        assert np.all(res.w1 == 0.0)
         assert np.all(res.psi.frames == 0.0)
         assert np.all(res.phi.frames == 0.0)
 
@@ -518,11 +514,11 @@ class TestTarget:
         call = fixed_point_solve(SNConfig(sigma=100.0, u2=lambda x, t: 10.0, segments=segs),
                                  spec, grid, 16)
         assert call.iterations == const.iterations
-        np.testing.assert_array_equal(call.w2.values, const.w2.values)
+        np.testing.assert_array_equal(call.w2, const.w2)
         np.testing.assert_array_equal(call.u.frames[-1], const.u.frames[-1])
         assert [r.J2 for r in call.log] == [r.J2 for r in const.log]
-        assert (evaluate_J2(const.u, const.w2, lambda x, t: 10.0, 100.0, grid)
-                == evaluate_J2(const.u, const.w2, 10.0, 100.0, grid))
+        assert (evaluate_J2(const.u, const.w2, segs.sigma2, lambda x, t: 10.0, 100.0, grid)
+                == evaluate_J2(const.u, const.w2, segs.sigma2, 10.0, 100.0, grid))
 
     def test_given_target_matches_evaluated_target(self, small_setup):
         spec, grid, segs = small_setup
@@ -534,8 +530,8 @@ class TestTarget:
 
         target = np.array([u2(x, t) for x, t in zip(res.u.plan.nodes, grid.levels)])
         for goal, given in ((10.0, np.full_like(target, 10.0)), (u2, target)):
-            assert (evaluate_J2(res.u, res.w2, goal, 100.0, grid, target=given)
-                    == evaluate_J2(res.u, res.w2, goal, 100.0, grid))
+            assert (evaluate_J2(res.u, res.w2, segs.sigma2, goal, 100.0, grid, target=given)
+                    == evaluate_J2(res.u, res.w2, segs.sigma2, goal, 100.0, grid))
 
     def test_target_evaluated_once_per_solve(self, small_setup):
         spec, grid, segs = small_setup
@@ -557,7 +553,7 @@ class TestTarget:
             fixed_point_solve(SNConfig(sigma=100.0, u2=bad, segments=segs), spec, grid, 16)
         u = make_trajectory(spec, grid, 16, np.zeros_like)
         with pytest.raises(ValueError, match="u2"):
-            evaluate_J2(u, ControlSamples.zeros(segs.sigma2, grid), bad, 100.0, grid)
+            evaluate_J2(u, np.zeros(grid.M + 1), segs.sigma2, bad, 100.0, grid)
 
 
 class TestWorkCounts:
@@ -600,8 +596,8 @@ class TestWorkCounts:
     def test_nash_gradient_check_builds_one_plan(self, small_setup, monkeypatch):
         spec, grid, segs = small_setup
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs)
-        w1 = ControlSamples.zeros(segs.sigma1, grid)
-        w2 = ControlSamples.zeros(segs.sigma2, grid)
+        w1 = np.zeros(grid.M + 1)
+        w2 = np.zeros(grid.M + 1)
         count = self._count(monkeypatch)
         nash_gradient_check(w1, w2, cfg, spec, grid, 16, n_directions=2)
         assert count == {"basis": 1, "nodes": 1}
@@ -642,9 +638,9 @@ class TestNashResidual:
         defect = 0.0
         for m in np.nonzero(segs.follower_mask(grid))[0]:
             flux = boundary_flux_left(res.p.frames[m], res.p.plan.h[m])
-            r = sigma * res.w2.values[m] - (-flux)
+            r = sigma * res.w2[m] - (-flux)
             defect += grid.dt * r * r
-        ref = math.sqrt(defect) / (sigma * control_l2_norm(res.w2, grid))
+        ref = math.sqrt(defect) / (sigma * control_l2_norm(res.w2, segs.sigma2, grid))
         assert ref > 1e-6
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
@@ -663,7 +659,7 @@ class TestNashGradientCheck:
 
         pairings = []
         for amp in (0.1, 0.2, 0.4):
-            w2 = ControlSamples(segment=segs.sigma2, values=res.w2.values + amp * bump)
+            w2 = res.w2 + amp * bump
             chk = nash_gradient_check(res.w1, w2, cfg, spec, grid, N,
                                       n_directions=3, seed=1)
             pairings.append(np.max(np.abs(chk.analytic)))
@@ -690,7 +686,7 @@ class TestNashGradientCheck:
         s = (grid.levels[idx] - segs.sigma2[0]) / (segs.sigma2[1] - segs.sigma2[0])
         bump = np.zeros(grid.M + 1)
         bump[idx] = np.sin(np.pi * s)
-        w2 = ControlSamples(segment=segs.sigma2, values=res.w2.values + 0.5 * bump)
+        w2 = res.w2 + 0.5 * bump
         chk = nash_gradient_check(res.w1, w2, cfg, spec, grid, 40,
                                   n_directions=5, seed=3)
         for fd, ana in zip(chk.fd, chk.analytic):
@@ -703,8 +699,8 @@ class TestNashGradientCheck:
         grid = build_time_grid(1e-300, 10)
         segs = BoundarySegments.disjoint_halves(1e-300)
         cfg = SNConfig(sigma=100.0, segments=segs)
-        w1 = ControlSamples.zeros(segs.sigma1, grid)
-        w2 = ControlSamples.zeros(segs.sigma2, grid)
+        w1 = np.zeros(grid.M + 1)
+        w2 = np.zeros(grid.M + 1)
         with pytest.raises(DivergenceError) as exc:
             nash_gradient_check(w1, w2, cfg, spec, grid, 10)
         assert exc.value.payload["field"] == "nash_check"
@@ -715,8 +711,8 @@ class TestNashGradientCheck:
         grid = build_time_grid(4.0, 20)
         segs = BoundarySegments.disjoint_halves(4.0)
         cfg = SNConfig(sigma=100.0, u2=0.0, segments=segs)
-        w1 = ControlSamples.zeros(segs.sigma1, grid)
-        w2 = ControlSamples.zeros(segs.sigma2, grid)
+        w1 = np.zeros(grid.M + 1)
+        w2 = np.zeros(grid.M + 1)
         chk = nash_gradient_check(w1, w2, cfg, spec, grid, 20)
         assert chk.scale == 0.0
         assert np.all(chk.fd == 0.0) and np.all(chk.analytic == 0.0)
@@ -728,10 +724,79 @@ class TestNashGradientCheck:
         grid = build_time_grid(4.0, 20)
         segs = BoundarySegments.disjoint_halves(4.0)
         cfg = SNConfig(sigma=100.0, segments=segs)
-        w1 = ControlSamples.zeros(segs.sigma1, grid)
-        w2 = ControlSamples.zeros(segs.sigma2, grid)
+        w1 = np.zeros(grid.M + 1)
+        w2 = np.zeros(grid.M + 1)
         with pytest.raises(ValueError, match="n_directions"):
             nash_gradient_check(w1, w2, cfg, spec, grid, 20, n_directions=n)
+
+
+class TestBareControls:
+    """The public functionals take bare ``(M+1,)`` controls with their
+    segments beside them, check the shape and read only the segment's
+    samples."""
+
+    N = 16
+    # (entry point, control argument, 0 for the leader's or 1 for the follower's)
+    CASES = [("control_l2_norm", "values", 1), ("evaluate_J", "w1", 0),
+             ("evaluate_J2", "w2", 1), ("nash_residual", "w2", 1),
+             ("nash_gradient_check", "w1", 0), ("nash_gradient_check", "w2", 1),
+             ("duality_residual", "control", 1)]
+
+    @pytest.fixture(scope="class")
+    def point(self):
+        """A solve with both controls nonzero, and each entry point as a
+        function of the (leader, follower) pair."""
+        spec = MovingDomainSpec(k=0.25, T=4.0)
+        grid = build_time_grid(4.0, 20)
+        segs = BoundarySegments.disjoint_halves(4.0)
+        cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, max_iter=3,
+                       phi_terminal=bump_terminal(spec, grid, self.N))
+        res = fixed_point_solve(cfg, spec, grid, self.N)
+        assert res.w1.any() and res.w2.any()
+        source = res.u.frames - 10.0
+        calls = {
+            "control_l2_norm": lambda w1, w2: control_l2_norm(w2, segs.sigma2, grid),
+            "evaluate_J": lambda w1, w2: evaluate_J(w1, segs.sigma1, grid),
+            "evaluate_J2": lambda w1, w2: evaluate_J2(res.u, w2, segs.sigma2, 10.0, 100.0, grid),
+            "nash_residual": lambda w1, w2: nash_residual(w2, res.p, 100.0, segs, grid),
+            "nash_gradient_check": lambda w1, w2: nash_gradient_check(
+                w1, w2, cfg, spec, grid, self.N, n_directions=2),
+            "duality_residual": lambda w1, w2: duality_residual(
+                w2, segs.sigma2, source, spec, grid, self.N),
+        }
+        return grid, segs, res, calls
+
+    @staticmethod
+    def _bits(out):
+        if isinstance(out, NashCheckResult):
+            return [np.asarray(getattr(out, f.name)).tobytes() for f in dataclasses.fields(out)]
+        return np.float64(out).tobytes()
+
+    @pytest.mark.parametrize("name,arg,slot", CASES)
+    def test_wrong_shape_names_the_argument(self, point, name, arg, slot):
+        grid, _, res, calls = point
+        pair = [res.w1, res.w2]
+        pair[slot] = pair[slot][:-1]
+        M = grid.M
+        with pytest.raises(ValueError, match=rf"^{arg} has shape \({M},\), expected \({M + 1},\)$"):
+            calls[name](*pair)
+
+    @pytest.mark.parametrize("name", sorted({name for name, _, _ in CASES}))
+    def test_values_off_the_segment_are_ignored(self, point, name):
+        grid, segs, res, calls = point
+        rng = np.random.default_rng(7)
+        noisy = [np.where(segment_mask(seg, grid), w, 5.0 + rng.standard_normal(grid.M + 1))
+                 for seg, w in ((segs.sigma1, res.w1), (segs.sigma2, res.w2))]
+        assert not np.array_equal(noisy[0], res.w1) and not np.array_equal(noisy[1], res.w2)
+        assert self._bits(calls[name](*noisy)) == self._bits(calls[name](res.w1, res.w2))
+
+    def test_result_carries_the_sweep_segments(self, small_setup):
+        spec, grid, _ = small_setup
+        given = BoundarySegments.additive_overlap(grid.T)
+        res = fixed_point_solve(SNConfig(sigma=100.0, segments=given, max_iter=1), spec, grid, 10)
+        assert res.segments is given
+        res = fixed_point_solve(SNConfig(sigma=100.0, max_iter=1), spec, grid, 10)
+        assert res.segments == BoundarySegments.disjoint_halves(grid.T)
 
 
 class TestConfigValidation:

@@ -21,7 +21,8 @@ MODULES = ["snwave", "snwave.geometry", "snwave.fem", "snwave.solvers", "snwave.
 REMOVED_NAMES = [
     "SpatialMesh", "build_spatial_mesh", "TriDiagMatrix", "assemble_mass",
     "assemble_stiffness", "solve_tridiagonal", "follower_update", "leader_update",
-    "stopping_quantity", "ForwardProblem", "BackwardProblem",
+    "stopping_quantity", "ForwardProblem", "BackwardProblem", "ControlSamples",
+    "assemble_left_boundary",
 ]
 REMOVED_ATTRIBUTES = [
     ("SNConfig", "initial_controls"), ("BoundarySegments", "mode"), ("TimeGrid", "__len__"),

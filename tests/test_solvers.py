@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from snwave import (
-    ControlSamples,
     MovingDomainSpec,
     SNConfig,
-    assemble_left_boundary,
     boundary_flux_left,
     build_time_grid,
     duality_residual,
@@ -23,9 +21,10 @@ from snwave import (
 )
 import snwave.solvers as solvers
 from p1_dense import dense_step, mass_matrix, stiffness_matrix
-from snwave.geometry import level_nodes
-from snwave.solvers import (Trajectory, _FOLD_N, _level_plan, _march, _plan_operators,
-                             _sine_basis, _step_operators)
+from snwave.geometry import level_nodes, segment_mask
+from snwave.solvers import (Trajectory, _FOLD_N, _left_trace, _level_plan, _march,
+                             _plan_operators, _sine_basis, _step_operators)
+from snwave.verification import _duality_probe
 
 # Relative tolerance of the fused sine-basis step against the dense
 # reference: both solve the same SPD systems, so they differ by roundoff
@@ -661,21 +660,17 @@ class TestMarchMemory:
 class TestLeftBoundaryAssembly:
     def test_disjoint_sum_and_final_level(self):
         grid = build_time_grid(10.0, 10)
-        w1 = ControlSamples(segment=(5.0, 10.0), values=np.zeros(11))
-        w2 = ControlSamples(segment=(0.0, 5.0), values=np.zeros(11))
-        w1.values[(grid.levels >= 5.0) & (grid.levels < 10.0)] = 2.0
-        w2.values[grid.levels < 5.0] = 1.0
-        left = assemble_left_boundary([w1, w2], grid)
+        w1, w2 = np.zeros(11), np.zeros(11)
+        w1[(grid.levels >= 5.0) & (grid.levels < 10.0)] = 2.0
+        w2[grid.levels < 5.0] = 1.0
+        left = _left_trace(w1, w2)
         np.testing.assert_array_equal(left[:5], 1.0)
         np.testing.assert_array_equal(left[5:10], 2.0)
         assert left[10] == 2.0  # left-continuation of the last interval
 
     def test_additive_overlap_sums(self):
-        grid = build_time_grid(1.0, 4)
         vals = np.array([1.0, 2.0, 3.0, 4.0, 0.0])
-        w1 = ControlSamples(segment=(0.0, 1.0), values=vals)
-        w2 = ControlSamples(segment=(0.0, 1.0), values=2 * vals)
-        left = assemble_left_boundary([w1, w2], grid)
+        left = _left_trace(vals, 2 * vals)
         np.testing.assert_array_equal(left[:4], 3 * vals[:4])
 
 
@@ -732,47 +727,33 @@ class TestTrajectoryNorms:
 
 
 class TestDualityResidual:
-    @staticmethod
-    def _setup(NM):
-        spec = MovingDomainSpec(k=0.0, T=1.0)
-        grid = build_time_grid(1.0, NM)
-        _, x = level_nodes(spec, 0.0, NM)
-        src = np.array([np.sin(np.pi * x) * (1.0 + t) for t in grid.levels])
-        vals = np.zeros(NM + 1)
-        mask = grid.levels < 0.5
-        vals[mask] = np.sin(np.pi * grid.levels[mask] / 0.5) ** 2
-        ctrl = ControlSamples(segment=(0.0, 0.5), values=vals)
-        return ctrl, src, spec, grid
-
     def test_zero_source_gives_zero(self):
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, 20)
         src = np.zeros((21, 21))
-        ctrl = ControlSamples.zeros((0.0, 0.5), grid)
-        assert duality_residual(ctrl, src, spec, grid, 20) == 0.0
+        assert duality_residual(np.zeros(21), (0.0, 0.5), src, spec, grid, 20) == 0.0
 
     def test_small_for_smooth_data(self):
-        ctrl, src, spec, grid = self._setup(200)
-        assert duality_residual(ctrl, src, spec, grid, 200) <= 0.05
+        assert duality_residual(*_duality_probe(200), 200) <= 0.05
 
     def test_matches_per_level_loop(self):
-        ctrl, src, spec, grid = self._setup(100)
-        got = duality_residual(ctrl, src, spec, grid, 100)
+        ctrl, seg, src, spec, grid = _duality_probe(100)
+        got = duality_residual(ctrl, seg, src, spec, grid, 100)
         # the same pairings, the boundary term accumulated level by level
-        left = assemble_left_boundary([ctrl], grid)
-        u_hat = solve_forward(left, spec, grid, 100)
+        mask = segment_mask(seg, grid)
+        u_hat = solve_forward(_left_trace(np.where(mask, ctrl, 0.0)), spec, grid, 100)
         p = solve_backward(src, spec, grid, 100)
         volume = boundary = 0.0
         for m in range(grid.M):
             mass = mass_matrix(100, p.plan.h[m])
             volume += grid.dt * float(src[m] @ mass @ u_hat.frames[m])
-        for m in np.nonzero(ctrl.level_mask(grid))[0]:
+        for m in np.nonzero(mask)[0]:
             flux = boundary_flux_left(p.frames[m], p.plan.h[m])
-            boundary += grid.dt * -flux * ctrl.values[m]
+            boundary += grid.dt * -flux * ctrl[m]
         ref = abs(volume + boundary) / max(abs(volume), abs(boundary))
         assert abs(got - ref) <= 1e-12
 
     def test_decreases_under_refinement(self):
-        r_coarse = duality_residual(*self._setup(100), 100)
-        r_fine = duality_residual(*self._setup(200), 200)
+        r_coarse = duality_residual(*_duality_probe(100), 100)
+        r_fine = duality_residual(*_duality_probe(200), 200)
         assert r_fine < r_coarse
