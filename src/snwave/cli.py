@@ -280,10 +280,14 @@ def _solve_table(cfg: RunConfig, name: str, header, cases) -> int:
 
 
 def _check_no_horizon(cfg: RunConfig, command: str):
-    """The horizon tables set T themselves; an explicit one is an error, not ignored."""
+    """The horizon tables set T and T_multiple themselves; an explicit
+    horizon or a multiple other than the default is an error, not ignored."""
     if cfg.T != 0.0:
         raise UsageError(f"T: {command} runs the multiples 1..10 of T_c and takes no "
                          f"explicit horizon, got T={cfg.T!r}")
+    if cfg.T_multiple != RunConfig.T_multiple:
+        raise UsageError(f"T_multiple: {command} runs the multiples 1..10 of T_c and takes no "
+                         f"other multiple, got T_multiple={cfg.T_multiple!r}")
 
 
 def cmd_table_T(cfg: RunConfig) -> int:
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key=value configuration file")
     common.add_argument("--k", type=float, help="boundary speed in [0, 1)")
     common.add_argument("--T-multiple", dest="T_multiple", type=float,
-                        help="horizon as a multiple of T_c(k)")
+                        help="horizon as a multiple of T_c(k) for run and table-sigma")
     common.add_argument("--T", type=float,
                         help="explicit horizon for run and table-sigma (overrides the multiple)")
     common.add_argument("--N", type=int, help="spatial elements per level")

@@ -90,7 +90,14 @@ def _check_shape(name: str, a, shape: tuple):
         raise ValueError(f"{name} has shape {np.shape(a)}, expected {shape}")
 
 
+def _check_control(name: str, a, grid: TimeGrid):
+    """Reject a control argument ``name`` that is None or not one sample per level of ``grid``."""
+    if a is None:
+        raise ValueError(f"{name} is None, expected shape {(grid.M + 1,)}")
+    _check_shape(name, a, (grid.M + 1,))
+
+
 def control_l2_norm(values: np.ndarray, segment: tuple, grid: TimeGrid) -> float:
     """Discrete L2 norm over ``segment``: sqrt(sum_m dt * values_m^2) on its levels."""
-    _check_shape("values", values, (grid.M + 1,))
+    _check_control("values", values, grid)
     return _segment_norm(values, segment_mask(segment, grid), grid.dt)

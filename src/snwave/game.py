@@ -56,7 +56,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .geometry import BoundarySegments, MovingDomainSpec, TimeGrid, _check_integer, segment_mask
-from .fem import _check_shape, _mass_pairing, _segment_norm
+from .fem import _check_control, _check_shape, _mass_pairing, _segment_norm
 from .solvers import (
     _SWEEP_ERRSTATE,
     Trajectory,
@@ -332,7 +332,7 @@ def evaluate_J2(u: Trajectory, w2: np.ndarray, segment: tuple, u2: TargetLike, s
     ``target`` is u2 already evaluated on u's levels, as a solve keeps
     it; without it u2 is evaluated here.
     """
-    _check_shape("w2", w2, (grid.M + 1,))
+    _check_control("w2", w2, grid)
     if target is None:
         target = _target(u2, u.plan.nodes, grid)
     return _follower_cost(u, w2, target, sigma, segment_mask(segment, grid), grid.dt)
@@ -340,7 +340,7 @@ def evaluate_J2(u: Trajectory, w2: np.ndarray, segment: tuple, u2: TargetLike, s
 
 def evaluate_J(w1: np.ndarray, segment: tuple, grid: TimeGrid) -> float:
     """Leader cost: half the squared norm of the control ``w1`` on ``segment``."""
-    _check_shape("w1", w1, (grid.M + 1,))
+    _check_control("w1", w1, grid)
     return 0.5 * _segment_norm(w1, segment_mask(segment, grid), grid.dt) ** 2
 
 
@@ -400,7 +400,7 @@ def nash_residual(w2: np.ndarray, p: Trajectory, sigma: float,
     follower's segment ``segments.sigma2``; zero exactly at the follower's
     best response to the state that produced p.
     """
-    _check_shape("w2", w2, (grid.M + 1,))
+    _check_control("w2", w2, grid)
     idx = np.nonzero(segments.follower_mask(grid))[0]
     r = sigma * w2[idx] - _segment_flux(p, idx)[idx]
     defect = grid.dt * float(np.sum(r * r))
@@ -449,8 +449,8 @@ def nash_gradient_check(w1: np.ndarray, w2: np.ndarray, config: SNConfig,
     _check_integer("n_directions", n_directions)
     if n_directions < 1:
         raise ValueError(f"n_directions must be at least 1, got {n_directions}")
-    _check_shape("w1", w1, (grid.M + 1,))
-    _check_shape("w2", w2, (grid.M + 1,))
+    _check_control("w1", w1, grid)
+    _check_control("w2", w2, grid)
     sweep = _Sweep.of(config, spec, grid, N)
     idx, sigma, dt = sweep.follower, config.sigma, grid.dt
     if len(idx) < 2:

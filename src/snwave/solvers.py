@@ -47,9 +47,17 @@ cross between N = 150 and 200 (``_FOLD_N``'s comment).
 
 A solve builds its level plan once: the spacings ``h`` ``(M+1,)``, the
 nodes ``(M+1, N+1)`` and the step operators ``ST`` ``(N-1, N+1)``,
-``G`` ``(M+1, N-1)`` and ``lift`` ``(M+1,)`` (``ST`` and ``G`` folded
-from N = ``_FOLD_N`` on, see ``_fold``), read-only, shared by every
-march of the solve, with the ``k``, ``T`` and ``dt`` it was built for.
+``back``, ``G`` ``(M+1, N-1)`` and ``lift`` ``(M+1,)`` (``ST`` and
+``G`` folded from N = ``_FOLD_N`` on, see ``_fold``), read-only, shared
+by every march of the solve, with the ``k``, ``T`` and ``dt`` it was
+built for.  ``back`` is the back product's operator, below ``_FOLD_N``
+an F-contiguous copy of ``ST[:, 1:-1].T``: ``back.dot`` gives the bits
+of ``np.matmul`` on the strided view ``ST[:, 1:-1].T`` in less time
+(2.1-2.3 against 3.2-3.7 us a call at N = 100, 2-vCPU Xeon VM,
+OpenBLAS; BENCH_step-calls.json), and
+from ``_FOLD_N`` on a view of the folded ``ST``.  The
+solve's first complex march adds ``paired_G``, ``G`` repeated over the
+two real columns of the products, so the scaling reads contiguous rows.
 ``solve_forward`` and ``solve_backward`` take it as the keyword ``plan``,
 reject one built for another k, T, dt, M or N, and build their
 own when given none; ``game.fixed_point_solve``,
@@ -60,14 +68,21 @@ warning; the game's checks report the values they produce.
 
 A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
 values of level m at ``plan.nodes[m]``, beside the plan.  A march fills
-one preallocated array, and forms each step's right-hand side in one
-preallocated row (``_march``): a step's only temporaries are the
-interpolated rows and the forward product.  The backward march runs on
-reversed views of the plan's arrays and of its own.  A march takes its
-data as arrays of the same layout: ``solve_forward`` the ``(M+1,)``
-Dirichlet values at x = 0 and, as keywords, the ``(N+1,)`` initial
-frames and an ``(M+1, N+1)`` source; ``solve_backward`` the source and,
-as keywords, the terminal frames.  Omitted frames are zero.
+one preallocated array.  It first writes dt^2 times its source into
+that array, so source rows are pre-scaled in ``out`` and step i reads
+row i+1 as its source term before it writes that row.  Each step forms
+its right-hand side in one preallocated row and its forward product in
+another (``_march``): a step's only temporaries are the interpolated
+rows.  An unfolded step makes one interpolation, 2 r - ahead (two
+ufuncs), the source add and the row's two boundary values when there is
+a source, the scalar lift, and three products: ``ST.dot``, the scaling
+by G and ``back.dot``.  The backward march runs on reversed views of
+the plan's arrays and of its own.  A march takes its data as arrays of
+the same layout: ``solve_forward`` the ``(M+1,)`` Dirichlet values at
+x = 0 and, as keywords, the ``(N+1,)`` initial frames and an
+``(M+1, N+1)`` source; ``solve_backward`` the source and, as keywords,
+the terminal frames.  Omitted frames are zero.  The source is only
+read: a read-only or broadcast array serves.
 
 The data may be complex; the frames then are complex too.  The scheme
 is real and linear, so a complex march is two real marches, of the real
@@ -85,12 +100,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .geometry import MovingDomainSpec, TimeGrid, level_nodes, segment_mask
-from .fem import _check_shape, _mass_pairing, boundary_flux_left, interpolate
+from .fem import _check_control, _check_shape, _mass_pairing, boundary_flux_left, interpolate
 
 __all__ = [
     "Trajectory",
@@ -223,20 +239,27 @@ def _fold(ST: np.ndarray, G: np.ndarray):
 
 
 def _plan_operators(h: np.ndarray, dt: float, N: int):
-    """``_step_operators`` in the form a plan holds them: ``ST`` and ``G``
-    folded (``_fold``) from N = ``_FOLD_N`` on."""
+    """``_step_operators`` in the form a plan holds them, ``ST``, ``back``,
+    ``G`` and ``lift``: ``ST`` and ``G`` folded (``_fold``) from N =
+    ``_FOLD_N`` on.  ``back`` is the back product's operator: below
+    ``_FOLD_N`` an F-contiguous copy of ``ST[:, 1:-1].T`` for
+    ``ndarray.dot`` (module docstring), from ``_FOLD_N`` on a view of the
+    folded ``ST``'s last columns, transposed."""
     ST, G, lift = _step_operators(h, dt, N)
     if N >= _FOLD_N:
         ST, G = _fold(ST, G)
-    return ST, G, lift
+        back = ST[..., (ST.shape[2] + 1) // 2:].transpose(0, 2, 1)
+    else:
+        back = np.asfortranarray(ST[:, 1:-1].T)
+    return ST, back, G, lift
 
 
 @dataclass(frozen=True)
 class _LevelPlan:
     """What a solve's marches share, all read-only: level m's spacing
-    ``h[m]`` and nodes ``nodes[m]``, and the step operators ``ST``, ``G``
-    and ``lift`` of ``_plan_operators``, built for the boundary speed
-    ``k``, the horizon ``T`` and the time step ``dt``."""
+    ``h[m]`` and nodes ``nodes[m]``, and the step operators ``ST``,
+    ``back``, ``G`` and ``lift`` of ``_plan_operators``, built for the
+    boundary speed ``k``, the horizon ``T`` and the time step ``dt``."""
 
     k: float
     T: float
@@ -244,8 +267,22 @@ class _LevelPlan:
     h: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     ST: np.ndarray = field(repr=False)
+    back: np.ndarray = field(repr=False)
     G: np.ndarray = field(repr=False)
     lift: np.ndarray = field(repr=False)
+
+    @cached_property
+    def paired_G(self) -> np.ndarray:
+        """``G`` repeated over the two real columns of a complex march's
+        products, built by the solve's first complex march: the step scales
+        a contiguous row, where ``G`` would broadcast over the columns."""
+        G = np.repeat(self.G[..., None], 2, axis=-1)
+        G.flags.writeable = False
+        return G
+
+    def step_G(self, frames: np.ndarray) -> np.ndarray:
+        """The ``G`` a march of ``frames`` scales by: ``paired_G`` for complex frames."""
+        return self.paired_G if frames.dtype.kind == "c" else self.G
 
 
 def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
@@ -253,7 +290,7 @@ def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
     with np.errstate(**_SWEEP_ERRSTATE):
         ops = _plan_operators(h, grid.dt, N)
     plan = _LevelPlan(spec.k, grid.T, grid.dt, h, nodes, *ops)
-    for a in (plan.h, plan.nodes, plan.ST, plan.G, plan.lift):
+    for a in (plan.h, plan.nodes, plan.ST, plan.back, plan.G, plan.lift):
         a.flags.writeable = False
     return plan
 
@@ -289,7 +326,7 @@ def _frame_dtype(*data) -> type:
     return complex if any(map(np.iscomplexobj, data)) else float
 
 
-def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
+def _march(nodes, ST, back, G, lift, dt, x0, v0, left, source, out):
     """Run the three-level implicit scheme over the levels of ``nodes``, ``G`` and ``lift``.
 
     Row 0 of ``out`` is the displacement ``x0`` and row 1 the first-order
@@ -301,18 +338,27 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
     on level i+1 with Dirichlet values ``left[i+1]`` at x = 0 and 0 at the
     moving end, where the tilde marks interpolation onto that level's
     nodes.  All data are in march order; ``source`` may be None.  ``ST``
-    is the levels' shared step operator.  ``out`` is filled in place, one
-    row per level, its boundary columns once per march.
+    and ``back`` are the levels' shared forward and back operators, and
+    ``G`` has one row per level in the shape of the forward product:
+    ``G`` for real ``out``, ``_LevelPlan.paired_G`` for complex.  ``out``
+    is filled in place, one row per level.
 
-    A step makes only the numpy calls its arithmetic needs.  It forms
-    ``w`` in one preallocated row, 2 r - ahead, where r is the newest
-    frame on the next two levels and ``ahead`` the previous step's
-    second row, adds dt^2 s through a second preallocated row, and
-    subtracts the lift from w_0.  Every view the products read or write
-    is bound once per march.  The ufuncs take ``out`` positionally, which
-    halves their call cost.  An
-    unfolded step is one interpolation, five ufunc or product calls, two
-    more with a source, and the scalar lift.
+    Source rows are pre-scaled in ``out``: the march first writes
+    dt^2 s into ``out`` by one call, and step i reads row i+1 as its
+    source term before it writes that row's boundary values and then its
+    interior.  Without a source the boundary columns are written once,
+    before the steps.
+
+    A step makes only the numpy calls its arithmetic needs: one
+    interpolation; 2 r - ahead into a preallocated row ``w``, where r is
+    the newest frame on the next two levels and ``ahead`` the previous
+    step's second row; with a source the add of row i+1 and its two
+    boundary values; the scalar lift on w_0; the forward product into a
+    preallocated ``y``; the scaling by G; and the back product, written
+    into ``out``.  The rows a step reads or writes come from one ``zip``,
+    and the ufuncs take ``out`` positionally, which halves their call
+    cost.  An unfolded step is one interpolation and five ufunc or
+    product calls, one more and two item writes with a source.
 
     A complex ``out`` marches two real fields at once, its real and its
     imaginary part: each step forms ``w`` of both parts in one complex
@@ -338,51 +384,58 @@ def _march(nodes, ST, G, lift, dt, x0, v0, left, source, out):
     prologue puts frame 0 on level 2.  A march makes M+1 interpolation
     calls.
     """
+    sourced = source is not None
+    if sourced:
+        np.multiply(source, dt * dt, out)
     out[0] = x0
     out[1] = interpolate(x0 + dt * v0, nodes[1], nodes[0])
-    out[:, 0] = left
-    out[:, -1] = 0.0
-    dt2 = dt * dt
+    set_now = slice(2) if sourced else slice(None)  # rows whose boundary values go in now
+    out[set_now, 0] = left[set_now]
+    out[set_now, -1] = 0.0
     lifted = (lift * left).tolist()
-    w, sbuf = np.empty((2, out.shape[1]), out.dtype)  # the step row and its source term
+    w = np.empty(out.shape[1], out.dtype)
     folded = ST.ndim == 3
     if folded:
         n = (ST.shape[2] + 1) // 2  # the fold's nodes 0..N//2
-        ST, back = ST[..., :n], ST[..., n:].transpose(0, 2, 1)
+        ST = ST[..., :n]
         u = np.empty((2, n), out.dtype)
         s, d = u
         lo, hi = w[:n], w[:-n - 1:-1]  # the fold's nodes and their mirrors
-        x, out_cols, G = _real_columns(u), _real_columns(out), G[..., None]
+        x, out_cols = _real_columns(u), _real_columns(out)
         ab = np.empty((2, n - 1, x.shape[2]))
         a, b = ab
-        head, tail = out_cols[:, 1:n], out_cols[:, -2:-n - 1:-1]
+        dest = zip(out_cols[2:, 1:n], out_cols[2:, -2:-n - 1:-1])
     else:
-        back = ST[:, 1:-1].T
-        x, inner = w, out[:, 1:-1]
+        x, dest = w, out[2:, 1:-1]
         if out.dtype.kind == "c":
-            x, inner, G = _real_columns(w), _real_columns(out)[:, 1:-1], G[:, :, None]
+            x, dest = _real_columns(w), _real_columns(out)[2:, 1:-1]
+    y = np.empty(ST.shape[:-1] + x.shape[ST.ndim - 1:])  # the forward product
+    G = G.reshape(len(G), *y.shape)  # a real folded G gains y's column axis
+    steps = zip(out[1:-1], nodes[1:-1], (nodes[j:j + 2] for j in range(2, len(nodes))),
+                out[2:], G[2:], dest, lifted[2:], left[2:])
     ahead = interpolate(out[0], nodes[2], nodes[0])
-    for i in range(1, len(nodes) - 1):
-        r = interpolate(out[i], nodes[i + 1:i + 3], nodes[i])
+    for prev, at, onto, row, g, into, lifted_0, left_0 in steps:
+        r = interpolate(prev, onto, at)
         np.multiply(r[0], 2.0, w)
         np.subtract(w, ahead, w)
         ahead = r[-1]
-        if source is not None:
-            np.multiply(source[i + 1], dt2, sbuf)
-            np.add(w, sbuf, w)
-        w[0] -= lifted[i + 1]
+        if sourced:
+            np.add(w, row, w)
+            row[0] = left_0
+            row[-1] = 0.0
+        w[0] -= lifted_0
         if folded:
             np.add(lo, hi, s)
             np.subtract(lo, hi, d)
-            y = ST @ x
-            np.multiply(y, G[i + 1], y)
+            np.matmul(ST, x, y)
+            np.multiply(y, g, y)
             np.matmul(back, y, ab)
-            np.add(a, b, head[i + 1])
-            np.subtract(a, b, tail[i + 1])
+            np.add(a, b, into[0])
+            np.subtract(a, b, into[1])
         else:
-            y = ST.dot(x)
-            np.multiply(y, G[i + 1], y)
-            np.matmul(back, y, inner[i + 1])
+            ST.dot(x, y)
+            np.multiply(y, g, y)
+            back.dot(y, into)
 
 
 def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N: int,
@@ -419,8 +472,8 @@ def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeG
     ic0 = ic0 if ic0 is not None else np.zeros(N + 1)
     ic1 = ic1 if ic1 is not None else np.zeros(N + 1)
     frames = np.empty(shape, _frame_dtype(left_boundary, ic0, ic1, source))
-    _march(plan.nodes, plan.ST, plan.G, plan.lift, grid.dt, ic0, ic1, left_boundary, source,
-           frames)
+    _march(plan.nodes, plan.ST, plan.back, plan.step_G(frames), plan.lift, grid.dt, ic0, ic1,
+           left_boundary, source, frames)
     return Trajectory(grid=grid, plan=plan, frames=frames)
 
 
@@ -451,8 +504,8 @@ def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N
     term0 = terminal0 if terminal0 is not None else np.zeros(N + 1)
     term1 = terminal1 if terminal1 is not None else np.zeros(N + 1)
     frames = np.empty(shape, _frame_dtype(source, term0, term1))
-    _march(plan.nodes[::-1], plan.ST, plan.G[::-1], plan.lift[::-1], grid.dt, term0,
-           -term1, np.zeros(grid.M + 1), source[::-1], frames[::-1])
+    _march(plan.nodes[::-1], plan.ST, plan.back, plan.step_G(frames)[::-1], plan.lift[::-1],
+           grid.dt, term0, -term1, np.zeros(grid.M + 1), source[::-1], frames[::-1])
     return Trajectory(grid=grid, plan=plan, frames=frames)
 
 
@@ -494,7 +547,7 @@ def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
     to the O(dt + h^2) mismatch of the marching pair; the return value is
     their absolute sum over the larger magnitude.
     """
-    _check_shape("control", control, (grid.M + 1,))
+    _check_control("control", control, grid)
     mask = segment_mask(segment, grid)
     plan = _level_plan(spec, grid, N)
     u_hat = solve_forward(_left_trace(np.where(mask, control, 0.0)), spec, grid, N, plan=plan)

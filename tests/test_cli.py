@@ -252,20 +252,36 @@ class TestTables:
         assert all(row[2] == "true" for row in rows[4:])
         assert capsys.readouterr().out.count("diverged: non-finite") == 3
 
+    @staticmethod
+    def _table_with(tmp_path, command, source, key, value):
+        """Run ``command`` with ``key`` set to ``value`` by its flag or by a config file."""
+        if source == "flag":
+            args = ["--" + key.replace("_", "-"), value]
+        else:
+            cfgfile = tmp_path / "table.cfg"
+            cfgfile.write_text(f"{key} = {value}\n")
+            args = ["--config", str(cfgfile)]
+        return run_cli([command, *args, "--out", str(tmp_path)])
+
     @pytest.mark.parametrize("command", ["table-T", "table-mesh"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_explicit_horizon_is_usage_error(self, tmp_path, capsys, command, source):
         # the tables set their own horizons, T = 1..10 x T_c
-        if source == "flag":
-            args = ["--T", "5"]
-        else:
-            cfgfile = tmp_path / "table.cfg"
-            cfgfile.write_text("T = 5\n")
-            args = ["--config", str(cfgfile)]
-        rc = run_cli([command, *args, "--out", str(tmp_path)])
+        rc = self._table_with(tmp_path, command, source, "T", "5")
         assert rc == 2
         err = capsys.readouterr().err
         assert re.search(rf"^error: T: {command} runs the multiples 1\.\.10 of T_c", err)
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("command", ["table-T", "table-mesh"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_horizon_multiple_is_usage_error(self, tmp_path, capsys, command, source):
+        # the tables set their own multiples of T_c, 1..10
+        rc = self._table_with(tmp_path, command, source, "T_multiple", "5")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"^error: T_multiple: {command} runs the multiples 1\.\.10 of T_c "
+                         r"and takes no other multiple, got T_multiple=5\.0$", err, re.M)
         assert list(tmp_path.glob("*.csv")) == []
 
     def test_table_T_small(self, tmp_path):

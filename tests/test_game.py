@@ -781,6 +781,15 @@ class TestBareControls:
         with pytest.raises(ValueError, match=rf"^{arg} has shape \({M},\), expected \({M + 1},\)$"):
             calls[name](*pair)
 
+    @pytest.mark.parametrize("name,arg,slot", CASES)
+    def test_none_names_the_argument(self, point, name, arg, slot):
+        grid, _, res, calls = point
+        pair = [res.w1, res.w2]
+        pair[slot] = None
+        M = grid.M
+        with pytest.raises(ValueError, match=rf"^{arg} is None, expected shape \({M + 1},\)$"):
+            calls[name](*pair)
+
     @pytest.mark.parametrize("name", sorted({name for name, _, _ in CASES}))
     def test_values_off_the_segment_are_ignored(self, point, name):
         grid, segs, res, calls = point

@@ -657,6 +657,94 @@ class TestMarchMemory:
             assert peak - (N + 1) * row < 32 * row
 
 
+class TestPreScaledSource:
+    """A march writes dt^2 times its source into its own frames and reads
+    each row back as the step's source term: the caller's source keeps
+    its bits, a read-only or broadcast source serves as well, and every
+    row still carries its Dirichlet values."""
+
+    M = 12
+
+    @classmethod
+    def _case(cls, N, dtype):
+        spec = MovingDomainSpec(k=0.25, T=3.0)
+        grid = build_time_grid(3.0, cls.M)
+        rng = np.random.default_rng(N)
+
+        def data(*shape):
+            a = rng.standard_normal(shape)
+            return a + 1j * rng.standard_normal(shape) if dtype is complex else a
+
+        return spec, grid, data(cls.M + 1), data(N + 1), data(cls.M + 1, N + 1)
+
+    @staticmethod
+    def _marches(spec, grid, N, left, x0, source):
+        return (solve_forward(left, spec, grid, N, ic0=x0, source=source).frames,
+                solve_backward(source, spec, grid, N, terminal0=x0).frames)
+
+    @pytest.mark.parametrize("N", [3, 10, 300])  # 300: folded operators
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_source_is_left_unchanged(self, N, dtype):
+        spec, grid, left, x0, source = self._case(N, dtype)
+        before = source.copy()
+        self._marches(spec, grid, N, left, x0, source)
+        assert source.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("N", [3, 10, 300])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_read_only_and_broadcast_sources(self, N, dtype):
+        spec, grid, left, x0, source = self._case(N, dtype)
+        stretched = np.broadcast_to(source[5], source.shape)  # read-only, zero row strides
+        pairs = [(source.copy(), source), (np.array(stretched), stretched)]
+        source.flags.writeable = False
+        for writable, given in pairs:
+            want = self._marches(spec, grid, N, left, x0, writable)
+            got = self._marches(spec, grid, N, left, x0, given)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("N", [3, 10, 300])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rows_carry_their_dirichlet_values(self, N, dtype):
+        """The source is nonzero on the boundary columns, which the
+        frames' boundary values overwrite only after each step read them."""
+        spec, grid, left, x0, source = self._case(N, dtype)
+        forward, backward = self._marches(spec, grid, N, left, x0, source)
+        np.testing.assert_array_equal(forward[:, 0], left)
+        np.testing.assert_array_equal(backward[:, 0], 0.0)
+        for frames in (forward, backward):
+            np.testing.assert_array_equal(frames[:, -1], 0.0)
+
+
+class TestStepOperands:
+    """The plan's step operands beside ``ST`` and ``G``: the back
+    operator, and ``G`` paired over the two real columns of a complex
+    march, built by the solve's first complex march."""
+
+    @pytest.mark.parametrize("N", [2, 3, 100, _FOLD_N, _FOLD_N + 1])
+    def test_equal_to_their_derived_forms_and_read_only(self, N):
+        spec = MovingDomainSpec(k=0.25, T=3.0)
+        grid = build_time_grid(3.0, 6)
+        plan = _level_plan(spec, grid, N)
+        if N < _FOLD_N:
+            np.testing.assert_array_equal(plan.back, plan.ST[:, 1:-1].T)
+            assert plan.back.flags.f_contiguous
+        else:
+            n = N // 2 + 1
+            np.testing.assert_array_equal(plan.back, plan.ST[..., n:].transpose(0, 2, 1))
+            assert np.shares_memory(plan.back, plan.ST)  # a view: no bytes beside ST
+        solve_forward(np.sin(grid.levels), spec, grid, N, plan=plan)
+        assert "paired_G" not in vars(plan)  # real marches build no paired G
+        solve_forward(np.sin(grid.levels) + 1j, spec, grid, N, plan=plan)
+        paired_G = vars(plan)["paired_G"]
+        np.testing.assert_array_equal(paired_G, np.stack([plan.G, plan.G], axis=-1))
+        solve_backward(np.ones((grid.M + 1, N + 1), complex), spec, grid, N, plan=plan)
+        assert plan.paired_G is paired_G  # once per plan
+        for a in (plan.back, plan.paired_G):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
+
+
 class TestLeftBoundaryAssembly:
     def test_disjoint_sum_and_final_level(self):
         grid = build_time_grid(10.0, 10)
