@@ -6,7 +6,7 @@ read-only broadcast when u2 is a constant), the shared zero trajectory,
 the leader's and the follower's level indices, sigma and the phi
 terminal data.  It maps the state ``(w1, w2, psi_bc)``, bare ``(M+1,)``
 arrays that are zero off their segments, to the next state and the
-fields of the sweep:
+fields u, psi and phi of the sweep:
 
     u  forward from the trace of w1 + w2,    w1'     =           d phi/d nu,
     p  backward from source u - u2,          w2'     = (1/sigma) d p/d nu,
@@ -34,7 +34,16 @@ backward march, and their data decide what a march carries (see
 
 u, psi, p and phi are the real and imaginary views of the two arrays; a
 real march's imaginary view is the zero trajectory.  The leader chain's
-bits do not depend on the controls.
+bits do not depend on the controls.  The backward march forms its source
+in the frames it fills (``solvers._march_backward``), and the map reads
+p only for w2': it returns ``(u, psi, phi)``.
+
+A solve holds its level plan and the frames the next step reads.  The
+loop keeps across a sweep only u, which the next sweep's du_l2 reads,
+and drops the previous sweep's psi and phi before the next sweep
+marches; only the last sweep's fields reach ``SNResult``.  So a sweep
+peaks at the plan and three frames: the previous u, the new u and the
+backward frames, each complex when the leader chain is live.
 
 The scheme maps all-zero data to exactly zero frames, so the map marches
 no forward field whose boundary data are all zero: it is the solve's one
@@ -63,8 +72,8 @@ from .solvers import (
     _LevelPlan,
     _left_trace,
     _level_plan,
+    _march_backward,
     _outward_flux,
-    solve_backward,
     solve_forward,
     trajectory_l2_distance,
 )
@@ -206,7 +215,7 @@ def _follower_cost(u: Trajectory, w2: np.ndarray, target: np.ndarray, sigma: flo
 class _Sweep:
     """The sweep map of one solve (module docstring), built by ``of``.
 
-    ``sweep(w1, w2, psi_bc)`` returns ``((w1', w2', psi_bc'), (u, p, psi,
+    ``sweep(w1, w2, psi_bc)`` returns ``((w1', w2', psi_bc'), (u, psi,
     phi))``; ``nash_gradient_check`` and ``SNResult.p`` reuse its
     ``state`` and ``adjoint``.  ``phi_terminal`` holds phi's nonzero
     terminal data times i, as ``solve_backward``'s keywords; it is empty
@@ -260,16 +269,16 @@ class _Sweep:
                 **terminal) -> Trajectory:
         """The backward march from the source u - target: p.  With a nonzero
         ``psi`` or with phi's terminal data (times i) it is the complex
-        march p + i phi from the source (u - target) + i psi."""
+        march p + i phi from the source (u - target) + i psi.  The source is
+        formed in the frames the march fills."""
         if psi is None:
             psi = self.zero
-        if psi is self.zero and not terminal:
-            source = u.frames - target
-        else:
-            source = np.empty(self.plan.nodes.shape, complex)
-            np.subtract(u.frames, target, out=source.real)
-            source.imag = psi.frames
-        return solve_backward(source, self.spec, self.grid, self.N, plan=self.plan, **terminal)
+        paired = psi is not self.zero or bool(terminal)
+        frames = np.empty(self.plan.nodes.shape, complex if paired else float)
+        np.subtract(u.frames, target, out=frames.real)
+        if paired:
+            frames.imag = psi.frames
+        return _march_backward(frames, frames, self.plan, self.grid, **terminal)
 
     def __call__(self, w1: np.ndarray, w2: np.ndarray, psi_bc: np.ndarray):
         left = _left_trace(w1, w2)
@@ -280,7 +289,7 @@ class _Sweep:
         nxt = (_segment_flux(phi, self.leader),
                _segment_flux(p, self.follower) / self.sigma,
                _segment_flux(phi, self.follower) / self.sigma)
-        return nxt, (u, p, psi, phi)
+        return nxt, (u, psi, phi)
 
     def _parts(self, f: Trajectory) -> tuple:
         """The real and the imaginary part of a march, as two trajectories;
@@ -357,7 +366,7 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
     sweep = _Sweep.of(config, spec, grid, N)
     idx, dt, M = (sweep.leader, sweep.follower), grid.dt, grid.M
     w1 = w2 = psi_bc = np.zeros(M + 1)
-    u_prev = psi = phi = None
+    u_prev = None
     log: list = []
     converged, iterations = False, config.max_iter
 
@@ -368,7 +377,8 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
 
     with np.errstate(**_SWEEP_ERRSTATE):
         for n in range(config.max_iter):
-            (w1_new, w2_new, psi_bc), (u, _, psi, phi) = sweep(w1, w2, psi_bc)
+            psi = phi = None  # the next sweep reads only u_prev
+            (w1_new, w2_new, psi_bc), (u, psi, phi) = sweep(w1, w2, psi_bc)
             if not np.isfinite(u.frames[M]).all():
                 raise diverged(n, "state", "state")
             finite = [bool(np.isfinite(w).all()) for w in (w1_new, w2_new)]

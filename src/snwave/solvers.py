@@ -39,7 +39,10 @@ k = 1..N//2, v_k = a_k + b_k and v_{N-k} = a_k - b_k.  The folded step
 forms s and d, makes one product of the stacked odd- and even-mode
 blocks with them, scales, and one stacked product back: half the
 operator bytes and half the flops of the two full products, for four
-more small ufunc calls.  The step is memory-bound at large N and bound
+more small ufunc calls.  The folded ``ST`` holds the columns k = 0..N//2
+once, and its columns 1..N//2 serve the back product too; for even N
+the middle node is its own mirror, and the step halves s there, where
+s = 2 w.  The step is memory-bound at large N and bound
 by per-call overhead at small N, so the plan folds its operators from
 N = ``_FOLD_N`` on: one march pair (forward and backward) at N = M = 300
 takes 0.85 of the unfolded time, at N = M = 100 1.2 of it, and the two
@@ -55,7 +58,8 @@ an F-contiguous copy of ``ST[:, 1:-1].T``: ``back.dot`` gives the bits
 of ``np.matmul`` on the strided view ``ST[:, 1:-1].T`` in less time
 (2.1-2.3 against 3.2-3.7 us a call at N = 100, 2-vCPU Xeon VM,
 OpenBLAS; BENCH_step-calls.json), and
-from ``_FOLD_N`` on a view of the folded ``ST``.  The
+from ``_FOLD_N`` on a view of the folded ``ST``'s columns 1..N//2,
+transposed, so the plan stores each value once.  The
 solve's first complex march adds ``paired_G``, ``G`` repeated over the
 two real columns of the products, so the scaling reads contiguous rows.
 ``solve_forward`` and ``solve_backward`` take it as the keyword ``plan``,
@@ -82,7 +86,11 @@ the same layout: ``solve_forward`` the ``(M+1,)`` Dirichlet values at
 x = 0 and, as keywords, the ``(N+1,)`` initial frames and an
 ``(M+1, N+1)`` source; ``solve_backward`` the source and, as keywords,
 the terminal frames.  Omitted frames are zero.  The source is only
-read: a read-only or broadcast array serves.
+read: a read-only or broadcast array serves.  The game's adjoint
+(``game._Sweep.adjoint``) instead forms its source in the frames it
+marches and passes them to ``_march_backward`` as both: the march
+scales them in place, with the same roundings, and holds no second
+full-size array.
 
 The data may be complex; the frames then are complex too.  The scheme
 is real and linear, so a complex march is two real marches, of the real
@@ -216,25 +224,23 @@ _FOLD_N = 200
 def _fold(ST: np.ndarray, G: np.ndarray):
     """``ST`` and ``G`` folded by the basis's reflection k -> N-k (module docstring).
 
-    The folded ``ST`` is ``(2, R, 2n - 1)`` with R = N//2 modes and
-    n = N//2 + 1 nodes: block 0 holds the odd modes i = 1, 3, ..., block
-    1 the even ones, zero-padded to R rows.  Its first n columns are the
-    forward operator on s (block 0) and d (block 1) at k = 0..N//2, its
-    last n - 1 the back operator's columns k = 1..N//2.  For even N the
-    middle node is its own mirror, s there is 2 w, so the forward column
-    is halved.  The folded ``G`` is ``(M+1, 2, R)``, the same modes.
+    The folded ``ST`` is ``(2, R, n)`` with R = N//2 modes and n = N//2 + 1
+    nodes: block 0 holds the odd modes i = 1, 3, ..., block 1 the even
+    ones, zero-padded to R rows.  Its columns are the forward operator on
+    s (block 0) and d (block 1) at k = 0..N//2, and its columns 1..N//2
+    are the back operator too (``_plan_operators``).  For even N the
+    middle node is its own mirror and s there is 2 w; the march halves
+    that entry of s, not the column, so each value is stored once.  The
+    folded ``G`` is ``(M+1, 2, R)``, the same modes.
     """
     N = ST.shape[1] - 1
     R, n = N // 2, N // 2 + 1
-    folded = np.zeros((2, R, 2 * n - 1))
+    folded = np.zeros((2, R, n))
     G_folded = np.zeros((len(G), 2, R))
     for parity in (0, 1):  # row i-1 of ST holds mode i
         rows = ST[parity::2]
-        folded[parity, :len(rows), :n] = rows[:, :n]
-        folded[parity, :len(rows), n:] = rows[:, 1:n]
+        folded[parity, :len(rows)] = rows[:, :n]
         G_folded[:, parity, :len(rows)] = G[:, parity::2]
-    if N % 2 == 0:
-        folded[0, :, n - 1] *= 0.5
     return folded, G_folded
 
 
@@ -244,11 +250,11 @@ def _plan_operators(h: np.ndarray, dt: float, N: int):
     ``_FOLD_N`` on.  ``back`` is the back product's operator: below
     ``_FOLD_N`` an F-contiguous copy of ``ST[:, 1:-1].T`` for
     ``ndarray.dot`` (module docstring), from ``_FOLD_N`` on a view of the
-    folded ``ST``'s last columns, transposed."""
+    folded ``ST``'s columns 1..N//2, transposed."""
     ST, G, lift = _step_operators(h, dt, N)
     if N >= _FOLD_N:
         ST, G = _fold(ST, G)
-        back = ST[..., (ST.shape[2] + 1) // 2:].transpose(0, 2, 1)
+        back = ST[..., 1:].transpose(0, 2, 1)
     else:
         back = np.asfortranarray(ST[:, 1:-1].T)
     return ST, back, G, lift
@@ -346,8 +352,9 @@ def _march(nodes, ST, back, G, lift, dt, x0, v0, left, source, out):
     Source rows are pre-scaled in ``out``: the march first writes
     dt^2 s into ``out`` by one call, and step i reads row i+1 as its
     source term before it writes that row's boundary values and then its
-    interior.  Without a source the boundary columns are written once,
-    before the steps.
+    interior.  ``source`` may be ``out`` itself, which the march then
+    scales in place (``_march_backward``).  Without a source the boundary
+    columns are written once, before the steps.
 
     A step makes only the numpy calls its arithmetic needs: one
     interpolation; 2 r - ahead into a preallocated row ``w``, where r is
@@ -372,11 +379,14 @@ def _march(nodes, ST, back, G, lift, dt, x0, v0, left, source, out):
     stacked products on the buffer's real columns, and writes a + b into
     the nodes 1..N//2 of ``out``'s real columns and a - b into their
     mirrors N-1..N-N//2 through a reversed view.  For even N the middle
-    node is its own mirror and keeps a - b, written last; b is zero
-    there but for roundoff, as ``ST``'s even modes vanish on it.
+    node is its own mirror: s[-1] = 2 w there, and the step halves it on
+    its real columns, an exact scaling that keeps a complex march's two
+    parts apart; the node keeps a - b, written last, and b is zero there
+    but for roundoff, as ``ST``'s even modes vanish on it.
     Complex data fold as complex numbers, and the products act on the
     same real views.  The back product writes into a buffer whose halves
-    a and b are bound once per march; four more ufunc calls per step.
+    a and b are bound once per march; four more ufunc calls per step,
+    and for even N the item op that halves s[-1].
 
     Frame i is needed on level i+1 at step i and on level i+2 at step
     i+1, so step i interpolates it once, onto the two rows
@@ -396,12 +406,13 @@ def _march(nodes, ST, back, G, lift, dt, x0, v0, left, source, out):
     w = np.empty(out.shape[1], out.dtype)
     folded = ST.ndim == 3
     if folded:
-        n = (ST.shape[2] + 1) // 2  # the fold's nodes 0..N//2
-        ST = ST[..., :n]
+        n = ST.shape[2]  # the fold's nodes 0..N//2
         u = np.empty((2, n), out.dtype)
         s, d = u
         lo, hi = w[:n], w[:-n - 1:-1]  # the fold's nodes and their mirrors
         x, out_cols = _real_columns(u), _real_columns(out)
+        mid = x[0, -1]  # s's real columns at the middle node, halved for even N
+        halve = range(len(mid) if len(w) % 2 else 0)
         ab = np.empty((2, n - 1, x.shape[2]))
         a, b = ab
         dest = zip(out_cols[2:, 1:n], out_cols[2:, -2:-n - 1:-1])
@@ -427,6 +438,8 @@ def _march(nodes, ST, back, G, lift, dt, x0, v0, left, source, out):
         if folded:
             np.add(lo, hi, s)
             np.subtract(lo, hi, d)
+            for k in halve:  # item ops: a ufunc call on this tiny view costs 2-6 times more
+                mid[k] = 0.5 * mid.item(k)
             np.matmul(ST, x, y)
             np.multiply(y, g, y)
             np.matmul(back, y, ab)
@@ -497,13 +510,28 @@ def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N
     start velocity.  ``plan`` is as for ``solve_forward``.
     """
     shape = (grid.M + 1, N + 1)
+    if source is None:
+        raise ValueError(f"source is None, expected shape {shape}")
     _check_shape("source", source, shape)
     _check_shape("terminal0", terminal0, shape[1:])
     _check_shape("terminal1", terminal1, shape[1:])
     plan = _plan_for(plan, spec, grid, N)
+    frames = np.empty(shape, _frame_dtype(source, terminal0, terminal1))
+    return _march_backward(source, frames, plan, grid, terminal0, terminal1)
+
+
+def _march_backward(source: np.ndarray, frames: np.ndarray, plan: _LevelPlan, grid: TimeGrid,
+                    terminal0: Optional[np.ndarray] = None,
+                    terminal1: Optional[np.ndarray] = None) -> Trajectory:
+    """``solve_backward``'s march into ``frames``, on checked data and plan.
+
+    ``source`` may be ``frames`` itself: the game's adjoint forms its
+    source in the frames it marches, and ``_march`` scales them in place
+    by dt^2, the rounding it makes on a separate source.
+    """
+    N = frames.shape[1] - 1
     term0 = terminal0 if terminal0 is not None else np.zeros(N + 1)
     term1 = terminal1 if terminal1 is not None else np.zeros(N + 1)
-    frames = np.empty(shape, _frame_dtype(source, term0, term1))
     _march(plan.nodes[::-1], plan.ST, plan.back, plan.step_G(frames)[::-1], plan.lift[::-1],
            grid.dt, term0, -term1, np.zeros(grid.M + 1), source[::-1], frames[::-1])
     return Trajectory(grid=grid, plan=plan, frames=frames)

@@ -184,7 +184,7 @@ def test_criterion_7_degenerate_subsystem(tc):
     sweep = game._Sweep.of(cfg, spec, grid, N)
     state = (np.zeros(M + 1),) * 3
     for _ in range(res.iterations):
-        state, (_u, _p, psi, phi) = sweep(*state)
+        state, (_u, psi, phi) = sweep(*state)
         assert np.all(state[0] == 0.0)
         assert np.all(psi.frames == 0.0)
         assert np.all(phi.frames == 0.0)

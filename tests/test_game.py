@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,7 +44,7 @@ def stepped_sweeps(cfg, spec, grid, N, n):
     state = (np.zeros(grid.M + 1),) * 3
     iterates = []
     for _ in range(n):
-        state, (_u, _p, psi, phi) = sweep(*state)
+        state, (_u, psi, phi) = sweep(*state)
         iterates.append((state[0], state[1], psi, phi))
     return iterates
 
@@ -322,7 +323,7 @@ def bump_terminal(spec, grid, N):
 
 class TestSweepMap:
     """``game._Sweep`` maps the bare state ``(w1, w2, psi_bc)`` to the next
-    state and the fields ``(u, p, psi, phi)``; ``fixed_point_solve`` is
+    state and the fields ``(u, psi, phi)``; ``fixed_point_solve`` is
     the loop around it."""
 
     @pytest.mark.parametrize("leader", [False, True])
@@ -338,7 +339,7 @@ class TestSweepMap:
         state = (np.zeros(grid.M + 1),) * 3
         log, u_prev = [], None
         for n in range(cfg.max_iter):
-            nxt, (u, _p, _psi, _phi) = sweep(*state)
+            nxt, (u, _psi, _phi) = sweep(*state)
             stop, dw = game._control_change(nxt[:2], state[:2], (sweep.leader, sweep.follower),
                                             grid.dt)
             du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
@@ -367,8 +368,8 @@ class TestSweepMap:
         w1, w2 = zeros.copy(), zeros.copy()
         w1[sweep.leader] = rng.standard_normal(len(sweep.leader))
         w2[sweep.follower] = rng.standard_normal(len(sweep.follower))
-        a_next, (a_u, _, a_psi, a_phi) = sweep(zeros, zeros, psi_bc)
-        b_next, (b_u, _, b_psi, b_phi) = sweep(w1, w2, psi_bc)
+        a_next, (a_u, a_psi, a_phi) = sweep(zeros, zeros, psi_bc)
+        b_next, (b_u, b_psi, b_phi) = sweep(w1, w2, psi_bc)
         assert not np.array_equal(a_u.frames, b_u.frames)
         assert not np.array_equal(a_next[1], b_next[1])
         np.testing.assert_array_equal(a_psi.frames, b_psi.frames)
@@ -407,7 +408,7 @@ class TestMarchCounts:
     @staticmethod
     def _count_marches(monkeypatch):
         count = [0]
-        for name in ("solve_forward", "solve_backward"):
+        for name in ("solve_forward", "_march_backward"):
             march = getattr(game, name)
 
             def counted(*args, _march=march, **kwargs):
@@ -626,6 +627,38 @@ class TestWorkCounts:
             plan.G[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             plan.lift[0] = 0.0
+
+
+class TestSolveMemory:
+    """A solve holds its level plan and three frames: the previous sweep's
+    state, the new state and the backward march's frames, complex when
+    the leader chain is live.  Keeping the previous sweep's p, psi or phi
+    into the next sweep, or a full-size adjoint source beside the
+    backward frames, takes a frame more each.  tracemalloc sees numpy's
+    buffers."""
+
+    @staticmethod
+    def _plan_bytes(plan) -> int:
+        """Bytes of the plan's arrays that own their memory; a view adds none."""
+        arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+        return sum(a.nbytes for a in arrays if a.base is None)
+
+    @pytest.mark.parametrize("N,leader", [(300, False), (100, True)])
+    def test_peak_beyond_the_plan(self, N, leader):
+        T = compute_Tc(0.25) * (10 if leader else 1)
+        spec = MovingDomainSpec(k=0.25, T=T)
+        grid = build_time_grid(T, N)
+        cfg = SNConfig(sigma=100.0, phi_terminal=bump_terminal(spec, grid, N) if leader else None)
+        fixed_point_solve(cfg, spec, grid, N)  # first calls fill numpy's own caches
+        tracemalloc.start()
+        try:
+            res = fixed_point_solve(cfg, spec, grid, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        frame = (N + 1) ** 2 * np.dtype(complex if leader else float).itemsize
+        assert peak - self._plan_bytes(res.u.plan) < 4 * frame
 
 
 class TestNashResidual:

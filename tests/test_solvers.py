@@ -430,8 +430,12 @@ class TestReflectionFold:
             assert plan.ST.shape == (N - 1, N + 1)
             assert plan.G.shape == (grid.M + 1, N - 1)
         else:
-            assert plan.ST.shape == (2, N // 2, 2 * (N // 2) + 1)
+            assert plan.ST.shape == (2, N // 2, N // 2 + 1)
             assert plan.G.shape == (grid.M + 1, 2, N // 2)
+            assert plan.back.base is plan.ST  # the back operator stores no value twice
+            np.testing.assert_array_equal(plan.back, plan.ST[..., 1:].transpose(0, 2, 1))
+            with pytest.raises(ValueError, match="read-only"):
+                plan.back[0, 0, 0] = 0.0
 
     def test_folded_operators_are_read_only(self):
         plan = _level_plan(MovingDomainSpec(k=0.25, T=3.0), build_time_grid(3.0, 4), _FOLD_N)
@@ -585,6 +589,7 @@ class TestShapeChecks:
         ("terminal1", np.ones((2, N + 1)), "terminal1"),
         ("source", np.ones((M, N + 1)), "source"),
         ("source", np.ones((M + 1, N)), "source"),
+        ("source", None, rf"^source is None, expected shape \({M + 1}, {N + 1}\)$"),
         ("forward source", np.ones((M + 2, N + 1)), "source"),
         ("forward source", np.ones((M + 1, N + 2)), "source"),
         ("phi_terminal", (np.ones(N), None), r"phi_terminal\[0\]"),
@@ -730,9 +735,8 @@ class TestStepOperands:
             np.testing.assert_array_equal(plan.back, plan.ST[:, 1:-1].T)
             assert plan.back.flags.f_contiguous
         else:
-            n = N // 2 + 1
-            np.testing.assert_array_equal(plan.back, plan.ST[..., n:].transpose(0, 2, 1))
-            assert np.shares_memory(plan.back, plan.ST)  # a view: no bytes beside ST
+            np.testing.assert_array_equal(plan.back, plan.ST[..., 1:].transpose(0, 2, 1))
+            assert plan.back.base is plan.ST  # a view: no bytes beside ST
         solve_forward(np.sin(grid.levels), spec, grid, N, plan=plan)
         assert "paired_G" not in vars(plan)  # real marches build no paired G
         solve_forward(np.sin(grid.levels) + 1j, spec, grid, N, plan=plan)
