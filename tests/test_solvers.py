@@ -589,12 +589,12 @@ class TestShapeChecks:
         ("terminal1", np.ones((2, N + 1)), "terminal1"),
         ("source", np.ones((M, N + 1)), "source"),
         ("source", np.ones((M + 1, N)), "source"),
-        ("source", None, rf"^source is None, expected shape \({M + 1}, {N + 1}\)$"),
         ("forward source", np.ones((M + 2, N + 1)), "source"),
         ("forward source", np.ones((M + 1, N + 2)), "source"),
         ("phi_terminal", (np.ones(N), None), r"phi_terminal\[0\]"),
         ("phi_terminal", (None, np.zeros(N + 2)), r"phi_terminal\[1\]"),
         ("phi_terminal", (np.zeros(N), None), r"phi_terminal\[0\]"),
+        ("source", None, rf"^source is None, expected shape \({M + 1}, {N + 1}\)$"),
     ])
     def test_wrong_shape_names_argument(self, name, value, match):
         with pytest.raises(ValueError, match=match):
