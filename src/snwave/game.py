@@ -19,7 +19,12 @@ that makes each update the descent direction of the cost it minimizes
 (``nash_gradient_check`` probes the follower cost by finite
 differences).  The leader chain ``psi_bc -> phi -> (w1', psi_bc')``
 reads neither w1 nor w2, so the map is block lower-triangular.
-``fixed_point_solve`` is the loop: call the map, check, log.
+``fixed_point_solve`` is the loop: call the map, check, log.  Its
+inputs are checked before the first march: a segment holding no level
+of the grid, a non-finite constant u2, a non-finite value of a callable
+u2 and non-finite phi terminal data are ``ValueError``s naming the
+input, not divergences.  ``evaluate_J2`` and ``nash_residual`` read the
+grid of the trajectory they are given.
 
 Within a sweep u and psi are independent, and so are p and phi, and all
 four share the level plan.  Each sweep makes one forward and one
@@ -64,7 +69,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .geometry import BoundarySegments, MovingDomainSpec, TimeGrid, _check_integer, segment_mask
+from .geometry import (BoundarySegments, MovingDomainSpec, TimeGrid, _check_integer,
+                       _segment_levels, segment_mask)
 from .fem import _check_control, _check_shape, _mass_pairing, _segment_norm
 from .solvers import (
     _SWEEP_ERRSTATE,
@@ -125,6 +131,8 @@ class SNConfig:
         _check_integer("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not (callable(self.u2) or math.isfinite(self.u2)):
+            raise ValueError(f"u2 must be finite, got {self.u2}")
         pair = self.phi_terminal
         if pair is not None and not (isinstance(pair, (tuple, list)) and len(pair) == 2):
             size = f" of length {len(pair)}" if isinstance(pair, (tuple, list)) else ""
@@ -155,8 +163,8 @@ def _target(u2: TargetLike, nodes: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
     A constant target is a read-only broadcast of its value, which holds
     no frame memory.  A callable returning a scalar is broadcast to the
-    level like a constant target; any other shape but one value per node
-    is an error.
+    level like a constant target; any other shape but one value per node,
+    and any non-finite value, is an error.
     """
     if not callable(u2):
         return np.broadcast_to(float(u2), nodes.shape)
@@ -166,6 +174,8 @@ def _target(u2: TargetLike, nodes: np.ndarray, grid: TimeGrid) -> np.ndarray:
         if vals.ndim != 0 and vals.shape != x.shape:
             raise ValueError(f"target u2 returned shape {vals.shape} at t={t}, "
                              f"expected a scalar or {x.shape}")
+        if not np.isfinite(vals).all():
+            raise ValueError(f"target u2 returned a non-finite value at t={t}")
         out[m] = vals
     return out
 
@@ -237,22 +247,20 @@ class _Sweep:
     @classmethod
     def of(cls, config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid, N: int) -> "_Sweep":
         segments = config.segments or BoundarySegments.disjoint_halves(grid.T)
-        leader = np.nonzero(segments.leader_mask(grid))[0]
-        follower = np.nonzero(segments.follower_mask(grid))[0]
-        for name, idx in (("sigma1", leader), ("sigma2", follower)):
-            if not len(idx):
-                raise ValueError(f"{name} {getattr(segments, name)} holds no time level "
-                                 f"of the grid (T={grid.T}, M={grid.M})")
+        leader = _segment_levels("sigma1", segments.sigma1, grid)
+        follower = _segment_levels("sigma2", segments.sigma2, grid)
         plan = _level_plan(spec, grid, N)
         terminal = {}
         for i, f in enumerate(config.phi_terminal or ()):
             if f is not None:
                 f = np.asarray(f, dtype=float)
                 _check_shape(f"phi_terminal[{i}]", f, (N + 1,))
+                if not np.isfinite(f).all():
+                    raise ValueError(f"phi_terminal[{i}] holds a non-finite value")
                 terminal[f"terminal{i}"] = _imaginary(f)  # phi is the imaginary part of p + i phi
         if not any(f.any() for f in terminal.values()):
             terminal = {}
-        zero = Trajectory(grid, plan, np.broadcast_to(0.0, plan.nodes.shape))
+        zero = Trajectory(plan, np.broadcast_to(0.0, plan.nodes.shape))
         return cls(spec, grid, N, plan, _target(config.u2, plan.nodes, grid), zero, segments,
                    leader, follower, config.sigma, terminal)
 
@@ -278,7 +286,7 @@ class _Sweep:
         np.subtract(u.frames, target, out=frames.real)
         if paired:
             frames.imag = psi.frames
-        return _march_backward(frames, frames, self.plan, self.grid, **terminal)
+        return _march_backward(frames, frames, self.plan, **terminal)
 
     def __call__(self, w1: np.ndarray, w2: np.ndarray, psi_bc: np.ndarray):
         left = _left_trace(w1, w2)
@@ -296,8 +304,7 @@ class _Sweep:
         a real march's imaginary part is the zero trajectory."""
         if f.frames.dtype.kind != "c":
             return f, self.zero
-        return (Trajectory(self.grid, self.plan, f.frames.real),
-                Trajectory(self.grid, self.plan, f.frames.imag))
+        return Trajectory(self.plan, f.frames.real), Trajectory(self.plan, f.frames.imag)
 
 
 @dataclass
@@ -333,17 +340,14 @@ class SNResult:
             return self._sweep.adjoint(self.u, self.target)
 
 
-def evaluate_J2(u: Trajectory, w2: np.ndarray, segment: tuple, u2: TargetLike, sigma: float,
-                grid: TimeGrid, *, target: Optional[np.ndarray] = None) -> float:
+def evaluate_J2(u: Trajectory, w2: np.ndarray, segment: tuple, u2: TargetLike,
+                sigma: float) -> float:
     """Follower cost: tracking misfit over the space-time domain plus
-    sigma/2 times the squared norm of the control ``w2`` on ``segment``.
-
-    ``target`` is u2 already evaluated on u's levels, as a solve keeps
-    it; without it u2 is evaluated here.
-    """
+    sigma/2 times the squared norm of the control ``w2`` on ``segment``,
+    on u's grid, with u2 evaluated on u's levels."""
+    grid = u.grid
     _check_control("w2", w2, grid)
-    if target is None:
-        target = _target(u2, u.plan.nodes, grid)
+    target = _target(u2, u.plan.nodes, grid)
     return _follower_cost(u, w2, target, sigma, segment_mask(segment, grid), grid.dt)
 
 
@@ -403,15 +407,16 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
 
 
 def nash_residual(w2: np.ndarray, p: Trajectory, sigma: float,
-                  segments: BoundarySegments, grid: TimeGrid) -> float:
+                  segments: BoundarySegments) -> float:
     """Relative defect of the follower characterization at a candidate point.
 
     Measures || sigma*w2 - dp/dnu ||_{L2(segment)} / (sigma ||w2||) on the
-    follower's segment ``segments.sigma2``; zero exactly at the follower's
-    best response to the state that produced p.
+    follower's segment ``segments.sigma2`` of p's grid; zero exactly at
+    the follower's best response to the state that produced p.
     """
+    grid = p.grid
     _check_control("w2", w2, grid)
-    idx = np.nonzero(segments.follower_mask(grid))[0]
+    idx = _segment_levels("sigma2", segments.sigma2, grid)
     r = sigma * w2[idx] - _segment_flux(p, idx)[idx]
     defect = grid.dt * float(np.sum(r * r))
     denom = sigma * _segment_norm(w2, idx, grid.dt)

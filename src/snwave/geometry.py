@@ -1,5 +1,8 @@
 """Moving-domain geometry: time grid, level meshes, boundary split.
 
+A time grid is its horizon T and its step count M; the step dt = T/M
+and the levels are derived from them, so no copy of either can go stale.
+
 The spatial domain at time t is the interval (0, alpha(t)) with
 alpha(t) = 1 + k*t, so the right endpoint recedes at constant speed k
 while the left endpoint (where the controls act) stays fixed.  Every
@@ -14,7 +17,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +62,17 @@ class TimeGrid:
 
     T: float
     M: int
-    dt: float
-    levels: np.ndarray = field(repr=False)
+
+    @property
+    def dt(self) -> float:
+        return self.T / self.M
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """The M+1 levels, read-only; the last lands exactly on T."""
+        levels = np.linspace(0.0, self.T, self.M + 1)
+        levels.flags.writeable = False
+        return levels
 
 
 def alpha(spec: MovingDomainSpec, t):
@@ -102,8 +115,7 @@ def build_time_grid(T: float, M: int) -> TimeGrid:
         raise ValueError(f"need at least 2 time steps, got M={M}")
     if not (T > 0.0 and math.isfinite(T)):
         raise ValueError(f"final time T must be positive and finite, got {T}")
-    levels = np.linspace(0.0, T, M + 1)
-    return TimeGrid(T=T, M=M, dt=T / M, levels=levels)
+    return TimeGrid(T, M)
 
 
 def level_nodes(spec: MovingDomainSpec, times, N: int):
@@ -130,6 +142,16 @@ def segment_mask(segment: tuple, grid: TimeGrid) -> np.ndarray:
     """Levels m with a <= t^m < b, the levels whose samples act in (a, b)."""
     a, b = segment
     return (grid.levels >= a) & (grid.levels < b)
+
+
+def _segment_levels(name: str, segment: tuple, grid: TimeGrid) -> np.ndarray:
+    """Indices of the levels of ``segment`` (``segment_mask``); raise a
+    ``ValueError`` naming the argument ``name`` when it holds none."""
+    idx = np.nonzero(segment_mask(segment, grid))[0]
+    if not len(idx):
+        raise ValueError(f"{name} {segment} holds no time level "
+                         f"of the grid (T={grid.T}, M={grid.M})")
+    return idx
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ A solve builds its level plan once: the spacings ``h`` ``(M+1,)``, the
 nodes ``(M+1, N+1)`` and the step operators ``ST`` ``(N-1, N+1)``,
 ``back``, ``G`` ``(M+1, N-1)`` and ``lift`` ``(M+1,)`` (``ST`` and
 ``G`` folded from N = ``_FOLD_N`` on, see ``_fold``), read-only, shared
-by every march of the solve, with the ``k``, ``T`` and ``dt`` it was
+by every march of the solve, with the ``k`` and the time grid it was
 built for.  ``back`` is the back product's operator, below ``_FOLD_N``
 an F-contiguous copy of ``ST[:, 1:-1].T``: ``back.dot`` gives the bits
 of ``np.matmul`` on the strided view ``ST[:, 1:-1].T`` in less time
@@ -63,7 +63,7 @@ transposed, so the plan stores each value once.  The
 solve's first complex march adds ``paired_G``, ``G`` repeated over the
 two real columns of the products, so the scaling reads contiguous rows.
 ``solve_forward`` and ``solve_backward`` take it as the keyword ``plan``,
-reject one built for another k, T, dt, M or N, and build their
+reject one built for another k, T, M or N, and build their
 own when given none; ``game.fixed_point_solve``,
 ``game.nash_gradient_check`` and ``duality_residual`` build one and pass
 it to every march.  Nothing is cached across solves.  A time step whose
@@ -71,7 +71,8 @@ square underflows to 0 gives non-finite operators without a numpy
 warning; the game's checks report the values they produce.
 
 A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
-values of level m at ``plan.nodes[m]``, beside the plan.  A march fills
+values of level m at ``plan.nodes[m]``, beside the plan, whose grid
+is the trajectory's.  A march fills
 one preallocated array.  It first writes dt^2 times its source into
 that array, so source rows are pre-scaled in ``out`` and step i reads
 row i+1 as its source term before it writes that row.  Each step forms
@@ -113,7 +114,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import MovingDomainSpec, TimeGrid, level_nodes, segment_mask
+from .geometry import MovingDomainSpec, TimeGrid, _segment_levels, level_nodes
 from .fem import _check_control, _check_shape, _mass_pairing, boundary_flux_left, interpolate
 
 __all__ = [
@@ -131,20 +132,20 @@ class Trajectory:
     """Nodal values of every time level: row m of ``frames`` lives on ``plan.nodes[m]``.
 
     ``frames`` has shape ``(M+1, N+1)``; ``plan`` is the solve's level
-    plan, shared, not copied.
+    plan, shared, not copied, and ``grid`` is the plan's.
     """
 
-    grid: TimeGrid
-    plan: "_LevelPlan" = field(repr=False)
+    plan: "_LevelPlan"
     frames: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = self.plan.nodes.shape
-        if shape[0] != self.grid.M + 1 or self.frames.shape != shape:
-            raise ValueError(
-                f"trajectory of shape {self.frames.shape} on a plan of shape {shape}, "
-                f"expected {(self.grid.M + 1, shape[1])}"
-            )
+        if self.frames.shape != self.plan.nodes.shape:
+            raise ValueError(f"trajectory of shape {self.frames.shape} on a plan of shape "
+                             f"{self.plan.nodes.shape}")
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.plan.grid
 
 
 # Overflow, and a division by a time step squared that underflowed to 0,
@@ -265,11 +266,10 @@ class _LevelPlan:
     """What a solve's marches share, all read-only: level m's spacing
     ``h[m]`` and nodes ``nodes[m]``, and the step operators ``ST``,
     ``back``, ``G`` and ``lift`` of ``_plan_operators``, built for the
-    boundary speed ``k``, the horizon ``T`` and the time step ``dt``."""
+    boundary speed ``k`` on the time grid ``grid``."""
 
     k: float
-    T: float
-    dt: float
+    grid: TimeGrid
     h: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     ST: np.ndarray = field(repr=False)
@@ -295,7 +295,7 @@ def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
     h, nodes = level_nodes(spec, grid.levels, N)
     with np.errstate(**_SWEEP_ERRSTATE):
         ops = _plan_operators(h, grid.dt, N)
-    plan = _LevelPlan(spec.k, grid.T, grid.dt, h, nodes, *ops)
+    plan = _LevelPlan(spec.k, grid, h, nodes, *ops)
     for a in (plan.h, plan.nodes, plan.ST, plan.back, plan.G, plan.lift):
         a.flags.writeable = False
     return plan
@@ -310,14 +310,14 @@ def _plan_for(plan: Optional[_LevelPlan], spec, grid: TimeGrid, N: int) -> _Leve
             f"level plan has nodes of shape {plan.nodes.shape}, "
             f"expected {(grid.M + 1, N + 1)}"
         )
-    _check_built_for(plan, spec.k, grid.T, grid.dt)
+    _check_built_for(plan, spec.k, grid.T)
     return plan
 
 
-def _check_built_for(plan: _LevelPlan, k: float, T: float, dt: float):
-    for name, want in (("k", k), ("T", T), ("dt", dt)):
-        if getattr(plan, name) != want:
-            raise ValueError(f"level plan was built for {name}={getattr(plan, name)!r}, "
+def _check_built_for(plan: _LevelPlan, k: float, T: float):
+    for name, have, want in (("k", plan.k, k), ("T", plan.grid.T, T)):
+        if have != want:
+            raise ValueError(f"level plan was built for {name}={have!r}, "
                              f"expected {name}={want!r}")
 
 
@@ -487,7 +487,7 @@ def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeG
     frames = np.empty(shape, _frame_dtype(left_boundary, ic0, ic1, source))
     _march(plan.nodes, plan.ST, plan.back, plan.step_G(frames), plan.lift, grid.dt, ic0, ic1,
            left_boundary, source, frames)
-    return Trajectory(grid=grid, plan=plan, frames=frames)
+    return Trajectory(plan, frames)
 
 
 def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N: int, *,
@@ -517,10 +517,10 @@ def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N
     _check_shape("terminal1", terminal1, shape[1:])
     plan = _plan_for(plan, spec, grid, N)
     frames = np.empty(shape, _frame_dtype(source, terminal0, terminal1))
-    return _march_backward(source, frames, plan, grid, terminal0, terminal1)
+    return _march_backward(source, frames, plan, terminal0, terminal1)
 
 
-def _march_backward(source: np.ndarray, frames: np.ndarray, plan: _LevelPlan, grid: TimeGrid,
+def _march_backward(source: np.ndarray, frames: np.ndarray, plan: _LevelPlan,
                     terminal0: Optional[np.ndarray] = None,
                     terminal1: Optional[np.ndarray] = None) -> Trajectory:
     """``solve_backward``'s march into ``frames``, on checked data and plan.
@@ -533,8 +533,8 @@ def _march_backward(source: np.ndarray, frames: np.ndarray, plan: _LevelPlan, gr
     term0 = terminal0 if terminal0 is not None else np.zeros(N + 1)
     term1 = terminal1 if terminal1 is not None else np.zeros(N + 1)
     _march(plan.nodes[::-1], plan.ST, plan.back, plan.step_G(frames)[::-1], plan.lift[::-1],
-           grid.dt, term0, -term1, np.zeros(grid.M + 1), source[::-1], frames[::-1])
-    return Trajectory(grid=grid, plan=plan, frames=frames)
+           plan.grid.dt, term0, -term1, np.zeros(len(frames)), source[::-1], frames[::-1])
+    return Trajectory(plan, frames)
 
 
 def _outward_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
@@ -546,18 +546,20 @@ def _outward_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
     """Space-time L2 distance, rectangle rule in time, mass pairing in space.
 
-    ``b``'s plan must be built for the ``k``, ``T`` and ``dt`` of ``a``'s:
+    ``b``'s plan must be built for the ``k`` and the grid of ``a``'s:
     the pairing reads ``a``'s level spacings for both."""
     if a.frames.shape != b.frames.shape:
         raise ValueError(f"trajectories of frame shapes {a.frames.shape} and "
                          f"{b.frames.shape} live on different grids")
-    _check_built_for(b.plan, a.plan.k, a.plan.T, a.plan.dt)
+    _check_built_for(b.plan, a.plan.k, a.grid.T)
     M = a.grid.M
     d = a.frames[:M] - b.frames[:M]
     return float(np.sqrt(a.grid.dt * _mass_pairing(d, d, a.plan.h[:M])))
 
 
 def trajectory_l2_norm(a: Trajectory) -> float:
+    """Space-time L2 norm of ``a``, by the rules of ``trajectory_l2_distance``:
+    its distance from the zero field."""
     M = a.grid.M
     return float(np.sqrt(a.grid.dt * _mass_pairing(a.frames[:M], a.frames[:M], a.plan.h[:M])))
 
@@ -576,14 +578,15 @@ def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
     their absolute sum over the larger magnitude.
     """
     _check_control("control", control, grid)
-    mask = segment_mask(segment, grid)
+    idx = _segment_levels("segment", segment, grid)
+    on_segment = np.zeros_like(control)
+    on_segment[idx] = control[idx]
     plan = _level_plan(spec, grid, N)
-    u_hat = solve_forward(_left_trace(np.where(mask, control, 0.0)), spec, grid, N, plan=plan)
+    u_hat = solve_forward(_left_trace(on_segment), spec, grid, N, plan=plan)
     p = solve_backward(source, spec, grid, N, plan=plan)
 
     M = grid.M
     volume = grid.dt * _mass_pairing(source[:M], u_hat.frames[:M], plan.h[:M])
-    idx = np.nonzero(mask)[0]
     boundary = grid.dt * float(np.sum(_outward_flux(p, idx) * control[idx]))
     scale = max(abs(volume), abs(boundary))
     if scale == 0.0:

@@ -177,7 +177,7 @@ def _check_nash_residual():
     grid = build_time_grid(tc, 50)
     cfg = SNConfig(sigma=100.0)
     res = fixed_point_solve(cfg, spec, grid, 50)
-    r = nash_residual(res.w2, res.p, 100.0, res.segments, grid)
+    r = nash_residual(res.w2, res.p, 100.0, res.segments)
     ok = res.converged and r <= 1e-3
     return "follower-best-response", ok, f"residual {r:.2e}, iterations {res.iterations}"
 

@@ -126,7 +126,7 @@ def test_criterion_5_nash_optimality(sigma_sweep, t_sweep):
         if not res.converged:
             continue
         segs = BoundarySegments.disjoint_halves(grid.T)
-        r = nash_residual(res.w2, res.p, cfg.sigma, segs, grid)
+        r = nash_residual(res.w2, res.p, cfg.sigma, segs)
         worst_residual = max(worst_residual, r)
         assert r <= 1e-3, f"sigma={cfg.sigma} T={grid.T}: residual {r:.2e}"
         chk = nash_gradient_check(res.w1, res.w2, cfg, spec, grid, N,

@@ -62,7 +62,7 @@ def leader_rule(phi, segs, grid):
 def make_trajectory(spec, grid, N, profile):
     plan = _level_plan(spec, grid, N)
     frames = np.array([profile(x) for x in plan.nodes])
-    return Trajectory(grid=grid, plan=plan, frames=frames)
+    return Trajectory(plan=plan, frames=frames)
 
 
 @pytest.fixture
@@ -115,7 +115,7 @@ class TestFollowerUpdate:
         def j2_at(scale):
             w = scale * d
             u = solve_forward(_left_trace(w), spec, grid, N)
-            return evaluate_J2(u, w, segs.sigma2, u2, sigma, grid)
+            return evaluate_J2(u, w, segs.sigma2, u2, sigma)
 
         j0 = j2_at(0.0)
         assert j2_at(0.25) < j0
@@ -189,14 +189,14 @@ class TestFunctionals:
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, 20)
         u = make_trajectory(spec, grid, 20, lambda x: np.full_like(x, 7.0))
-        assert evaluate_J2(u, np.zeros(21), (0.0, 0.5), 7.0, 100.0, grid) == 0.0
+        assert evaluate_J2(u, np.zeros(21), (0.0, 0.5), 7.0, 100.0) == 0.0
 
     def test_j2_constant_misfit_exact_value(self):
         # |u - u2| = 10 over the unit space-time square: J2 = 0.5*100 = 50
         spec = MovingDomainSpec(k=0.0, T=1.0)
         grid = build_time_grid(1.0, 100)
         u = make_trajectory(spec, grid, 100, lambda x: np.zeros_like(x))
-        assert evaluate_J2(u, np.zeros(101), (0.0, 0.5), 10.0, 100.0, grid) == pytest.approx(
+        assert evaluate_J2(u, np.zeros(101), (0.0, 0.5), 10.0, 100.0) == pytest.approx(
             50.0, rel=1e-12)
 
     def test_j2_control_term_quadratic(self):
@@ -206,9 +206,9 @@ class TestFunctionals:
         vals = np.zeros(21)
         vals[grid.levels < 0.5] = 1.5
         seg, sigma, u2 = (0.0, 0.5), 40.0, 0.0
-        base = evaluate_J2(u, np.zeros(21), seg, u2, sigma, grid)
-        j1 = evaluate_J2(u, vals, seg, u2, sigma, grid) - base
-        j2 = evaluate_J2(u, 2 * vals, seg, u2, sigma, grid) - base
+        base = evaluate_J2(u, np.zeros(21), seg, u2, sigma)
+        j1 = evaluate_J2(u, vals, seg, u2, sigma) - base
+        j2 = evaluate_J2(u, 2 * vals, seg, u2, sigma) - base
         assert j2 == pytest.approx(4.0 * j1, rel=1e-12)
 
     def test_j_zero(self):
@@ -259,7 +259,7 @@ class TestFixedPoint:
         assert res.converged
         assert res.log[-1].stop_qty <= 1e-5
         segs = BoundarySegments.disjoint_halves(tc_quarter)
-        assert nash_residual(res.w2, res.p, 100.0, segs, grid) <= 1e-3
+        assert nash_residual(res.w2, res.p, 100.0, segs) <= 1e-3
 
     def test_linearity_in_target(self, small_setup):
         spec, grid, segs = small_setup
@@ -344,7 +344,7 @@ class TestSweepMap:
                                             grid.dt)
             du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
             log.append(IterationRecord(n, stop, du, dw, evaluate_J(state[0], segs.sigma1, grid),
-                                       evaluate_J2(u, state[1], segs.sigma2, 10.0, 100.0, grid)))
+                                       evaluate_J2(u, state[1], segs.sigma2, 10.0, 100.0)))
             state, u_prev = nxt, u
             if stop <= cfg.epsilon:
                 break
@@ -490,7 +490,7 @@ class TestLazyAdjoint:
         grid = build_time_grid(tc, 50)
         res = fixed_point_solve(SNConfig(sigma=100.0), spec, grid, 50)
         p = solve_backward(res.u.frames - 10.0, spec, grid, 50, plan=res.u.plan)
-        r = nash_residual(res.w2, p, 100.0, BoundarySegments.disjoint_halves(tc), grid)
+        r = nash_residual(res.w2, p, 100.0, BoundarySegments.disjoint_halves(tc))
         assert (name, ok) == ("follower-best-response", True)
         assert detail == f"residual {r:.2e}, iterations {res.iterations}"
 
@@ -518,21 +518,8 @@ class TestTarget:
         np.testing.assert_array_equal(call.w2, const.w2)
         np.testing.assert_array_equal(call.u.frames[-1], const.u.frames[-1])
         assert [r.J2 for r in call.log] == [r.J2 for r in const.log]
-        assert (evaluate_J2(const.u, const.w2, segs.sigma2, lambda x, t: 10.0, 100.0, grid)
-                == evaluate_J2(const.u, const.w2, segs.sigma2, 10.0, 100.0, grid))
-
-    def test_given_target_matches_evaluated_target(self, small_setup):
-        spec, grid, segs = small_setup
-        res = fixed_point_solve(SNConfig(sigma=100.0, u2=10.0, segments=segs),
-                                spec, grid, 16)
-
-        def u2(x, t):
-            return 10.0 + np.sin(x) * np.cos(t)
-
-        target = np.array([u2(x, t) for x, t in zip(res.u.plan.nodes, grid.levels)])
-        for goal, given in ((10.0, np.full_like(target, 10.0)), (u2, target)):
-            assert (evaluate_J2(res.u, res.w2, segs.sigma2, goal, 100.0, grid, target=given)
-                    == evaluate_J2(res.u, res.w2, segs.sigma2, goal, 100.0, grid))
+        assert (evaluate_J2(const.u, const.w2, segs.sigma2, lambda x, t: 10.0, 100.0)
+                == evaluate_J2(const.u, const.w2, segs.sigma2, 10.0, 100.0))
 
     def test_target_evaluated_once_per_solve(self, small_setup):
         spec, grid, segs = small_setup
@@ -546,6 +533,19 @@ class TestTarget:
         assert res.iterations >= 2
         assert calls[0] == grid.M + 1
 
+    @pytest.mark.parametrize("bad", [lambda x, t: math.nan if t > 1.0 else 10.0,
+                                     lambda x, t: np.where(x > 0.5, math.inf, 10.0),
+                                     lambda x, t: np.full_like(x, -math.inf)])
+    def test_non_finite_values_name_t(self, small_setup, bad):
+        # rejected as an input error, not surfaced as a divergence of the sweep
+        spec, grid, segs = small_setup
+        msg = r"^target u2 returned a non-finite value at t=\S+$"
+        with pytest.raises(ValueError, match=msg):
+            fixed_point_solve(SNConfig(sigma=100.0, u2=bad, segments=segs), spec, grid, 16)
+        u = make_trajectory(spec, grid, 16, np.zeros_like)
+        with pytest.raises(ValueError, match=msg):
+            evaluate_J2(u, np.zeros(grid.M + 1), segs.sigma2, bad, 100.0)
+
     @pytest.mark.parametrize("bad", [lambda x, t: np.ones(3),
                                      lambda x, t: np.ones((len(x), 2))])
     def test_wrong_shape_names_u2(self, small_setup, bad):
@@ -554,7 +554,7 @@ class TestTarget:
             fixed_point_solve(SNConfig(sigma=100.0, u2=bad, segments=segs), spec, grid, 16)
         u = make_trajectory(spec, grid, 16, np.zeros_like)
         with pytest.raises(ValueError, match="u2"):
-            evaluate_J2(u, np.zeros(grid.M + 1), segs.sigma2, bad, 100.0, grid)
+            evaluate_J2(u, np.zeros(grid.M + 1), segs.sigma2, bad, 100.0)
 
 
 class TestWorkCounts:
@@ -667,7 +667,7 @@ class TestNashResidual:
         sigma = 100.0
         res = fixed_point_solve(SNConfig(sigma=sigma, u2=10.0, segments=segs, max_iter=2),
                                 spec, grid, 16)
-        got = nash_residual(res.w2, res.p, sigma, segs, grid)
+        got = nash_residual(res.w2, res.p, sigma, segs)
         defect = 0.0
         for m in np.nonzero(segs.follower_mask(grid))[0]:
             flux = boundary_flux_left(res.p.frames[m], res.p.plan.h[m])
@@ -790,8 +790,8 @@ class TestBareControls:
         calls = {
             "control_l2_norm": lambda w1, w2: control_l2_norm(w2, segs.sigma2, grid),
             "evaluate_J": lambda w1, w2: evaluate_J(w1, segs.sigma1, grid),
-            "evaluate_J2": lambda w1, w2: evaluate_J2(res.u, w2, segs.sigma2, 10.0, 100.0, grid),
-            "nash_residual": lambda w1, w2: nash_residual(w2, res.p, 100.0, segs, grid),
+            "evaluate_J2": lambda w1, w2: evaluate_J2(res.u, w2, segs.sigma2, 10.0, 100.0),
+            "nash_residual": lambda w1, w2: nash_residual(w2, res.p, 100.0, segs),
             "nash_gradient_check": lambda w1, w2: nash_gradient_check(
                 w1, w2, cfg, spec, grid, self.N, n_directions=2),
             "duality_residual": lambda w1, w2: duality_residual(
@@ -867,6 +867,20 @@ class TestConfigValidation:
             SNConfig(sigma=100.0, max_iter=2.5)
         assert SNConfig(sigma=100.0, max_iter=np.int64(3)).max_iter == 3
 
+    @pytest.mark.parametrize("u2", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_non_finite_u2(self, u2):
+        with pytest.raises(ValueError, match=r"^u2 must be finite, got "):
+            SNConfig(sigma=100.0, u2=u2)
+
+    @pytest.mark.parametrize("i,value", [(0, math.nan), (1, math.inf), (1, -math.inf)])
+    def test_non_finite_phi_terminal(self, small_setup, i, value):
+        spec, grid, segs = small_setup
+        pair = [np.zeros(11), np.zeros(11)]
+        pair[i][4] = value
+        cfg = SNConfig(sigma=100.0, segments=segs, phi_terminal=tuple(pair))
+        with pytest.raises(ValueError, match=rf"^phi_terminal\[{i}\] holds a non-finite value$"):
+            fixed_point_solve(cfg, spec, grid, 10)
+
     @pytest.mark.parametrize("phi_terminal", [
         (np.zeros(11), np.zeros(11), np.zeros(11)),
         (np.ones(11),),
@@ -885,9 +899,19 @@ class TestConfigValidation:
     def test_segment_without_a_level_rejected(self, sigma1, sigma2, name):
         spec = MovingDomainSpec(k=0.25, T=4.0)
         grid = build_time_grid(4.0, 20)
-        cfg = SNConfig(sigma=100.0, segments=BoundarySegments(sigma1, sigma2))
+        segs = BoundarySegments(sigma1, sigma2)
+        cfg = SNConfig(sigma=100.0, segments=segs)
         with pytest.raises(ValueError, match=rf"{name} .* holds no time level"):
             fixed_point_solve(cfg, spec, grid, 10)
+        # the diagnostics that read the empty segment reject it too, not return 0
+        source = np.ones((grid.M + 1, 11))
+        with pytest.raises(ValueError, match=rf"^segment \({getattr(segs, name)[0]}, .* holds "
+                                             rf"no time level of the grid \(T=4.0, M=20\)$"):
+            duality_residual(np.ones(grid.M + 1), getattr(segs, name), source, spec, grid, 10)
+        if not segment_mask(sigma2, grid).any():
+            p = solve_backward(source, spec, grid, 10)
+            with pytest.raises(ValueError, match=r"^sigma2 .* holds no time level"):
+                nash_residual(np.ones(grid.M + 1), p, 100.0, segs)
 
     def test_non_integral_elements(self, small_setup):
         spec, grid, segs = small_setup

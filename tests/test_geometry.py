@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -6,6 +7,7 @@ import pytest
 
 from snwave import (
     MovingDomainSpec,
+    TimeGrid,
     alpha,
     analytic_perimeter,
     build_time_grid,
@@ -137,6 +139,32 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="M must be an integer"):
             build_time_grid(2.0, 10.5)
         assert build_time_grid(2.0, np.int64(10)).levels.shape == (11,)
+
+    def test_grid_is_its_horizon_and_step_count(self):
+        # dt and the levels follow from (T, M), so a grid cannot hold a stale copy
+        grid = build_time_grid(3.0, 12)
+        assert [f.name for f in dataclasses.fields(TimeGrid)] == ["T", "M"]
+        with pytest.raises(TypeError):
+            dataclasses.replace(grid, dt=0.5)
+        longer = dataclasses.replace(grid, T=6.0)
+        assert longer.dt == 6.0 / 12
+        np.testing.assert_array_equal(longer.levels, np.linspace(0.0, 6.0, 13))
+
+    @pytest.mark.parametrize("T,M", [(1.0, 2), (3.0, 12), (17.597834287066328, 100)])
+    def test_levels_are_read_only_linspace_bits(self, T, M):
+        grid = build_time_grid(T, M)
+        assert grid.dt == T / M
+        np.testing.assert_array_equal(grid.levels.view(np.int64),
+                                      np.linspace(0.0, T, M + 1).view(np.int64))
+        assert grid.levels is grid.levels
+        with pytest.raises(ValueError, match="read-only"):
+            grid.levels[1] = 0.0
+
+    def test_hashable_and_equal_by_horizon_and_steps(self):
+        a, b = build_time_grid(2.0, 10), build_time_grid(2.0, 10)
+        assert len(a.levels) == 11  # the cached levels take no part in == or hash
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, build_time_grid(2.0, 11), build_time_grid(3.0, 10)}) == 3
 
 
 class TestSpatialMesh:

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,9 @@ REMOVED_ATTRIBUTES = [
     ("SNConfig", "initial_controls"), ("BoundarySegments", "mode"), ("TimeGrid", "__len__"),
     ("SNResult", "spec"), ("SNResult", "iterates"),
 ]
-REMOVED_PARAMETERS = [("boundary_flux_left", "method"), ("fixed_point_solve", "keep_iterates")]
+REMOVED_PARAMETERS = [("boundary_flux_left", "method"), ("fixed_point_solve", "keep_iterates"),
+                      ("nash_residual", "grid"), ("evaluate_J2", "grid"),
+                      ("evaluate_J2", "target")]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -48,3 +52,12 @@ def test_removed_attributes_stay_removed(cls, name):
 def test_removed_parameters_stay_removed(func, name):
     func = getattr(importlib.import_module("snwave"), func)
     assert name not in inspect.signature(func).parameters
+
+
+def test_readme_library_example_runs():
+    # the README's "Library example" is run as written, so it cannot drift
+    # from the signatures it shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md: Library example", "exec"), {})
