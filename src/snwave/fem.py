@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import TimeGrid, segment_mask
+from .geometry import TimeGrid, _segment_levels
 
 __all__ = [
     "interpolate",
@@ -80,7 +80,7 @@ def boundary_flux_left(values: np.ndarray, h):
 
 
 def _segment_norm(values: np.ndarray, levels, dt: float) -> float:
-    """sqrt(sum_m dt * values_m^2) over ``levels``, level indices or a mask."""
+    """sqrt(sum_m dt * values_m^2) over the level indices ``levels``."""
     return float(np.sqrt(dt * np.sum(values[levels] ** 2)))
 
 
@@ -100,4 +100,4 @@ def _check_control(name: str, a, grid: TimeGrid):
 def control_l2_norm(values: np.ndarray, segment: tuple, grid: TimeGrid) -> float:
     """Discrete L2 norm over ``segment``: sqrt(sum_m dt * values_m^2) on its levels."""
     _check_control("values", values, grid)
-    return _segment_norm(values, segment_mask(segment, grid), grid.dt)
+    return _segment_norm(values, _segment_levels("segment", segment, grid), grid.dt)

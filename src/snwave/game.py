@@ -48,7 +48,9 @@ loop keeps across a sweep only u, which the next sweep's du_l2 reads,
 and drops the previous sweep's psi and phi before the next sweep
 marches; only the last sweep's fields reach ``SNResult``.  So a sweep
 peaks at the plan and three frames: the previous u, the new u and the
-backward frames, each complex when the leader chain is live.
+backward frames, each complex when the leader chain is live.  A result
+stores the solve's log and sweep map once: its ``iterations`` is the
+log's length, and its ``segments`` and ``target`` are the sweep's.
 
 The scheme maps all-zero data to exactly zero frames, so the map marches
 no forward field whose boundary data are all zero: it is the solve's one
@@ -70,7 +72,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .geometry import (BoundarySegments, MovingDomainSpec, TimeGrid, _check_integer,
-                       _segment_levels, segment_mask)
+                       _segment_levels)
 from .fem import _check_control, _check_shape, _mass_pairing, _segment_norm
 from .solvers import (
     _SWEEP_ERRSTATE,
@@ -79,8 +81,8 @@ from .solvers import (
     _left_trace,
     _level_plan,
     _march_backward,
+    _march_forward,
     _outward_flux,
-    solve_forward,
     trajectory_l2_distance,
 )
 
@@ -112,9 +114,9 @@ class DivergenceError(RuntimeError):
         self.payload = payload
 
 
-@dataclass
+@dataclass(frozen=True)
 class SNConfig:
-    """Parameters of the fixed-point driver."""
+    """Parameters of the fixed-point driver, checked once and frozen."""
 
     sigma: float
     epsilon: float = 1e-5
@@ -167,6 +169,8 @@ def _target(u2: TargetLike, nodes: np.ndarray, grid: TimeGrid) -> np.ndarray:
     and any non-finite value, is an error.
     """
     if not callable(u2):
+        if not math.isfinite(u2):
+            raise ValueError(f"u2 must be finite, got {u2}")
         return np.broadcast_to(float(u2), nodes.shape)
     out = np.empty(nodes.shape)
     for m, (x, t) in enumerate(zip(nodes, grid.levels)):
@@ -232,9 +236,6 @@ class _Sweep:
     for zero data.
     """
 
-    spec: MovingDomainSpec
-    grid: TimeGrid
-    N: int
     plan: _LevelPlan
     target: np.ndarray
     zero: Trajectory
@@ -261,14 +262,14 @@ class _Sweep:
         if not any(f.any() for f in terminal.values()):
             terminal = {}
         zero = Trajectory(plan, np.broadcast_to(0.0, plan.nodes.shape))
-        return cls(spec, grid, N, plan, _target(config.u2, plan.nodes, grid), zero, segments,
-                   leader, follower, config.sigma, terminal)
+        return cls(plan, _target(config.u2, plan.nodes, grid), zero, segments, leader, follower,
+                   config.sigma, terminal)
 
     def forward(self, left: np.ndarray) -> Trajectory:
         """The march from rest with boundary data ``left``; zero data need none."""
         if not left.any():
             return self.zero
-        return solve_forward(left, self.spec, self.grid, self.N, plan=self.plan)
+        return _march_forward(left, self.plan)
 
     def state(self, w1: np.ndarray, w2: np.ndarray) -> Trajectory:
         return self.forward(_left_trace(w1, w2))
@@ -319,19 +320,30 @@ class SNResult:
     chain they are the imaginary views of that sweep's two complex
     marches.  ``p`` is marched on its first read by the solve's sweep map,
     from ``u`` and ``target`` (u2 on u's levels), and kept.
+    ``iterations``, ``segments`` and ``target`` are read-only, read from
+    ``log`` and the sweep map, which hold them once.
     """
 
     converged: bool
-    iterations: int
     w1: np.ndarray
     w2: np.ndarray
-    segments: BoundarySegments
     u: Trajectory
     psi: Trajectory
     phi: Trajectory
-    target: np.ndarray = field(repr=False)
     _sweep: _Sweep = field(repr=False, compare=False)
     log: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log)
+
+    @property
+    def segments(self) -> BoundarySegments:
+        return self._sweep.segments
+
+    @property
+    def target(self) -> np.ndarray:
+        return self._sweep.target
 
     @cached_property
     def p(self) -> Trajectory:
@@ -347,14 +359,14 @@ def evaluate_J2(u: Trajectory, w2: np.ndarray, segment: tuple, u2: TargetLike,
     on u's grid, with u2 evaluated on u's levels."""
     grid = u.grid
     _check_control("w2", w2, grid)
-    target = _target(u2, u.plan.nodes, grid)
-    return _follower_cost(u, w2, target, sigma, segment_mask(segment, grid), grid.dt)
+    levels = _segment_levels("segment", segment, grid)
+    return _follower_cost(u, w2, _target(u2, u.plan.nodes, grid), sigma, levels, grid.dt)
 
 
 def evaluate_J(w1: np.ndarray, segment: tuple, grid: TimeGrid) -> float:
     """Leader cost: half the squared norm of the control ``w1`` on ``segment``."""
     _check_control("w1", w1, grid)
-    return 0.5 * _segment_norm(w1, segment_mask(segment, grid), grid.dt) ** 2
+    return 0.5 * _segment_norm(w1, _segment_levels("segment", segment, grid), grid.dt) ** 2
 
 
 def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
@@ -372,7 +384,7 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
     w1 = w2 = psi_bc = np.zeros(M + 1)
     u_prev = None
     log: list = []
-    converged, iterations = False, config.max_iter
+    converged = False
 
     def diverged(n: int, what: str, field: str, **details) -> DivergenceError:
         payload = {"iteration": n, "field": field, "sigma": config.sigma,
@@ -398,12 +410,11 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
 
             w1, w2, u_prev = w1_new, w2_new, u
             if stop <= config.epsilon:
-                converged, iterations = True, n + 1
+                converged = True
                 break
 
         u_final = sweep.state(w1, w2)
-    return SNResult(converged, iterations, w1, w2, sweep.segments, u=u_final, psi=psi, phi=phi,
-                    target=sweep.target, _sweep=sweep, log=log)
+    return SNResult(converged, w1, w2, u=u_final, psi=psi, phi=phi, _sweep=sweep, log=log)
 
 
 def nash_residual(w2: np.ndarray, p: Trajectory, sigma: float,

@@ -184,12 +184,6 @@ class BoundarySegments:
         """Both controls act on all of (0, T); boundary data is their sum."""
         return cls(sigma1=(0.0, T), sigma2=(0.0, T))
 
-    def leader_mask(self, grid: TimeGrid) -> np.ndarray:
-        return segment_mask(self.sigma1, grid)
-
-    def follower_mask(self, grid: TimeGrid) -> np.ndarray:
-        return segment_mask(self.sigma2, grid)
-
 
 @dataclass(frozen=True)
 class SpaceTimeMeshStats:

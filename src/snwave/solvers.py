@@ -62,13 +62,12 @@ from ``_FOLD_N`` on a view of the folded ``ST``'s columns 1..N//2,
 transposed, so the plan stores each value once.  The
 solve's first complex march adds ``paired_G``, ``G`` repeated over the
 two real columns of the products, so the scaling reads contiguous rows.
-``solve_forward`` and ``solve_backward`` take it as the keyword ``plan``,
-reject one built for another k, T, M or N, and build their
-own when given none; ``game.fixed_point_solve``,
-``game.nash_gradient_check`` and ``duality_residual`` build one and pass
-it to every march.  Nothing is cached across solves.  A time step whose
-square underflows to 0 gives non-finite operators without a numpy
-warning; the game's checks report the values they produce.
+Every entry builds its plan by ``_level_plan``, which rejects a spec whose
+horizon T is not the grid's, and marches on it through one private entry
+per direction, ``_march_forward`` or ``_march_backward``.  Nothing is
+cached across solves.  A time step whose square underflows to 0 gives
+non-finite operators without a numpy warning; the game's checks report
+the values they produce.
 
 A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
 values of level m at ``plan.nodes[m]``, beside the plan, whose grid
@@ -292,6 +291,9 @@ class _LevelPlan:
 
 
 def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
+    """The read-only level plan of ``spec`` on ``grid``, whose horizon T must be the spec's."""
+    if spec.T != grid.T:
+        raise ValueError(f"spec T={spec.T!r} is not the time grid's T={grid.T!r}")
     h, nodes = level_nodes(spec, grid.levels, N)
     with np.errstate(**_SWEEP_ERRSTATE):
         ops = _plan_operators(h, grid.dt, N)
@@ -299,26 +301,6 @@ def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
     for a in (plan.h, plan.nodes, plan.ST, plan.back, plan.G, plan.lift):
         a.flags.writeable = False
     return plan
-
-
-def _plan_for(plan: Optional[_LevelPlan], spec, grid: TimeGrid, N: int) -> _LevelPlan:
-    """``plan``, checked against the spec, the grid and N, or a new plan if None."""
-    if plan is None:
-        return _level_plan(spec, grid, N)
-    if plan.nodes.shape != (grid.M + 1, N + 1):
-        raise ValueError(
-            f"level plan has nodes of shape {plan.nodes.shape}, "
-            f"expected {(grid.M + 1, N + 1)}"
-        )
-    _check_built_for(plan, spec.k, grid.T)
-    return plan
-
-
-def _check_built_for(plan: _LevelPlan, k: float, T: float):
-    for name, have, want in (("k", plan.k, k), ("T", plan.grid.T, T)):
-        if have != want:
-            raise ValueError(f"level plan was built for {name}={have!r}, "
-                             f"expected {name}={want!r}")
 
 
 def _real_columns(a: np.ndarray) -> np.ndarray:
@@ -453,8 +435,7 @@ def _march(nodes, ST, back, G, lift, dt, x0, v0, left, source, out):
 
 def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N: int,
                   *, ic0: Optional[np.ndarray] = None, ic1: Optional[np.ndarray] = None,
-                  source: Optional[np.ndarray] = None,
-                  plan: Optional[_LevelPlan] = None) -> Trajectory:
+                  source: Optional[np.ndarray] = None) -> Trajectory:
     """March the three-level implicit scheme from t = 0.
 
     ``left_boundary`` ``(M+1,)`` prescribes the Dirichlet value at x = 0
@@ -471,8 +452,7 @@ def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeG
         M (v - 2 u~^m + u~^{m-1})/dt^2 + K v = M s^{m+1}
 
     on the level-(m+1) nodes, where the tilde marks interpolation of the
-    earlier frames onto them.  ``plan`` is the solve's level plan;
-    without one the march builds its own.
+    earlier frames onto them.
     """
     shape = (grid.M + 1, N + 1)
     if np.shape(left_boundary) != shape[:1]:
@@ -481,19 +461,30 @@ def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeG
     _check_shape("ic0", ic0, shape[1:])
     _check_shape("ic1", ic1, shape[1:])
     _check_shape("source", source, shape)
-    plan = _plan_for(plan, spec, grid, N)
-    ic0 = ic0 if ic0 is not None else np.zeros(N + 1)
-    ic1 = ic1 if ic1 is not None else np.zeros(N + 1)
-    frames = np.empty(shape, _frame_dtype(left_boundary, ic0, ic1, source))
-    _march(plan.nodes, plan.ST, plan.back, plan.step_G(frames), plan.lift, grid.dt, ic0, ic1,
+    return _march_forward(left_boundary, _level_plan(spec, grid, N), ic0, ic1, source)
+
+
+def _march_forward(left_boundary: np.ndarray, plan: _LevelPlan,
+                   ic0: Optional[np.ndarray] = None, ic1: Optional[np.ndarray] = None,
+                   source: Optional[np.ndarray] = None) -> Trajectory:
+    """``solve_forward``'s march on checked data and plan, into new frames."""
+    ic0 = ic0 if ic0 is not None else np.zeros(plan.nodes.shape[1])
+    ic1 = ic1 if ic1 is not None else np.zeros(plan.nodes.shape[1])
+    frames = np.empty(plan.nodes.shape, _frame_dtype(left_boundary, ic0, ic1, source))
+    _march(plan.nodes, plan.ST, plan.back, plan.step_G(frames), plan.lift, plan.grid.dt, ic0, ic1,
            left_boundary, source, frames)
     return Trajectory(plan, frames)
 
 
+def _check_source(source, shape: tuple):
+    if source is None:
+        raise ValueError(f"source is None, expected shape {shape}")
+    _check_shape("source", source, shape)
+
+
 def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N: int, *,
                    terminal0: Optional[np.ndarray] = None,
-                   terminal1: Optional[np.ndarray] = None,
-                   plan: Optional[_LevelPlan] = None) -> Trajectory:
+                   terminal1: Optional[np.ndarray] = None) -> Trajectory:
     """March the adjoint-type scheme from t = T down to t = 0.
 
     Boundary values are homogeneous at both ends.  ``source`` is an
@@ -507,15 +498,13 @@ def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N
 
     on the level-(m-1) nodes with homogeneous Dirichlet values.  This is
     the forward march on the reversed levels with -terminal1 as the
-    start velocity.  ``plan`` is as for ``solve_forward``.
+    start velocity.
     """
     shape = (grid.M + 1, N + 1)
-    if source is None:
-        raise ValueError(f"source is None, expected shape {shape}")
-    _check_shape("source", source, shape)
+    _check_source(source, shape)
     _check_shape("terminal0", terminal0, shape[1:])
     _check_shape("terminal1", terminal1, shape[1:])
-    plan = _plan_for(plan, spec, grid, N)
+    plan = _level_plan(spec, grid, N)
     frames = np.empty(shape, _frame_dtype(source, terminal0, terminal1))
     return _march_backward(source, frames, plan, terminal0, terminal1)
 
@@ -551,7 +540,10 @@ def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
     if a.frames.shape != b.frames.shape:
         raise ValueError(f"trajectories of frame shapes {a.frames.shape} and "
                          f"{b.frames.shape} live on different grids")
-    _check_built_for(b.plan, a.plan.k, a.grid.T)
+    for name, have, want in (("k", b.plan.k, a.plan.k), ("T", b.grid.T, a.grid.T)):
+        if have != want:
+            raise ValueError(f"level plan was built for {name}={have!r}, "
+                             f"expected {name}={want!r}")
     M = a.grid.M
     d = a.frames[:M] - b.frames[:M]
     return float(np.sqrt(a.grid.dt * _mass_pairing(d, d, a.plan.h[:M])))
@@ -582,8 +574,9 @@ def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
     on_segment = np.zeros_like(control)
     on_segment[idx] = control[idx]
     plan = _level_plan(spec, grid, N)
-    u_hat = solve_forward(_left_trace(on_segment), spec, grid, N, plan=plan)
-    p = solve_backward(source, spec, grid, N, plan=plan)
+    _check_source(source, plan.nodes.shape)
+    u_hat = _march_forward(_left_trace(on_segment), plan)
+    p = _march_backward(source, np.empty(plan.nodes.shape, _frame_dtype(source)), plan)
 
     M = grid.M
     volume = grid.dt * _mass_pairing(source[:M], u_hat.frames[:M], plan.h[:M])

@@ -28,7 +28,6 @@ from snwave import (
     solve_forward,
     trajectory_l2_distance,
 )
-import snwave.fem as fem
 import snwave.game as game
 import snwave.geometry as geometry
 import snwave.solvers as solvers
@@ -51,12 +50,12 @@ def stepped_sweeps(cfg, spec, grid, N, n):
 
 def follower_rule(p, sigma, segs, grid):
     """The sweep map's follower update: (1/sigma) times p's segment flux."""
-    return game._segment_flux(p, np.nonzero(segs.follower_mask(grid))[0]) / sigma
+    return game._segment_flux(p, np.nonzero(segment_mask(segs.sigma2, grid))[0]) / sigma
 
 
 def leader_rule(phi, segs, grid):
     """The sweep map's leader update: phi's segment flux."""
-    return game._segment_flux(phi, np.nonzero(segs.leader_mask(grid))[0])
+    return game._segment_flux(phi, np.nonzero(segment_mask(segs.sigma1, grid))[0])
 
 
 def make_trajectory(spec, grid, N, profile):
@@ -87,7 +86,7 @@ class TestFollowerUpdate:
         c = 5.0
         p = make_trajectory(spec, grid, 20, lambda x: c * x)
         w2 = follower_rule(p, 100.0, segs, grid)
-        mask = segs.follower_mask(grid)
+        mask = segment_mask(segs.sigma2, grid)
         np.testing.assert_allclose(w2[mask], -c / 100.0, rtol=1e-12)
         np.testing.assert_array_equal(w2[~mask], 0.0)
 
@@ -133,7 +132,7 @@ class TestLeaderUpdate:
         c = 3.0
         phi = make_trajectory(spec, grid, 20, lambda x: c * x)
         w1 = leader_rule(phi, segs, grid)
-        mask = segs.leader_mask(grid)
+        mask = segment_mask(segs.sigma1, grid)
         np.testing.assert_allclose(w1[mask], -c, rtol=1e-12)
         np.testing.assert_array_equal(w1[~mask], 0.0)
 
@@ -293,7 +292,7 @@ class TestFixedPoint:
         # phi loop stays homogeneous, so the leader is zero and the
         # boundary datum is the follower alone, now on all of (0, T)
         assert np.all(res.w1 == 0.0)
-        mask = segs.follower_mask(grid)
+        mask = segment_mask(segs.sigma2, grid)
         assert np.any(res.w2[mask] != 0.0)
 
     def test_phi_terminal_activates_leader(self, small_setup):
@@ -388,8 +387,7 @@ class TestSweepMap:
             count[0] += 1
             return original(*args)
 
-        for mod in (geometry, fem):
-            monkeypatch.setattr(mod, "segment_mask", counted)
+        monkeypatch.setattr(geometry, "segment_mask", counted)
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, max_iter=max_iter,
                        phi_terminal=bump_terminal(spec, grid, N))
         res = fixed_point_solve(cfg, spec, grid, N)
@@ -408,7 +406,7 @@ class TestMarchCounts:
     @staticmethod
     def _count_marches(monkeypatch):
         count = [0]
-        for name in ("solve_forward", "_march_backward"):
+        for name in ("_march_forward", "_march_backward"):
             march = getattr(game, name)
 
             def counted(*args, _march=march, **kwargs):
@@ -479,7 +477,7 @@ class TestLazyAdjoint:
         res = fixed_point_solve(SNConfig(sigma=100.0, u2=u2, segments=segs), spec, grid, N)
         plan = res.u.plan
         target = game._target(u2, plan.nodes, grid)
-        want = solve_backward(res.u.frames - target, spec, grid, N, plan=plan)
+        want = solve_backward(res.u.frames - target, spec, grid, N)
         np.testing.assert_array_equal(res.p.frames, want.frames)
         assert res.p.plan is plan
 
@@ -489,7 +487,7 @@ class TestLazyAdjoint:
         spec = MovingDomainSpec(k=0.25, T=tc)
         grid = build_time_grid(tc, 50)
         res = fixed_point_solve(SNConfig(sigma=100.0), spec, grid, 50)
-        p = solve_backward(res.u.frames - 10.0, spec, grid, 50, plan=res.u.plan)
+        p = solve_backward(res.u.frames - 10.0, spec, grid, 50)
         r = nash_residual(res.w2, p, 100.0, BoundarySegments.disjoint_halves(tc))
         assert (name, ok) == ("follower-best-response", True)
         assert detail == f"residual {r:.2e}, iterations {res.iterations}"
@@ -497,7 +495,7 @@ class TestLazyAdjoint:
     def test_marched_under_the_sweep_errstate(self, small_setup):
         spec, grid, segs = small_setup
         res = fixed_point_solve(SNConfig(sigma=100.0, u2=10.0, segments=segs), spec, grid, 16)
-        res.target = np.full(res.u.frames.shape, np.inf)
+        res._sweep = dataclasses.replace(res._sweep, target=np.full(res.u.frames.shape, np.inf))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
@@ -669,7 +667,7 @@ class TestNashResidual:
                                 spec, grid, 16)
         got = nash_residual(res.w2, res.p, sigma, segs)
         defect = 0.0
-        for m in np.nonzero(segs.follower_mask(grid))[0]:
+        for m in np.nonzero(segment_mask(segs.sigma2, grid))[0]:
             flux = boundary_flux_left(res.p.frames[m], res.p.plan.h[m])
             r = sigma * res.w2[m] - (-flux)
             defect += grid.dt * r * r
@@ -684,7 +682,7 @@ class TestNashGradientCheck:
         N, sigma = 40, 100.0
         cfg = SNConfig(sigma=sigma, u2=10.0, segments=segs)
         res = fixed_point_solve(cfg, spec, grid, N)
-        mask = segs.follower_mask(grid)
+        mask = segment_mask(segs.sigma2, grid)
         idx = np.nonzero(mask)[0]
         s = (grid.levels[idx] - segs.sigma2[0]) / (segs.sigma2[1] - segs.sigma2[0])
         bump = np.zeros(grid.M + 1)
@@ -714,7 +712,7 @@ class TestNashGradientCheck:
         spec, grid, segs = small_setup
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs)
         res = fixed_point_solve(cfg, spec, grid, 40)
-        mask = segs.follower_mask(grid)
+        mask = segment_mask(segs.sigma2, grid)
         idx = np.nonzero(mask)[0]
         s = (grid.levels[idx] - segs.sigma2[0]) / (segs.sigma2[1] - segs.sigma2[0])
         bump = np.zeros(grid.M + 1)
@@ -872,6 +870,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"^u2 must be finite, got "):
             SNConfig(sigma=100.0, u2=u2)
 
+    @pytest.mark.parametrize("name,value", [("u2", math.nan), ("sigma", -1.0)])
+    def test_config_cannot_change_after_its_check(self, name, value):
+        cfg = SNConfig(sigma=100.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        assert (cfg.sigma, cfg.u2) == (100.0, 10.0)
+
+    @pytest.mark.parametrize("u2", [math.nan, math.inf, np.float64(-math.inf)])
+    def test_non_finite_constant_target_in_evaluate_J2(self, small_setup, u2):
+        spec, grid, segs = small_setup
+        w2 = np.ones(grid.M + 1)
+        u = solve_forward(w2, spec, grid, 10)
+        with pytest.raises(ValueError, match=r"^u2 must be finite, got "):
+            evaluate_J2(u, w2, segs.sigma2, u2, 100.0)
+
     @pytest.mark.parametrize("i,value", [(0, math.nan), (1, math.inf), (1, -math.inf)])
     def test_non_finite_phi_terminal(self, small_setup, i, value):
         spec, grid, segs = small_setup
@@ -903,11 +916,17 @@ class TestConfigValidation:
         cfg = SNConfig(sigma=100.0, segments=segs)
         with pytest.raises(ValueError, match=rf"{name} .* holds no time level"):
             fixed_point_solve(cfg, spec, grid, 10)
-        # the diagnostics that read the empty segment reject it too, not return 0
-        source = np.ones((grid.M + 1, 11))
-        with pytest.raises(ValueError, match=rf"^segment \({getattr(segs, name)[0]}, .* holds "
-                                             rf"no time level of the grid \(T=4.0, M=20\)$"):
-            duality_residual(np.ones(grid.M + 1), getattr(segs, name), source, spec, grid, 10)
+        # the diagnostics and functionals that read the empty segment reject
+        # it too, not return 0
+        source, seg, w = np.ones((grid.M + 1, 11)), getattr(segs, name), np.ones(grid.M + 1)
+        u = solve_forward(w, spec, grid, 10)
+        for call in (lambda: duality_residual(w, seg, source, spec, grid, 10),
+                     lambda: evaluate_J(w, seg, grid),
+                     lambda: evaluate_J2(u, w, seg, 10.0, 100.0),
+                     lambda: control_l2_norm(w, seg, grid)):
+            with pytest.raises(ValueError, match=rf"^segment \({seg[0]}, .* holds "
+                                                 rf"no time level of the grid \(T=4.0, M=20\)$"):
+                call()
         if not segment_mask(sigma2, grid).any():
             p = solve_backward(source, spec, grid, 10)
             with pytest.raises(ValueError, match=r"^sigma2 .* holds no time level"):
@@ -919,3 +938,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="N must be an integer"):
             fixed_point_solve(cfg, spec, grid, N=10.5)
         assert fixed_point_solve(cfg, spec, grid, N=np.int64(10)).u.frames.shape[1] == 11
+
+
+class TestSpecHorizon:
+    """Every entry that builds a level plan rejects a spec whose horizon
+    T is not the grid's, naming T, before it marches."""
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("entry", ["solve_forward", "solve_backward", "duality_residual",
+                                       "fixed_point_solve", "nash_gradient_check"])
+    def test_rejected(self, entry, factor):
+        N = 10
+        grid = build_time_grid(4.0, 20)
+        spec = MovingDomainSpec(k=0.25, T=4.0 * factor)
+        segs = BoundarySegments.disjoint_halves(4.0)
+        cfg = SNConfig(sigma=100.0, segments=segs)
+        w, source = np.ones(grid.M + 1), np.ones((grid.M + 1, N + 1))
+        calls = {
+            "solve_forward": lambda: solve_forward(w, spec, grid, N),
+            "solve_backward": lambda: solve_backward(source, spec, grid, N),
+            "duality_residual": lambda: duality_residual(w, segs.sigma2, source, spec, grid, N),
+            "fixed_point_solve": lambda: fixed_point_solve(cfg, spec, grid, N),
+            "nash_gradient_check": lambda: nash_gradient_check(w, w, cfg, spec, grid, N),
+        }
+        with pytest.raises(ValueError, match=rf"^spec T={spec.T!r} is not the time grid's "
+                                             rf"T=4\.0$"):
+            calls[entry]()

@@ -14,7 +14,7 @@ from snwave import (
     compute_Tc,
     trapezoid_stats,
 )
-from snwave.geometry import BoundarySegments, level_nodes
+from snwave.geometry import BoundarySegments, level_nodes, segment_mask
 
 
 def mp_tc(k: str) -> float:
@@ -223,8 +223,8 @@ class TestBoundarySegments:
         assert segs.sigma1 == (5.0, 10.0)
         assert segs.sigma2 == (0.0, 5.0)
         grid = build_time_grid(10.0, 10)
-        m1 = segs.leader_mask(grid)
-        m2 = segs.follower_mask(grid)
+        m1 = segment_mask(segs.sigma1, grid)
+        m2 = segment_mask(segs.sigma2, grid)
         assert not np.any(m1 & m2)
         assert m1.sum() == 5 and m2.sum() == 5
 
@@ -232,7 +232,7 @@ class TestBoundarySegments:
         segs = BoundarySegments.additive_overlap(10.0)
         assert segs.sigma1 == segs.sigma2 == (0.0, 10.0)
         grid = build_time_grid(10.0, 10)
-        assert np.array_equal(segs.leader_mask(grid), segs.follower_mask(grid))
+        assert np.array_equal(segment_mask(segs.sigma1, grid), segment_mask(segs.sigma2, grid))
 
     @pytest.mark.parametrize("sigma1,sigma2,name", [
         ((4.0, 2.0), (2.0, 4.0), "sigma1"),

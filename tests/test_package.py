@@ -28,11 +28,13 @@ REMOVED_NAMES = [
 ]
 REMOVED_ATTRIBUTES = [
     ("SNConfig", "initial_controls"), ("BoundarySegments", "mode"), ("TimeGrid", "__len__"),
-    ("SNResult", "spec"), ("SNResult", "iterates"),
+    ("SNResult", "spec"), ("SNResult", "iterates"), ("BoundarySegments", "leader_mask"),
+    ("BoundarySegments", "follower_mask"),
 ]
 REMOVED_PARAMETERS = [("boundary_flux_left", "method"), ("fixed_point_solve", "keep_iterates"),
                       ("nash_residual", "grid"), ("evaluate_J2", "grid"),
-                      ("evaluate_J2", "target")]
+                      ("evaluate_J2", "target"), ("solve_forward", "plan"),
+                      ("solve_backward", "plan")]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -52,6 +54,22 @@ def test_removed_attributes_stay_removed(cls, name):
 def test_removed_parameters_stay_removed(func, name):
     func = getattr(importlib.import_module("snwave"), func)
     assert name not in inspect.signature(func).parameters
+
+
+@pytest.mark.parametrize("max_iter", [100, 2])  # a converged run and a capped one
+def test_result_reads_iterations_segments_and_target_from_its_solve(max_iter):
+    sw = importlib.import_module("snwave")
+    derived = ("iterations", "segments", "target")
+    assert not {f.name for f in dataclasses.fields(sw.SNResult)} & set(derived)
+    res = sw.fixed_point_solve(sw.SNConfig(sigma=100.0, max_iter=max_iter),
+                               sw.MovingDomainSpec(k=0.25, T=4.0), sw.build_time_grid(4.0, 20), 10)
+    assert res.converged == (max_iter == 100)
+    assert res.iterations == len(res.log)
+    assert res.converged or res.iterations == max_iter
+    assert res.segments is res._sweep.segments and res.target is res._sweep.target
+    for name in derived:
+        with pytest.raises(AttributeError):
+            setattr(res, name, getattr(res, name))
 
 
 def test_readme_library_example_runs():

@@ -23,7 +23,8 @@ import snwave.solvers as solvers
 from p1_dense import dense_step, mass_matrix, stiffness_matrix
 from snwave.geometry import level_nodes, segment_mask
 from snwave.solvers import (Trajectory, _FOLD_N, _left_trace, _level_plan, _march,
-                             _plan_operators, _sine_basis, _step_operators)
+                             _march_backward, _march_forward, _plan_operators, _sine_basis,
+                             _step_operators)
 from snwave.verification import _duality_probe
 
 # Relative tolerance of the fused sine-basis step against the dense
@@ -327,12 +328,12 @@ class TestOneInterpolationPerFrame:
         ref = np.empty((M + 1, N + 1))
         reference_march(plan.nodes, plan.ST, plan.G, plan.lift, grid.dt, forward["ic0"],
                         forward["ic1"], forward["left_boundary"], forward["source"], ref)
-        got = solve_forward(spec=spec, grid=grid, N=N, plan=plan, **forward).frames
+        got = solve_forward(spec=spec, grid=grid, N=N, **forward).frames
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
         reference_march(plan.nodes[::-1], plan.ST, plan.G[::-1], plan.lift[::-1], grid.dt,
                         backward["terminal0"], -backward["terminal1"], np.zeros(M + 1),
                         backward["source"][::-1], ref[::-1])
-        got = solve_backward(spec=spec, grid=grid, N=N, plan=plan, **backward).frames
+        got = solve_backward(spec=spec, grid=grid, N=N, **backward).frames
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
     @staticmethod
@@ -354,22 +355,20 @@ class TestOneInterpolationPerFrame:
     def test_complex_march_is_two_real_marches(self, k, N, M):
         spec, grid, *re = self._data(k, N, M)
         im = self._random_data(grid, N, seed=1)
-        plan = _level_plan(spec, grid, N)
         for solve, a, b in zip((solve_forward, solve_backward), re, im):
-            got = solve(spec=spec, grid=grid, N=N, plan=plan, **paired(a, b)).frames
+            got = solve(spec=spec, grid=grid, N=N, **paired(a, b)).frames
             for part, data in ((got.real, a), (got.imag, b)):
-                ref = solve(spec=spec, grid=grid, N=N, plan=plan, **data).frames
+                ref = solve(spec=spec, grid=grid, N=N, **data).frames
                 assert np.max(np.abs(part - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("N", [2, 3, 100])
     def test_real_part_reads_no_imaginary_part(self, N):
         spec, grid, *re = self._data(0.25, N, 12)
-        plan = _level_plan(spec, grid, N)
         for solve, a, b, c in zip((solve_forward, solve_backward), re,
                                   self._random_data(grid, N, seed=1),
                                   self._random_data(grid, N, seed=2)):
-            ab = solve(spec=spec, grid=grid, N=N, plan=plan, **paired(a, b)).frames
-            ac = solve(spec=spec, grid=grid, N=N, plan=plan, **paired(a, c)).frames
+            ab = solve(spec=spec, grid=grid, N=N, **paired(a, b)).frames
+            ac = solve(spec=spec, grid=grid, N=N, **paired(a, c)).frames
             assert not np.array_equal(ab.imag, ac.imag)
             np.testing.assert_array_equal(ab.real.view(np.int64), ac.real.view(np.int64))
 
@@ -414,12 +413,12 @@ class TestReflectionFold:
         ref = np.empty((grid.M + 1, N + 1))
         reference_march(plan.nodes, ST, G, lift, grid.dt, forward["ic0"], forward["ic1"],
                         forward["left_boundary"], forward["source"], ref)
-        got = solve_forward(spec=spec, grid=grid, N=N, plan=plan, **forward).frames
+        got = solve_forward(spec=spec, grid=grid, N=N, **forward).frames
         assert np.max(np.abs(got - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
         reference_march(plan.nodes[::-1], ST, G[::-1], lift[::-1], grid.dt,
                         backward["terminal0"], -backward["terminal1"], np.zeros(grid.M + 1),
                         backward["source"][::-1], ref[::-1])
-        got = solve_backward(spec=spec, grid=grid, N=N, plan=plan, **backward).frames
+        got = solve_backward(spec=spec, grid=grid, N=N, **backward).frames
         assert np.max(np.abs(got - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("N", [_FOLD_N - 1, _FOLD_N])
@@ -518,46 +517,6 @@ class TestLevelPlan:
             tracemalloc.stop()
         assert peak < 1.25 * (N - 1) ** 2 * 8
 
-    def test_given_plan_gives_the_same_march(self):
-        spec = MovingDomainSpec(k=0.25, T=3.0)
-        grid = build_time_grid(3.0, 12)
-        plan = _level_plan(spec, grid, 10)
-        left = np.sin(grid.levels)
-        own = solve_forward(left, spec, grid, 10)
-        shared = solve_forward(left, spec, grid, 10, plan=plan)
-        np.testing.assert_array_equal(own.frames, shared.frames)
-        assert shared.plan is plan
-        source = np.ones((13, 11))
-        own = solve_backward(source, spec, grid, 10)
-        shared = solve_backward(source, spec, grid, 10, plan=plan)
-        np.testing.assert_array_equal(own.frames, shared.frames)
-        assert shared.plan is plan
-
-    def test_mismatched_plan_rejected(self):
-        spec = MovingDomainSpec(k=0.25, T=3.0)
-        grid = build_time_grid(3.0, 12)
-        left = np.zeros(grid.M + 1)
-        for plan in (_level_plan(spec, build_time_grid(3.0, 10), 10),
-                     _level_plan(spec, grid, 8)):
-            with pytest.raises(ValueError, match="level plan"):
-                solve_forward(left, spec, grid, 10, plan=plan)
-
-    @pytest.mark.parametrize("name,spec_k,plan_T", [
-        ("k", 0.5, 3.0),
-        ("T", 0.25, 6.0),
-    ])
-    def test_plan_for_another_problem_rejected(self, name, spec_k, plan_T):
-        # same node shape (M=12, N=10), built for another k or horizon
-        spec = MovingDomainSpec(k=0.25, T=3.0)
-        grid = build_time_grid(3.0, 12)
-        plan = _level_plan(MovingDomainSpec(k=spec_k, T=plan_T),
-                           build_time_grid(plan_T, 12), 10)
-        left = np.sin(grid.levels)
-        with pytest.raises(ValueError, match=rf"level plan was built for {name}="):
-            solve_forward(left, spec, grid, 10, plan=plan)
-        with pytest.raises(ValueError, match=rf"level plan was built for {name}="):
-            solve_backward(np.ones((13, 11)), spec, grid, 10, plan=plan)
-
 
 class TestShapeChecks:
     """Wrong-shaped data raise a ValueError naming the argument."""
@@ -647,8 +606,8 @@ class TestMarchMemory:
         left, x0, x1, source = data(N + 1), data(N + 1), data(N + 1), data(N + 1, N + 1)
         row = (N + 1) * np.dtype(dtype).itemsize
         for march in (
-            lambda: solve_forward(left, spec, grid, N, ic0=x0, ic1=x1, source=source, plan=plan),
-            lambda: solve_backward(source, spec, grid, N, terminal0=x0, terminal1=x1, plan=plan),
+            lambda: _march_forward(left, plan, x0, x1, source),
+            lambda: _march_backward(source, np.empty((N + 1, N + 1), dtype), plan, x0, x1),
         ):
             march()  # first calls fill numpy's own caches outside the measure
             tracemalloc.start()
@@ -735,12 +694,13 @@ class TestStepOperands:
         else:
             np.testing.assert_array_equal(plan.back, plan.ST[..., 1:].transpose(0, 2, 1))
             assert plan.back.base is plan.ST  # a view: no bytes beside ST
-        solve_forward(np.sin(grid.levels), spec, grid, N, plan=plan)
+        _march_forward(np.sin(grid.levels), plan)
         assert "paired_G" not in vars(plan)  # real marches build no paired G
-        solve_forward(np.sin(grid.levels) + 1j, spec, grid, N, plan=plan)
+        _march_forward(np.sin(grid.levels) + 1j, plan)
         paired_G = vars(plan)["paired_G"]
         np.testing.assert_array_equal(paired_G, np.stack([plan.G, plan.G], axis=-1))
-        solve_backward(np.ones((grid.M + 1, N + 1), complex), spec, grid, N, plan=plan)
+        _march_backward(np.ones((grid.M + 1, N + 1), complex),
+                        np.empty((grid.M + 1, N + 1), complex), plan)
         assert plan.paired_G is paired_G  # once per plan
         for a in (plan.back, plan.paired_G):
             with pytest.raises(ValueError, match="read-only"):
