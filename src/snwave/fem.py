@@ -90,11 +90,16 @@ def _check_shape(name: str, a, shape: tuple):
         raise ValueError(f"{name} has shape {np.shape(a)}, expected {shape}")
 
 
+def _check_given(name: str, a, shape: tuple):
+    """Reject an array argument ``name`` that is None or whose shape is not ``shape``."""
+    if a is None:
+        raise ValueError(f"{name} is None, expected shape {shape}")
+    _check_shape(name, a, shape)
+
+
 def _check_control(name: str, a, grid: TimeGrid):
     """Reject a control argument ``name`` that is None or not one sample per level of ``grid``."""
-    if a is None:
-        raise ValueError(f"{name} is None, expected shape {(grid.M + 1,)}")
-    _check_shape(name, a, (grid.M + 1,))
+    _check_given(name, a, (grid.M + 1,))
 
 
 def control_l2_norm(values: np.ndarray, segment: tuple, grid: TimeGrid) -> float:

@@ -114,7 +114,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import MovingDomainSpec, TimeGrid, _segment_levels, level_nodes
-from .fem import _check_control, _check_shape, _mass_pairing, boundary_flux_left, interpolate
+from .fem import (_check_control, _check_given, _check_shape, _mass_pairing, boundary_flux_left,
+                  interpolate)
 
 __all__ = [
     "Trajectory",
@@ -476,12 +477,6 @@ def _march_forward(left_boundary: np.ndarray, plan: _LevelPlan,
     return Trajectory(plan, frames)
 
 
-def _check_source(source, shape: tuple):
-    if source is None:
-        raise ValueError(f"source is None, expected shape {shape}")
-    _check_shape("source", source, shape)
-
-
 def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N: int, *,
                    terminal0: Optional[np.ndarray] = None,
                    terminal1: Optional[np.ndarray] = None) -> Trajectory:
@@ -501,7 +496,7 @@ def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N
     start velocity.
     """
     shape = (grid.M + 1, N + 1)
-    _check_source(source, shape)
+    _check_given("source", source, shape)
     _check_shape("terminal0", terminal0, shape[1:])
     _check_shape("terminal1", terminal1, shape[1:])
     plan = _level_plan(spec, grid, N)
@@ -574,7 +569,7 @@ def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
     on_segment = np.zeros_like(control)
     on_segment[idx] = control[idx]
     plan = _level_plan(spec, grid, N)
-    _check_source(source, plan.nodes.shape)
+    _check_given("source", source, plan.nodes.shape)
     u_hat = _march_forward(_left_trace(on_segment), plan)
     p = _march_backward(source, np.empty(plan.nodes.shape, _frame_dtype(source)), plan)
 
