@@ -38,10 +38,15 @@ def _mass_pairing(a: np.ndarray, b: np.ndarray, h: np.ndarray) -> float:
     1/6) with 1/3 at both ends, so row r contributes
     h[r] (4 sum_j a_j b_j - 2 (a_0 b_0 + a_N b_N) + sum_j (a_j b_{j+1} + a_{j+1} b_j)) / 6.
     """
+    return float(h @ _mass_rows(a, b)) / 6.0
+
+
+def _mass_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row r of ``_mass_pairing`` times 6/h[r], one value per row."""
     inner = np.einsum("rj,rj->r", a, b)
     cross = np.einsum("rj,rj->r", a[:, :-1], b[:, 1:]) + np.einsum("rj,rj->r", a[:, 1:], b[:, :-1])
     ends = a[:, 0] * b[:, 0] + a[:, -1] * b[:, -1]
-    return float(h @ (4.0 * inner - 2.0 * ends + cross)) / 6.0
+    return 4.0 * inner - 2.0 * ends + cross
 
 
 def interpolate(values: np.ndarray, x_target: np.ndarray, x_source: np.ndarray) -> np.ndarray:
@@ -98,8 +103,11 @@ def _check_given(name: str, a, shape: tuple):
 
 
 def _check_control(name: str, a, grid: TimeGrid):
-    """Reject a control argument ``name`` that is None or not one sample per level of ``grid``."""
+    """Reject a control argument ``name`` that is None, not one sample per
+    level of ``grid`` or holds a non-finite value."""
     _check_given(name, a, (grid.M + 1,))
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} holds a non-finite value")
 
 
 def control_l2_norm(values: np.ndarray, segment: tuple, grid: TimeGrid) -> float:

@@ -44,13 +44,14 @@ in the frames it fills (``solvers._march_backward``), and the map reads
 p only for w2': it returns ``(u, psi, phi)``.
 
 A solve holds its level plan and the frames the next step reads.  The
-loop keeps across a sweep only u, which the next sweep's du_l2 reads,
-and drops the previous sweep's psi and phi before the next sweep
-marches; only the last sweep's fields reach ``SNResult``.  So a sweep
-peaks at the plan and three frames: the previous u, the new u and the
-backward frames, each complex when the leader chain is live.  A result
-stores the solve's log and sweep map once: its ``iterations`` is the
-log's length, and its ``segments`` and ``target`` are the sweep's.
+loop runs the map's two halves itself and takes du_l2 between them,
+then drops the previous u; it drops the previous psi and phi before the
+next sweep marches.  So a sweep peaks at the plan and two frames, each
+complex when the leader chain is live (the two u's, then the new u and
+the backward frames), plus du_l2's difference block of at most 128 KB
+(``trajectory_l2_distance``).  A result is frozen with read-only arrays
+and stores the log, a tuple, and the sweep map once: its ``iterations``
+is the log's length, its ``segments`` and ``target`` the sweep's.
 
 The scheme maps all-zero data to exactly zero frames, so the map marches
 no forward field whose boundary data are all zero: it is the solve's one
@@ -230,10 +231,11 @@ class _Sweep:
     """The sweep map of one solve (module docstring), built by ``of``.
 
     ``sweep(w1, w2, psi_bc)`` returns ``((w1', w2', psi_bc'), (u, psi,
-    phi))``; ``nash_gradient_check`` and ``SNResult.p`` reuse its
-    ``state`` and ``adjoint``.  ``phi_terminal`` holds phi's nonzero
-    terminal data times i, as ``solve_backward``'s keywords; it is empty
-    for zero data.
+    phi))``: its forward half, which returns ``(u, psi)``, then its
+    backward half on them.  ``nash_gradient_check`` and ``SNResult.p``
+    reuse its ``state`` and ``adjoint``.  ``phi_terminal`` holds phi's
+    nonzero terminal data times i, as ``solve_backward``'s keywords; it
+    is empty for zero data.
     """
 
     plan: _LevelPlan
@@ -290,10 +292,18 @@ class _Sweep:
         return _march_backward(frames, frames, self.plan, **terminal)
 
     def __call__(self, w1: np.ndarray, w2: np.ndarray, psi_bc: np.ndarray):
+        return self.backward_half(*self.forward_half(w1, w2, psi_bc))
+
+    def forward_half(self, w1: np.ndarray, w2: np.ndarray, psi_bc: np.ndarray) -> tuple:
+        """The sweep's forward march: ``(u, psi)``."""
         left = _left_trace(w1, w2)
         if psi_bc.any():
             left = left + _imaginary(_left_trace(psi_bc))
-        u, psi = self._parts(self.forward(left))
+        return self._parts(self.forward(left))
+
+    def backward_half(self, u: Trajectory, psi: Trajectory) -> tuple:
+        """The sweep's backward march from the forward half's ``(u, psi)``:
+        ``((w1', w2', psi_bc'), (u, psi, phi))``."""
         p, phi = self._parts(self.adjoint(u, self.target, psi, **self.phi_terminal))
         nxt = (_segment_flux(phi, self.leader),
                _segment_flux(p, self.follower) / self.sigma,
@@ -308,9 +318,9 @@ class _Sweep:
         return Trajectory(self.plan, f.frames.real), Trajectory(self.plan, f.frames.imag)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SNResult:
-    """Outcome of a fixed-point run.
+    """Outcome of a fixed-point run, frozen, its arrays read-only.
 
     ``w1`` and ``w2`` are the final controls, bare ``(M+1,)`` arrays that
     are zero off their segments, the leader's ``segments.sigma1`` and the
@@ -320,8 +330,8 @@ class SNResult:
     chain they are the imaginary views of that sweep's two complex
     marches.  ``p`` is marched on its first read by the solve's sweep map,
     from ``u`` and ``target`` (u2 on u's levels), and kept.
-    ``iterations``, ``segments`` and ``target`` are read-only, read from
-    ``log`` and the sweep map, which hold them once.
+    ``iterations``, ``segments`` and ``target`` are read from ``log``, a
+    tuple, and the sweep map, which hold them once.
     """
 
     converged: bool
@@ -331,7 +341,11 @@ class SNResult:
     psi: Trajectory
     phi: Trajectory
     _sweep: _Sweep = field(repr=False, compare=False)
-    log: list = field(default_factory=list)
+    log: tuple = ()
+
+    def __post_init__(self):
+        for a in (self.w1, self.w2, self.u.frames, self.psi.frames, self.phi.frames):
+            a.flags.writeable = False
 
     @property
     def iterations(self) -> int:
@@ -349,7 +363,9 @@ class SNResult:
     def p(self) -> Trajectory:
         """The adjoint of ``u``: source u - target, zero terminal data."""
         with np.errstate(**_SWEEP_ERRSTATE):
-            return self._sweep.adjoint(self.u, self.target)
+            p = self._sweep.adjoint(self.u, self.target)
+        p.frames.flags.writeable = False
+        return p
 
 
 def evaluate_J2(u: Trajectory, w2: np.ndarray, segment: tuple, u2: TargetLike,
@@ -394,14 +410,16 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
     with np.errstate(**_SWEEP_ERRSTATE):
         for n in range(config.max_iter):
             psi = phi = None  # the next sweep reads only u_prev
-            (w1_new, w2_new, psi_bc), (u, psi, phi) = sweep(w1, w2, psi_bc)
+            u, psi = sweep.forward_half(w1, w2, psi_bc)
             if not np.isfinite(u.frames[M]).all():
                 raise diverged(n, "state", "state")
+            du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
+            u_prev = None  # the backward march holds only u and its own frames
+            (w1_new, w2_new, psi_bc), (u, psi, phi) = sweep.backward_half(u, psi)
             finite = [bool(np.isfinite(w).all()) for w in (w1_new, w2_new)]
             if not all(finite):
                 raise diverged(n, "control", "controls", w1_finite=finite[0], w2_finite=finite[1])
             stop, dw = _control_change((w1_new, w2_new), (w1, w2), idx, dt)
-            du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
             J2 = _follower_cost(u, w2, sweep.target, config.sigma, sweep.follower, dt)
             if not all(map(math.isfinite, (stop, du, dw, J2))):
                 raise diverged(n, "log", "log", stop_qty=stop, du_l2=du, dw_l2=dw, J2=J2)
@@ -414,7 +432,7 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
                 break
 
         u_final = sweep.state(w1, w2)
-    return SNResult(converged, w1, w2, u=u_final, psi=psi, phi=phi, _sweep=sweep, log=log)
+    return SNResult(converged, w1, w2, u=u_final, psi=psi, phi=phi, _sweep=sweep, log=tuple(log))
 
 
 def nash_residual(w2: np.ndarray, p: Trajectory, sigma: float,

@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 from pathlib import Path
@@ -362,9 +363,12 @@ class TestGoldenOutputs:
     byte: 4 sweeps each, the leader cases with the leader chain live.  The
     N=200 cases step on the folded operators (``solvers._FOLD_N``).  A
     change that moves any bit of the arithmetic regenerates them and says
-    why."""
+    why.  ``golden.json`` beside them records the BLAS kernel, numpy and
+    OpenBLAS they were written with; a failure names that kernel and the
+    running one, since another kernel may round a product differently."""
 
     GOLDEN = Path(__file__).parent / "golden"
+    PLATFORM = json.loads((Path(__file__).parent / "golden.json").read_text())
     LEADER = ["--phi-terminal", "bump:1.0", "--T-multiple", "2"]
     CASES = {
         "default-N20-M20": ["--N", "20", "--M", "20"],
@@ -374,10 +378,12 @@ class TestGoldenOutputs:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_csv_bytes(self, tmp_path, case):
+    def test_csv_bytes(self, tmp_path, case, blas_kernel):
         assert run_cli(["run", "--out", str(tmp_path), *self.CASES[case]]) == 0
         for name in ("iteration_log.csv", "final_state.csv"):
-            assert (tmp_path / name).read_bytes() == (self.GOLDEN / case / name).read_bytes()
+            assert (tmp_path / name).read_bytes() == (self.GOLDEN / case / name).read_bytes(), (
+                f"{case}/{name}: golden written on BLAS kernel {self.PLATFORM['blas_kernel']}, "
+                f"this run uses {blas_kernel}")
 
 
 class TestVerify:

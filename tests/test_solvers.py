@@ -20,6 +20,7 @@ from snwave import (
     trajectory_l2_norm,
 )
 import snwave.solvers as solvers
+from snwave.fem import _mass_pairing
 from p1_dense import dense_step, mass_matrix, stiffness_matrix
 from snwave.geometry import level_nodes, segment_mask
 from snwave.solvers import (Trajectory, _FOLD_N, _left_trace, _level_plan, _march,
@@ -758,6 +759,41 @@ class TestTrajectoryNorms:
         t2 = solve_forward(2 * b, spec, grid, 8)
         assert trajectory_l2_distance(t1, t2) == pytest.approx(
             trajectory_l2_distance(t2, t1), rel=1e-14)
+
+    @staticmethod
+    def _random_pair(N, complex_a):
+        """Two random trajectories on one plan with M = N; ``a``'s frames are
+        the real view of complex frames when ``complex_a``, as a sweep's u
+        is when the leader chain is live."""
+        grid = build_time_grid(1.0, N)
+        plan = _level_plan(MovingDomainSpec(k=0.25, T=1.0), grid, N)
+        rng = np.random.default_rng(N)
+        a, b = rng.standard_normal((2, *plan.nodes.shape))
+        if complex_a:
+            a = (a + 1j * rng.standard_normal(a.shape)).real
+            assert not a.flags.c_contiguous
+        return Trajectory(plan, a), Trajectory(plan, b)
+
+    @pytest.mark.parametrize("complex_a", [False, True])
+    @pytest.mark.parametrize("N", [20, 300])
+    def test_distance_has_the_full_size_formula_bits(self, N, complex_a):
+        # the difference is formed in blocks; at N = 300 in six of them
+        a, b = self._random_pair(N, complex_a)
+        d = a.frames[:N] - b.frames[:N]
+        want = float(np.sqrt(a.grid.dt * _mass_pairing(d, d, a.plan.h[:N])))
+        assert trajectory_l2_distance(a, b) == want
+
+    def test_distance_holds_no_full_size_difference(self):
+        N = 300
+        a, b = self._random_pair(N, False)
+        trajectory_l2_distance(a, b)  # first calls fill numpy's own caches
+        tracemalloc.start()
+        try:
+            trajectory_l2_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (N + 1) ** 2 * 8
 
     @pytest.mark.parametrize("name,k,T", [
         ("k", 0.5, 4.0),
