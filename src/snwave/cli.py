@@ -221,8 +221,9 @@ def _build_problem(cfg: RunConfig):
 
 
 def _dump_trajectory(path: Path, traj):
+    nodes = traj.plan.nodes
     rows = [(m, t, x, v) for m, t in enumerate(traj.grid.levels)
-            for x, v in zip(traj.plan.nodes[m], traj.frames[m])]
+            for x, v in zip(nodes[m], traj.frames[m])]
     write_csv(path, ("m", "t", "x", "value"), rows)
 
 
@@ -241,8 +242,8 @@ def cmd_run(cfg: RunConfig) -> int:
     write_csv(outdir / "iteration_log.csv",
               ("n", "stop_qty", "du_L2", "dw_L2", "J", "J2"),
               [(r.n, r.stop_qty, r.du_l2, r.dw_l2, r.J, r.J2) for r in result.log])
-    write_csv(outdir / "final_state.csv", ("x", "u"),
-              list(zip(result.u.plan.nodes[-1], result.u.frames[-1])))
+    _, x = level_nodes(spec, grid.T, cfg.N)
+    write_csv(outdir / "final_state.csv", ("x", "u"), list(zip(x, result.u.frames[-1])))
     if cfg.dump_frames:
         _dump_trajectory(outdir / "u_frames.csv", result.u)
         _dump_trajectory(outdir / "p_frames.csv", result.p)

@@ -49,7 +49,10 @@ then drops the previous u; it drops the previous psi and phi before the
 next sweep marches.  So a sweep peaks at the plan and two frames, each
 complex when the leader chain is live (the two u's, then the new u and
 the backward frames), plus du_l2's difference block of at most 128 KB
-(``trajectory_l2_distance``).  A result is frozen with read-only arrays
+(``trajectory_l2_distance``).  After the last sweep psi, then phi, is
+copied into frames of its own and the array it viewed is freed, before
+the final state march: a result holds no sweep's complex array.  A
+result is frozen with read-only arrays
 and stores the log, a tuple, and the sweep map once: its ``iterations``
 is the log's length, its ``segments`` and ``target`` the sweep's.
 
@@ -161,8 +164,9 @@ class IterationRecord:
     J2: float
 
 
-def _target(u2: TargetLike, nodes: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """The target u2 on every level: row m holds its values at ``nodes[m]``.
+def _target(u2: TargetLike, plan: _LevelPlan) -> np.ndarray:
+    """The target u2 on every level of ``plan``: row m holds its values at
+    ``plan.nodes[m]``, made once for a callable u2.
 
     A constant target is a read-only broadcast of its value, which holds
     no frame memory.  A callable returning a scalar is broadcast to the
@@ -172,9 +176,9 @@ def _target(u2: TargetLike, nodes: np.ndarray, grid: TimeGrid) -> np.ndarray:
     if not callable(u2):
         if not math.isfinite(u2):
             raise ValueError(f"u2 must be finite, got {u2}")
-        return np.broadcast_to(float(u2), nodes.shape)
-    out = np.empty(nodes.shape)
-    for m, (x, t) in enumerate(zip(nodes, grid.levels)):
+        return np.broadcast_to(float(u2), plan.shape)
+    out = np.empty(plan.shape)
+    for m, (x, t) in enumerate(zip(plan.nodes, plan.grid.levels)):
         vals = np.asarray(u2(x, float(t)), dtype=float)
         if vals.ndim != 0 and vals.shape != x.shape:
             raise ValueError(f"target u2 returned shape {vals.shape} at t={t}, "
@@ -263,8 +267,8 @@ class _Sweep:
                 terminal[f"terminal{i}"] = _imaginary(f)  # phi is the imaginary part of p + i phi
         if not any(f.any() for f in terminal.values()):
             terminal = {}
-        zero = Trajectory(plan, np.broadcast_to(0.0, plan.nodes.shape))
-        return cls(plan, _target(config.u2, plan.nodes, grid), zero, segments, leader, follower,
+        zero = Trajectory(plan, np.broadcast_to(0.0, plan.shape))
+        return cls(plan, _target(config.u2, plan), zero, segments, leader, follower,
                    config.sigma, terminal)
 
     def forward(self, left: np.ndarray) -> Trajectory:
@@ -285,7 +289,7 @@ class _Sweep:
         if psi is None:
             psi = self.zero
         paired = psi is not self.zero or bool(terminal)
-        frames = np.empty(self.plan.nodes.shape, complex if paired else float)
+        frames = np.empty(self.plan.shape, complex if paired else float)
         np.subtract(u.frames, target, out=frames.real)
         if paired:
             frames.imag = psi.frames
@@ -310,6 +314,11 @@ class _Sweep:
                _segment_flux(phi, self.follower) / self.sigma)
         return nxt, (u, psi, phi)
 
+    def own(self, f: Trajectory) -> Trajectory:
+        """``f`` on frames of its own, so the march array it views can be
+        freed; the zero trajectory as it is."""
+        return f if f is self.zero else Trajectory(self.plan, f.frames.copy())
+
     def _parts(self, f: Trajectory) -> tuple:
         """The real and the imaginary part of a march, as two trajectories;
         a real march's imaginary part is the zero trajectory."""
@@ -326,10 +335,11 @@ class SNResult:
     are zero off their segments, the leader's ``segments.sigma1`` and the
     follower's ``segments.sigma2``.  ``u`` and ``p`` are recomputed from
     them so the stored state/adjoint pair is consistent with ``w1``/``w2``;
-    ``psi`` and ``phi`` are the last sweep's fields; with a live leader
-    chain they are the imaginary views of that sweep's two complex
-    marches.  ``p`` is marched on its first read by the solve's sweep map,
-    from ``u`` and ``target`` (u2 on u's levels), and kept.
+    ``psi`` and ``phi`` are the last sweep's fields, on frames of their
+    own: with a live leader chain, copies of the imaginary parts of that
+    sweep's two complex marches.  ``p`` is marched on its first read by
+    the solve's sweep map, from ``u`` and ``target`` (u2 on u's levels),
+    and kept.
     ``iterations``, ``segments`` and ``target`` are read from ``log``, a
     tuple, and the sweep map, which hold them once.
     """
@@ -376,7 +386,7 @@ def evaluate_J2(u: Trajectory, w2: np.ndarray, segment: tuple, u2: TargetLike,
     grid = u.grid
     _check_control("w2", w2, grid)
     levels = _segment_levels("segment", segment, grid)
-    return _follower_cost(u, w2, _target(u2, u.plan.nodes, grid), sigma, levels, grid.dt)
+    return _follower_cost(u, w2, _target(u2, u.plan), sigma, levels, grid.dt)
 
 
 def evaluate_J(w1: np.ndarray, segment: tuple, grid: TimeGrid) -> float:
@@ -431,6 +441,9 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
                 converged = True
                 break
 
+        u = u_prev = None  # psi, then phi, take frames of their own; each sweep array is freed
+        psi = sweep.own(psi)
+        phi = sweep.own(phi)
         u_final = sweep.state(w1, w2)
     return SNResult(converged, w1, w2, u=u_final, psi=psi, phi=phi, _sweep=sweep, log=tuple(log))
 

@@ -48,12 +48,16 @@ N = ``_FOLD_N`` on: one march pair (forward and backward) at N = M = 300
 takes 0.85 of the unfolded time, at N = M = 100 1.2 of it, and the two
 cross between N = 150 and 200 (``_FOLD_N``'s comment).
 
-A solve builds its level plan once: the spacings ``h`` ``(M+1,)``, the
-nodes ``(M+1, N+1)`` and the step operators ``ST`` ``(N-1, N+1)``,
+A solve builds its level plan once: the spacings ``h`` and right ends
+``ends`` ``(M+1,)`` and the step operators ``ST`` ``(N-1, N+1)``,
 ``back``, ``G`` ``(M+1, N-1)`` and ``lift`` ``(M+1,)`` (``ST`` and
 ``G`` folded from N = ``_FOLD_N`` on, see ``_fold``), read-only, shared
 by every march of the solve, with the ``k`` and the time grid it was
-built for.  ``back`` is the back product's operator, below ``_FOLD_N``
+built for.  It holds no node array: level m's nodes are j h[m], j =
+0..N, ending at ``ends[m]``, and a march makes them ``_NODE_ROWS`` rows
+at a time (``_level_rows``); ``plan.nodes`` makes all of them on each
+read.  At N = M = 300 the plan holds 1.09 MB, where a stored node array
+made it 1.81 MB.  ``back`` is the back product's operator, below ``_FOLD_N``
 an F-contiguous copy of ``ST[:, 1:-1].T``: ``back.dot`` gives the bits
 of ``np.matmul`` on the strided view ``ST[:, 1:-1].T`` in less time
 (2.1-2.3 against 3.2-3.7 us a call at N = 100, 2-vCPU Xeon VM,
@@ -71,7 +75,7 @@ the values they produce.
 
 A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
 values of level m at ``plan.nodes[m]``, beside the plan, whose grid
-is the trajectory's.  A march fills
+and ``shape`` are the trajectory's.  A march fills
 one preallocated array.  It first writes dt^2 times its source into
 that array, so source rows are pre-scaled in ``out`` and step i reads
 row i+1 as its source term before it writes that row.  Each step forms
@@ -131,17 +135,18 @@ __all__ = [
 class Trajectory:
     """Nodal values of every time level: row m of ``frames`` lives on ``plan.nodes[m]``.
 
-    ``frames`` has shape ``(M+1, N+1)``; ``plan`` is the solve's level
-    plan, shared, not copied, and ``grid`` is the plan's.
+    ``frames`` has the plan's shape ``(M+1, N+1)``; ``plan`` is the
+    solve's level plan, shared, not copied, and ``grid`` is the plan's.
+    ``plan.nodes`` is made on each read.
     """
 
     plan: "_LevelPlan"
     frames: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.frames.shape != self.plan.nodes.shape:
+        if self.frames.shape != self.plan.shape:
             raise ValueError(f"trajectory of shape {self.frames.shape} on a plan of shape "
-                             f"{self.plan.nodes.shape}")
+                             f"{self.plan.shape}")
 
     @property
     def grid(self) -> TimeGrid:
@@ -264,14 +269,16 @@ def _plan_operators(h: np.ndarray, dt: float, N: int):
 @dataclass(frozen=True)
 class _LevelPlan:
     """What a solve's marches share, all read-only: level m's spacing
-    ``h[m]`` and nodes ``nodes[m]``, and the step operators ``ST``,
+    ``h[m]`` and right end ``ends[m]``, and the step operators ``ST``,
     ``back``, ``G`` and ``lift`` of ``_plan_operators``, built for the
-    boundary speed ``k`` on the time grid ``grid``."""
+    boundary speed ``k`` on the time grid ``grid``.  ``shape`` is its
+    frames' ``(M+1, N+1)``; ``nodes`` is made on each read."""
 
     k: float
     grid: TimeGrid
+    shape: tuple
     h: np.ndarray = field(repr=False)
-    nodes: np.ndarray = field(repr=False)
+    ends: np.ndarray = field(repr=False)
     ST: np.ndarray = field(repr=False)
     back: np.ndarray = field(repr=False)
     G: np.ndarray = field(repr=False)
@@ -286,6 +293,13 @@ class _LevelPlan:
         G.flags.writeable = False
         return G
 
+    @property
+    def nodes(self) -> np.ndarray:
+        """Level m's nodes in row m, a new read-only ``(M+1, N+1)`` array on each read."""
+        nodes = _node_rows(self.h, self.ends, np.empty(self.shape))
+        nodes.flags.writeable = False
+        return nodes
+
     def step_G(self, frames: np.ndarray) -> np.ndarray:
         """The ``G`` a march of ``frames`` scales by: ``paired_G`` for complex frames."""
         return self.paired_G if frames.dtype.kind == "c" else self.G
@@ -296,12 +310,44 @@ def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
     if spec.T != grid.T:
         raise ValueError(f"spec T={spec.T!r} is not the time grid's T={grid.T!r}")
     h, nodes = level_nodes(spec, grid.levels, N)
+    ends = nodes[:, -1].copy()
+    del nodes  # freed before the operators' build, whose peak it would raise
     with np.errstate(**_SWEEP_ERRSTATE):
         ops = _plan_operators(h, grid.dt, N)
-    plan = _LevelPlan(spec.k, grid, h, nodes, *ops)
-    for a in (plan.h, plan.nodes, plan.ST, plan.back, plan.G, plan.lift):
+    plan = _LevelPlan(spec.k, grid, (len(h), N + 1), h, ends, *ops)
+    for a in (plan.h, plan.ends, plan.ST, plan.back, plan.G, plan.lift):
         a.flags.writeable = False
     return plan
+
+
+def _node_rows(h: np.ndarray, ends: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The nodes j h[m], j = 0..N, ending at ``ends[m]``, of the levels
+    with spacings ``h``, one row each into ``out``: the bits of
+    ``level_nodes``'s rows.  A 1-term ``matmul`` writes the products with
+    no broadcast temporary."""
+    np.matmul(h[:, None], np.arange(out.shape[1], dtype=float)[None], out)
+    out[:, -1] = ends
+    return out
+
+
+# Rows of the block a march makes its levels' nodes in (``_level_rows``).
+# Consecutive blocks overlap by two rows, so a block serves _NODE_ROWS - 2
+# steps.  A march peaks at most 29.4 rows of N+1 values beyond its frames
+# (real, backward, N = M = 300; tracemalloc), against 20.4 when the plan
+# stored the nodes; 10-row blocks cost 1-2% more per march.
+_NODE_ROWS = 12
+
+
+def _level_rows(h: np.ndarray, ends: np.ndarray, N: int):
+    """For i = 0..len(h)-2: level i's nodes and the rows of levels i+1
+    and i+2 (one row at i = len(h)-2) as one view, made ``_NODE_ROWS``
+    rows at a time into one block by ``_node_rows``."""
+    block = np.empty((min(_NODE_ROWS, len(h)), N + 1))
+    steps = len(block) - 2
+    for s in range(0, len(h) - 1, steps):
+        rows = _node_rows(h[s:s + len(block)], ends[s:s + len(block)], block[:len(h) - s])
+        for i in range(min(steps, len(rows) - 1)):
+            yield rows[i], rows[i + 1:i + 3]
 
 
 def _real_columns(a: np.ndarray) -> np.ndarray:
@@ -315,8 +361,8 @@ def _frame_dtype(*data) -> type:
     return complex if any(map(np.iscomplexobj, data)) else float
 
 
-def _march(nodes, ST, back, G, lift, dt, x0, v0, left, source, out):
-    """Run the three-level implicit scheme over the levels of ``nodes``, ``G`` and ``lift``.
+def _march(h, ends, ST, back, G, lift, dt, x0, v0, left, source, out):
+    """Run the three-level implicit scheme over the levels of ``h``, ``G`` and ``lift``.
 
     Row 0 of ``out`` is the displacement ``x0`` and row 1 the first-order
     start x0 + dt*v0 interpolated onto the second level; for i >= 1 the
@@ -326,7 +372,8 @@ def _march(nodes, ST, back, G, lift, dt, x0, v0, left, source, out):
 
     on level i+1 with Dirichlet values ``left[i+1]`` at x = 0 and 0 at the
     moving end, where the tilde marks interpolation onto that level's
-    nodes.  All data are in march order; ``source`` may be None.  ``ST``
+    nodes: j h[i+1], j = 0..N, ending at ``ends[i+1]`` (``_level_rows``).
+    All data are in march order; ``source`` may be None.  ``ST``
     and ``back`` are the levels' shared forward and back operators, and
     ``G`` has one row per level in the shape of the forward product:
     ``G`` for real ``out``, ``_LevelPlan.paired_G`` for complex.  ``out``
@@ -372,16 +419,17 @@ def _march(nodes, ST, back, G, lift, dt, x0, v0, left, source, out):
     and for even N the item op that halves s[-1].
 
     Frame i is needed on level i+1 at step i and on level i+2 at step
-    i+1, so step i interpolates it once, onto the two rows
-    ``nodes[i+1:i+3]``, and keeps the second row for the next step; a
-    prologue puts frame 0 on level 2.  A march makes M+1 interpolation
-    calls.
+    i+1, so step i interpolates it once, onto the two node rows of those
+    levels, and keeps the second row for the next step; a prologue puts
+    frame 0 on level 2.  A march makes M+1 interpolation calls.
     """
     sourced = source is not None
     if sourced:
         np.multiply(source, dt * dt, out)
     out[0] = x0
-    out[1] = interpolate(x0 + dt * v0, nodes[1], nodes[0])
+    levels = _level_rows(h, ends, out.shape[1] - 1)
+    at, onto = next(levels)
+    out[1] = interpolate(x0 + dt * v0, onto[0], at)
     set_now = slice(2) if sourced else slice(None)  # rows whose boundary values go in now
     out[set_now, 0] = left[set_now]
     out[set_now, -1] = 0.0
@@ -405,10 +453,9 @@ def _march(nodes, ST, back, G, lift, dt, x0, v0, left, source, out):
             x, dest = _real_columns(w), _real_columns(out)[2:, 1:-1]
     y = np.empty(ST.shape[:-1] + x.shape[ST.ndim - 1:])  # the forward product
     G = G.reshape(len(G), *y.shape)  # a real folded G gains y's column axis
-    steps = zip(out[1:-1], nodes[1:-1], (nodes[j:j + 2] for j in range(2, len(nodes))),
-                out[2:], G[2:], dest, lifted[2:], left[2:])
-    ahead = interpolate(out[0], nodes[2], nodes[0])
-    for prev, at, onto, row, g, into, lifted_0, left_0 in steps:
+    ahead = interpolate(out[0], onto[1], at)
+    steps = zip(out[1:-1], levels, out[2:], G[2:], dest, lifted[2:], left[2:])
+    for prev, (at, onto), row, g, into, lifted_0, left_0 in steps:
         r = interpolate(prev, onto, at)
         np.multiply(r[0], 2.0, w)
         np.subtract(w, ahead, w)
@@ -469,11 +516,11 @@ def _march_forward(left_boundary: np.ndarray, plan: _LevelPlan,
                    ic0: Optional[np.ndarray] = None, ic1: Optional[np.ndarray] = None,
                    source: Optional[np.ndarray] = None) -> Trajectory:
     """``solve_forward``'s march on checked data and plan, into new frames."""
-    ic0 = ic0 if ic0 is not None else np.zeros(plan.nodes.shape[1])
-    ic1 = ic1 if ic1 is not None else np.zeros(plan.nodes.shape[1])
-    frames = np.empty(plan.nodes.shape, _frame_dtype(left_boundary, ic0, ic1, source))
-    _march(plan.nodes, plan.ST, plan.back, plan.step_G(frames), plan.lift, plan.grid.dt, ic0, ic1,
-           left_boundary, source, frames)
+    ic0 = ic0 if ic0 is not None else np.zeros(plan.shape[1])
+    ic1 = ic1 if ic1 is not None else np.zeros(plan.shape[1])
+    frames = np.empty(plan.shape, _frame_dtype(left_boundary, ic0, ic1, source))
+    _march(plan.h, plan.ends, plan.ST, plan.back, plan.step_G(frames), plan.lift, plan.grid.dt,
+           ic0, ic1, left_boundary, source, frames)
     return Trajectory(plan, frames)
 
 
@@ -516,8 +563,9 @@ def _march_backward(source: np.ndarray, frames: np.ndarray, plan: _LevelPlan,
     N = frames.shape[1] - 1
     term0 = terminal0 if terminal0 is not None else np.zeros(N + 1)
     term1 = terminal1 if terminal1 is not None else np.zeros(N + 1)
-    _march(plan.nodes[::-1], plan.ST, plan.back, plan.step_G(frames)[::-1], plan.lift[::-1],
-           plan.grid.dt, term0, -term1, np.zeros(len(frames)), source[::-1], frames[::-1])
+    _march(plan.h[::-1], plan.ends[::-1], plan.ST, plan.back, plan.step_G(frames)[::-1],
+           plan.lift[::-1], plan.grid.dt, term0, -term1, np.zeros(len(frames)), source[::-1],
+           frames[::-1])
     return Trajectory(plan, frames)
 
 
@@ -534,6 +582,12 @@ def _outward_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
 _DIFF_BYTES = 1 << 17
 
 
+def _check_real(name: str, traj: Trajectory):
+    """Raise a ``ValueError`` naming ``name`` when ``traj``'s frames are complex."""
+    if traj.frames.dtype.kind == "c":
+        raise ValueError(f"trajectory {name} has complex frames, expected real ones")
+
+
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
     """Space-time L2 distance, rectangle rule in time, mass pairing in space.
 
@@ -542,6 +596,8 @@ def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
     formed in row blocks of at most ``_DIFF_BYTES`` in one buffer; a row's
     value depends on that row alone, so the result has the full-size
     formula's bits."""
+    _check_real("a", a)
+    _check_real("b", b)
     if a.frames.shape != b.frames.shape:
         raise ValueError(f"trajectories of frame shapes {a.frames.shape} and "
                          f"{b.frames.shape} live on different grids")
@@ -563,6 +619,7 @@ def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
 def trajectory_l2_norm(a: Trajectory) -> float:
     """Space-time L2 norm of ``a``, by the rules of ``trajectory_l2_distance``:
     its distance from the zero field."""
+    _check_real("a", a)
     M = a.grid.M
     return float(np.sqrt(a.grid.dt * _mass_pairing(a.frames[:M], a.frames[:M], a.plan.h[:M])))
 
@@ -585,9 +642,9 @@ def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
     on_segment = np.zeros_like(control)
     on_segment[idx] = control[idx]
     plan = _level_plan(spec, grid, N)
-    _check_given("source", source, plan.nodes.shape)
+    _check_given("source", source, plan.shape)
     u_hat = _march_forward(_left_trace(on_segment), plan)
-    p = _march_backward(source, np.empty(plan.nodes.shape, _frame_dtype(source)), plan)
+    p = _march_backward(source, np.empty(plan.shape, _frame_dtype(source)), plan)
 
     M = grid.M
     volume = grid.dt * _mass_pairing(source[:M], u_hat.frames[:M], plan.h[:M])

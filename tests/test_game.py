@@ -496,7 +496,7 @@ class TestLazyAdjoint:
         N = 16
         res = fixed_point_solve(SNConfig(sigma=100.0, u2=u2, segments=segs), spec, grid, N)
         plan = res.u.plan
-        target = game._target(u2, plan.nodes, grid)
+        target = game._target(u2, plan)
         want = solve_backward(res.u.frames - target, spec, grid, N)
         np.testing.assert_array_equal(res.p.frames, want.frames)
         assert res.p.plan is plan
@@ -700,6 +700,32 @@ class TestSolveMemory:
         assert res.converged
         frame = (N + 1) ** 2 * np.dtype(complex if leader else float).itemsize
         assert peak - self._plan_bytes(res.u.plan) < 3 * frame
+        if N == 300:
+            # with its plan: 4.72 frames with an (M+1, N+1) node array in the plan, 3.72 without
+            assert peak < 4.2 * frame
+
+    def test_plan_holds_no_node_array(self):
+        # 2.50 frames at N = M = 300 with an (M+1, N+1) node array, 1.51 without
+        N = 300
+        plan = _level_plan(MovingDomainSpec(k=0.25, T=3.0), build_time_grid(3.0, N), N)
+        assert self._plan_bytes(plan) < 2 * (N + 1) ** 2 * 8
+
+    def test_leader_result_owns_psi_and_phi(self, small_setup):
+        """A live-leader result's psi and phi are copies of the last sweep's
+        imaginary parts, so it holds neither complex array of that sweep."""
+        spec, grid, segs = small_setup
+        N = 16
+        cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs,
+                       phi_terminal=bump_terminal(spec, grid, N))
+        res = fixed_point_solve(cfg, spec, grid, N)
+        sweep = game._Sweep.of(cfg, spec, grid, N)
+        state = (np.zeros(grid.M + 1),) * 3
+        for _ in range(res.iterations):
+            state, (_, psi, phi) = sweep(*state)
+        for got, want in ((res.psi, psi), (res.phi, phi)):
+            assert want.frames.base.dtype == complex
+            assert got.frames.base is None
+            np.testing.assert_array_equal(got.frames, want.frames)
 
 
 class TestNashResidual:

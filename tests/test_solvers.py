@@ -108,10 +108,10 @@ def assert_frames_close(traj, ref):
 def l2q_error_vs_separable(traj, exact):
     """Space-time L2 distance to an exact solution x, t -> u(x, t)."""
     acc = 0.0
-    grid, plan = traj.grid, traj.plan
-    N = plan.nodes.shape[1] - 1
+    grid, plan, nodes = traj.grid, traj.plan, traj.plan.nodes
+    N = plan.shape[1] - 1
     for m in range(grid.M):
-        d = traj.frames[m] - exact(plan.nodes[m], grid.levels[m])
+        d = traj.frames[m] - exact(nodes[m], grid.levels[m])
         acc += grid.dt * float(d @ mass_matrix(N, plan.h[m]) @ d)
     return np.sqrt(acc)
 
@@ -275,12 +275,12 @@ class TestThomasOracle:
         off = -1.0 / h + h / (6.0 * dt**2)
         assert (off > 0.0) == (dt_over_h < 0.5)
         rng = np.random.default_rng(N)
-        x = np.linspace(0.0, 1.3, N + 1)
         source = rng.standard_normal((3, N + 1))
         left = np.array([0.0, 0.0, rng.standard_normal()])
         out = np.empty((3, N + 1))
         zero = np.zeros(N + 1)
-        _march(np.array([x] * 3), *_plan_operators(np.full(3, h), dt, N), dt,
+        # three levels on [0, 1.3], the nodes of np.linspace(0.0, 1.3, N + 1)
+        _march(np.full(3, h), np.full(3, 1.3), *_plan_operators(np.full(3, h), dt, N), dt,
                zero, zero, left, source, out)
         ref = dense_step(h, dt, mass_matrix(N, h) @ source[2], left[2])
         assert np.max(np.abs(out[2] - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
@@ -462,11 +462,12 @@ class TestLevelPlan:
                 for N in (2, 3, 100, 300):
                     plan = _level_plan(spec, grid, N)
                     assert plan.h.shape == (M + 1,)
-                    assert plan.nodes.shape == (M + 1, N + 1)
+                    nodes = plan.nodes
+                    assert nodes.shape == plan.shape == (M + 1, N + 1)
                     for m, t in enumerate(grid.levels):
                         h, x = level_nodes(spec, t, N)
                         assert plan.h[m].view(np.int64) == h.view(np.int64)
-                        np.testing.assert_array_equal(plan.nodes[m].view(np.int64),
+                        np.testing.assert_array_equal(nodes[m].view(np.int64),
                                                       x.view(np.int64))
         grid = build_time_grid(3.0, 12)
         dt2 = grid.dt**2
@@ -620,6 +621,35 @@ class TestMarchMemory:
             assert peak - (N + 1) * row < 32 * row
 
 
+class TestNodeBlocks:
+    """A march makes its levels' nodes ``_NODE_ROWS`` rows at a time, in
+    blocks that overlap by two rows; a single block of every level gives
+    the same frames."""
+
+    # M is no multiple of the block; at 12 rows, M = 101 ends on a 2-row block
+    @pytest.mark.parametrize("N,M", [(100, 101), (100, 37), (300, 293)])  # 300: folded
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_frames_do_not_depend_on_the_block_size(self, monkeypatch, N, M, dtype):
+        spec = MovingDomainSpec(k=0.25, T=3.0)
+        plan = _level_plan(spec, build_time_grid(3.0, M), N)
+        rng = np.random.default_rng(M)
+
+        def data(*shape):
+            a = rng.standard_normal(shape)
+            return a + 1j * rng.standard_normal(shape) if dtype is complex else a
+
+        left, x0, x1, source = data(M + 1), data(N + 1), data(N + 1), data(M + 1, N + 1)
+
+        def marches():
+            return (_march_forward(left, plan, x0, x1, source).frames,
+                    _march_backward(source, np.empty((M + 1, N + 1), dtype), plan, x0, x1).frames)
+
+        blocked = marches()
+        monkeypatch.setattr(solvers, "_NODE_ROWS", M + 2)
+        for got, want in zip(blocked, marches()):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestPreScaledSource:
     """A march writes dt^2 times its source into its own frames and reads
     each row back as the step's source term: the caller's source keeps
@@ -768,7 +798,7 @@ class TestTrajectoryNorms:
         grid = build_time_grid(1.0, N)
         plan = _level_plan(MovingDomainSpec(k=0.25, T=1.0), grid, N)
         rng = np.random.default_rng(N)
-        a, b = rng.standard_normal((2, *plan.nodes.shape))
+        a, b = rng.standard_normal((2, *plan.shape))
         if complex_a:
             a = (a + 1j * rng.standard_normal(a.shape)).real
             assert not a.flags.c_contiguous
@@ -808,6 +838,24 @@ class TestTrajectoryNorms:
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ValueError, match=rf"level plan was built for {name}="):
                 trajectory_l2_distance(x, y)
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda c, r: trajectory_l2_norm(c), "a"),
+        (lambda c, r: trajectory_l2_distance(c, r), "a"),
+        (lambda c, r: trajectory_l2_distance(r, c), "b"),
+    ])
+    def test_complex_trajectory_names_the_argument(self, call, name):
+        spec = MovingDomainSpec(k=0.25, T=1.0)
+        grid = build_time_grid(1.0, 8)
+        c = solve_forward(1j * np.linspace(0, 1, 9), spec, grid, 8)
+        zero = Trajectory(c.plan, np.zeros(c.plan.shape))
+        with pytest.raises(ValueError, match=f"trajectory {name} has complex frames"):
+            call(c, zero)
+        # a strided real view of complex frames, as du_l2 reads on a live leader chain, passes
+        view = Trajectory(c.plan, c.frames.imag)
+        owned = Trajectory(c.plan, c.frames.imag.copy())
+        assert call(view, zero) == pytest.approx(call(owned, zero), rel=1e-14)
+        assert call(owned, zero) > 0.0
 
     def test_distance_between_different_meshes_rejected(self):
         spec = MovingDomainSpec(k=0.25, T=1.0)
