@@ -1,13 +1,22 @@
 """Command-line harness: single runs, parameter sweeps and mesh tables.
 
-Subcommands
------------
+Usage: snwave <command> [options]
+
+Commands
+--------
 run          one fixed-point solve; writes iteration_log.csv and
              final_state.csv (x vs u(x, T)) to the output directory
 table-T      sweep T = 1..10 x T_c at fixed sigma -> table_T.csv
 table-sigma  sweep sigma = 10^1..10^10 at fixed T -> table_sigma.csv
 table-mesh   space-time mesh statistics for T = 1..10 x T_c -> table_mesh.csv
 verify       run the built-in oracle battery; one PASS/FAIL line each
+
+Every command accepts every option; each option is a ``RunConfig`` field
+and its config-file key.  --T and --T-multiple set the horizon of run and
+table-sigma; table-T and table-mesh run the multiples 1..10 of T_c and
+reject any other horizon.  --target-edge is read by table-mesh alone.
+--dump-frames is run's alone; any other command rejects it.  verify reads
+no option.
 
 CSV columns (full-precision scientific notation, one header row)
 -----------------------------------------------------------------
@@ -34,7 +43,7 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,22 +70,28 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """Flat run configuration; field names double as config-file keys."""
+    """Flat run configuration.  Each field is a config-file key and, with
+    ``-`` for ``_``, a command-line flag; its metadata holds the flag's help."""
 
-    k: float = 0.25
-    T_multiple: float = 1.0
-    T: float = 0.0          # > 0 overrides T_multiple * T_c(k)
-    N: int = 100
-    M: int = 100
-    sigma: float = 100.0
-    epsilon: float = 1e-5
-    max_iter: int = 100
-    u2: float = 10.0
-    segments: str = "disjoint-halves"
-    phi_terminal: str = "zero"
-    out: str = "."
-    target_edge: float = 0.0  # > 0 overrides the T/BORDER_SEGMENTS policy
-    dump_frames: bool = False
+    k: float = field(default=0.25, metadata={"help": "boundary speed in [0, 1)"})
+    T_multiple: float = field(default=1.0, metadata={
+        "help": "horizon as a multiple of T_c(k) for run and table-sigma"})
+    T: float = field(default=0.0, metadata={
+        "help": "explicit horizon for run and table-sigma (overrides the multiple)"})
+    N: int = field(default=100, metadata={"help": "spatial elements per level"})
+    M: int = field(default=100, metadata={"help": "time steps"})
+    sigma: float = field(default=100.0, metadata={"help": "follower penalty weight"})
+    epsilon: float = field(default=1e-5, metadata={"help": "stopping tolerance"})
+    max_iter: int = field(default=100, metadata={"help": "sweep cap"})
+    u2: float = field(default=10.0, metadata={"help": "tracking target value"})
+    segments: str = field(default="disjoint-halves", metadata={
+        "help": "boundary segment split: disjoint-halves or additive-overlap"})
+    phi_terminal: str = field(default="zero", metadata={"help": "'zero' or 'bump[:amplitude]'"})
+    out: str = field(default=".", metadata={"help": "output directory for CSV files"})
+    target_edge: float = field(default=0.0, metadata={
+        "help": "mesh table edge length (default T/128 per row)"})
+    dump_frames: bool = field(default=False, metadata={
+        "help": "run only: also write per-level trajectory CSVs"})
 
     def validate(self):
         for name in ("k", "T", "T_multiple", "sigma", "epsilon", "u2", "target_edge"):
@@ -222,8 +237,8 @@ def _build_problem(cfg: RunConfig):
 
 def _dump_trajectory(path: Path, traj):
     nodes = traj.plan.nodes
-    rows = [(m, t, x, v) for m, t in enumerate(traj.grid.levels)
-            for x, v in zip(nodes[m], traj.frames[m])]
+    rows = ((m, t, x, v) for m, t in enumerate(traj.grid.levels)
+            for x, v in zip(nodes[m], traj.frames[m]))
     write_csv(path, ("m", "t", "x", "value"), rows)
 
 
@@ -333,63 +348,6 @@ def cmd_verify(_cfg: RunConfig) -> int:
     return 0 if failed == 0 else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: ``parse_args`` returns a
-    new namespace each call and leaves the parser as it was."""
-    parser = argparse.ArgumentParser(
-        prog="snwave",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value configuration file")
-    common.add_argument("--k", type=float, help="boundary speed in [0, 1)")
-    common.add_argument("--T-multiple", dest="T_multiple", type=float,
-                        help="horizon as a multiple of T_c(k) for run and table-sigma")
-    common.add_argument("--T", type=float,
-                        help="explicit horizon for run and table-sigma (overrides the multiple)")
-    common.add_argument("--N", type=int, help="spatial elements per level")
-    common.add_argument("--M", type=int, help="time steps")
-    common.add_argument("--sigma", type=float, help="follower penalty weight")
-    common.add_argument("--epsilon", type=float, help="stopping tolerance")
-    common.add_argument("--max-iter", dest="max_iter", type=int, help="sweep cap")
-    common.add_argument("--u2", type=float, help="tracking target value")
-    common.add_argument("--segments", choices=["disjoint-halves", "additive-overlap"],
-                        help="boundary segment split")
-    common.add_argument("--phi-terminal", dest="phi_terminal",
-                        help="'zero' or 'bump[:amplitude]'")
-    common.add_argument("--out", help="output directory for CSV files")
-    common.add_argument("--target-edge", dest="target_edge", type=float,
-                        help="mesh table edge length (default T/128 per row)")
-    specs = {
-        "run": "single fixed-point solve",
-        "table-T": "sweep the horizon T = 1..10 x T_c",
-        "table-sigma": "sweep sigma = 10^1..10^10",
-        "table-mesh": "space-time mesh statistics table",
-        "verify": "run the built-in oracle battery",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        if name == "run":
-            p.add_argument("--dump-frames", dest="dump_frames", action="store_true",
-                           default=None, help="also write per-level trajectory CSVs")
-    return parser
-
-
-def _merge_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = replace(cfg, **load_config_file(args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            overrides[f.name] = val
-    return replace(cfg, **overrides)
-
-
 COMMANDS = {
     "run": cmd_run,
     "table-T": cmd_table_T,
@@ -399,11 +357,45 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process from ``RunConfig``'s fields:
+    ``parse_args`` returns a new namespace each call and leaves the parser
+    as it was.  A flag left out parses to None, so it overrides nothing."""
+    parser = argparse.ArgumentParser(
+        prog="snwave",
+        usage="%(prog)s <command> [options]",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="flat key=value configuration file")
+    for f in fields(RunConfig):
+        flag, help_text = "--" + f.name.replace("_", "-"), f.metadata["help"]
+        if isinstance(f.default, bool):
+            parser.add_argument(flag, dest=f.name, action="store_true", default=None,
+                                help=help_text)
+        else:
+            parser.add_argument(flag, dest=f.name, type=type(f.default), help=help_text)
+    return parser
+
+
+def _merge_config(args) -> RunConfig:
+    values = load_config_file(args.config) if args.config else {}
+    for f in fields(RunConfig):
+        if (flag := getattr(args, f.name)) is not None:
+            values[f.name] = flag
+    return RunConfig(**values)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
+        if cfg.dump_frames and args.command != "run":
+            raise UsageError(f"dump_frames: {args.command} writes no per-level frames; "
+                             "only run takes dump_frames")
         return COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

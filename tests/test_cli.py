@@ -1,12 +1,20 @@
+import dataclasses
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import snwave.cli as cli
 import snwave.solvers as solvers
+from snwave import MovingDomainSpec, build_time_grid, solve_forward
 from snwave.game import DivergenceError
 
 
@@ -65,6 +73,24 @@ class TestRun:
         assert len(frames) == 1 + 11 * 11
         assert (tmp_path / "p_frames.csv").exists()
 
+    def test_dump_writes_rows_as_it_goes(self, tmp_path):
+        """The frame dump holds the node rows (one frame) and the file's
+        buffers, not a tuple per node: a list of them peaked at 15.7 frames
+        on this trajectory."""
+        N = M = 100
+        traj = solve_forward(np.linspace(0.0, 1.0, M + 1), MovingDomainSpec(k=0.25, T=4.0),
+                             build_time_grid(4.0, M), N)
+        cli._dump_trajectory(tmp_path / "warm.csv", traj)  # fills numpy's own caches
+        tracemalloc.start()
+        try:
+            cli._dump_trajectory(tmp_path / "u_frames.csv", traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * traj.frames.nbytes
+        lines = (tmp_path / "u_frames.csv").read_text().splitlines()
+        assert len(lines) == 1 + (M + 1) * (N + 1)
+
     def test_explicit_horizon_fixed_domain(self, tmp_path):
         with pytest.warns(UserWarning, match="moving-boundary"):
             rc = run_cli(["run", "--out", str(tmp_path), "--k", "0", "--T", "1.0",
@@ -88,6 +114,54 @@ class TestParser:
         assert len((a / "final_state.csv").read_text().splitlines()) == 1 + 21
         assert len((b / "final_state.csv").read_text().splitlines()) == 1 + 101
         assert (a / "u_frames.csv").exists() and not (b / "u_frames.csv").exists()
+
+    def test_one_option_per_field(self):
+        """One parser, no subcommands: ``config`` plus a ``--`` flag per
+        ``RunConfig`` field that parses to the type of the field's default."""
+        parser = cli.build_parser()
+        options = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+        config_fields = dataclasses.fields(cli.RunConfig)
+        assert set(options) == {"config"} | {f.name for f in config_fields}
+        (command,) = [a for a in parser._actions if not a.option_strings]
+        assert command.dest == "command" and list(command.choices) == list(cli.COMMANDS)
+        for f in config_fields:
+            flag = "--" + f.name.replace("_", "-")
+            assert options[f.name].option_strings == [flag]
+            argv = [flag] if isinstance(f.default, bool) else [flag, str(f.default)]
+            value = getattr(parser.parse_args(["run", *argv]), f.name)
+            assert type(value) is type(f.default)
+            assert value == (True if isinstance(f.default, bool) else f.default)
+            assert getattr(parser.parse_args(["run"]), f.name) is None
+
+    def test_readme_cli_lines_parse(self):
+        # every command line in the README's CLI section parses, so the
+        # section cannot drift from the options
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```sh\n(.*?)```", readme.split("## CLI", 1)[1], re.S).group(1)
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        lines = [words for words in lines if words and words[0] == "snwave"]
+        assert len(lines) >= 7
+        for words in lines:
+            args = cli.build_parser().parse_args(words[1:])
+            assert args.command in cli.COMMANDS
+
+    def test_module_entry(self, tmp_path):
+        paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+        def entry(*args):
+            return subprocess.run([sys.executable, "-m", "snwave.cli", *args, "--out",
+                                   str(tmp_path)], env=env, capture_output=True, text=True,
+                                  timeout=120)
+
+        done = entry("run", "--N", "4", "--M", "4")
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["final_state.csv",
+                                                              "iteration_log.csv"]
+        done = entry("table-T", "--dump-frames")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: dump_frames: ")
+        assert not (tmp_path / "table_T.csv").exists()
 
 
 class TestConfigFile:
@@ -284,6 +358,23 @@ class TestTables:
         assert re.search(rf"^error: T_multiple: {command} runs the multiples 1\.\.10 of T_c "
                          r"and takes no other multiple, got T_multiple=5\.0$", err, re.M)
         assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("command", ["table-T", "table-sigma", "table-mesh", "verify"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_dump_frames_is_usage_error(self, tmp_path, capsys, command, source):
+        # only run writes per-level frames, from the flag or the config key
+        if source == "flag":
+            args = ["--dump-frames"]
+        else:
+            cfgfile = tmp_path / "frames.cfg"
+            cfgfile.write_text("dump_frames = yes\n")
+            args = ["--config", str(cfgfile)]
+        rc = run_cli([command, *args, "--out", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(rf"error: dump_frames: {command} writes no per-level frames; "
+                            r"only run takes dump_frames\n", captured.err)
+        assert captured.out == "" and list(tmp_path.glob("*.csv")) == []
 
     def test_table_T_small(self, tmp_path):
         rc = run_cli(["table-T", "--out", str(tmp_path), "--N", "30", "--M", "30"])
