@@ -236,9 +236,10 @@ def _build_problem(cfg: RunConfig):
 
 
 def _dump_trajectory(path: Path, traj):
-    nodes = traj.plan.nodes
+    """Write ``traj``'s ``(m, t, x, value)`` rows, making one level's node row at a time."""
+    spec, N = MovingDomainSpec(traj.plan.k, traj.grid.T), traj.plan.shape[1] - 1
     rows = ((m, t, x, v) for m, t in enumerate(traj.grid.levels)
-            for x, v in zip(nodes[m], traj.frames[m]))
+            for x, v in zip(level_nodes(spec, t, N)[1], traj.frames[m]))
     write_csv(path, ("m", "t", "x", "value"), rows)
 
 

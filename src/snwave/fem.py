@@ -11,10 +11,12 @@ target node lies beyond the source's right endpoint.
 ``boundary_flux_left`` takes one frame or a stack of frames with their
 spacings.  No mass or stiffness matrix is assembled: every level mesh is
 the same uniform mesh rescaled, so both operators are stencils of the
-spacing h.  The space-time mass pairings of the solvers, the game and
-the verification battery are one row-wise stencil over a stack of
-frames, ``_mass_pairing``, which loops over no level; the step solve
-applies both operators through the level plan of ``solvers``.
+spacing h.  The space-time mass pairing is one row-wise stencil over a
+stack of frames, ``_mass_rows``, which loops over no level:
+``solvers._squared_distance`` sums its rows for every space-time L2
+distance and norm of a solve, and ``_mass_pairing`` pairs two stacks
+for ``solvers.duality_residual`` and the verification battery.  The step
+solve applies both operators through the level plan of ``solvers``.
 """
 
 from __future__ import annotations

@@ -43,13 +43,21 @@ bits do not depend on the controls.  The backward march forms its source
 in the frames it fills (``solvers._march_backward``), and the map reads
 p only for w2': it returns ``(u, psi, phi)``.
 
+The map has one entry per direction: ``_Sweep.state`` marches forward
+(``forward_half`` splits it into u and psi) and ``_Sweep.adjoint``
+backward from the source u - u2.  A field is read one way each: its
+outward flux on a segment's levels by ``solvers._segment_flux``, which
+gives the three updates and ``nash_residual``'s defect, and its
+space-time L2 form by ``solvers._squared_distance``, which gives du_l2
+and the tracking term of J2.
+
 A solve holds its level plan and the frames the next step reads.  The
 loop runs the map's two halves itself and takes du_l2 between them,
 then drops the previous u; it drops the previous psi and phi before the
 next sweep marches.  So a sweep peaks at the plan and two frames, each
 complex when the leader chain is live (the two u's, then the new u and
-the backward frames), plus du_l2's difference block of at most 128 KB
-(``trajectory_l2_distance``).  After the last sweep psi, then phi, is
+the backward frames), plus one difference block of at most 128 KB,
+which du_l2 and J2 form in turn.  After the last sweep psi, then phi, is
 copied into frames of its own and the array it viewed is freed, before
 the final state march: a result holds no sweep's complex array.  A
 result is frozen with read-only arrays
@@ -77,7 +85,7 @@ import numpy as np
 
 from .geometry import (BoundarySegments, MovingDomainSpec, TimeGrid, _check_integer,
                        _segment_levels)
-from .fem import _check_control, _check_shape, _mass_pairing, _segment_norm
+from .fem import _check_control, _check_shape, _segment_norm
 from .solvers import (
     _SWEEP_ERRSTATE,
     Trajectory,
@@ -86,7 +94,8 @@ from .solvers import (
     _level_plan,
     _march_backward,
     _march_forward,
-    _outward_flux,
+    _segment_flux,
+    _squared_distance,
     trajectory_l2_distance,
 )
 
@@ -196,13 +205,6 @@ def _imaginary(f: np.ndarray) -> np.ndarray:
     return z
 
 
-def _segment_flux(f: Trajectory, idx: np.ndarray) -> np.ndarray:
-    """``f``'s outward flux at x = 0 on the levels ``idx``, 0 elsewhere."""
-    flux = np.zeros(len(f.frames))
-    flux[idx] = _outward_flux(f, idx)
-    return flux
-
-
 def _control_change(new: tuple, old: tuple, idx: tuple, dt: float) -> tuple:
     """The log's ``(stop_qty, dw_l2)`` for the update ``old -> new`` of a
     (leader, follower) pair of bare arrays with level indices ``idx``.
@@ -224,9 +226,7 @@ def _follower_cost(u: Trajectory, w2: np.ndarray, target: np.ndarray, sigma: flo
                    levels, dt: float) -> float:
     """J2 of the state ``u`` and the bare follower control ``w2`` on its
     segment's ``levels``, with u2 given as ``target`` on u's levels."""
-    M = len(u.frames) - 1
-    d = u.frames[:M] - target[:M]
-    track = dt * _mass_pairing(d, d, u.plan.h[:M])
+    track = _squared_distance(u.frames, target, u.plan)
     return 0.5 * track + 0.5 * sigma * _segment_norm(w2, levels, dt) ** 2
 
 
@@ -271,17 +271,19 @@ class _Sweep:
         return cls(plan, _target(config.u2, plan), zero, segments, leader, follower,
                    config.sigma, terminal)
 
-    def forward(self, left: np.ndarray) -> Trajectory:
-        """The march from rest with boundary data ``left``; zero data need none."""
+    def state(self, w1: np.ndarray, w2: np.ndarray,
+              psi_bc: Optional[np.ndarray] = None) -> Trajectory:
+        """The forward march from rest with the trace of w1 + w2: u.  With
+        a nonzero ``psi_bc`` it is the complex march u + i psi, plus i times
+        psi_bc's trace.  Zero data need no march: the zero trajectory."""
+        left = _left_trace(w1, w2)
+        if psi_bc is not None and psi_bc.any():
+            left = left + _imaginary(_left_trace(psi_bc))
         if not left.any():
             return self.zero
         return _march_forward(left, self.plan)
 
-    def state(self, w1: np.ndarray, w2: np.ndarray) -> Trajectory:
-        return self.forward(_left_trace(w1, w2))
-
-    def adjoint(self, u: Trajectory, target: np.ndarray, psi: Optional[Trajectory] = None,
-                **terminal) -> Trajectory:
+    def adjoint(self, u: Trajectory, psi: Optional[Trajectory] = None, **terminal) -> Trajectory:
         """The backward march from the source u - target: p.  With a nonzero
         ``psi`` or with phi's terminal data (times i) it is the complex
         march p + i phi from the source (u - target) + i psi.  The source is
@@ -290,7 +292,7 @@ class _Sweep:
             psi = self.zero
         paired = psi is not self.zero or bool(terminal)
         frames = np.empty(self.plan.shape, complex if paired else float)
-        np.subtract(u.frames, target, out=frames.real)
+        np.subtract(u.frames, self.target, out=frames.real)
         if paired:
             frames.imag = psi.frames
         return _march_backward(frames, frames, self.plan, **terminal)
@@ -300,15 +302,12 @@ class _Sweep:
 
     def forward_half(self, w1: np.ndarray, w2: np.ndarray, psi_bc: np.ndarray) -> tuple:
         """The sweep's forward march: ``(u, psi)``."""
-        left = _left_trace(w1, w2)
-        if psi_bc.any():
-            left = left + _imaginary(_left_trace(psi_bc))
-        return self._parts(self.forward(left))
+        return self._parts(self.state(w1, w2, psi_bc))
 
     def backward_half(self, u: Trajectory, psi: Trajectory) -> tuple:
         """The sweep's backward march from the forward half's ``(u, psi)``:
         ``((w1', w2', psi_bc'), (u, psi, phi))``."""
-        p, phi = self._parts(self.adjoint(u, self.target, psi, **self.phi_terminal))
+        p, phi = self._parts(self.adjoint(u, psi, **self.phi_terminal))
         nxt = (_segment_flux(phi, self.leader),
                _segment_flux(p, self.follower) / self.sigma,
                _segment_flux(phi, self.follower) / self.sigma)
@@ -373,7 +372,7 @@ class SNResult:
     def p(self) -> Trajectory:
         """The adjoint of ``u``: source u - target, zero terminal data."""
         with np.errstate(**_SWEEP_ERRSTATE):
-            p = self._sweep.adjoint(self.u, self.target)
+            p = self._sweep.adjoint(self.u)
         p.frames.flags.writeable = False
         return p
 
@@ -459,12 +458,9 @@ def nash_residual(w2: np.ndarray, p: Trajectory, sigma: float,
     grid = p.grid
     _check_control("w2", w2, grid)
     idx = _segment_levels("sigma2", segments.sigma2, grid)
-    r = sigma * w2[idx] - _segment_flux(p, idx)[idx]
-    defect = grid.dt * float(np.sum(r * r))
+    defect = _segment_norm(sigma * w2 - _segment_flux(p, idx), idx, grid.dt)
     denom = sigma * _segment_norm(w2, idx, grid.dt)
-    if denom == 0.0:
-        return math.sqrt(defect)
-    return math.sqrt(defect) / denom
+    return defect if denom == 0.0 else defect / denom
 
 
 @dataclass(frozen=True)
@@ -527,7 +523,7 @@ def nash_gradient_check(w1: np.ndarray, w2: np.ndarray, config: SNConfig,
     analytic = np.empty(n_directions)
     rels = np.empty(n_directions)
     with np.errstate(**_SWEEP_ERRSTATE):
-        flux = _segment_flux(sweep.adjoint(sweep.state(v1, v2), sweep.target), idx)
+        flux = _segment_flux(sweep.adjoint(sweep.state(v1, v2)), idx)
         for d in range(n_directions):
             coefs = rng.standard_normal(3)
             direction = np.zeros(grid.M + 1)

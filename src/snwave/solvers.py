@@ -56,17 +56,14 @@ by every march of the solve, with the ``k`` and the time grid it was
 built for.  It holds no node array: level m's nodes are j h[m], j =
 0..N, ending at ``ends[m]``, and a march makes them ``_NODE_ROWS`` rows
 at a time (``_level_rows``); ``plan.nodes`` makes all of them on each
-read.  At N = M = 300 the plan holds 1.09 MB, where a stored node array
-made it 1.81 MB.  ``back`` is the back product's operator, below ``_FOLD_N``
-an F-contiguous copy of ``ST[:, 1:-1].T``: ``back.dot`` gives the bits
-of ``np.matmul`` on the strided view ``ST[:, 1:-1].T`` in less time
-(2.1-2.3 against 3.2-3.7 us a call at N = 100, 2-vCPU Xeon VM,
-OpenBLAS; BENCH_step-calls.json), and
+read, for a callable u2.  ``back`` is the back product's operator: below
+``_FOLD_N`` an F-contiguous copy of ``ST[:, 1:-1].T``, whose ``back.dot``
+gives the bits of ``np.matmul`` on the strided view in less time, and
 from ``_FOLD_N`` on a view of the folded ``ST``'s columns 1..N//2,
-transposed, so the plan stores each value once.  The
-solve's first complex march adds ``paired_G``, ``G`` repeated over the
-two real columns of the products, so the scaling reads contiguous rows.
-Every entry builds its plan by ``_level_plan``, which rejects a spec whose
+transposed, so the plan stores each value once.  The solve's first
+complex march adds ``paired_G``, ``G`` repeated over the two real
+columns of the products, so the scaling reads contiguous rows.  Every
+entry builds its plan by ``_level_plan``, which rejects a spec whose
 horizon T is not the grid's, and marches on it through one private entry
 per direction, ``_march_forward`` or ``_march_backward``.  Nothing is
 cached across solves.  A time step whose square underflows to 0 gives
@@ -95,6 +92,18 @@ read: a read-only or broadcast array serves.  The game's adjoint
 marches and passes them to ``_march_backward`` as both: the march
 scales them in place, with the same roundings, and holds no second
 full-size array.
+
+A solve reads its fields two ways, each in one place.
+``_squared_distance(a, b, plan)`` is dt times the sum over m < M of the
+mass pairing of a[m] - b[m] with itself, the space-time L2 form: its
+square root is ``trajectory_l2_distance`` (the game's du_l2) and
+``trajectory_l2_norm``, and half of it is J2's tracking term.  It forms the
+difference in row blocks of one contiguous buffer, so its bits do not
+depend on the frames' layout: a real view of complex frames reads as its
+copy.  ``_segment_flux(traj, idx)`` is the outward flux d/d nu = -d/dx
+at x = 0 on the levels ``idx``, 0 elsewhere: the sweep's control
+updates, ``game.nash_residual``'s defect and ``duality_residual``'s
+boundary pairing.
 
 The data may be complex; the frames then are complex too.  The scheme
 is real and linear, so a complex march is two real marches, of the real
@@ -569,17 +578,38 @@ def _march_backward(source: np.ndarray, frames: np.ndarray, plan: _LevelPlan,
     return Trajectory(plan, frames)
 
 
-def _outward_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
-    """d/d nu = -d/dx at x = 0 on the trajectory's levels ``idx``: one flux
-    call on the three nodes its stencil reads."""
-    return -boundary_flux_left(traj.frames[idx, :3], traj.plan.h[idx])
+def _segment_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
+    """The outward flux d/d nu = -d/dx of ``traj`` at x = 0 on its levels
+    ``idx``, 0 elsewhere: one flux call on the three nodes its stencil reads."""
+    flux = np.zeros(len(traj.frames))
+    flux[idx] = -boundary_flux_left(traj.frames[idx, :3], traj.plan.h[idx])
+    return flux
 
 
-# Bytes of ``trajectory_l2_distance``'s difference buffer.  A call took
-# 40 us at N = M = 100 (one block) and 360 us at 300 (six), against 37
-# and 282 us for one full-size difference and 102 and 479 us for 32-row
-# blocks (median CPU time, random frames, 2-vCPU Xeon VM).
+# Bytes of ``_squared_distance``'s difference buffer.  A call took 40 us
+# at N = M = 100 (one block) and 360 us at 300 (six), against 37 and 282
+# us for one full-size difference and 102 and 479 us for 32-row blocks
+# (median CPU time, random frames, 2-vCPU Xeon VM).
 _DIFF_BYTES = 1 << 17
+
+
+def _squared_distance(a: np.ndarray, b: np.ndarray, plan: _LevelPlan) -> float:
+    """dt sum_{m<M} of the mass pairing of a[m] - b[m] with itself on
+    ``plan``'s spacings: the space-time L2 form of a solve, rectangle rule
+    in time.  ``a`` and ``b`` have the plan's shape; either may be a
+    broadcast.  The difference is formed in row blocks of at most
+    ``_DIFF_BYTES`` in one contiguous buffer; a row's value depends on
+    that row alone, so the result has the full-size formula's bits for
+    any layout of the frames."""
+    M = plan.grid.M
+    a, b = a[:M], b[:M]
+    rows = np.empty(M)
+    step = max(1, _DIFF_BYTES // (8 * plan.shape[1]))
+    buf = np.empty((min(step, M), plan.shape[1]))
+    for r in range(0, M, step):
+        d = np.subtract(a[r:r + step], b[r:r + step], out=buf[:M - r])
+        rows[r:r + step] = _mass_rows(d, d)
+    return plan.grid.dt * (float(plan.h[:M] @ rows) / 6.0)
 
 
 def _check_real(name: str, traj: Trajectory):
@@ -589,13 +619,9 @@ def _check_real(name: str, traj: Trajectory):
 
 
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
-    """Space-time L2 distance, rectangle rule in time, mass pairing in space.
-
-    ``b``'s plan must be built for the ``k`` and the grid of ``a``'s:
-    the pairing reads ``a``'s level spacings for both.  The difference is
-    formed in row blocks of at most ``_DIFF_BYTES`` in one buffer; a row's
-    value depends on that row alone, so the result has the full-size
-    formula's bits."""
+    """Space-time L2 distance, rectangle rule in time, mass pairing in space
+    (``_squared_distance``).  ``b``'s plan must be built for the ``k`` and
+    the grid of ``a``'s: the pairing reads ``a``'s level spacings for both."""
     _check_real("a", a)
     _check_real("b", b)
     if a.frames.shape != b.frames.shape:
@@ -605,23 +631,13 @@ def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
         if have != want:
             raise ValueError(f"level plan was built for {name}={have!r}, "
                              f"expected {name}={want!r}")
-    M = a.grid.M
-    fa, fb = a.frames[:M], b.frames[:M]
-    rows = np.empty(M)
-    step = max(1, _DIFF_BYTES // fa[0].nbytes)
-    buf = np.empty((min(step, M), fa.shape[1]))
-    for r in range(0, M, step):
-        d = np.subtract(fa[r:r + step], fb[r:r + step], out=buf[:M - r])
-        rows[r:r + step] = _mass_rows(d, d)
-    return float(np.sqrt(a.grid.dt * (float(a.plan.h[:M] @ rows) / 6.0)))
+    return math.sqrt(_squared_distance(a.frames, b.frames, a.plan))
 
 
 def trajectory_l2_norm(a: Trajectory) -> float:
-    """Space-time L2 norm of ``a``, by the rules of ``trajectory_l2_distance``:
-    its distance from the zero field."""
+    """Space-time L2 norm of ``a``: its ``trajectory_l2_distance`` from the zero field."""
     _check_real("a", a)
-    M = a.grid.M
-    return float(np.sqrt(a.grid.dt * _mass_pairing(a.frames[:M], a.frames[:M], a.plan.h[:M])))
+    return math.sqrt(_squared_distance(a.frames, np.broadcast_to(0.0, a.plan.shape), a.plan))
 
 
 def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
@@ -648,7 +664,7 @@ def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
 
     M = grid.M
     volume = grid.dt * _mass_pairing(source[:M], u_hat.frames[:M], plan.h[:M])
-    boundary = grid.dt * float(np.sum(_outward_flux(p, idx) * control[idx]))
+    boundary = grid.dt * float(np.sum(_segment_flux(p, idx)[idx] * control[idx]))
     scale = max(abs(volume), abs(boundary))
     if scale == 0.0:
         return 0.0

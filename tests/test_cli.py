@@ -74,9 +74,9 @@ class TestRun:
         assert (tmp_path / "p_frames.csv").exists()
 
     def test_dump_writes_rows_as_it_goes(self, tmp_path):
-        """The frame dump holds the node rows (one frame) and the file's
-        buffers, not a tuple per node: a list of them peaked at 15.7 frames
-        on this trajectory."""
+        """The frame dump holds one level's node row and the file's buffers,
+        not a tuple per node: a list of them peaked at 15.7 frames on this
+        trajectory, and the whole node array at 1.36."""
         N = M = 100
         traj = solve_forward(np.linspace(0.0, 1.0, M + 1), MovingDomainSpec(k=0.25, T=4.0),
                              build_time_grid(4.0, M), N)
@@ -88,8 +88,16 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak < 3 * traj.frames.nbytes
+        assert peak < traj.frames.nbytes
         lines = (tmp_path / "u_frames.csv").read_text().splitlines()
         assert len(lines) == 1 + (M + 1) * (N + 1)
+
+    def test_additive_overlap_end_to_end(self, tmp_path, capsys):
+        rc = run_cli(["run", "--out", str(tmp_path), "--segments", "additive-overlap",
+                      "--phi-terminal", "bump:0.5", *FAST])
+        assert rc == 0
+        assert "converged=True iterations=5 " in capsys.readouterr().out
+        assert len((tmp_path / "iteration_log.csv").read_text().splitlines()) == 6
 
     def test_explicit_horizon_fixed_domain(self, tmp_path):
         with pytest.warns(UserWarning, match="moving-boundary"):
@@ -206,6 +214,20 @@ class TestConfigFile:
         assert run_cli(["run", "--config", str(cfgfile)]) == 0
         assert (tmp_path / "u_frames.csv").exists()
 
+    def test_false_bool_value_applied(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("dump_frames = no\nN = 10\nM = 10\nout = " + str(tmp_path) + "\n")
+        assert run_cli(["run", "--config", str(cfgfile)]) == 0
+        assert (tmp_path / "iteration_log.csv").exists()
+        assert not (tmp_path / "u_frames.csv").exists()
+
+    def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("sigma = 10\nN 40\n")
+        rc = run_cli(["run", "--config", str(cfgfile)])
+        assert rc == 2
+        assert f"error: {cfgfile}:2: expected key=value, got 'N 40'" in capsys.readouterr().err
+
     def test_malformed_bool_reports_key(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("dump_frames = banana\n")
@@ -253,6 +275,13 @@ class TestInputValidation:
         ("--phi-terminal", "bumpy", "phi_terminal"),
         ("--T", "-1", "T"),
         ("--target-edge", "-1", "target_edge"),
+        ("--k", "1.0", "k"),
+        ("--epsilon", "0", "epsilon"),
+        ("--N", "1", "N, M"),
+        ("--M", "1", "N, M"),
+        ("--max-iter", "0", "max_iter"),
+        ("--T-multiple", "0", "T_multiple"),
+        ("--segments", "bogus", "segments"),
     ])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, flag, value, key):
         rc = run_cli(["run", "--out", str(tmp_path), *FAST, flag, value])
@@ -294,6 +323,12 @@ class TestTables:
         verts = [int(r.split(",")[2]) for r in rows[1:]]
         assert all(abs(v - ref) / ref <= 0.3 for v, ref in
                    zip(verts, (2916, 2580, 2411, 2365, 2319, 2309, 2316, 2273, 2246, 2236)))
+
+    def test_table_mesh_fixed_domain_is_usage_error(self, tmp_path, capsys):
+        rc = run_cli(["table-mesh", "--out", str(tmp_path), "--k", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: k: mesh table needs k > 0\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_table_mesh_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

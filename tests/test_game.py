@@ -745,6 +745,20 @@ class TestNashResidual:
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+    def test_zero_control_gives_the_flux_norm(self):
+        # sigma ||w2|| = 0: the defect itself, the norm of p's flux on the segment
+        spec = MovingDomainSpec(k=0.25, T=4.0)
+        grid = build_time_grid(4.0, 20)
+        segs = BoundarySegments.disjoint_halves(4.0)
+        res = fixed_point_solve(SNConfig(sigma=100.0, u2=10.0, segments=segs), spec, grid, 10)
+        assert res.converged
+        idx = np.nonzero(segment_mask(segs.sigma2, grid))[0]
+        flux = -boundary_flux_left(res.p.frames[idx], res.p.plan.h[idx])
+        got = nash_residual(np.zeros(grid.M + 1), res.p, 100.0, segs)
+        assert got == pytest.approx(math.sqrt(grid.dt * np.sum(flux ** 2)), rel=1e-14)
+        assert got > 1.0
+
+
 class TestNashGradientCheck:
     def test_pairing_grows_linearly_with_bump(self, small_setup):
         spec, grid, segs = small_setup
@@ -817,6 +831,17 @@ class TestNashGradientCheck:
         assert chk.scale == 0.0
         assert np.all(chk.fd == 0.0) and np.all(chk.analytic == 0.0)
         assert chk.max_rel_discrepancy == 0.0
+
+    def test_one_level_follower_segment_rejected(self):
+        # the directions are sines over the segment's levels, which need two of them
+        spec = MovingDomainSpec(k=0.25, T=4.0)
+        grid = build_time_grid(4.0, 20)
+        segs = BoundarySegments(sigma1=(2.0, 4.0), sigma2=(0.0, 0.1))
+        cfg = SNConfig(sigma=100.0, segments=segs)
+        w1 = np.zeros(grid.M + 1)
+        w2 = np.zeros(grid.M + 1)
+        with pytest.raises(ValueError, match="follower segment holds fewer than 2 time levels"):
+            nash_gradient_check(w1, w2, cfg, spec, grid, 20)
 
     @pytest.mark.parametrize("n", [0, -1, 2.5])
     def test_direction_count_must_be_a_positive_integer(self, n):

@@ -19,6 +19,7 @@ from snwave import (
     trajectory_l2_distance,
     trajectory_l2_norm,
 )
+import snwave.game as game
 import snwave.solvers as solvers
 from snwave.fem import _mass_pairing
 from p1_dense import dense_step, mass_matrix, stiffness_matrix
@@ -812,6 +813,40 @@ class TestTrajectoryNorms:
         d = a.frames[:N] - b.frames[:N]
         want = float(np.sqrt(a.grid.dt * _mass_pairing(d, d, a.plan.h[:N])))
         assert trajectory_l2_distance(a, b) == want
+
+    @pytest.mark.parametrize("complex_a", [False, True])
+    @pytest.mark.parametrize("N", [20, 300])
+    def test_norm_has_the_full_size_formula_bits(self, N, complex_a):
+        # the norm is the blocked distance from zero; the formula reads a contiguous copy
+        a, _ = self._random_pair(N, complex_a)
+        d = a.frames[:N].copy()
+        want = float(np.sqrt(a.grid.dt * _mass_pairing(d, d, a.plan.h[:N])))
+        assert trajectory_l2_norm(a) == want
+
+    @pytest.mark.parametrize("constant", [False, True])
+    @pytest.mark.parametrize("complex_a", [False, True])
+    @pytest.mark.parametrize("N", [20, 300])
+    def test_follower_cost_has_the_full_size_formula_bits(self, N, complex_a, constant):
+        # J2's tracking term is the blocked distance from the target, a frame or a broadcast
+        a, b = self._random_pair(N, complex_a)
+        target = np.broadcast_to(10.0, a.plan.shape) if constant else b.frames
+        levels = np.arange(N // 2)
+        w2 = np.random.default_rng(N + 1).standard_normal(N + 1)
+        dt, sigma = a.grid.dt, 100.0
+        d = a.frames[:N] - target[:N]
+        want = (0.5 * (dt * _mass_pairing(d, d, a.plan.h[:N]))
+                + 0.5 * sigma * float(np.sqrt(dt * np.sum(w2[levels] ** 2))) ** 2)
+        assert game._follower_cost(a, w2, target, sigma, levels, dt) == want
+
+    def test_norm_does_not_depend_on_the_layout(self):
+        # a strided real view of complex frames and its contiguous copy read
+        # 0.2570502401251319 and 0.25705024012513183 when the norm paired the view itself
+        spec = MovingDomainSpec(k=0.25, T=1.0)
+        c = solve_forward(1j * np.linspace(0, 1, 9), spec, build_time_grid(1.0, 8), 8)
+        view = Trajectory(c.plan, c.frames.imag)
+        assert not view.frames.flags.c_contiguous
+        owned = Trajectory(c.plan, view.frames.copy())
+        assert trajectory_l2_norm(view) == trajectory_l2_norm(owned)
 
     def test_distance_holds_no_full_size_difference(self):
         N = 300
