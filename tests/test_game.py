@@ -744,7 +744,6 @@ class TestNashResidual:
         assert ref > 1e-6
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
-
     def test_zero_control_gives_the_flux_norm(self):
         # sigma ||w2|| = 0: the defect itself, the norm of p's flux on the segment
         spec = MovingDomainSpec(k=0.25, T=4.0)
