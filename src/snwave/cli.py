@@ -51,13 +51,13 @@ import numpy as np
 from .geometry import (
     BoundarySegments,
     MovingDomainSpec,
+    _node_rows,
     build_time_grid,
     compute_Tc,
     level_nodes,
     trapezoid_stats,
 )
 from .game import DivergenceError, IterationRecord, SNConfig, fixed_point_solve
-from .verification import run_all
 
 # Border subdivisions per unit of T for mesh tables; tuned so vertex
 # counts land near the reference triangulations.
@@ -236,10 +236,11 @@ def _build_problem(cfg: RunConfig):
 
 
 def _dump_trajectory(path: Path, traj):
-    """Write ``traj``'s ``(m, t, x, value)`` rows, making one level's node row at a time."""
-    spec, N = MovingDomainSpec(traj.plan.k, traj.grid.T), traj.plan.shape[1] - 1
+    """Write ``traj``'s ``(m, t, x, value)`` rows, making one level's node row at a time
+    from the plan's spacings and right ends."""
+    h, ends, N = traj.plan.h, traj.plan.ends, traj.plan.shape[1] - 1
     rows = ((m, t, x, v) for m, t in enumerate(traj.grid.levels)
-            for x, v in zip(level_nodes(spec, t, N)[1], traj.frames[m]))
+            for x, v in zip(_node_rows(h[m], ends[m], np.empty(N + 1)), traj.frames[m]))
     write_csv(path, ("m", "t", "x", "value"), rows)
 
 
@@ -258,7 +259,7 @@ def cmd_run(cfg: RunConfig) -> int:
     write_csv(outdir / "iteration_log.csv",
               ("n", "stop_qty", "du_L2", "dw_L2", "J", "J2"),
               [(r.n, r.stop_qty, r.du_l2, r.dw_l2, r.J, r.J2) for r in result.log])
-    _, x = level_nodes(spec, grid.T, cfg.N)
+    x = _node_rows(result.u.plan.h[-1], result.u.plan.ends[-1], np.empty(cfg.N + 1))
     write_csv(outdir / "final_state.csv", ("x", "u"), list(zip(x, result.u.frames[-1])))
     if cfg.dump_frames:
         _dump_trajectory(outdir / "u_frames.csv", result.u)
@@ -340,6 +341,8 @@ def cmd_table_mesh(cfg: RunConfig) -> int:
 
 
 def cmd_verify(_cfg: RunConfig) -> int:
+    from .verification import run_all
+
     results = run_all()
     failed = 0
     for name, ok, detail in results:

@@ -104,10 +104,17 @@ def _check_given(name: str, a, shape: tuple):
     _check_shape(name, a, shape)
 
 
+def _check_real(name: str, a):
+    """Reject an array argument ``name`` of complex values."""
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} is complex, expected real values")
+
+
 def _check_control(name: str, a, grid: TimeGrid):
     """Reject a control argument ``name`` that is None, not one sample per
-    level of ``grid`` or holds a non-finite value."""
+    level of ``grid``, complex or holds a non-finite value."""
     _check_given(name, a, (grid.M + 1,))
+    _check_real(name, a)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} holds a non-finite value")
 

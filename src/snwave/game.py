@@ -1,10 +1,10 @@
 """Hierarchical two-control fixed point: one sweep map and the loop around it.
 
 A solve builds one private sweep map, ``_Sweep``, holding the level plan
-(see ``solvers``), the target u2 evaluated once on the plan's nodes (a
-read-only broadcast when u2 is a constant), the shared zero trajectory,
-the leader's and the follower's level indices, sigma and the phi
-terminal data.  It maps the state ``(w1, w2, psi_bc)``, bare ``(M+1,)``
+(see ``solvers``), the target u2 evaluated once on the levels' nodes,
+one level's row at a time (a read-only broadcast when u2 is a constant),
+the shared zero trajectory, the leader's and the follower's level
+indices, sigma and the phi terminal data.  It maps the state ``(w1, w2, psi_bc)``, bare ``(M+1,)``
 arrays that are zero off their segments, to the next state and the
 fields u, psi and phi of the sweep:
 
@@ -24,7 +24,7 @@ inputs are checked before the first march: a segment holding no level
 of the grid, a non-finite constant u2, a non-finite value of a callable
 u2 and non-finite phi terminal data are ``ValueError``s naming the
 input, not divergences.  ``evaluate_J2`` and ``nash_residual`` read the
-grid of the trajectory they are given.
+grid of the trajectory they are given, whose frames must be real.
 
 Within a sweep u and psi are independent, and so are p and phi, and all
 four share the level plan.  Each sweep makes one forward and one
@@ -84,8 +84,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .geometry import (BoundarySegments, MovingDomainSpec, TimeGrid, _check_integer,
-                       _segment_levels)
-from .fem import _check_control, _check_shape, _segment_norm
+                       _node_rows, _segment_levels)
+from .fem import _check_control, _check_real, _check_shape, _segment_norm
 from .solvers import (
     _SWEEP_ERRSTATE,
     Trajectory,
@@ -175,7 +175,8 @@ class IterationRecord:
 
 def _target(u2: TargetLike, plan: _LevelPlan) -> np.ndarray:
     """The target u2 on every level of ``plan``: row m holds its values at
-    ``plan.nodes[m]``, made once for a callable u2.
+    level m's nodes, which a callable u2 is given one level's row at a time
+    (``geometry._node_rows`` of the plan's ``h[m]`` and ``ends[m]``).
 
     A constant target is a read-only broadcast of its value, which holds
     no frame memory.  A callable returning a scalar is broadcast to the
@@ -187,7 +188,8 @@ def _target(u2: TargetLike, plan: _LevelPlan) -> np.ndarray:
             raise ValueError(f"u2 must be finite, got {u2}")
         return np.broadcast_to(float(u2), plan.shape)
     out = np.empty(plan.shape)
-    for m, (x, t) in enumerate(zip(plan.nodes, plan.grid.levels)):
+    for m, t in enumerate(plan.grid.levels):
+        x = _node_rows(plan.h[m], plan.ends[m], np.empty(plan.shape[1]))
         vals = np.asarray(u2(x, float(t)), dtype=float)
         if vals.ndim != 0 and vals.shape != x.shape:
             raise ValueError(f"target u2 returned shape {vals.shape} at t={t}, "
@@ -230,7 +232,7 @@ def _follower_cost(u: Trajectory, w2: np.ndarray, target: np.ndarray, sigma: flo
     return 0.5 * track + 0.5 * sigma * _segment_norm(w2, levels, dt) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Sweep:
     """The sweep map of one solve (module docstring), built by ``of``.
 
@@ -326,7 +328,7 @@ class _Sweep:
         return Trajectory(self.plan, f.frames.real), Trajectory(self.plan, f.frames.imag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SNResult:
     """Outcome of a fixed-point run, frozen, its arrays read-only.
 
@@ -340,7 +342,8 @@ class SNResult:
     the solve's sweep map, from ``u`` and ``target`` (u2 on u's levels),
     and kept.
     ``iterations``, ``segments`` and ``target`` are read from ``log``, a
-    tuple, and the sweep map, which hold them once.
+    tuple, and the sweep map, which hold them once.  Equality and hash are
+    identity.
     """
 
     converged: bool
@@ -349,7 +352,7 @@ class SNResult:
     u: Trajectory
     psi: Trajectory
     phi: Trajectory
-    _sweep: _Sweep = field(repr=False, compare=False)
+    _sweep: _Sweep = field(repr=False)
     log: tuple = ()
 
     def __post_init__(self):
@@ -383,6 +386,7 @@ def evaluate_J2(u: Trajectory, w2: np.ndarray, segment: tuple, u2: TargetLike,
     sigma/2 times the squared norm of the control ``w2`` on ``segment``,
     on u's grid, with u2 evaluated on u's levels."""
     grid = u.grid
+    _check_real("trajectory u", u.frames)
     _check_control("w2", w2, grid)
     levels = _segment_levels("segment", segment, grid)
     return _follower_cost(u, w2, _target(u2, u.plan), sigma, levels, grid.dt)
@@ -456,6 +460,7 @@ def nash_residual(w2: np.ndarray, p: Trajectory, sigma: float,
     the follower's best response to the state that produced p.
     """
     grid = p.grid
+    _check_real("trajectory p", p.frames)
     _check_control("w2", w2, grid)
     idx = _segment_levels("sigma2", segments.sigma2, grid)
     defect = _segment_norm(sigma * w2 - _segment_flux(p, idx), idx, grid.dt)
@@ -463,7 +468,7 @@ def nash_residual(w2: np.ndarray, p: Trajectory, sigma: float,
     return defect if denom == 0.0 else defect / denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NashCheckResult:
     """Finite-difference probe of the follower cost around a candidate point.
 

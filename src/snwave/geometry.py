@@ -7,10 +7,11 @@ The spatial domain at time t is the interval (0, alpha(t)) with
 alpha(t) = 1 + k*t, so the right endpoint recedes at constant speed k
 while the left endpoint (where the controls act) stays fixed.  Every
 level's mesh is one uniform mesh rescaled by h = alpha(t)/N, so a level
-is its spacing and its nodes, which ``level_nodes`` builds at one time or
-at an array of times.  Every operation here is cheap, deterministic and
-side-effect free; the solver modules consume these values and never
-mutate them.
+is its spacing and its right end: its nodes are j h for j < N and the end
+at j = N.  ``_node_rows`` is the one formula that writes them, and
+``level_nodes`` builds them at one time or at an array of times.  Every
+operation here is cheap, deterministic and side-effect free; the solver
+modules consume these values and never mutate them.
 """
 
 from __future__ import annotations
@@ -118,24 +119,42 @@ def build_time_grid(T: float, M: int) -> TimeGrid:
     return TimeGrid(T, M)
 
 
+def _level_spacings(spec: MovingDomainSpec, times, N: int):
+    """Spacings ``h`` and right ends alpha(t) of the N-element level meshes
+    at ``times``, one of each per time; N must be an integer of at least 2
+    and every time must lie in [0, T]."""
+    _check_integer("N", N)
+    if N < 2:
+        raise ValueError(f"need at least 2 elements, got N={N}")
+    ends = alpha(spec, np.asarray(times, dtype=float))
+    return ends / N, ends
+
+
+def _node_rows(h, ends, out: np.ndarray) -> np.ndarray:
+    """The nodes of the levels with spacings ``h`` and right ends ``ends``,
+    written into ``out``: j h[m] at node j < N and exactly ``ends[m]`` at
+    node N, the bits of ``np.linspace(0, ends[m], N+1)``.  One level is a
+    scalar ``h`` and an ``(N+1,)`` row, several levels are rows of ``out``.
+    Every node row of the package is made here.  A 1-term ``matmul``
+    writes the products with no broadcast temporary, where a ufunc's
+    buffered broadcast allocates about 27 rows at N = 100 (tracemalloc)."""
+    np.matmul(h[..., None], np.arange(out.shape[-1], dtype=float)[None], out)
+    out[..., -1] = ends
+    return out
+
+
 def level_nodes(spec: MovingDomainSpec, times, N: int):
     """Spacings ``h`` and nodes of the uniform N+1-node meshes on [0, alpha(t)].
 
     At an array of times, ``h`` holds one spacing per time and ``nodes``
     one row of N+1 nodes per time; at one scalar time, ``h`` is one
     spacing and ``nodes`` one row, with the bits of that time's row in
-    the array call.  The node count is the same at every level; only the
-    spacing scales with the domain, so node j keeps its identity across
-    time levels.
+    the array call (``_node_rows``).  The node count is the same at every
+    level; only the spacing scales with the domain, so node j keeps its
+    identity across time levels.
     """
-    _check_integer("N", N)
-    if N < 2:
-        raise ValueError(f"need at least 2 elements, got N={N}")
-    lengths = alpha(spec, np.asarray(times, dtype=float))
-    h = lengths / N
-    nodes = np.arange(N + 1) * h[..., None]  # each row: the bits of np.linspace(0, length, N+1)
-    nodes[..., -1] = lengths
-    return h, nodes
+    h, ends = _level_spacings(spec, times, N)
+    return h, _node_rows(h, ends, np.empty(np.shape(h) + (N + 1,)))
 
 
 def segment_mask(segment: tuple, grid: TimeGrid) -> np.ndarray:

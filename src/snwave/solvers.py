@@ -53,10 +53,13 @@ A solve builds its level plan once: the spacings ``h`` and right ends
 ``back``, ``G`` ``(M+1, N-1)`` and ``lift`` ``(M+1,)`` (``ST`` and
 ``G`` folded from N = ``_FOLD_N`` on, see ``_fold``), read-only, shared
 by every march of the solve, with the ``k`` and the time grid it was
-built for.  It holds no node array: level m's nodes are j h[m], j =
-0..N, ending at ``ends[m]``, and a march makes them ``_NODE_ROWS`` rows
-at a time (``_level_rows``); ``plan.nodes`` makes all of them on each
-read, for a callable u2.  ``back`` is the back product's operator: below
+built for.  It holds no node array: level m's nodes are j h[m] for
+j < N and ``ends[m]`` at j = N, written by ``geometry._node_rows``, the
+one node formula of the package.  A march makes them ``_NODE_ROWS`` rows
+at a time (``_level_rows``); the game's callable u2 and the CLI's node
+columns make one level's row at a time from ``h`` and ``ends``, and
+``level_nodes(spec, grid.levels, N)[1]`` gives all of them with the
+same bits.  ``back`` is the back product's operator: below
 ``_FOLD_N`` an F-contiguous copy of ``ST[:, 1:-1].T``, whose ``back.dot``
 gives the bits of ``np.matmul`` on the strided view in less time, and
 from ``_FOLD_N`` on a view of the folded ``ST``'s columns 1..N//2,
@@ -71,9 +74,9 @@ non-finite operators without a numpy warning; the game's checks report
 the values they produce.
 
 A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
-values of level m at ``plan.nodes[m]``, beside the plan, whose grid
-and ``shape`` are the trajectory's.  A march fills
-one preallocated array.  It first writes dt^2 times its source into
+values of level m, at the nodes of the plan's ``h[m]`` and ``ends[m]``,
+beside the plan, whose grid and ``shape`` are the trajectory's.  A march
+fills one preallocated array.  It first writes dt^2 times its source into
 that array, so source rows are pre-scaled in ``out`` and step i reads
 row i+1 as its source term before it writes that row.  Each step forms
 its right-hand side in one preallocated row and its forward product in
@@ -126,9 +129,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import MovingDomainSpec, TimeGrid, _segment_levels, level_nodes
-from .fem import (_check_control, _check_given, _check_shape, _mass_pairing, _mass_rows,
-                  boundary_flux_left, interpolate)
+from .geometry import MovingDomainSpec, TimeGrid, _level_spacings, _node_rows, _segment_levels
+from .fem import (_check_control, _check_given, _check_real, _check_shape, _mass_pairing,
+                  _mass_rows, boundary_flux_left, interpolate)
 
 __all__ = [
     "Trajectory",
@@ -140,13 +143,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Nodal values of every time level: row m of ``frames`` lives on ``plan.nodes[m]``.
+    """Nodal values of every time level: row m of ``frames`` lives on level
+    m's nodes, those of the plan's ``h[m]`` and ``ends[m]``.
 
     ``frames`` has the plan's shape ``(M+1, N+1)``; ``plan`` is the
     solve's level plan, shared, not copied, and ``grid`` is the plan's.
-    ``plan.nodes`` is made on each read.
+    Equality and hash are identity, as for every class here that holds
+    arrays.
     """
 
     plan: "_LevelPlan"
@@ -178,10 +183,11 @@ def _left_trace(*controls: np.ndarray) -> np.ndarray:
     return left
 
 
-# Rows of the sine basis gathered per call: the index buffer holds 16
-# rows, so S's build peaks at about its own size, where one full
-# (N-1)^2 index array doubled it (tracemalloc at N = 300: 0.84 MB
-# against 1.44 MB, the sin formula 0.85 MB).
+# Rows of the sine basis gathered per call: a small index buffer keeps
+# S's build near S's own size (BENCH_lean-step.json).  The buffer holds
+# 16 rows, where one full (N-1)^2 index array doubled the peak
+# (tracemalloc at N = 300: 0.84 MB against 1.44 MB, the sin formula
+# 0.85 MB).
 _SINE_ROWS = 16
 
 
@@ -226,13 +232,14 @@ def _step_operators(h: np.ndarray, dt: float, N: int):
     return ST, G, off / scale
 
 
-# The smallest N whose plan holds folded step operators.  Interleaved
-# march pairs (one forward and one backward, N = M, 30 trials; median
-# folded over unfolded CPU time, two runs) read 1.25/1.21 at N=100,
-# 1.09/1.07 at 150, 1.03/0.97 at 180, 0.97/0.97 at 200, 0.91/0.92 at 250
-# and 0.85/0.85 at 300 on a 2-vCPU Xeon VM with OpenBLAS: the two forms
-# cross between N=150 and 200, and 200 is the smallest N tried that won
-# in both runs (BENCH_reflection-split.json).
+# The smallest N whose plan holds folded step operators: folding halves
+# the operator bytes but adds ufunc calls, so it pays only at large N
+# (BENCH_reflection-split.json).  Interleaved march pairs (one forward
+# and one backward, N = M, 30 trials; median folded over unfolded CPU
+# time, two runs) read 1.25/1.21 at N=100, 1.09/1.07 at 150, 1.03/0.97
+# at 180, 0.97/0.97 at 200, 0.91/0.92 at 250 and 0.85/0.85 at 300 on a
+# 2-vCPU Xeon VM with OpenBLAS: the two forms cross between N=150 and
+# 200, and 200 is the smallest N tried that won in both runs.
 _FOLD_N = 200
 
 
@@ -275,13 +282,13 @@ def _plan_operators(h: np.ndarray, dt: float, N: int):
     return ST, back, G, lift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LevelPlan:
     """What a solve's marches share, all read-only: level m's spacing
     ``h[m]`` and right end ``ends[m]``, and the step operators ``ST``,
     ``back``, ``G`` and ``lift`` of ``_plan_operators``, built for the
     boundary speed ``k`` on the time grid ``grid``.  ``shape`` is its
-    frames' ``(M+1, N+1)``; ``nodes`` is made on each read."""
+    frames' ``(M+1, N+1)``."""
 
     k: float
     grid: TimeGrid
@@ -302,13 +309,6 @@ class _LevelPlan:
         G.flags.writeable = False
         return G
 
-    @property
-    def nodes(self) -> np.ndarray:
-        """Level m's nodes in row m, a new read-only ``(M+1, N+1)`` array on each read."""
-        nodes = _node_rows(self.h, self.ends, np.empty(self.shape))
-        nodes.flags.writeable = False
-        return nodes
-
     def step_G(self, frames: np.ndarray) -> np.ndarray:
         """The ``G`` a march of ``frames`` scales by: ``paired_G`` for complex frames."""
         return self.paired_G if frames.dtype.kind == "c" else self.G
@@ -318,9 +318,7 @@ def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
     """The read-only level plan of ``spec`` on ``grid``, whose horizon T must be the spec's."""
     if spec.T != grid.T:
         raise ValueError(f"spec T={spec.T!r} is not the time grid's T={grid.T!r}")
-    h, nodes = level_nodes(spec, grid.levels, N)
-    ends = nodes[:, -1].copy()
-    del nodes  # freed before the operators' build, whose peak it would raise
+    h, ends = _level_spacings(spec, grid.levels, N)
     with np.errstate(**_SWEEP_ERRSTATE):
         ops = _plan_operators(h, grid.dt, N)
     plan = _LevelPlan(spec.k, grid, (len(h), N + 1), h, ends, *ops)
@@ -329,28 +327,20 @@ def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
     return plan
 
 
-def _node_rows(h: np.ndarray, ends: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The nodes j h[m], j = 0..N, ending at ``ends[m]``, of the levels
-    with spacings ``h``, one row each into ``out``: the bits of
-    ``level_nodes``'s rows.  A 1-term ``matmul`` writes the products with
-    no broadcast temporary."""
-    np.matmul(h[:, None], np.arange(out.shape[1], dtype=float)[None], out)
-    out[:, -1] = ends
-    return out
-
-
-# Rows of the block a march makes its levels' nodes in (``_level_rows``).
-# Consecutive blocks overlap by two rows, so a block serves _NODE_ROWS - 2
-# steps.  A march peaks at most 29.4 rows of N+1 values beyond its frames
-# (real, backward, N = M = 300; tracemalloc), against 20.4 when the plan
-# stored the nodes; 10-row blocks cost 1-2% more per march.
+# Rows of the block a march makes its levels' nodes in (``_level_rows``):
+# a block of rows at a time keeps the plan free of a node array
+# (BENCH_node-rows.json).  Consecutive blocks overlap by two rows, so a
+# block serves _NODE_ROWS - 2 steps.  A march peaks at most 29.4 rows of
+# N+1 values beyond its frames (real, backward, N = M = 300;
+# tracemalloc), against 20.4 when the plan stored the nodes; 10-row
+# blocks cost 1-2% more per march.
 _NODE_ROWS = 12
 
 
 def _level_rows(h: np.ndarray, ends: np.ndarray, N: int):
     """For i = 0..len(h)-2: level i's nodes and the rows of levels i+1
     and i+2 (one row at i = len(h)-2) as one view, made ``_NODE_ROWS``
-    rows at a time into one block by ``_node_rows``."""
+    rows at a time into one block by ``geometry._node_rows``."""
     block = np.empty((min(_NODE_ROWS, len(h)), N + 1))
     steps = len(block) - 2
     for s in range(0, len(h) - 1, steps):
@@ -569,9 +559,8 @@ def _march_backward(source: np.ndarray, frames: np.ndarray, plan: _LevelPlan,
     source in the frames it marches, and ``_march`` scales them in place
     by dt^2, the rounding it makes on a separate source.
     """
-    N = frames.shape[1] - 1
-    term0 = terminal0 if terminal0 is not None else np.zeros(N + 1)
-    term1 = terminal1 if terminal1 is not None else np.zeros(N + 1)
+    term0 = terminal0 if terminal0 is not None else np.zeros(frames.shape[1])
+    term1 = terminal1 if terminal1 is not None else np.zeros(frames.shape[1])
     _march(plan.h[::-1], plan.ends[::-1], plan.ST, plan.back, plan.step_G(frames)[::-1],
            plan.lift[::-1], plan.grid.dt, term0, -term1, np.zeros(len(frames)), source[::-1],
            frames[::-1])
@@ -586,10 +575,12 @@ def _segment_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
     return flux
 
 
-# Bytes of ``_squared_distance``'s difference buffer.  A call took 40 us
-# at N = M = 100 (one block) and 360 us at 300 (six), against 37 and 282
-# us for one full-size difference and 102 and 479 us for 32-row blocks
-# (median CPU time, random frames, 2-vCPU Xeon VM).
+# Bytes of ``_squared_distance``'s difference buffer: blocks this size
+# hold a solve's peak at two frames and cost about what one full-size
+# difference does (BENCH_two-frames.json).  A call took 40 us at N = M =
+# 100 (one block) and 360 us at 300 (six), against 37 and 282 us for one
+# full-size difference and 102 and 479 us for 32-row blocks (median CPU
+# time, random frames, 2-vCPU Xeon VM).
 _DIFF_BYTES = 1 << 17
 
 
@@ -612,18 +603,12 @@ def _squared_distance(a: np.ndarray, b: np.ndarray, plan: _LevelPlan) -> float:
     return plan.grid.dt * (float(plan.h[:M] @ rows) / 6.0)
 
 
-def _check_real(name: str, traj: Trajectory):
-    """Raise a ``ValueError`` naming ``name`` when ``traj``'s frames are complex."""
-    if traj.frames.dtype.kind == "c":
-        raise ValueError(f"trajectory {name} has complex frames, expected real ones")
-
-
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
     """Space-time L2 distance, rectangle rule in time, mass pairing in space
     (``_squared_distance``).  ``b``'s plan must be built for the ``k`` and
     the grid of ``a``'s: the pairing reads ``a``'s level spacings for both."""
-    _check_real("a", a)
-    _check_real("b", b)
+    _check_real("trajectory a", a.frames)
+    _check_real("trajectory b", b.frames)
     if a.frames.shape != b.frames.shape:
         raise ValueError(f"trajectories of frame shapes {a.frames.shape} and "
                          f"{b.frames.shape} live on different grids")
@@ -636,7 +621,7 @@ def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
 
 def trajectory_l2_norm(a: Trajectory) -> float:
     """Space-time L2 norm of ``a``: its ``trajectory_l2_distance`` from the zero field."""
-    _check_real("a", a)
+    _check_real("trajectory a", a.frames)
     return math.sqrt(_squared_distance(a.frames, np.broadcast_to(0.0, a.plan.shape), a.plan))
 
 
@@ -659,6 +644,7 @@ def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
     on_segment[idx] = control[idx]
     plan = _level_plan(spec, grid, N)
     _check_given("source", source, plan.shape)
+    _check_real("source", source)
     u_hat = _march_forward(_left_trace(on_segment), plan)
     p = _march_backward(source, np.empty(plan.shape, _frame_dtype(source)), plan)
 

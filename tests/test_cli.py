@@ -14,7 +14,8 @@ import pytest
 
 import snwave.cli as cli
 import snwave.solvers as solvers
-from snwave import MovingDomainSpec, build_time_grid, solve_forward
+from snwave import MovingDomainSpec, build_time_grid, compute_Tc, solve_forward
+from snwave.geometry import level_nodes
 from snwave.game import DivergenceError
 
 
@@ -91,6 +92,24 @@ class TestRun:
         assert peak < traj.frames.nbytes
         lines = (tmp_path / "u_frames.csv").read_text().splitlines()
         assert len(lines) == 1 + (M + 1) * (N + 1)
+
+    def test_node_columns_are_the_level_nodes_rows(self, tmp_path):
+        """``final_state.csv``'s x and the frame dumps' x are the rows of
+        ``level_nodes(spec, grid.levels, N)`` bit for bit: 17 significant
+        digits read back to the same float."""
+        N, M = 12, 10
+        assert run_cli(["run", "--out", str(tmp_path), "--dump-frames",
+                        "--N", str(N), "--M", str(M)]) == 0
+        T = compute_Tc(0.25)
+        nodes = level_nodes(MovingDomainSpec(k=0.25, T=T), build_time_grid(T, M).levels, N)[1]
+
+        def column(name, j):
+            lines = (tmp_path / name).read_text().splitlines()[1:]
+            return np.array([float(line.split(",")[j]) for line in lines])
+
+        assert column("final_state.csv", 0).tobytes() == nodes[-1].tobytes()
+        for name in ("u_frames.csv", "p_frames.csv"):
+            assert column(name, 2).tobytes() == nodes.tobytes()
 
     def test_additive_overlap_end_to_end(self, tmp_path, capsys):
         rc = run_cli(["run", "--out", str(tmp_path), "--segments", "additive-overlap",

@@ -60,7 +60,7 @@ def leader_rule(phi, segs, grid):
 
 def make_trajectory(spec, grid, N, profile):
     plan = _level_plan(spec, grid, N)
-    frames = np.array([profile(x) for x in plan.nodes])
+    frames = np.array([profile(x) for x in level_nodes(spec, grid.levels, N)[1]])
     return Trajectory(plan=plan, frames=frames)
 
 
@@ -542,6 +542,22 @@ class TestFrozenResult:
                 a[:] = 0.0
         assert res.p is res.p
 
+    def test_equality_and_hash_are_identity(self, small_setup):
+        """The classes that hold arrays compare and hash by identity:
+        field-wise ``==`` would ask numpy for the truth value of an array."""
+        spec, grid, segs = small_setup
+        N = 16
+        cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs,
+                       phi_terminal=bump_terminal(spec, grid, N))
+        a, b = (fixed_point_solve(cfg, spec, grid, N) for _ in range(2))
+        chk = [nash_gradient_check(a.w1, a.w2, cfg, spec, grid, N, n_directions=2)
+               for _ in range(2)]
+        twins = [(a, b), (a.u, b.u), (a.u.plan, b.u.plan), (a._sweep, b._sweep), tuple(chk),
+                 (a.u, Trajectory(a.u.plan, a.u.frames))]
+        for x, y in twins:
+            assert x == x and x != y and not x == y
+            assert hash(x) == hash(x) and len({x, y, x}) == 2
+
 
 class TestTarget:
     """A callable target u2 gives one value per node, or a scalar."""
@@ -571,6 +587,39 @@ class TestTarget:
         assert res.iterations >= 2
         assert calls[0] == grid.M + 1
 
+    @pytest.mark.parametrize("N", [100, 300])
+    def test_callable_reads_the_level_nodes_rows(self, N):
+        """A callable u2 is given level m's nodes, the row of
+        ``level_nodes(spec, grid.levels, N)`` bit for bit, at t = t^m."""
+        spec = MovingDomainSpec(k=0.25, T=4.0)
+        grid = build_time_grid(4.0, 20)
+        seen = []
+
+        def u2(x, t):
+            seen.append((x.tobytes(), t))
+            return np.sin(x)
+
+        target = game._target(u2, _level_plan(spec, grid, N))
+        nodes = level_nodes(spec, grid.levels, N)[1]
+        assert seen == [(x.tobytes(), t) for x, t in zip(nodes, grid.levels)]
+        np.testing.assert_array_equal(target, np.sin(nodes))
+
+    def test_callable_target_peaks_near_one_frame(self):
+        """A callable u2 is given one level's node row at a time: the
+        target's build holds its own frames and a few rows, where a whole
+        node array beside them made it 2 frames (tracemalloc)."""
+        N = M = 300
+        spec = MovingDomainSpec(k=0.25, T=4.0)
+        plan = _level_plan(spec, build_time_grid(4.0, M), N)
+        game._target(lambda x, t: np.cos(x), plan)  # first calls fill numpy's own caches
+        tracemalloc.start()
+        try:
+            target = game._target(lambda x, t: np.cos(x), plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * target.nbytes
+
     @pytest.mark.parametrize("bad", [lambda x, t: math.nan if t > 1.0 else 10.0,
                                      lambda x, t: np.where(x > 0.5, math.inf, 10.0),
                                      lambda x, t: np.full_like(x, -math.inf)])
@@ -596,24 +645,33 @@ class TestTarget:
 
 
 class TestWorkCounts:
-    """A solve builds its level plan once: one sine basis and one node stack."""
+    """A solve builds its level plan once: one sine basis, and no node
+    stack, neither a ``level_nodes`` call nor a ``_node_rows`` call that
+    writes every level's row at once."""
 
     @staticmethod
-    def _count(monkeypatch):
-        count = {"basis": 0, "nodes": 0}
-        originals = {"basis": solvers._sine_basis, "nodes": geometry.level_nodes}
+    def _count(monkeypatch, M):
+        count = {"basis": 0, "nodes": 0, "stacks": 0}
+        basis, nodes, rows = solvers._sine_basis, geometry.level_nodes, geometry._node_rows
 
-        def counted(key):
-            def call(*args):
-                count[key] += 1
-                return originals[key](*args)
-            return call
+        def counted_basis(*args):
+            count["basis"] += 1
+            return basis(*args)
 
-        monkeypatch.setattr(solvers, "_sine_basis", counted("basis"))
+        def counted_nodes(*args):
+            count["nodes"] += 1
+            return nodes(*args)
+
+        def counted_rows(h, ends, out):
+            count["stacks"] += out.ndim == 2 and len(out) == M + 1
+            return rows(h, ends, out)
+
+        monkeypatch.setattr(solvers, "_sine_basis", counted_basis)
+        fakes = {"level_nodes": (nodes, counted_nodes), "_node_rows": (rows, counted_rows)}
         for name, mod in list(sys.modules.items()):
-            if (name.startswith("snwave")
-                    and getattr(mod, "level_nodes", None) is originals["nodes"]):
-                monkeypatch.setattr(mod, "level_nodes", counted("nodes"))
+            for attr, (real, fake) in fakes.items():
+                if name.startswith("snwave") and getattr(mod, attr, None) is real:
+                    monkeypatch.setattr(mod, attr, fake)
         return count
 
     @pytest.mark.parametrize("leader", [False, True])
@@ -624,22 +682,23 @@ class TestWorkCounts:
         if leader:
             _, x = level_nodes(spec, grid.T, N)
             phi_terminal = (np.sin(np.pi * x / x[-1]), None)
-        count = self._count(monkeypatch)
-        cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs, phi_terminal=phi_terminal,
-                       max_iter=3)
+        count = self._count(monkeypatch, grid.M)
+        cfg = SNConfig(sigma=100.0, u2=lambda x, t: np.cos(x), segments=segs,
+                       phi_terminal=phi_terminal, max_iter=3)
+        res = fixed_point_solve(cfg, spec, grid, N)
+        assert count == {"basis": 1, "nodes": 0, "stacks": 0}
+        res.p  # the lazy adjoint march makes no node stack either
         fixed_point_solve(cfg, spec, grid, N)
-        assert count == {"basis": 1, "nodes": 1}
-        fixed_point_solve(cfg, spec, grid, N)
-        assert count == {"basis": 2, "nodes": 2}
+        assert count == {"basis": 2, "nodes": 0, "stacks": 0}
 
     def test_nash_gradient_check_builds_one_plan(self, small_setup, monkeypatch):
         spec, grid, segs = small_setup
         cfg = SNConfig(sigma=100.0, u2=10.0, segments=segs)
         w1 = np.zeros(grid.M + 1)
         w2 = np.zeros(grid.M + 1)
-        count = self._count(monkeypatch)
+        count = self._count(monkeypatch, grid.M)
         nash_gradient_check(w1, w2, cfg, spec, grid, 16, n_directions=2)
-        assert count == {"basis": 1, "nodes": 1}
+        assert count == {"basis": 1, "nodes": 0, "stacks": 0}
 
     def test_trajectories_are_arrays_on_the_plan_meshes(self, small_setup):
         spec, grid, segs = small_setup
@@ -656,9 +715,9 @@ class TestWorkCounts:
         spec, grid, _ = small_setup
         plan = _level_plan(spec, grid, 16)
         with pytest.raises(ValueError, match="read-only"):
-            plan.nodes[3, 1] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
             plan.h[3] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.ends[3] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             plan.ST[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
@@ -926,6 +985,38 @@ class TestBareControls:
             pair[slot][3] = -np.inf
         with pytest.raises(ValueError, match=rf"^{arg} holds a non-finite value$"):
             calls[name](*pair)
+
+    @pytest.mark.parametrize("name,arg,slot", CASES)
+    def test_complex_names_the_argument(self, point, name, arg, slot):
+        _, _, res, calls = point
+        pair = [res.w1, res.w2]
+        pair[slot] = pair[slot] + 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before numpy drops an imaginary part
+            with pytest.raises(ValueError, match=rf"^{arg} is complex, expected real values$"):
+                calls[name](*pair)
+
+    @pytest.mark.parametrize("name,arg", [("evaluate_J2", "u"), ("nash_residual", "p"),
+                                          ("duality_residual", "source")])
+    def test_complex_field_names_the_argument(self, point, name, arg):
+        """The field beside the control: a complex trajectory ``u`` or
+        ``p``, or a complex ``source``, is a ValueError naming it."""
+        grid, segs, res, _ = point
+        spec, N = MovingDomainSpec(k=0.25, T=4.0), self.N
+        field = res.u.frames + 1j
+        calls = {
+            "evaluate_J2": lambda: evaluate_J2(Trajectory(res.u.plan, field), res.w2,
+                                               segs.sigma2, 10.0, 100.0),
+            "nash_residual": lambda: nash_residual(res.w2, Trajectory(res.p.plan, field),
+                                                   100.0, segs),
+            "duality_residual": lambda: duality_residual(res.w2, segs.sigma2, field,
+                                                         spec, grid, N),
+        }
+        shown = arg if arg == "source" else f"trajectory {arg}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{shown} is complex, expected real values$"):
+                calls[name]()
 
     @pytest.mark.parametrize("name", sorted({name for name, _, _ in CASES}))
     def test_values_off_the_segment_are_ignored(self, point, name):

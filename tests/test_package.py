@@ -1,7 +1,10 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +82,21 @@ def test_readme_library_example_runs():
     section = readme.split("## Library example", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md: Library example", "exec"), {})
+
+
+def test_cli_import_loads_no_verification_and_no_third_party_module_but_numpy():
+    """``import snwave.cli`` in a fresh interpreter: ``verification`` loads
+    only when ``verify`` runs, and numpy is the one third-party module, so
+    no undeclared dependency such as scipy comes in."""
+    src = str(Path(importlib.import_module("snwave").__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    code = ("import sys; before = set(sys.modules); import snwave.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    added = done.stdout.split()
+    assert "snwave.cli" in added and "snwave.verification" not in added
+    top = {name.split(".")[0] for name in added} - set(sys.stdlib_module_names)
+    assert top == {"numpy", "snwave"}

@@ -106,11 +106,12 @@ def assert_frames_close(traj, ref):
     assert gap <= ORACLE_RTOL * scale
 
 
-def l2q_error_vs_separable(traj, exact):
+def l2q_error_vs_separable(traj, spec, exact):
     """Space-time L2 distance to an exact solution x, t -> u(x, t)."""
     acc = 0.0
-    grid, plan, nodes = traj.grid, traj.plan, traj.plan.nodes
+    grid, plan = traj.grid, traj.plan
     N = plan.shape[1] - 1
+    nodes = level_nodes(spec, grid.levels, N)[1]
     for m in range(grid.M):
         d = traj.frames[m] - exact(nodes[m], grid.levels[m])
         acc += grid.dt * float(d @ mass_matrix(N, plan.h[m]) @ d)
@@ -124,7 +125,7 @@ def manufactured_error(NM):
     traj = solve_forward(np.zeros(NM + 1), spec, grid, NM,
                          ic0=np.sin(np.pi * x), ic1=np.zeros(NM + 1))
     return l2q_error_vs_separable(
-        traj, lambda x, t: np.sin(np.pi * x) * np.cos(np.pi * t))
+        traj, spec, lambda x, t: np.sin(np.pi * x) * np.cos(np.pi * t))
 
 
 class TestForward:
@@ -327,12 +328,13 @@ class TestOneInterpolationPerFrame:
     def test_same_bits_as_two_calls_per_step(self, k, N, M):
         spec, grid, forward, backward = self._data(k, N, M)
         plan = _level_plan(spec, grid, N)
+        nodes = level_nodes(spec, grid.levels, N)[1]
         ref = np.empty((M + 1, N + 1))
-        reference_march(plan.nodes, plan.ST, plan.G, plan.lift, grid.dt, forward["ic0"],
+        reference_march(nodes, plan.ST, plan.G, plan.lift, grid.dt, forward["ic0"],
                         forward["ic1"], forward["left_boundary"], forward["source"], ref)
         got = solve_forward(spec=spec, grid=grid, N=N, **forward).frames
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
-        reference_march(plan.nodes[::-1], plan.ST, plan.G[::-1], plan.lift[::-1], grid.dt,
+        reference_march(nodes[::-1], plan.ST, plan.G[::-1], plan.lift[::-1], grid.dt,
                         backward["terminal0"], -backward["terminal1"], np.zeros(M + 1),
                         backward["source"][::-1], ref[::-1])
         got = solve_backward(spec=spec, grid=grid, N=N, **backward).frames
@@ -412,12 +414,13 @@ class TestReflectionFold:
         assert plan.ST.ndim == 3
         ST, G, lift = _step_operators(plan.h, grid.dt, N)
         np.testing.assert_array_equal(lift, plan.lift)
+        nodes = level_nodes(spec, grid.levels, N)[1]
         ref = np.empty((grid.M + 1, N + 1))
-        reference_march(plan.nodes, ST, G, lift, grid.dt, forward["ic0"], forward["ic1"],
+        reference_march(nodes, ST, G, lift, grid.dt, forward["ic0"], forward["ic1"],
                         forward["left_boundary"], forward["source"], ref)
         got = solve_forward(spec=spec, grid=grid, N=N, **forward).frames
         assert np.max(np.abs(got - ref)) <= ORACLE_RTOL * np.max(np.abs(ref))
-        reference_march(plan.nodes[::-1], ST, G[::-1], lift[::-1], grid.dt,
+        reference_march(nodes[::-1], ST, G[::-1], lift[::-1], grid.dt,
                         backward["terminal0"], -backward["terminal1"], np.zeros(grid.M + 1),
                         backward["source"][::-1], ref[::-1])
         got = solve_backward(spec=spec, grid=grid, N=N, **backward).frames
@@ -462,14 +465,13 @@ class TestLevelPlan:
                 grid = build_time_grid(3.0, M)
                 for N in (2, 3, 100, 300):
                     plan = _level_plan(spec, grid, N)
-                    assert plan.h.shape == (M + 1,)
-                    nodes = plan.nodes
-                    assert nodes.shape == plan.shape == (M + 1, N + 1)
+                    assert plan.h.shape == plan.ends.shape == (M + 1,)
+                    assert plan.shape == (M + 1, N + 1)
+                    assert not hasattr(plan, "nodes")  # a plan holds no node array
                     for m, t in enumerate(grid.levels):
                         h, x = level_nodes(spec, t, N)
                         assert plan.h[m].view(np.int64) == h.view(np.int64)
-                        np.testing.assert_array_equal(nodes[m].view(np.int64),
-                                                      x.view(np.int64))
+                        assert plan.ends[m].view(np.int64) == x[-1].view(np.int64)
         grid = build_time_grid(3.0, 12)
         dt2 = grid.dt**2
         for N in (2, 3, 10, 100):
@@ -649,6 +651,37 @@ class TestNodeBlocks:
         monkeypatch.setattr(solvers, "_NODE_ROWS", M + 2)
         for got, want in zip(blocked, marches()):
             np.testing.assert_array_equal(got, want)
+
+
+class TestOneNodeFormula:
+    """``geometry._node_rows`` is the one formula for node rows: the march
+    interpolates between the rows of ``level_nodes(spec, grid.levels, N)``,
+    bit for bit, in both directions."""
+
+    @pytest.mark.parametrize("N", [100, 300])  # 300: folded operators
+    def test_march_reads_the_level_nodes_rows(self, monkeypatch, N):
+        spec = MovingDomainSpec(k=0.25, T=3.0)
+        grid = build_time_grid(3.0, N)
+        M, nodes = grid.M, level_nodes(spec, grid.levels, N)[1]
+        plan = _level_plan(spec, grid, N)
+        seen = []
+        interp = solvers.interpolate
+
+        def spy(values, x_target, x_source):
+            seen.append((x_target.tobytes(), x_source.tobytes()))
+            return interp(values, x_target, x_source)
+
+        monkeypatch.setattr(solvers, "interpolate", spy)
+        marches = ((lambda: _march_forward(np.ones(M + 1), plan), nodes),
+                   (lambda: _march_backward(np.ones(plan.shape), np.empty(plan.shape), plan),
+                    nodes[::-1]))
+        for march, rows in marches:
+            seen.clear()
+            march()
+            # the start onto level 1, frame 0 onto level 2, then frame i onto levels i+1, i+2
+            want = [(rows[1], rows[0]), (rows[2], rows[0])]
+            want += [(rows[i + 1:i + 3], rows[i]) for i in range(1, M)]
+            assert seen == [(t.tobytes(), s.tobytes()) for t, s in want]
 
 
 class TestPreScaledSource:
@@ -884,7 +917,7 @@ class TestTrajectoryNorms:
         grid = build_time_grid(1.0, 8)
         c = solve_forward(1j * np.linspace(0, 1, 9), spec, grid, 8)
         zero = Trajectory(c.plan, np.zeros(c.plan.shape))
-        with pytest.raises(ValueError, match=f"trajectory {name} has complex frames"):
+        with pytest.raises(ValueError, match=rf"^trajectory {name} is complex, expected real"):
             call(c, zero)
         # a strided real view of complex frames, as du_l2 reads on a live leader chain, passes
         view = Trajectory(c.plan, c.frames.imag)
