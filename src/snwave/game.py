@@ -4,9 +4,9 @@ A solve builds one private sweep map, ``_Sweep``, holding the level plan
 (see ``solvers``), the target u2 evaluated once on the levels' nodes,
 one level's row at a time (a read-only broadcast when u2 is a constant),
 the shared zero trajectory, the leader's and the follower's level
-indices, sigma and the phi terminal data.  It maps the state ``(w1, w2, psi_bc)``, bare ``(M+1,)``
-arrays that are zero off their segments, to the next state and the
-fields u, psi and phi of the sweep:
+indices, sigma and the phi terminal data.  It maps the state ``(w1, w2,
+psi_bc)``, bare ``(M+1,)`` arrays that are zero off their segments, to
+the next state and the fields u, psi and phi of the sweep:
 
     u  forward from the trace of w1 + w2,    w1'     =           d phi/d nu,
     p  backward from source u - u2,          w2'     = (1/sigma) d p/d nu,

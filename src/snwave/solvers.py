@@ -150,7 +150,7 @@ class Trajectory:
 
     ``frames`` has the plan's shape ``(M+1, N+1)``; ``plan`` is the
     solve's level plan, shared, not copied, and ``grid`` is the plan's.
-    Equality and hash are identity, as for every class here that holds
+    Equality and hash are identity: a field-wise ``==`` would compare
     arrays.
     """
 
