@@ -51,7 +51,6 @@ import numpy as np
 from .geometry import (
     BoundarySegments,
     MovingDomainSpec,
-    _node_rows,
     build_time_grid,
     compute_Tc,
     level_nodes,
@@ -237,10 +236,9 @@ def _build_problem(cfg: RunConfig):
 
 def _dump_trajectory(path: Path, traj):
     """Write ``traj``'s ``(m, t, x, value)`` rows, making one level's node row at a time
-    from the plan's spacings and right ends."""
-    h, ends, N = traj.plan.h, traj.plan.ends, traj.plan.shape[1] - 1
+    (``plan.node_row``)."""
     rows = ((m, t, x, v) for m, t in enumerate(traj.grid.levels)
-            for x, v in zip(_node_rows(h[m], ends[m], np.empty(N + 1)), traj.frames[m]))
+            for x, v in zip(traj.plan.node_row(m), traj.frames[m]))
     write_csv(path, ("m", "t", "x", "value"), rows)
 
 
@@ -259,7 +257,7 @@ def cmd_run(cfg: RunConfig) -> int:
     write_csv(outdir / "iteration_log.csv",
               ("n", "stop_qty", "du_L2", "dw_L2", "J", "J2"),
               [(r.n, r.stop_qty, r.du_l2, r.dw_l2, r.J, r.J2) for r in result.log])
-    x = _node_rows(result.u.plan.h[-1], result.u.plan.ends[-1], np.empty(cfg.N + 1))
+    x = result.u.plan.node_row(-1)
     write_csv(outdir / "final_state.csv", ("x", "u"), list(zip(x, result.u.frames[-1])))
     if cfg.dump_frames:
         _dump_trajectory(outdir / "u_frames.csv", result.u)

@@ -12,11 +12,16 @@ target node lies beyond the source's right endpoint.
 spacings.  No mass or stiffness matrix is assembled: every level mesh is
 the same uniform mesh rescaled, so both operators are stencils of the
 spacing h.  The space-time mass pairing is one row-wise stencil over a
-stack of frames, ``_mass_rows``, which loops over no level:
-``solvers._squared_distance`` sums its rows for every space-time L2
-distance and norm of a solve, and ``_mass_pairing`` pairs two stacks
-for ``solvers.duality_residual`` and the verification battery.  The step
-solve applies both operators through the level plan of ``solvers``.
+stack of frames, ``_mass_rows``, which loops over no level: the level
+plan's ``squared_distance`` (``solvers``) sums its rows for every
+space-time L2 distance and norm of a solve, and ``_mass_pairing`` pairs
+two stacks for ``solvers.duality_residual`` and the verification
+battery.  The step solve applies both operators through the level plan
+of ``solvers``, whose ``forward``, ``backward``, ``flux`` and
+``squared_distance`` are the scheme's operations (listed there).  The
+``_check_*`` helpers reject a bad array argument with a ``ValueError``
+naming it: ``_check_real`` a complex one, ``_check_finite`` one holding
+a non-finite value.
 """
 
 from __future__ import annotations
@@ -110,13 +115,18 @@ def _check_real(name: str, a):
         raise ValueError(f"{name} is complex, expected real values")
 
 
+def _check_finite(name: str, a):
+    """Reject an array argument ``name`` (None passes) holding a non-finite value."""
+    if a is not None and not np.isfinite(a).all():
+        raise ValueError(f"{name} holds a non-finite value")
+
+
 def _check_control(name: str, a, grid: TimeGrid):
     """Reject a control argument ``name`` that is None, not one sample per
     level of ``grid``, complex or holds a non-finite value."""
     _check_given(name, a, (grid.M + 1,))
     _check_real(name, a)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} holds a non-finite value")
+    _check_finite(name, a)
 
 
 def control_l2_norm(values: np.ndarray, segment: tuple, grid: TimeGrid) -> float:

@@ -1,12 +1,12 @@
 """Hierarchical two-control fixed point: one sweep map and the loop around it.
 
 A solve builds one private sweep map, ``_Sweep``, holding the level plan
-(see ``solvers``), the target u2 evaluated once on the levels' nodes,
-one level's row at a time (a read-only broadcast when u2 is a constant),
-the shared zero trajectory, the leader's and the follower's level
-indices, sigma and the phi terminal data.  It maps the state ``(w1, w2,
-psi_bc)``, bare ``(M+1,)`` arrays that are zero off their segments, to
-the next state and the fields u, psi and phi of the sweep:
+(the scheme, see ``solvers``), the target u2 evaluated once on the
+levels' nodes, one level's row at a time (a read-only broadcast when u2
+is a constant), the leader's and the follower's level indices, sigma and
+the phi terminal data.  It maps the state ``(w1, w2, psi_bc)``, bare
+``(M+1,)`` arrays that are zero off their segments, to the next state
+and the fields u, psi and phi of the sweep:
 
     u  forward from the trace of w1 + w2,    w1'     =           d phi/d nu,
     p  backward from source u - u2,          w2'     = (1/sigma) d p/d nu,
@@ -19,12 +19,13 @@ that makes each update the descent direction of the cost it minimizes
 (``nash_gradient_check`` probes the follower cost by finite
 differences).  The leader chain ``psi_bc -> phi -> (w1', psi_bc')``
 reads neither w1 nor w2, so the map is block lower-triangular.
-``fixed_point_solve`` is the loop: call the map, check, log.  Its
-inputs are checked before the first march: a segment holding no level
-of the grid, a non-finite constant u2, a non-finite value of a callable
-u2 and non-finite phi terminal data are ``ValueError``s naming the
-input, not divergences.  ``evaluate_J2`` and ``nash_residual`` read the
-grid of the trajectory they are given, whose frames must be real.
+``fixed_point_solve`` builds the map (``_Sweep.of``) and runs the loop,
+``_iterate``: call the map, check, log.  Its inputs are checked before
+the first march: a segment holding no level of the grid, a complex or
+non-finite constant u2, a complex or non-finite value of a callable u2
+and complex or non-finite phi terminal data are ``ValueError``s naming
+the input, not divergences.  ``evaluate_J2`` and ``nash_residual`` read
+the grid of the trajectory they are given, whose frames must be real.
 
 Within a sweep u and psi are independent, and so are p and phi, and all
 four share the level plan.  Each sweep makes one forward and one
@@ -40,16 +41,22 @@ backward march, and their data decide what a march carries (see
 u, psi, p and phi are the real and imaginary views of the two arrays; a
 real march's imaginary view is the zero trajectory.  The leader chain's
 bits do not depend on the controls.  The backward march forms its source
-in the frames it fills (``solvers._march_backward``), and the map reads
+in the frames it fills (``plan.backward``), and the map reads
 p only for w2': it returns ``(u, psi, phi)``.
 
-The map has one entry per direction: ``_Sweep.state`` marches forward
-(``forward_half`` splits it into u and psi) and ``_Sweep.adjoint``
-backward from the source u - u2.  A field is read one way each: its
-outward flux on a segment's levels by ``solvers._segment_flux``, which
-gives the three updates and ``nash_residual``'s defect, and its
-space-time L2 form by ``solvers._squared_distance``, which gives du_l2
-and the tracking term of J2.
+The map and the loop reach the march only through the plan's members
+that the ``solvers`` docstring lists as the operations of a scheme:
+``forward``, ``backward``, ``flux``, ``squared_distance``, ``zero``,
+``grid`` and ``shape``; ``_iterate`` runs a ``_Sweep`` built on any
+plan that has these members.  The map has one entry per direction:
+``_Sweep.state`` calls ``plan.forward`` (``forward_half`` splits it into
+u and psi) and ``_Sweep.adjoint`` ``plan.backward`` from the source
+u - u2.  A field is read one way each: its outward flux on a segment's
+levels by ``plan.flux``, which gives the three updates and
+``nash_residual``'s defect, and its space-time L2 form by
+``plan.squared_distance``, which gives du_l2 (its square root) and the
+tracking term of J2.  A callable u2 is given each level's nodes by
+``plan.node_row``.
 
 A solve holds its level plan and the frames the next step reads.  The
 loop runs the map's two halves itself and takes du_l2 between them,
@@ -65,10 +72,10 @@ and stores the log, a tuple, and the sweep map once: its ``iterations``
 is the log's length, its ``segments`` and ``target`` the sweep's.
 
 The scheme maps all-zero data to exactly zero frames, so the map marches
-no forward field whose boundary data are all zero: it is the solve's one
-read-only zero trajectory.  With zero phi terminal data psi, phi and w1
-stay exactly zero and the sweep is the u <-> p loop in the follower
-control, two real marches.  The final state is one real march, and so
+no forward field whose boundary data are all zero: it is the plan's
+read-only zero trajectory, ``plan.zero``.  With zero phi terminal data
+psi, phi and w1 stay exactly zero and the sweep is the u <-> p loop in
+the follower control, two real marches.  The final state is one real march, and so
 is ``SNResult.p``, marched by the map on its first read, since most runs
 never read it; ``solve_forward`` and ``solve_backward`` themselves
 always march.
@@ -83,21 +90,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .geometry import (BoundarySegments, MovingDomainSpec, TimeGrid, _check_integer,
-                       _node_rows, _segment_levels)
-from .fem import _check_control, _check_real, _check_shape, _segment_norm
-from .solvers import (
-    _SWEEP_ERRSTATE,
-    Trajectory,
-    _LevelPlan,
-    _left_trace,
-    _level_plan,
-    _march_backward,
-    _march_forward,
-    _segment_flux,
-    _squared_distance,
-    trajectory_l2_distance,
-)
+from .geometry import BoundarySegments, MovingDomainSpec, TimeGrid, _check_integer, _segment_levels
+from .fem import _check_control, _check_finite, _check_real, _check_shape, _segment_norm
+from .solvers import _SWEEP_ERRSTATE, Trajectory, _LevelPlan, _left_trace, _level_plan
 
 __all__ = [
     "SNConfig",
@@ -127,6 +122,13 @@ class DivergenceError(RuntimeError):
         self.payload = payload
 
 
+def _check_constant_target(u2):
+    """Reject a constant target u2 that is complex or not finite."""
+    _check_real("u2", u2)
+    if not math.isfinite(u2):
+        raise ValueError(f"u2 must be finite, got {u2}")
+
+
 @dataclass(frozen=True)
 class SNConfig:
     """Parameters of the fixed-point driver, checked once and frozen."""
@@ -146,8 +148,8 @@ class SNConfig:
         _check_integer("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not (callable(self.u2) or math.isfinite(self.u2)):
-            raise ValueError(f"u2 must be finite, got {self.u2}")
+        if not callable(self.u2):
+            _check_constant_target(self.u2)
         pair = self.phi_terminal
         if pair is not None and not (isinstance(pair, (tuple, list)) and len(pair) == 2):
             size = f" of length {len(pair)}" if isinstance(pair, (tuple, list)) else ""
@@ -176,21 +178,22 @@ class IterationRecord:
 def _target(u2: TargetLike, plan: _LevelPlan) -> np.ndarray:
     """The target u2 on every level of ``plan``: row m holds its values at
     level m's nodes, which a callable u2 is given one level's row at a time
-    (``geometry._node_rows`` of the plan's ``h[m]`` and ``ends[m]``).
+    (``plan.node_row(m)``).
 
     A constant target is a read-only broadcast of its value, which holds
     no frame memory.  A callable returning a scalar is broadcast to the
     level like a constant target; any other shape but one value per node,
-    and any non-finite value, is an error.
+    and any complex or non-finite value, is an error.
     """
     if not callable(u2):
-        if not math.isfinite(u2):
-            raise ValueError(f"u2 must be finite, got {u2}")
+        _check_constant_target(u2)
         return np.broadcast_to(float(u2), plan.shape)
     out = np.empty(plan.shape)
     for m, t in enumerate(plan.grid.levels):
-        x = _node_rows(plan.h[m], plan.ends[m], np.empty(plan.shape[1]))
-        vals = np.asarray(u2(x, float(t)), dtype=float)
+        x = plan.node_row(m)
+        vals = u2(x, float(t))
+        _check_real("u2", vals)
+        vals = np.asarray(vals, dtype=float)
         if vals.ndim != 0 and vals.shape != x.shape:
             raise ValueError(f"target u2 returned shape {vals.shape} at t={t}, "
                              f"expected a scalar or {x.shape}")
@@ -228,7 +231,7 @@ def _follower_cost(u: Trajectory, w2: np.ndarray, target: np.ndarray, sigma: flo
                    levels, dt: float) -> float:
     """J2 of the state ``u`` and the bare follower control ``w2`` on its
     segment's ``levels``, with u2 given as ``target`` on u's levels."""
-    track = _squared_distance(u.frames, target, u.plan)
+    track = u.plan.squared_distance(u.frames, target)
     return 0.5 * track + 0.5 * sigma * _segment_norm(w2, levels, dt) ** 2
 
 
@@ -246,7 +249,6 @@ class _Sweep:
 
     plan: _LevelPlan
     target: np.ndarray
-    zero: Trajectory
     segments: BoundarySegments
     leader: np.ndarray  # level indices of the leader's segment
     follower: np.ndarray  # level indices of the follower's segment
@@ -262,15 +264,15 @@ class _Sweep:
         terminal = {}
         for i, f in enumerate(config.phi_terminal or ()):
             if f is not None:
+                name = f"phi_terminal[{i}]"
+                _check_real(name, f)
                 f = np.asarray(f, dtype=float)
-                _check_shape(f"phi_terminal[{i}]", f, (N + 1,))
-                if not np.isfinite(f).all():
-                    raise ValueError(f"phi_terminal[{i}] holds a non-finite value")
+                _check_shape(name, f, (N + 1,))
+                _check_finite(name, f)
                 terminal[f"terminal{i}"] = _imaginary(f)  # phi is the imaginary part of p + i phi
         if not any(f.any() for f in terminal.values()):
             terminal = {}
-        zero = Trajectory(plan, np.broadcast_to(0.0, plan.shape))
-        return cls(plan, _target(config.u2, plan), zero, segments, leader, follower,
+        return cls(plan, _target(config.u2, plan), segments, leader, follower,
                    config.sigma, terminal)
 
     def state(self, w1: np.ndarray, w2: np.ndarray,
@@ -282,8 +284,8 @@ class _Sweep:
         if psi_bc is not None and psi_bc.any():
             left = left + _imaginary(_left_trace(psi_bc))
         if not left.any():
-            return self.zero
-        return _march_forward(left, self.plan)
+            return self.plan.zero
+        return self.plan.forward(left)
 
     def adjoint(self, u: Trajectory, psi: Optional[Trajectory] = None, **terminal) -> Trajectory:
         """The backward march from the source u - target: p.  With a nonzero
@@ -291,13 +293,13 @@ class _Sweep:
         march p + i phi from the source (u - target) + i psi.  The source is
         formed in the frames the march fills."""
         if psi is None:
-            psi = self.zero
-        paired = psi is not self.zero or bool(terminal)
+            psi = self.plan.zero
+        paired = psi is not self.plan.zero or bool(terminal)
         frames = np.empty(self.plan.shape, complex if paired else float)
         np.subtract(u.frames, self.target, out=frames.real)
         if paired:
             frames.imag = psi.frames
-        return _march_backward(frames, frames, self.plan, **terminal)
+        return self.plan.backward(frames, frames, **terminal)
 
     def __call__(self, w1: np.ndarray, w2: np.ndarray, psi_bc: np.ndarray):
         return self.backward_half(*self.forward_half(w1, w2, psi_bc))
@@ -310,21 +312,21 @@ class _Sweep:
         """The sweep's backward march from the forward half's ``(u, psi)``:
         ``((w1', w2', psi_bc'), (u, psi, phi))``."""
         p, phi = self._parts(self.adjoint(u, psi, **self.phi_terminal))
-        nxt = (_segment_flux(phi, self.leader),
-               _segment_flux(p, self.follower) / self.sigma,
-               _segment_flux(phi, self.follower) / self.sigma)
+        flux = self.plan.flux
+        nxt = (flux(phi, self.leader), flux(p, self.follower) / self.sigma,
+               flux(phi, self.follower) / self.sigma)
         return nxt, (u, psi, phi)
 
     def own(self, f: Trajectory) -> Trajectory:
         """``f`` on frames of its own, so the march array it views can be
         freed; the zero trajectory as it is."""
-        return f if f is self.zero else Trajectory(self.plan, f.frames.copy())
+        return f if f is self.plan.zero else Trajectory(self.plan, f.frames.copy())
 
     def _parts(self, f: Trajectory) -> tuple:
         """The real and the imaginary part of a march, as two trajectories;
         a real march's imaginary part is the zero trajectory."""
         if f.frames.dtype.kind != "c":
-            return f, self.zero
+            return f, self.plan.zero
         return Trajectory(self.plan, f.frames.real), Trajectory(self.plan, f.frames.imag)
 
 
@@ -408,8 +410,16 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
     payload) in the state, the controls or a sweep's logged ``stop_qty``,
     ``du_l2``, ``dw_l2`` or ``J2``.
     """
-    sweep = _Sweep.of(config, spec, grid, N)
-    idx, dt, M = (sweep.leader, sweep.follower), grid.dt, grid.M
+    return _iterate(_Sweep.of(config, spec, grid, N), config)
+
+
+def _iterate(sweep: _Sweep, config: SNConfig) -> SNResult:
+    """``fixed_point_solve``'s loop on the sweep map ``sweep``: it reaches
+    the scheme only through the members of ``sweep.plan`` that the
+    ``solvers`` docstring lists."""
+    plan = sweep.plan
+    idx, grid = (sweep.leader, sweep.follower), plan.grid
+    dt, M = grid.dt, grid.M
     w1 = w2 = psi_bc = np.zeros(M + 1)
     u_prev = None
     log: list = []
@@ -417,7 +427,7 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
 
     def diverged(n: int, what: str, field: str, **details) -> DivergenceError:
         payload = {"iteration": n, "field": field, "sigma": config.sigma,
-                   "T": grid.T, "M": M, "N": N, **details}
+                   "T": grid.T, "M": M, "N": plan.shape[1] - 1, **details}
         return DivergenceError(f"non-finite {what} values at sweep {n}", payload)
 
     with np.errstate(**_SWEEP_ERRSTATE):
@@ -426,7 +436,8 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
             u, psi = sweep.forward_half(w1, w2, psi_bc)
             if not np.isfinite(u.frames[M]).all():
                 raise diverged(n, "state", "state")
-            du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
+            du = (0.0 if u_prev is None
+                  else math.sqrt(plan.squared_distance(u.frames, u_prev.frames)))
             u_prev = None  # the backward march holds only u and its own frames
             (w1_new, w2_new, psi_bc), (u, psi, phi) = sweep.backward_half(u, psi)
             finite = [bool(np.isfinite(w).all()) for w in (w1_new, w2_new)]
@@ -463,7 +474,7 @@ def nash_residual(w2: np.ndarray, p: Trajectory, sigma: float,
     _check_real("trajectory p", p.frames)
     _check_control("w2", w2, grid)
     idx = _segment_levels("sigma2", segments.sigma2, grid)
-    defect = _segment_norm(sigma * w2 - _segment_flux(p, idx), idx, grid.dt)
+    defect = _segment_norm(sigma * w2 - p.plan.flux(p, idx), idx, grid.dt)
     denom = sigma * _segment_norm(w2, idx, grid.dt)
     return defect if denom == 0.0 else defect / denom
 
@@ -528,7 +539,7 @@ def nash_gradient_check(w1: np.ndarray, w2: np.ndarray, config: SNConfig,
     analytic = np.empty(n_directions)
     rels = np.empty(n_directions)
     with np.errstate(**_SWEEP_ERRSTATE):
-        flux = _segment_flux(sweep.adjoint(sweep.state(v1, v2)), idx)
+        flux = sweep.plan.flux(sweep.adjoint(sweep.state(v1, v2)), idx)
         for d in range(n_directions):
             coefs = rng.standard_normal(3)
             direction = np.zeros(grid.M + 1)

@@ -79,8 +79,8 @@ class TimeGrid:
 def alpha(spec: MovingDomainSpec, t):
     """Right endpoint 1 + k*t of the domain at time t, or at each of an array of times."""
     lo, hi = np.min(t), np.max(t)
-    if lo < 0.0 or hi > spec.T:
-        raise ValueError(f"time {lo if lo < 0.0 else hi} outside [0, {spec.T}]")
+    if not (lo >= 0.0 and hi <= spec.T):  # a NaN time fails both
+        raise ValueError(f"time {hi if lo >= 0.0 else lo} outside [0, {spec.T}]")
     return 1.0 + spec.k * t
 
 

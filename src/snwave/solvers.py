@@ -56,8 +56,8 @@ by every march of the solve, with the ``k`` and the time grid it was
 built for.  It holds no node array: level m's nodes are j h[m] for
 j < N and ``ends[m]`` at j = N, written by ``geometry._node_rows``, the
 one node formula of the package.  A march makes them ``_NODE_ROWS`` rows
-at a time (``_level_rows``); the game's callable u2 and the CLI's node
-columns make one level's row at a time from ``h`` and ``ends``, and
+at a time (``_level_rows``); ``plan.node_row(m)`` makes one level's row,
+for the game's callable u2 and the CLI's node columns, and
 ``level_nodes(spec, grid.levels, N)[1]`` gives all of them with the
 same bits.  ``back`` is the back product's operator: below
 ``_FOLD_N`` an F-contiguous copy of ``ST[:, 1:-1].T``, whose ``back.dot``
@@ -67,11 +67,36 @@ transposed, so the plan stores each value once.  The solve's first
 complex march adds ``paired_G``, ``G`` repeated over the two real
 columns of the products, so the scaling reads contiguous rows.  Every
 entry builds its plan by ``_level_plan``, which rejects a spec whose
-horizon T is not the grid's, and marches on it through one private entry
-per direction, ``_march_forward`` or ``_march_backward``.  Nothing is
-cached across solves.  A time step whose square underflows to 0 gives
-non-finite operators without a numpy warning; the game's checks report
-the values they produce.
+horizon T is not the grid's.  Nothing is cached across solves.  A time
+step whose square underflows to 0 gives non-finite operators without a
+numpy warning; the game's checks report the values they produce.
+
+The level plan is the scheme.  The game's fixed point reaches the march
+only through these members of ``_LevelPlan``, the operations a scheme
+must provide:
+
+- ``forward(left, ic0, ic1, source)``: the march from t = 0 into new
+  frames;
+- ``backward(source, frames, terminal0, terminal1)``: the march from
+  t = T into ``frames``;
+- ``flux(traj, idx)``: the outward flux d/d nu = -d/dx at x = 0 on the
+  levels ``idx``, 0 elsewhere;
+- ``squared_distance(a, b)``: dt times the sum over m < M of the mass
+  pairing of a[m] - b[m] with itself, the space-time L2 form;
+- ``zero``: the read-only zero trajectory, what all-zero data march to;
+- ``grid`` and ``shape``: the time grid and the frames' ``(M+1, N+1)``.
+
+``node_row(m)``, level m's nodes, serves a callable u2 and the CLI's
+node columns; the loop does not read it.  ``solve_forward`` and
+``solve_backward`` check their data, build a plan and call its
+``forward`` or ``backward``; the game calls them on its own plan, on
+data it has checked.  ``squared_distance``'s square root is the game's
+du_l2, ``trajectory_l2_distance`` and ``trajectory_l2_norm``, and half
+of it is J2's tracking term.  It forms the difference in row
+blocks of one contiguous buffer, so its bits do not depend on the
+frames' layout: a real view of complex frames reads as its copy.
+``flux`` gives the sweep's control updates, ``game.nash_residual``'s
+defect and ``duality_residual``'s boundary pairing.
 
 A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
 values of level m, at the nodes of the plan's ``h[m]`` and ``ends[m]``,
@@ -92,21 +117,9 @@ x = 0 and, as keywords, the ``(N+1,)`` initial frames and an
 the terminal frames.  Omitted frames are zero.  The source is only
 read: a read-only or broadcast array serves.  The game's adjoint
 (``game._Sweep.adjoint``) instead forms its source in the frames it
-marches and passes them to ``_march_backward`` as both: the march
+marches and passes them to ``plan.backward`` as both: the march
 scales them in place, with the same roundings, and holds no second
 full-size array.
-
-A solve reads its fields two ways, each in one place.
-``_squared_distance(a, b, plan)`` is dt times the sum over m < M of the
-mass pairing of a[m] - b[m] with itself, the space-time L2 form: its
-square root is ``trajectory_l2_distance`` (the game's du_l2) and
-``trajectory_l2_norm``, and half of it is J2's tracking term.  It forms the
-difference in row blocks of one contiguous buffer, so its bits do not
-depend on the frames' layout: a real view of complex frames reads as its
-copy.  ``_segment_flux(traj, idx)`` is the outward flux d/d nu = -d/dx
-at x = 0 on the levels ``idx``, 0 elsewhere: the sweep's control
-updates, ``game.nash_residual``'s defect and ``duality_residual``'s
-boundary pairing.
 
 The data may be complex; the frames then are complex too.  The scheme
 is real and linear, so a complex march is two real marches, of the real
@@ -123,6 +136,7 @@ the follower's and the leader's fields this way, in pairs.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -130,8 +144,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import MovingDomainSpec, TimeGrid, _level_spacings, _node_rows, _segment_levels
-from .fem import (_check_control, _check_given, _check_real, _check_shape, _mass_pairing,
-                  _mass_rows, boundary_flux_left, interpolate)
+from .fem import (_check_control, _check_finite, _check_given, _check_real, _check_shape,
+                  _mass_pairing, _mass_rows, boundary_flux_left, interpolate)
 
 __all__ = [
     "Trajectory",
@@ -282,13 +296,24 @@ def _plan_operators(h: np.ndarray, dt: float, N: int):
     return ST, back, G, lift
 
 
+# Bytes of ``_LevelPlan.squared_distance``'s difference buffer: blocks this size
+# hold a solve's peak at two frames and cost about what one full-size
+# difference does (BENCH_two-frames.json).  A call took 40 us at N = M =
+# 100 (one block) and 360 us at 300 (six), against 37 and 282 us for one
+# full-size difference and 102 and 479 us for 32-row blocks (median CPU
+# time, random frames, 2-vCPU Xeon VM).
+_DIFF_BYTES = 1 << 17
+
+
 @dataclass(frozen=True, eq=False)
 class _LevelPlan:
-    """What a solve's marches share, all read-only: level m's spacing
-    ``h[m]`` and right end ``ends[m]``, and the step operators ``ST``,
-    ``back``, ``G`` and ``lift`` of ``_plan_operators``, built for the
-    boundary speed ``k`` on the time grid ``grid``.  ``shape`` is its
-    frames' ``(M+1, N+1)``."""
+    """The scheme of a solve (module docstring): what its marches share,
+    all read-only, and the operations the game reaches the march by.
+
+    It holds level m's spacing ``h[m]`` and right end ``ends[m]``, and the
+    step operators ``ST``, ``back``, ``G`` and ``lift`` of
+    ``_plan_operators``, built for the boundary speed ``k`` on the time
+    grid ``grid``.  ``shape`` is its frames' ``(M+1, N+1)``."""
 
     k: float
     grid: TimeGrid
@@ -312,6 +337,78 @@ class _LevelPlan:
     def step_G(self, frames: np.ndarray) -> np.ndarray:
         """The ``G`` a march of ``frames`` scales by: ``paired_G`` for complex frames."""
         return self.paired_G if frames.dtype.kind == "c" else self.G
+
+    @property
+    def zero(self) -> Trajectory:
+        """The zero trajectory, a read-only broadcast that holds no frame
+        memory: the march of all-zero data, which need not be marched.
+
+        It is one object while any holder keeps it.  The plan keeps it by a
+        weak reference: a strong one would make the pair a reference cycle
+        that outlives its solve until the cycle collector runs (``snwave
+        table-sigma --N 300 --M 300`` peaked at 47.2 MB RSS, against 36.6
+        MB without the cycle)."""
+        zero = self.__dict__.get("_zero", lambda: None)()
+        if zero is None:
+            zero = Trajectory(self, np.broadcast_to(0.0, self.shape))
+            self.__dict__["_zero"] = weakref.ref(zero)
+        return zero
+
+    def node_row(self, m: int) -> np.ndarray:
+        """Level m's nodes in a new row, by ``geometry._node_rows``."""
+        return _node_rows(self.h[m], self.ends[m], np.empty(self.shape[1]))
+
+    def forward(self, left: np.ndarray, ic0: Optional[np.ndarray] = None,
+                ic1: Optional[np.ndarray] = None,
+                source: Optional[np.ndarray] = None) -> Trajectory:
+        """``solve_forward``'s march on checked data, into new frames."""
+        ic0 = ic0 if ic0 is not None else np.zeros(self.shape[1])
+        ic1 = ic1 if ic1 is not None else np.zeros(self.shape[1])
+        frames = np.empty(self.shape, _frame_dtype(left, ic0, ic1, source))
+        _march(self.h, self.ends, self.ST, self.back, self.step_G(frames), self.lift,
+               self.grid.dt, ic0, ic1, left, source, frames)
+        return Trajectory(self, frames)
+
+    def backward(self, source: np.ndarray, frames: np.ndarray,
+                 terminal0: Optional[np.ndarray] = None,
+                 terminal1: Optional[np.ndarray] = None) -> Trajectory:
+        """``solve_backward``'s march into ``frames``, on checked data.
+
+        ``source`` may be ``frames`` itself: the game's adjoint forms its
+        source in the frames it marches, and ``_march`` scales them in place
+        by dt^2, the rounding it makes on a separate source.
+        """
+        term0 = terminal0 if terminal0 is not None else np.zeros(frames.shape[1])
+        term1 = terminal1 if terminal1 is not None else np.zeros(frames.shape[1])
+        _march(self.h[::-1], self.ends[::-1], self.ST, self.back, self.step_G(frames)[::-1],
+               self.lift[::-1], self.grid.dt, term0, -term1, np.zeros(len(frames)),
+               source[::-1], frames[::-1])
+        return Trajectory(self, frames)
+
+    def flux(self, traj: Trajectory, idx: np.ndarray) -> np.ndarray:
+        """The outward flux d/d nu = -d/dx of ``traj`` at x = 0 on its levels
+        ``idx``, 0 elsewhere: one flux call on the three nodes its stencil reads."""
+        flux = np.zeros(len(traj.frames))
+        flux[idx] = -boundary_flux_left(traj.frames[idx, :3], self.h[idx])
+        return flux
+
+    def squared_distance(self, a: np.ndarray, b: np.ndarray) -> float:
+        """dt sum_{m<M} of the mass pairing of a[m] - b[m] with itself on
+        the plan's spacings: the space-time L2 form of a solve, rectangle
+        rule in time.  ``a`` and ``b`` have the plan's shape; either may be
+        a broadcast.  The difference is formed in row blocks of at most
+        ``_DIFF_BYTES`` in one contiguous buffer; a row's value depends on
+        that row alone, so the result has the full-size formula's bits for
+        any layout of the frames."""
+        M, width = self.grid.M, self.shape[1]
+        a, b = a[:M], b[:M]
+        rows = np.empty(M)
+        step = max(1, _DIFF_BYTES // (8 * width))
+        buf = np.empty((min(step, M), width))
+        for r in range(0, M, step):
+            d = np.subtract(a[r:r + step], b[r:r + step], out=buf[:M - r])
+            rows[r:r + step] = _mass_rows(d, d)
+        return self.grid.dt * (float(self.h[:M] @ rows) / 6.0)
 
 
 def _level_plan(spec: MovingDomainSpec, grid: TimeGrid, N: int) -> _LevelPlan:
@@ -382,7 +479,7 @@ def _march(h, ends, ST, back, G, lift, dt, x0, v0, left, source, out):
     dt^2 s into ``out`` by one call, and step i reads row i+1 as its
     source term before it writes that row's boundary values and then its
     interior.  ``source`` may be ``out`` itself, which the march then
-    scales in place (``_march_backward``).  Without a source the boundary
+    scales in place (``_LevelPlan.backward``).  Without a source the boundary
     columns are written once, before the steps.
 
     A step makes only the numpy calls its arithmetic needs: one
@@ -499,7 +596,8 @@ def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeG
         M (v - 2 u~^m + u~^{m-1})/dt^2 + K v = M s^{m+1}
 
     on the level-(m+1) nodes, where the tilde marks interpolation of the
-    earlier frames onto them.
+    earlier frames onto them.  Data of the wrong shape or holding a
+    non-finite value are a ``ValueError`` naming the argument.
     """
     shape = (grid.M + 1, N + 1)
     if np.shape(left_boundary) != shape[:1]:
@@ -508,19 +606,10 @@ def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeG
     _check_shape("ic0", ic0, shape[1:])
     _check_shape("ic1", ic1, shape[1:])
     _check_shape("source", source, shape)
-    return _march_forward(left_boundary, _level_plan(spec, grid, N), ic0, ic1, source)
-
-
-def _march_forward(left_boundary: np.ndarray, plan: _LevelPlan,
-                   ic0: Optional[np.ndarray] = None, ic1: Optional[np.ndarray] = None,
-                   source: Optional[np.ndarray] = None) -> Trajectory:
-    """``solve_forward``'s march on checked data and plan, into new frames."""
-    ic0 = ic0 if ic0 is not None else np.zeros(plan.shape[1])
-    ic1 = ic1 if ic1 is not None else np.zeros(plan.shape[1])
-    frames = np.empty(plan.shape, _frame_dtype(left_boundary, ic0, ic1, source))
-    _march(plan.h, plan.ends, plan.ST, plan.back, plan.step_G(frames), plan.lift, plan.grid.dt,
-           ic0, ic1, left_boundary, source, frames)
-    return Trajectory(plan, frames)
+    for name, a in (("left_boundary", left_boundary), ("ic0", ic0), ("ic1", ic1),
+                    ("source", source)):
+        _check_finite(name, a)
+    return _level_plan(spec, grid, N).forward(left_boundary, ic0, ic1, source)
 
 
 def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N: int, *,
@@ -539,73 +628,22 @@ def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N
 
     on the level-(m-1) nodes with homogeneous Dirichlet values.  This is
     the forward march on the reversed levels with -terminal1 as the
-    start velocity.
+    start velocity.  Data of the wrong shape or holding a non-finite
+    value are a ``ValueError`` naming the argument.
     """
     shape = (grid.M + 1, N + 1)
     _check_given("source", source, shape)
     _check_shape("terminal0", terminal0, shape[1:])
     _check_shape("terminal1", terminal1, shape[1:])
-    plan = _level_plan(spec, grid, N)
+    for name, a in (("source", source), ("terminal0", terminal0), ("terminal1", terminal1)):
+        _check_finite(name, a)
     frames = np.empty(shape, _frame_dtype(source, terminal0, terminal1))
-    return _march_backward(source, frames, plan, terminal0, terminal1)
-
-
-def _march_backward(source: np.ndarray, frames: np.ndarray, plan: _LevelPlan,
-                    terminal0: Optional[np.ndarray] = None,
-                    terminal1: Optional[np.ndarray] = None) -> Trajectory:
-    """``solve_backward``'s march into ``frames``, on checked data and plan.
-
-    ``source`` may be ``frames`` itself: the game's adjoint forms its
-    source in the frames it marches, and ``_march`` scales them in place
-    by dt^2, the rounding it makes on a separate source.
-    """
-    term0 = terminal0 if terminal0 is not None else np.zeros(frames.shape[1])
-    term1 = terminal1 if terminal1 is not None else np.zeros(frames.shape[1])
-    _march(plan.h[::-1], plan.ends[::-1], plan.ST, plan.back, plan.step_G(frames)[::-1],
-           plan.lift[::-1], plan.grid.dt, term0, -term1, np.zeros(len(frames)), source[::-1],
-           frames[::-1])
-    return Trajectory(plan, frames)
-
-
-def _segment_flux(traj: Trajectory, idx: np.ndarray) -> np.ndarray:
-    """The outward flux d/d nu = -d/dx of ``traj`` at x = 0 on its levels
-    ``idx``, 0 elsewhere: one flux call on the three nodes its stencil reads."""
-    flux = np.zeros(len(traj.frames))
-    flux[idx] = -boundary_flux_left(traj.frames[idx, :3], traj.plan.h[idx])
-    return flux
-
-
-# Bytes of ``_squared_distance``'s difference buffer: blocks this size
-# hold a solve's peak at two frames and cost about what one full-size
-# difference does (BENCH_two-frames.json).  A call took 40 us at N = M =
-# 100 (one block) and 360 us at 300 (six), against 37 and 282 us for one
-# full-size difference and 102 and 479 us for 32-row blocks (median CPU
-# time, random frames, 2-vCPU Xeon VM).
-_DIFF_BYTES = 1 << 17
-
-
-def _squared_distance(a: np.ndarray, b: np.ndarray, plan: _LevelPlan) -> float:
-    """dt sum_{m<M} of the mass pairing of a[m] - b[m] with itself on
-    ``plan``'s spacings: the space-time L2 form of a solve, rectangle rule
-    in time.  ``a`` and ``b`` have the plan's shape; either may be a
-    broadcast.  The difference is formed in row blocks of at most
-    ``_DIFF_BYTES`` in one contiguous buffer; a row's value depends on
-    that row alone, so the result has the full-size formula's bits for
-    any layout of the frames."""
-    M = plan.grid.M
-    a, b = a[:M], b[:M]
-    rows = np.empty(M)
-    step = max(1, _DIFF_BYTES // (8 * plan.shape[1]))
-    buf = np.empty((min(step, M), plan.shape[1]))
-    for r in range(0, M, step):
-        d = np.subtract(a[r:r + step], b[r:r + step], out=buf[:M - r])
-        rows[r:r + step] = _mass_rows(d, d)
-    return plan.grid.dt * (float(plan.h[:M] @ rows) / 6.0)
+    return _level_plan(spec, grid, N).backward(source, frames, terminal0, terminal1)
 
 
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
     """Space-time L2 distance, rectangle rule in time, mass pairing in space
-    (``_squared_distance``).  ``b``'s plan must be built for the ``k`` and
+    (``_LevelPlan.squared_distance``).  ``b``'s plan must be built for the ``k`` and
     the grid of ``a``'s: the pairing reads ``a``'s level spacings for both."""
     _check_real("trajectory a", a.frames)
     _check_real("trajectory b", b.frames)
@@ -616,13 +654,13 @@ def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
         if have != want:
             raise ValueError(f"level plan was built for {name}={have!r}, "
                              f"expected {name}={want!r}")
-    return math.sqrt(_squared_distance(a.frames, b.frames, a.plan))
+    return math.sqrt(a.plan.squared_distance(a.frames, b.frames))
 
 
 def trajectory_l2_norm(a: Trajectory) -> float:
     """Space-time L2 norm of ``a``: its ``trajectory_l2_distance`` from the zero field."""
     _check_real("trajectory a", a.frames)
-    return math.sqrt(_squared_distance(a.frames, np.broadcast_to(0.0, a.plan.shape), a.plan))
+    return math.sqrt(a.plan.squared_distance(a.frames, a.plan.zero.frames))
 
 
 def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
@@ -645,12 +683,13 @@ def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
     plan = _level_plan(spec, grid, N)
     _check_given("source", source, plan.shape)
     _check_real("source", source)
-    u_hat = _march_forward(_left_trace(on_segment), plan)
-    p = _march_backward(source, np.empty(plan.shape, _frame_dtype(source)), plan)
+    _check_finite("source", source)
+    u_hat = plan.forward(_left_trace(on_segment))
+    p = plan.backward(source, np.empty(plan.shape, _frame_dtype(source)))
 
     M = grid.M
     volume = grid.dt * _mass_pairing(source[:M], u_hat.frames[:M], plan.h[:M])
-    boundary = grid.dt * float(np.sum(_segment_flux(p, idx)[idx] * control[idx]))
+    boundary = grid.dt * float(np.sum(plan.flux(p, idx)[idx] * control[idx]))
     scale = max(abs(volume), abs(boundary))
     if scale == 0.0:
         return 0.0

@@ -50,12 +50,12 @@ def stepped_sweeps(cfg, spec, grid, N, n):
 
 def follower_rule(p, sigma, segs, grid):
     """The sweep map's follower update: (1/sigma) times p's segment flux."""
-    return game._segment_flux(p, np.nonzero(segment_mask(segs.sigma2, grid))[0]) / sigma
+    return p.plan.flux(p, np.nonzero(segment_mask(segs.sigma2, grid))[0]) / sigma
 
 
 def leader_rule(phi, segs, grid):
     """The sweep map's leader update: phi's segment flux."""
-    return game._segment_flux(phi, np.nonzero(segment_mask(segs.sigma1, grid))[0])
+    return phi.plan.flux(phi, np.nonzero(segment_mask(segs.sigma1, grid))[0])
 
 
 def make_trajectory(spec, grid, N, profile):
@@ -415,6 +415,74 @@ class TestSweepMap:
         assert count[0] == 2
 
 
+class DensePlan:
+    """A linear scheme in dense matrices with only the members the loop may
+    read: ``forward``, ``backward``, ``flux``, ``squared_distance``,
+    ``zero``, ``grid`` and ``shape``.  The march is a matrix on the
+    Dirichlet data, the backward march one on the source, the flux one
+    on the frames; terminal data are not used."""
+
+    def __init__(self, grid, nodes, rng):
+        self.grid, self.shape = grid, (grid.M + 1, nodes)
+        size = self.shape[0] * nodes
+        self._march = rng.standard_normal((size, grid.M + 1))
+        self._back = rng.standard_normal((size, size)) / np.sqrt(size)
+        self._flux = rng.standard_normal((grid.M + 1, size)) / np.sqrt(size)
+        self.zero = Trajectory(self, np.broadcast_to(0.0, self.shape))
+
+    def forward(self, left, ic0=None, ic1=None, source=None):
+        return Trajectory(self, (self._march @ left).reshape(self.shape))
+
+    def backward(self, source, frames, terminal0=None, terminal1=None):
+        frames[...] = (self._back @ source.reshape(-1)).reshape(self.shape)
+        return Trajectory(self, frames)
+
+    def flux(self, traj, idx):
+        out = np.zeros(self.shape[0])
+        out[idx] = (self._flux @ traj.frames.reshape(-1))[idx]
+        return out
+
+    def squared_distance(self, a, b):
+        return self.grid.dt * float(np.sum((a - b)[:self.grid.M] ** 2))
+
+
+class TestToyScheme:
+    """``fixed_point_solve``'s loop, ``game._iterate``, reaches the scheme
+    only through the plan's members: on a dense linear plan it converges to
+    the fixed point w2 = (1/sigma) flux(p) that ``np.linalg.solve`` gives."""
+
+    def test_loop_finds_the_dense_fixed_point(self):
+        grid = build_time_grid(6.0, 6)
+        segs = BoundarySegments.disjoint_halves(grid.T)
+        leader = geometry._segment_levels("sigma1", segs.sigma1, grid)
+        follower = geometry._segment_levels("sigma2", segs.sigma2, grid)
+        assert len(follower) == 3
+        rng = np.random.default_rng(6)
+        plan = DensePlan(grid, 4, rng)
+        target = rng.standard_normal(plan.shape)
+
+        def flux_of(source):  # the follower flux of the backward march of ``source``
+            frames = np.empty(plan.shape)
+            return plan.flux(plan.backward(source, frames), follower)[follower]
+
+        K = np.empty((3, 3))
+        for j in range(3):
+            w = np.zeros(grid.M + 1)
+            w[follower[j]] = 1.0
+            K[:, j] = flux_of(plan.forward(_left_trace(w)).frames)
+        sigma = np.max(np.abs(np.linalg.eigvals(K))) / 0.25  # contraction rate 1/4
+        want = np.linalg.solve(np.eye(3) - K / sigma, -flux_of(target) / sigma)
+
+        cfg = SNConfig(sigma=sigma, epsilon=1e-14, max_iter=100, segments=segs)
+        sweep = game._Sweep(plan, target, segs, leader, follower, sigma, {})
+        res = game._iterate(sweep, cfg)
+        assert res.converged and res.iterations < 40
+        assert np.all(res.w1 == 0.0) and res.psi is res.phi is plan.zero
+        np.testing.assert_array_equal(np.delete(res.w2, follower), 0.0)
+        err = np.linalg.norm(res.w2[follower] - want) / np.linalg.norm(want)
+        assert err < 1e-12
+
+
 class TestMarchCounts:
     """Marches per run are deterministic.  A field whose data are all zero
     is not marched: the first sweep's state (zero controls) and psi
@@ -426,14 +494,14 @@ class TestMarchCounts:
     @staticmethod
     def _count_marches(monkeypatch):
         count = [0]
-        for name in ("_march_forward", "_march_backward"):
-            march = getattr(game, name)
+        for name in ("forward", "backward"):
+            march = getattr(solvers._LevelPlan, name)
 
             def counted(*args, _march=march, **kwargs):
                 count[0] += 1
                 return _march(*args, **kwargs)
 
-            monkeypatch.setattr(game, name, counted)
+            monkeypatch.setattr(solvers._LevelPlan, name, counted)
         return count
 
     @pytest.mark.parametrize("explicit_zero", [False, True])
@@ -632,6 +700,20 @@ class TestTarget:
         u = make_trajectory(spec, grid, 16, np.zeros_like)
         with pytest.raises(ValueError, match=msg):
             evaluate_J2(u, np.zeros(grid.M + 1), segs.sigma2, bad, 100.0)
+
+    @pytest.mark.parametrize("bad", [lambda x, t: (1 + 1j) * np.ones_like(x),
+                                     lambda x, t: 10.0 + 0j])
+    def test_complex_values_name_u2(self, small_setup, bad):
+        # refused before numpy drops the imaginary part with a ComplexWarning
+        spec, grid, segs = small_setup
+        msg = r"^u2 is complex, expected real values$"
+        u = make_trajectory(spec, grid, 16, np.zeros_like)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=msg):
+                fixed_point_solve(SNConfig(sigma=100.0, u2=bad, segments=segs), spec, grid, 16)
+            with pytest.raises(ValueError, match=msg):
+                evaluate_J2(u, np.zeros(grid.M + 1), segs.sigma2, bad, 100.0)
 
     @pytest.mark.parametrize("bad", [lambda x, t: np.ones(3),
                                      lambda x, t: np.ones((len(x), 2))])
@@ -1081,6 +1163,28 @@ class TestConfigValidation:
         u = solve_forward(w2, spec, grid, 10)
         with pytest.raises(ValueError, match=r"^u2 must be finite, got "):
             evaluate_J2(u, w2, segs.sigma2, u2, 100.0)
+
+    @pytest.mark.parametrize("u2", [1 + 1j, np.complex128(10.0)])
+    def test_complex_constant_u2(self, small_setup, u2):
+        spec, grid, segs = small_setup
+        w2 = np.ones(grid.M + 1)
+        u = solve_forward(w2, spec, grid, 10)
+        with pytest.raises(ValueError, match=r"^u2 is complex, expected real values$"):
+            SNConfig(sigma=100.0, u2=u2)
+        with pytest.raises(ValueError, match=r"^u2 is complex, expected real values$"):
+            evaluate_J2(u, w2, segs.sigma2, u2, 100.0)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_complex_phi_terminal(self, small_setup, i):
+        spec, grid, segs = small_setup
+        pair = [None, None]
+        pair[i] = (1 + 1j) * np.ones(11)
+        cfg = SNConfig(sigma=100.0, segments=segs, phi_terminal=tuple(pair))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy drops the imaginary part
+            with pytest.raises(ValueError,
+                               match=rf"^phi_terminal\[{i}\] is complex, expected real values$"):
+                fixed_point_solve(cfg, spec, grid, 10)
 
     @pytest.mark.parametrize("i,value", [(0, math.nan), (1, math.inf), (1, -math.inf)])
     def test_non_finite_phi_terminal(self, small_setup, i, value):

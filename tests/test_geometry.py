@@ -57,6 +57,15 @@ class TestAlpha:
         with pytest.raises(ValueError, match="time -0.5 outside"):
             alpha(spec, np.array([-0.5, 1.0, 2.5]))
 
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.0, math.nan, 1.0])])
+    def test_nan_time_is_outside_the_domain(self, t):
+        # nan < 0 is False: the check is written so that a NaN time fails it
+        spec = MovingDomainSpec(k=0.25, T=2.0)
+        with pytest.raises(ValueError, match=r"^time nan outside \[0, 2.0\]$"):
+            alpha(spec, t)
+        with pytest.raises(ValueError, match=r"^time nan outside \[0, 2.0\]$"):
+            level_nodes(spec, t, 4)
+
 
 class TestSpec:
     def test_k_zero_accepted(self):

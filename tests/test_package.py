@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -100,3 +101,22 @@ def test_cli_import_loads_no_verification_and_no_third_party_module_but_numpy():
     assert "snwave.cli" in added and "snwave.verification" not in added
     top = {name.split(".")[0] for name in added} - set(sys.stdlib_module_names)
     assert top == {"numpy", "snwave"}
+
+
+def _imported_names(module: str) -> set:
+    """``(module, name)`` of every ``from ... import`` in the snwave module ``module``."""
+    path = Path(importlib.import_module(f"snwave.{module}").__file__)
+    return {(node.module, alias.name) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_game_and_cli_reach_the_march_through_the_plan():
+    """``game`` takes from ``solvers`` the level plan and what the sweep map
+    builds on it, not a march, flux or distance function; node rows come
+    from ``plan.node_row``, so neither ``game`` nor ``cli`` imports the
+    node formula."""
+    game = _imported_names("game")
+    assert {name for module, name in game if module == "solvers"} == {
+        "_SWEEP_ERRSTATE", "Trajectory", "_LevelPlan", "_left_trace", "_level_plan"}
+    for names in (game, _imported_names("cli")):
+        assert "_node_rows" not in {name for _, name in names}

@@ -25,8 +25,7 @@ from snwave.fem import _mass_pairing
 from p1_dense import dense_step, mass_matrix, stiffness_matrix
 from snwave.geometry import level_nodes, segment_mask
 from snwave.solvers import (Trajectory, _FOLD_N, _left_trace, _level_plan, _march,
-                             _march_backward, _march_forward, _plan_operators, _sine_basis,
-                             _step_operators)
+                             _plan_operators, _sine_basis, _step_operators)
 from snwave.verification import _duality_probe
 
 # Relative tolerance of the fused sine-basis step against the dense
@@ -569,6 +568,54 @@ class TestShapeChecks:
             self._solve(name, value)
 
 
+class TestNonFiniteData:
+    """The public marches and ``duality_residual`` refuse data holding a
+    non-finite value with a ValueError naming the argument, before they
+    march; finite complex data still march."""
+
+    N, M = 8, 6
+    spec = MovingDomainSpec(k=0.25, T=1.0)
+    grid = build_time_grid(1.0, M)
+
+    def _call(self, name, value):
+        N, M, spec, grid = self.N, self.M, self.spec, self.grid
+        if name == "left_boundary":
+            return solve_forward(value, spec, grid, N)
+        if name in ("ic0", "ic1", "source"):
+            return solve_forward(np.ones(M + 1), spec, grid, N, **{name: value})
+        if name == "backward source":
+            return solve_backward(value, spec, grid, N)
+        if name in ("terminal0", "terminal1"):
+            return solve_backward(np.ones((M + 1, N + 1)), spec, grid, N, **{name: value})
+        return duality_residual(np.ones(M + 1), (0.0, 0.5), value, spec, grid, N)
+
+    @pytest.mark.parametrize("name,bad", [
+        ("left_boundary", "nan"), ("left_boundary", "inf"), ("ic0", "inf"), ("ic1", "nan"),
+        ("source", "nan"), ("backward source", "nan"), ("terminal0", "nan"),
+        ("terminal1", "inf"), ("duality source", "nan"),
+    ])
+    def test_non_finite_names_the_argument(self, name, bad):
+        shape = (self.M + 1,) if name == "left_boundary" else (self.N + 1,)
+        if "source" in name:
+            shape = (self.M + 1, self.N + 1)
+        value = np.ones(shape)
+        value[(2,) * len(shape)] = float(bad)
+        arg = name.split()[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before a march warns or spreads it
+            with pytest.raises(ValueError, match=rf"^{arg} holds a non-finite value$"):
+                self._call(name, value)
+
+    def test_finite_complex_data_march(self):
+        left = np.linspace(0.0, 1.0, self.M + 1)
+        traj = solve_forward(left + 1j * left, self.spec, self.grid, self.N)
+        want = solve_forward(left, self.spec, self.grid, self.N)
+        assert traj.frames.dtype == complex
+        np.testing.assert_allclose(traj.frames.real, want.frames, rtol=0, atol=1e-12)
+        source = np.ones((self.M + 1, self.N + 1)) * (1 + 2j)
+        assert solve_backward(source, self.spec, self.grid, self.N).frames.dtype == complex
+
+
 class TestUnderflowingTimeStep:
     """At T = 1e-300, dt^2 underflows to 0 and a plan-less march builds
     non-finite step operators.  It returns non-finite frames without a
@@ -611,8 +658,8 @@ class TestMarchMemory:
         left, x0, x1, source = data(N + 1), data(N + 1), data(N + 1), data(N + 1, N + 1)
         row = (N + 1) * np.dtype(dtype).itemsize
         for march in (
-            lambda: _march_forward(left, plan, x0, x1, source),
-            lambda: _march_backward(source, np.empty((N + 1, N + 1), dtype), plan, x0, x1),
+            lambda: plan.forward(left, x0, x1, source),
+            lambda: plan.backward(source, np.empty((N + 1, N + 1), dtype), x0, x1),
         ):
             march()  # first calls fill numpy's own caches outside the measure
             tracemalloc.start()
@@ -644,8 +691,8 @@ class TestNodeBlocks:
         left, x0, x1, source = data(M + 1), data(N + 1), data(N + 1), data(M + 1, N + 1)
 
         def marches():
-            return (_march_forward(left, plan, x0, x1, source).frames,
-                    _march_backward(source, np.empty((M + 1, N + 1), dtype), plan, x0, x1).frames)
+            return (plan.forward(left, x0, x1, source).frames,
+                    plan.backward(source, np.empty((M + 1, N + 1), dtype), x0, x1).frames)
 
         blocked = marches()
         monkeypatch.setattr(solvers, "_NODE_ROWS", M + 2)
@@ -672,8 +719,8 @@ class TestOneNodeFormula:
             return interp(values, x_target, x_source)
 
         monkeypatch.setattr(solvers, "interpolate", spy)
-        marches = ((lambda: _march_forward(np.ones(M + 1), plan), nodes),
-                   (lambda: _march_backward(np.ones(plan.shape), np.empty(plan.shape), plan),
+        marches = ((lambda: plan.forward(np.ones(M + 1)), nodes),
+                   (lambda: plan.backward(np.ones(plan.shape), np.empty(plan.shape)),
                     nodes[::-1]))
         for march, rows in marches:
             seen.clear()
@@ -759,13 +806,13 @@ class TestStepOperands:
         else:
             np.testing.assert_array_equal(plan.back, plan.ST[..., 1:].transpose(0, 2, 1))
             assert plan.back.base is plan.ST  # a view: no bytes beside ST
-        _march_forward(np.sin(grid.levels), plan)
+        plan.forward(np.sin(grid.levels))
         assert "paired_G" not in vars(plan)  # real marches build no paired G
-        _march_forward(np.sin(grid.levels) + 1j, plan)
+        plan.forward(np.sin(grid.levels) + 1j)
         paired_G = vars(plan)["paired_G"]
         np.testing.assert_array_equal(paired_G, np.stack([plan.G, plan.G], axis=-1))
-        _march_backward(np.ones((grid.M + 1, N + 1), complex),
-                        np.empty((grid.M + 1, N + 1), complex), plan)
+        plan.backward(np.ones((grid.M + 1, N + 1), complex),
+                      np.empty((grid.M + 1, N + 1), complex))
         assert plan.paired_G is paired_G  # once per plan
         for a in (plan.back, plan.paired_G):
             with pytest.raises(ValueError, match="read-only"):
