@@ -329,10 +329,13 @@ def cmd_table_mesh(cfg: RunConfig) -> int:
     for mult in range(1, 11):
         T = replace(cfg, T_multiple=float(mult), T=0.0).horizon()
         edge = cfg.target_edge if cfg.target_edge > 0 else T / BORDER_SEGMENTS
-        stats = trapezoid_stats(MovingDomainSpec(k=cfg.k, T=T), edge)
+        try:
+            stats = trapezoid_stats(MovingDomainSpec(k=cfg.k, T=T), edge)
+        except ValueError as exc:  # an edge too small for the counts
+            raise UsageError(f"target_edge: {exc}") from exc
         rows.append((mult, T, stats.n_vertices, stats.n_triangles, stats.border_length))
-        print(f"T={mult:2d}*Tc: vertices={stats.n_vertices} "
-              f"triangles={stats.n_triangles} border={stats.border_length:.3f}")
+    for mult, _, n_vertices, n_triangles, border in rows:  # every row, or none
+        print(f"T={mult:2d}*Tc: vertices={n_vertices} triangles={n_triangles} border={border:.3f}")
     _write_table(cfg, "table_mesh.csv",
                  ("multiple", "T", "n_vertices", "n_triangles", "border_length"), rows)
     return 0

@@ -2,10 +2,11 @@
 
 Inter-level interpolation (the level meshes differ because the domain
 moves), boundary-derivative recovery at the controlled end, and the
-discrete L2 norm of boundary controls.  A field is a bare array of nodal
-values; its nodes or its spacing are passed beside it.  A control is
-likewise a bare ``(M+1,)`` array, one sample per time level, with its
-segment ``(a, b)`` passed beside it.  ``interpolate``
+checks of array arguments.  A field is a bare array of nodal values; its
+nodes or its spacing are passed beside it.  A control is likewise a bare
+``(M+1,)`` array, one sample per time level, with its segment ``(a, b)``
+passed beside it; its norm is the time grid's (``control_l2_norm``
+checks it and calls ``TimeGrid.control_norm``).  ``interpolate``
 is ``np.interp`` between two node arrays, extended by zero where a
 target node lies beyond the source's right endpoint.
 ``boundary_flux_left`` takes one frame or a stack of frames with their
@@ -16,12 +17,10 @@ stack of frames, ``_mass_rows``, which loops over no level: the level
 plan's ``squared_distance`` (``solvers``) sums its rows for every
 space-time L2 distance and norm of a solve, and ``_mass_pairing`` pairs
 two stacks for ``solvers.duality_residual`` and the verification
-battery.  The step solve applies both operators through the level plan
-of ``solvers``, whose ``forward``, ``backward``, ``flux`` and
-``squared_distance`` are the scheme's operations (listed there).  The
-``_check_*`` helpers reject a bad array argument with a ``ValueError``
-naming it: ``_check_real`` a complex one, ``_check_finite`` one holding
-a non-finite value.
+battery.  The ``_check_*`` helpers reject a bad argument with a
+``ValueError`` naming it: ``_check_real`` a complex one,
+``_check_finite`` one holding a non-finite value,
+``_check_constant_target`` a complex or non-finite constant u2.
 """
 
 from __future__ import annotations
@@ -91,11 +90,6 @@ def boundary_flux_left(values: np.ndarray, h):
     return (4.0 * (v[..., 1] - v[..., 0]) - (v[..., 2] - v[..., 0])) / (2.0 * h)
 
 
-def _segment_norm(values: np.ndarray, levels, dt: float) -> float:
-    """sqrt(sum_m dt * values_m^2) over the level indices ``levels``."""
-    return float(np.sqrt(dt * np.sum(values[levels] ** 2)))
-
-
 def _check_shape(name: str, a, shape: tuple):
     """Reject an array argument ``name`` (None passes) whose shape is not ``shape``."""
     if a is not None and np.shape(a) != shape:
@@ -121,6 +115,13 @@ def _check_finite(name: str, a):
         raise ValueError(f"{name} holds a non-finite value")
 
 
+def _check_constant_target(u2):
+    """Reject a constant target u2 that is complex or not finite."""
+    _check_real("u2", u2)
+    if not np.isfinite(u2):
+        raise ValueError(f"u2 must be finite, got {u2}")
+
+
 def _check_control(name: str, a, grid: TimeGrid):
     """Reject a control argument ``name`` that is None, not one sample per
     level of ``grid``, complex or holds a non-finite value."""
@@ -132,4 +133,4 @@ def _check_control(name: str, a, grid: TimeGrid):
 def control_l2_norm(values: np.ndarray, segment: tuple, grid: TimeGrid) -> float:
     """Discrete L2 norm over ``segment``: sqrt(sum_m dt * values_m^2) on its levels."""
     _check_control("values", values, grid)
-    return _segment_norm(values, _segment_levels("segment", segment, grid), grid.dt)
+    return grid.control_norm(values, _segment_levels("segment", segment, grid))

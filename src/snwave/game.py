@@ -1,10 +1,9 @@
 """Hierarchical two-control fixed point: one sweep map and the loop around it.
 
 A solve builds one private sweep map, ``_Sweep``, holding the level plan
-(the scheme, see ``solvers``), the target u2 evaluated once on the
-levels' nodes, one level's row at a time (a read-only broadcast when u2
-is a constant), the leader's and the follower's level indices, sigma and
-the phi terminal data.  It maps the state ``(w1, w2, psi_bc)``, bare
+(the scheme, see ``solvers``), the target ``plan.target(u2)``, the
+leader's and the follower's level indices, sigma and the phi terminal
+data.  It maps the state ``(w1, w2, psi_bc)``, bare
 ``(M+1,)`` arrays that are zero off their segments, to the next state
 and the fields u, psi and phi of the sweep:
 
@@ -44,19 +43,20 @@ bits do not depend on the controls.  The backward march forms its source
 in the frames it fills (``plan.backward``), and the map reads
 p only for w2': it returns ``(u, psi, phi)``.
 
-The map and the loop reach the march only through the plan's members
-that the ``solvers`` docstring lists as the operations of a scheme:
-``forward``, ``backward``, ``flux``, ``squared_distance``, ``zero``,
-``grid`` and ``shape``; ``_iterate`` runs a ``_Sweep`` built on any
-plan that has these members.  The map has one entry per direction:
-``_Sweep.state`` calls ``plan.forward`` (``forward_half`` splits it into
-u and psi) and ``_Sweep.adjoint`` ``plan.backward`` from the source
-u - u2.  A field is read one way each: its outward flux on a segment's
-levels by ``plan.flux``, which gives the three updates and
+The game does no grid arithmetic.  The map and the loop reach the march
+only through the plan's members that the ``solvers`` docstring lists as
+a scheme's operations, ``forward``, ``backward``, ``flux``,
+``squared_distance``, ``zero``, ``grid`` and ``shape``, and through the
+grid's ``trace``, ``control_inner`` and ``control_norm`` (``geometry``);
+``_iterate`` runs a ``_Sweep`` on any plan and grid with these members.
+``_Sweep.state`` calls ``plan.forward`` on the trace (``forward_half``
+splits it into u and psi) and ``_Sweep.adjoint`` ``plan.backward`` from
+the source u - u2.  A field is read one way each: its outward flux on a
+segment's levels by ``plan.flux``, which gives the three updates and
 ``nash_residual``'s defect, and its space-time L2 form by
-``plan.squared_distance``, which gives du_l2 (its square root) and the
-tracking term of J2.  A callable u2 is given each level's nodes by
-``plan.node_row``.
+``plan.squared_distance``, which gives du_l2 (its square root) and J2's
+tracking term.  A control is read by ``grid.control_norm``: J, J2's
+control term and the log's stop_qty and dw_l2.
 
 A solve holds its level plan and the frames the next step reads.  The
 loop runs the map's two halves itself and takes du_l2 between them,
@@ -67,18 +67,18 @@ the backward frames), plus one difference block of at most 128 KB,
 which du_l2 and J2 form in turn.  After the last sweep psi, then phi, is
 copied into frames of its own and the array it viewed is freed, before
 the final state march: a result holds no sweep's complex array.  A
-result is frozen with read-only arrays
-and stores the log, a tuple, and the sweep map once: its ``iterations``
-is the log's length, its ``segments`` and ``target`` the sweep's.
+result is frozen with read-only arrays and stores the log, a tuple, and
+the sweep map once: its ``iterations`` is the log's length, its
+``segments`` and ``target`` the sweep's.
 
 The scheme maps all-zero data to exactly zero frames, so the map marches
 no forward field whose boundary data are all zero: it is the plan's
 read-only zero trajectory, ``plan.zero``.  With zero phi terminal data
 psi, phi and w1 stay exactly zero and the sweep is the u <-> p loop in
-the follower control, two real marches.  The final state is one real march, and so
-is ``SNResult.p``, marched by the map on its first read, since most runs
-never read it; ``solve_forward`` and ``solve_backward`` themselves
-always march.
+the follower control, two real marches.  The final state is one real
+march, and so is ``SNResult.p``, marched by the map on its first read,
+since most runs never read it; ``solve_forward`` and ``solve_backward``
+themselves always march.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .geometry import BoundarySegments, MovingDomainSpec, TimeGrid, _check_integer, _segment_levels
-from .fem import _check_control, _check_finite, _check_real, _check_shape, _segment_norm
-from .solvers import _SWEEP_ERRSTATE, Trajectory, _LevelPlan, _left_trace, _level_plan
+from .fem import (_check_constant_target, _check_control, _check_finite, _check_real,
+                  _check_shape)
+from .solvers import _SWEEP_ERRSTATE, Trajectory, _LevelPlan, _level_plan
 
 __all__ = [
     "SNConfig",
@@ -120,13 +121,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, payload: dict):
         super().__init__(message)
         self.payload = payload
-
-
-def _check_constant_target(u2):
-    """Reject a constant target u2 that is complex or not finite."""
-    _check_real("u2", u2)
-    if not math.isfinite(u2):
-        raise ValueError(f"u2 must be finite, got {u2}")
 
 
 @dataclass(frozen=True)
@@ -175,34 +169,6 @@ class IterationRecord:
     J2: float
 
 
-def _target(u2: TargetLike, plan: _LevelPlan) -> np.ndarray:
-    """The target u2 on every level of ``plan``: row m holds its values at
-    level m's nodes, which a callable u2 is given one level's row at a time
-    (``plan.node_row(m)``).
-
-    A constant target is a read-only broadcast of its value, which holds
-    no frame memory.  A callable returning a scalar is broadcast to the
-    level like a constant target; any other shape but one value per node,
-    and any complex or non-finite value, is an error.
-    """
-    if not callable(u2):
-        _check_constant_target(u2)
-        return np.broadcast_to(float(u2), plan.shape)
-    out = np.empty(plan.shape)
-    for m, t in enumerate(plan.grid.levels):
-        x = plan.node_row(m)
-        vals = u2(x, float(t))
-        _check_real("u2", vals)
-        vals = np.asarray(vals, dtype=float)
-        if vals.ndim != 0 and vals.shape != x.shape:
-            raise ValueError(f"target u2 returned shape {vals.shape} at t={t}, "
-                             f"expected a scalar or {x.shape}")
-        if not np.isfinite(vals).all():
-            raise ValueError(f"target u2 returned a non-finite value at t={t}")
-        out[m] = vals
-    return out
-
-
 def _imaginary(f: np.ndarray) -> np.ndarray:
     """``f`` as the imaginary part of a complex array with zero real part."""
     z = np.zeros(len(f), complex)
@@ -210,17 +176,17 @@ def _imaginary(f: np.ndarray) -> np.ndarray:
     return z
 
 
-def _control_change(new: tuple, old: tuple, idx: tuple, dt: float) -> tuple:
+def _control_change(new: tuple, old: tuple, idx: tuple, grid: TimeGrid) -> tuple:
     """The log's ``(stop_qty, dw_l2)`` for the update ``old -> new`` of a
-    (leader, follower) pair of bare arrays with level indices ``idx``.
+    (leader, follower) pair of bare arrays with level indices ``idx`` of ``grid``.
 
     ``stop_qty`` is ||new - old|| / ||new||; when the denominator vanishes
     it is 0 if the numerator also does (a fixed point at zero), else +inf.
     ``dw_l2`` sums the norms of the two changes.
     """
-    changes = [_segment_norm(a - b, i, dt) for a, b, i in zip(new, old, idx)]
+    changes = [grid.control_norm(a - b, i) for a, b, i in zip(new, old, idx)]
     num = math.hypot(*changes)
-    den = math.hypot(*(_segment_norm(a, i, dt) for a, i in zip(new, idx)))
+    den = math.hypot(*(grid.control_norm(a, i) for a, i in zip(new, idx)))
     dw = changes[0] + changes[1]
     if den < _ZERO_NORM:
         return (0.0 if num < _ZERO_NORM else math.inf), dw
@@ -228,11 +194,11 @@ def _control_change(new: tuple, old: tuple, idx: tuple, dt: float) -> tuple:
 
 
 def _follower_cost(u: Trajectory, w2: np.ndarray, target: np.ndarray, sigma: float,
-                   levels, dt: float) -> float:
+                   levels) -> float:
     """J2 of the state ``u`` and the bare follower control ``w2`` on its
     segment's ``levels``, with u2 given as ``target`` on u's levels."""
     track = u.plan.squared_distance(u.frames, target)
-    return 0.5 * track + 0.5 * sigma * _segment_norm(w2, levels, dt) ** 2
+    return 0.5 * track + 0.5 * sigma * u.grid.control_norm(w2, levels) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +238,7 @@ class _Sweep:
                 terminal[f"terminal{i}"] = _imaginary(f)  # phi is the imaginary part of p + i phi
         if not any(f.any() for f in terminal.values()):
             terminal = {}
-        return cls(plan, _target(config.u2, plan), segments, leader, follower,
+        return cls(plan, plan.target(config.u2), segments, leader, follower,
                    config.sigma, terminal)
 
     def state(self, w1: np.ndarray, w2: np.ndarray,
@@ -280,9 +246,10 @@ class _Sweep:
         """The forward march from rest with the trace of w1 + w2: u.  With
         a nonzero ``psi_bc`` it is the complex march u + i psi, plus i times
         psi_bc's trace.  Zero data need no march: the zero trajectory."""
-        left = _left_trace(w1, w2)
+        trace = self.plan.grid.trace
+        left = trace(w1, w2)
         if psi_bc is not None and psi_bc.any():
-            left = left + _imaginary(_left_trace(psi_bc))
+            left = left + _imaginary(trace(psi_bc))
         if not left.any():
             return self.plan.zero
         return self.plan.forward(left)
@@ -391,13 +358,13 @@ def evaluate_J2(u: Trajectory, w2: np.ndarray, segment: tuple, u2: TargetLike,
     _check_real("trajectory u", u.frames)
     _check_control("w2", w2, grid)
     levels = _segment_levels("segment", segment, grid)
-    return _follower_cost(u, w2, _target(u2, u.plan), sigma, levels, grid.dt)
+    return _follower_cost(u, w2, u.plan.target(u2), sigma, levels)
 
 
 def evaluate_J(w1: np.ndarray, segment: tuple, grid: TimeGrid) -> float:
     """Leader cost: half the squared norm of the control ``w1`` on ``segment``."""
     _check_control("w1", w1, grid)
-    return 0.5 * _segment_norm(w1, _segment_levels("segment", segment, grid), grid.dt) ** 2
+    return 0.5 * grid.control_norm(w1, _segment_levels("segment", segment, grid)) ** 2
 
 
 def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
@@ -414,12 +381,11 @@ def fixed_point_solve(config: SNConfig, spec: MovingDomainSpec, grid: TimeGrid,
 
 
 def _iterate(sweep: _Sweep, config: SNConfig) -> SNResult:
-    """``fixed_point_solve``'s loop on the sweep map ``sweep``: it reaches
-    the scheme only through the members of ``sweep.plan`` that the
-    ``solvers`` docstring lists."""
+    """``fixed_point_solve``'s loop on the sweep map ``sweep``, which it
+    reaches only through the plan's and the grid's members listed above."""
     plan = sweep.plan
     idx, grid = (sweep.leader, sweep.follower), plan.grid
-    dt, M = grid.dt, grid.M
+    M = grid.M
     w1 = w2 = psi_bc = np.zeros(M + 1)
     u_prev = None
     log: list = []
@@ -443,12 +409,12 @@ def _iterate(sweep: _Sweep, config: SNConfig) -> SNResult:
             finite = [bool(np.isfinite(w).all()) for w in (w1_new, w2_new)]
             if not all(finite):
                 raise diverged(n, "control", "controls", w1_finite=finite[0], w2_finite=finite[1])
-            stop, dw = _control_change((w1_new, w2_new), (w1, w2), idx, dt)
-            J2 = _follower_cost(u, w2, sweep.target, config.sigma, sweep.follower, dt)
+            stop, dw = _control_change((w1_new, w2_new), (w1, w2), idx, grid)
+            J2 = _follower_cost(u, w2, sweep.target, config.sigma, sweep.follower)
             if not all(map(math.isfinite, (stop, du, dw, J2))):
                 raise diverged(n, "log", "log", stop_qty=stop, du_l2=du, dw_l2=dw, J2=J2)
             log.append(IterationRecord(n=n, stop_qty=stop, du_l2=du, dw_l2=dw,
-                                       J=0.5 * _segment_norm(w1, sweep.leader, dt) ** 2, J2=J2))
+                                       J=0.5 * grid.control_norm(w1, sweep.leader) ** 2, J2=J2))
 
             w1, w2, u_prev = w1_new, w2_new, u
             if stop <= config.epsilon:
@@ -474,8 +440,8 @@ def nash_residual(w2: np.ndarray, p: Trajectory, sigma: float,
     _check_real("trajectory p", p.frames)
     _check_control("w2", w2, grid)
     idx = _segment_levels("sigma2", segments.sigma2, grid)
-    defect = _segment_norm(sigma * w2 - p.plan.flux(p, idx), idx, grid.dt)
-    denom = sigma * _segment_norm(w2, idx, grid.dt)
+    defect = grid.control_norm(sigma * w2 - p.plan.flux(p, idx), idx)
+    denom = sigma * grid.control_norm(w2, idx)
     return defect if denom == 0.0 else defect / denom
 
 
@@ -507,11 +473,11 @@ def nash_gradient_check(w1: np.ndarray, w2: np.ndarray, config: SNConfig,
 
     ``w1`` and ``w2`` are ``(M+1,)`` arrays, taken as zero off the
     leader's and the follower's segments (``config.segments``, or the
-    disjoint halves of (0, T) when it is None).
-    Directions are smooth seeded sine profiles supported on the follower
-    segment, normalized to unit control norm.  The centered difference
-    uses delta = 1e-4 * max(1, ||w2||); the analytic pairing for a
-    direction d is sum_m dt (sigma w2_m - (dp/dnu)_m) d_m.  A non-finite
+    disjoint halves of (0, T) when it is None).  Directions are smooth
+    seeded sine profiles supported on the follower segment, normalized to
+    unit control norm.  The centered difference uses delta = 1e-4 *
+    max(1, ||w2||); the analytic pairing for a direction d is
+    ``grid.control_inner`` of sigma w2 - dp/dnu and d.  A non-finite
     derivative on either side raises ``DivergenceError`` with field
     ``"nash_check"``.
     """
@@ -521,7 +487,7 @@ def nash_gradient_check(w1: np.ndarray, w2: np.ndarray, config: SNConfig,
     _check_control("w1", w1, grid)
     _check_control("w2", w2, grid)
     sweep = _Sweep.of(config, spec, grid, N)
-    idx, sigma, dt = sweep.follower, config.sigma, grid.dt
+    idx, sigma = sweep.follower, config.sigma
     if len(idx) < 2:
         raise ValueError("follower segment holds fewer than 2 time levels")
     v1, v2 = np.zeros(grid.M + 1), np.zeros(grid.M + 1)
@@ -531,7 +497,7 @@ def nash_gradient_check(w1: np.ndarray, w2: np.ndarray, config: SNConfig,
     a, b = sweep.segments.sigma2
     s = (grid.levels[idx] - a) / (b - a)
     rng = np.random.default_rng(seed)
-    w2_norm = _segment_norm(w2, idx, dt)
+    w2_norm = grid.control_norm(w2, idx)
     delta = 1e-4 * max(1.0, w2_norm)
     scale = sigma * w2_norm  # directions have unit norm
 
@@ -544,12 +510,12 @@ def nash_gradient_check(w1: np.ndarray, w2: np.ndarray, config: SNConfig,
             coefs = rng.standard_normal(3)
             direction = np.zeros(grid.M + 1)
             direction[idx] = sum(c * np.sin((j + 1) * np.pi * s) for j, c in enumerate(coefs))
-            direction /= _segment_norm(direction, idx, dt)
+            direction /= grid.control_norm(direction, idx)
 
-            cost = [_follower_cost(sweep.state(v1, w), w, sweep.target, sigma, idx, dt)
+            cost = [_follower_cost(sweep.state(v1, w), w, sweep.target, sigma, idx)
                     for w in (v2 + delta * direction, v2 - delta * direction)]
             fd[d] = (cost[0] - cost[1]) / (2.0 * delta)
-            analytic[d] = dt * float(np.sum((sigma * v2[idx] - flux[idx]) * direction[idx]))
+            analytic[d] = grid.control_inner(sigma * v2 - flux, direction, idx)
             # a zero denominator means fd and analytic are both exactly 0
             denom = max(abs(fd[d]), abs(analytic[d]), scale)
             rels[d] = abs(fd[d] - analytic[d]) / denom if denom > 0.0 else 0.0

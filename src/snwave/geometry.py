@@ -2,6 +2,9 @@
 
 A time grid is its horizon T and its step count M; the step dt = T/M
 and the levels are derived from them, so no copy of either can go stale.
+It owns the time rule of a control, one sample per level: ``trace``
+makes the Dirichlet data at x = 0, ``control_inner`` and
+``control_norm`` the discrete L2 form dt sum_m a_m b_m on given levels.
 
 The spatial domain at time t is the interval (0, alpha(t)) with
 alpha(t) = 1 + k*t, so the right endpoint recedes at constant speed k
@@ -74,6 +77,24 @@ class TimeGrid:
         levels = np.linspace(0.0, self.T, self.M + 1)
         levels.flags.writeable = False
         return levels
+
+    def trace(self, *controls: np.ndarray) -> np.ndarray:
+        """Dirichlet data at x = 0: bare ``(M+1,)`` controls added in order to
+        zeros.  The final level, which carries no sample of its own, takes the
+        last interval's value, so the trace is left-continuous at T."""
+        left = np.zeros(len(controls[0]))
+        for c in controls:
+            left += c
+        left[-1] = left[-2]
+        return left
+
+    def control_inner(self, a: np.ndarray, b: np.ndarray, idx) -> float:
+        """sum_m dt a_m b_m over the level indices ``idx``."""
+        return self.dt * float(np.sum(a[idx] * b[idx]))
+
+    def control_norm(self, values: np.ndarray, idx) -> float:
+        """sqrt(sum_m dt values_m^2) over the level indices ``idx``."""
+        return math.sqrt(self.control_inner(values, values, idx))
 
 
 def alpha(spec: MovingDomainSpec, t):
@@ -206,7 +227,7 @@ class BoundarySegments:
 
 @dataclass(frozen=True)
 class SpaceTimeMeshStats:
-    """Vertex/triangle counts and polygonal border length of the triangulated trapezoid."""
+    """Vertex/triangle counts of the triangulated trapezoid and its border length."""
 
     n_vertices: int
     n_triangles: int
@@ -220,37 +241,22 @@ def analytic_perimeter(spec: MovingDomainSpec) -> float:
 
 
 def trapezoid_stats(spec: MovingDomainSpec, target_edge: float) -> SpaceTimeMeshStats:
-    """Triangulate the space-time trapezoid and report mesh statistics.
+    """Counts of a triangulation of the space-time trapezoid, and its border length.
 
     A structured grid of quads (split into two triangles each) covers the
     trapezoid; the number of subdivisions in each direction is chosen so
-    edges are close to ``target_edge``.  The border length is the summed
-    length of the actual boundary polyline, whose vertices lie exactly on
-    the four straight edges.  This exists only for reporting; it feeds
-    nothing into the solvers.
+    edges are close to ``target_edge``, and an edge so small that they
+    overflow a float is a ``ValueError`` naming ``target_edge``.  Every
+    border vertex lies on one of the four straight edges, so the border
+    length is ``analytic_perimeter``.  This only reports; no solver reads it.
     """
     if not target_edge > 0.0:
         raise ValueError(f"target_edge must be positive, got {target_edge}")
-    k, T = spec.k, spec.T
-    top = 1.0 + k * T
-    mean_width = 0.5 * (1.0 + top)
-    n_t = max(1, round(T / target_edge))
-    n_x = max(1, round(mean_width / target_edge))
-
-    tau = np.linspace(0.0, T, n_t + 1)
-    xi = np.linspace(0.0, 1.0, n_x + 1)
-    widths = 1.0 + k * tau
-
-    n_vertices = (n_x + 1) * (n_t + 1)
-    n_triangles = 2 * n_x * n_t
-
-    def polyline(xs, ts):
-        return float(np.sum(np.hypot(np.diff(xs), np.diff(ts))))
-
-    border = 0.0
-    border += polyline(xi * widths[0], np.zeros(n_x + 1))        # bottom
-    border += polyline(xi * widths[-1], np.full(n_x + 1, T))     # top
-    border += polyline(np.zeros(n_t + 1), tau)                   # left
-    border += polyline(widths, tau)                              # moving edge
-    return SpaceTimeMeshStats(n_vertices=n_vertices, n_triangles=n_triangles,
-                              border_length=border)
+    T = spec.T
+    n_t, n_x = T / target_edge, 0.5 * (1.0 + (1.0 + spec.k * T)) / target_edge
+    if max(n_t, n_x) == math.inf:
+        raise ValueError(f"target_edge={target_edge!r} is too small: the mesh of T={T!r} "
+                         f"would have more subdivisions than a float holds")
+    n_t, n_x = max(1, round(n_t)), max(1, round(n_x))
+    return SpaceTimeMeshStats(n_vertices=(n_x + 1) * (n_t + 1), n_triangles=2 * n_x * n_t,
+                              border_length=analytic_perimeter(spec))

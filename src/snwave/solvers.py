@@ -56,10 +56,8 @@ by every march of the solve, with the ``k`` and the time grid it was
 built for.  It holds no node array: level m's nodes are j h[m] for
 j < N and ``ends[m]`` at j = N, written by ``geometry._node_rows``, the
 one node formula of the package.  A march makes them ``_NODE_ROWS`` rows
-at a time (``_level_rows``); ``plan.node_row(m)`` makes one level's row,
-for the game's callable u2 and the CLI's node columns, and
-``level_nodes(spec, grid.levels, N)[1]`` gives all of them with the
-same bits.  ``back`` is the back product's operator: below
+at a time (``_level_rows``), ``plan.node_row(m)`` one level's row, and
+``level_nodes(spec, grid.levels, N)[1]`` all of them, with the same bits.  ``back`` is the back product's operator: below
 ``_FOLD_N`` an F-contiguous copy of ``ST[:, 1:-1].T``, whose ``back.dot``
 gives the bits of ``np.matmul`` on the strided view in less time, and
 from ``_FOLD_N`` on a view of the folded ``ST``'s columns 1..N//2,
@@ -86,8 +84,9 @@ must provide:
 - ``zero``: the read-only zero trajectory, what all-zero data march to;
 - ``grid`` and ``shape``: the time grid and the frames' ``(M+1, N+1)``.
 
-``node_row(m)``, level m's nodes, serves a callable u2 and the CLI's
-node columns; the loop does not read it.  ``solve_forward`` and
+``target(u2)`` is the target on every level, a callable u2 given one
+``node_row(m)`` at a time; the CLI's node columns read ``node_row`` too,
+and the loop reads neither.  ``solve_forward`` and
 ``solve_backward`` check their data, build a plan and call its
 ``forward`` or ``backward``; the game calls them on its own plan, on
 data it has checked.  ``squared_distance``'s square root is the game's
@@ -144,8 +143,9 @@ from typing import Optional
 import numpy as np
 
 from .geometry import MovingDomainSpec, TimeGrid, _level_spacings, _node_rows, _segment_levels
-from .fem import (_check_control, _check_finite, _check_given, _check_real, _check_shape,
-                  _mass_pairing, _mass_rows, boundary_flux_left, interpolate)
+from .fem import (_check_constant_target, _check_control, _check_finite, _check_given,
+                  _check_real, _check_shape, _mass_pairing, _mass_rows, boundary_flux_left,
+                  interpolate)
 
 __all__ = [
     "Trajectory",
@@ -184,17 +184,6 @@ class Trajectory:
 # Overflow, and a division by a time step squared that underflowed to 0,
 # are reported by the callers' non-finite checks, not as warnings.
 _SWEEP_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
-
-
-def _left_trace(*controls: np.ndarray) -> np.ndarray:
-    """Dirichlet data at x = 0: bare ``(M+1,)`` controls added in order to
-    zeros.  The final level, which carries no sample of its own, takes the
-    last interval's value, so the trace is left-continuous at T."""
-    left = np.zeros(len(controls[0]))
-    for c in controls:
-        left += c
-    left[-1] = left[-2]
-    return left
 
 
 # Rows of the sine basis gathered per call: a small index buffer keeps
@@ -357,6 +346,32 @@ class _LevelPlan:
     def node_row(self, m: int) -> np.ndarray:
         """Level m's nodes in a new row, by ``geometry._node_rows``."""
         return _node_rows(self.h[m], self.ends[m], np.empty(self.shape[1]))
+
+    def target(self, u2) -> np.ndarray:
+        """The target u2 on every level: row m holds its values at level m's
+        nodes, which a callable u2 is given one row at a time (``node_row``).
+
+        A constant target is a read-only broadcast of its value, which holds
+        no frame memory.  A callable returning a scalar is broadcast to the
+        level like a constant target; any other shape but one value per node,
+        and any complex or non-finite value, is an error.
+        """
+        if not callable(u2):
+            _check_constant_target(u2)
+            return np.broadcast_to(float(u2), self.shape)
+        out = np.empty(self.shape)
+        for m, t in enumerate(self.grid.levels):
+            x = self.node_row(m)
+            vals = u2(x, float(t))
+            _check_real("u2", vals)
+            vals = np.asarray(vals, dtype=float)
+            if vals.ndim != 0 and vals.shape != x.shape:
+                raise ValueError(f"target u2 returned shape {vals.shape} at t={t}, "
+                                 f"expected a scalar or {x.shape}")
+            if not np.isfinite(vals).all():
+                raise ValueError(f"target u2 returned a non-finite value at t={t}")
+            out[m] = vals
+        return out
 
     def forward(self, left: np.ndarray, ic0: Optional[np.ndarray] = None,
                 ic1: Optional[np.ndarray] = None,
@@ -684,12 +699,12 @@ def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
     _check_given("source", source, plan.shape)
     _check_real("source", source)
     _check_finite("source", source)
-    u_hat = plan.forward(_left_trace(on_segment))
+    u_hat = plan.forward(grid.trace(on_segment))
     p = plan.backward(source, np.empty(plan.shape, _frame_dtype(source)))
 
     M = grid.M
     volume = grid.dt * _mass_pairing(source[:M], u_hat.frames[:M], plan.h[:M])
-    boundary = grid.dt * float(np.sum(plan.flux(p, idx)[idx] * control[idx]))
+    boundary = grid.control_inner(plan.flux(p, idx), control, idx)
     scale = max(abs(volume), abs(boundary))
     if scale == 0.0:
         return 0.0

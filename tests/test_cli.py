@@ -349,6 +349,15 @@ class TestTables:
         assert capsys.readouterr().err == "error: k: mesh table needs k > 0\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("edge", ["5e-324", "1e-307"])  # every row, or only the later ones
+    def test_table_mesh_overflowing_edge_is_usage_error(self, tmp_path, capsys, edge):
+        # round(T / target_edge) raised an OverflowError traceback
+        rc = run_cli(["table-mesh", "--out", str(tmp_path), "--target-edge", edge])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert re.fullmatch(rf"error: target_edge: target_edge={edge} is too small: [^\n]*\n", err)
+        assert out == "" and list(tmp_path.iterdir()) == []
+
     def test_table_mesh_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_cli(["table-mesh", "--out", str(a)])

@@ -33,7 +33,7 @@ import snwave.geometry as geometry
 import snwave.solvers as solvers
 import snwave.verification as verification
 from snwave.geometry import level_nodes, segment_mask
-from snwave.solvers import Trajectory, _left_trace, _level_plan
+from snwave.solvers import Trajectory, _level_plan
 
 
 def stepped_sweeps(cfg, spec, grid, N, n):
@@ -113,7 +113,7 @@ class TestFollowerUpdate:
 
         def j2_at(scale):
             w = scale * d
-            u = solve_forward(_left_trace(w), spec, grid, N)
+            u = solve_forward(grid.trace(w), spec, grid, N)
             return evaluate_J2(u, w, segs.sigma2, u2, sigma)
 
         j0 = j2_at(0.0)
@@ -149,7 +149,7 @@ def stopping_quantity(new, old, grid):
     """The sweep log's stop_qty for the update ``old -> new`` of a bare pair."""
     idx = tuple(np.nonzero(geometry.segment_mask(seg, grid))[0]
                 for seg in ((0.5, 1.0), (0.0, 0.5)))
-    stop, _ = game._control_change(new, old, idx, grid.dt)
+    stop, _ = game._control_change(new, old, idx, grid)
     return stop
 
 
@@ -340,7 +340,7 @@ class TestSweepMap:
         for n in range(cfg.max_iter):
             nxt, (u, _psi, _phi) = sweep(*state)
             stop, dw = game._control_change(nxt[:2], state[:2], (sweep.leader, sweep.follower),
-                                            grid.dt)
+                                            grid)
             du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
             log.append(IterationRecord(n, stop, du, dw, evaluate_J(state[0], segs.sigma1, grid),
                                        evaluate_J2(u, state[1], segs.sigma2, 10.0, 100.0)))
@@ -420,7 +420,8 @@ class DensePlan:
     read: ``forward``, ``backward``, ``flux``, ``squared_distance``,
     ``zero``, ``grid`` and ``shape``.  The march is a matrix on the
     Dirichlet data, the backward march one on the source, the flux one
-    on the frames; terminal data are not used."""
+    on the frames; terminal data are not used.  The space-time form
+    weights level m by t^{m+1} - t^m, so the grid needs no step dt."""
 
     def __init__(self, grid, nodes, rng):
         self.grid, self.shape = grid, (grid.M + 1, nodes)
@@ -428,6 +429,7 @@ class DensePlan:
         self._march = rng.standard_normal((size, grid.M + 1))
         self._back = rng.standard_normal((size, size)) / np.sqrt(size)
         self._flux = rng.standard_normal((grid.M + 1, size)) / np.sqrt(size)
+        self._steps = np.diff(grid.levels)
         self.zero = Trajectory(self, np.broadcast_to(0.0, self.shape))
 
     def forward(self, left, ic0=None, ic1=None, source=None):
@@ -443,21 +445,44 @@ class DensePlan:
         return out
 
     def squared_distance(self, a, b):
-        return self.grid.dt * float(np.sum((a - b)[:self.grid.M] ** 2))
+        return float(self._steps @ np.sum((a - b)[:self.grid.M] ** 2, axis=1))
+
+
+@dataclasses.dataclass(frozen=True)
+class UnevenGrid:
+    """A time grid with uneven ``levels`` and a control weight per level,
+    with only the members the loop may read: ``trace``, ``control_inner``,
+    ``control_norm``, ``levels``, ``M`` and ``T``."""
+
+    levels: np.ndarray
+    weights: np.ndarray
+
+    M = property(lambda self: len(self.levels) - 1)
+    T = property(lambda self: float(self.levels[-1]))
+    trace = geometry.TimeGrid.trace  # the scheme's trace reads no step
+
+    def control_inner(self, a, b, idx):
+        return float(np.sum(self.weights[idx] * a[idx] * b[idx]))
+
+    def control_norm(self, values, idx):
+        return math.sqrt(self.control_inner(values, values, idx))
 
 
 class TestToyScheme:
     """``fixed_point_solve``'s loop, ``game._iterate``, reaches the scheme
-    only through the plan's members: on a dense linear plan it converges to
-    the fixed point w2 = (1/sigma) flux(p) that ``np.linalg.solve`` gives."""
+    only through the plan's members and its grid's: on a dense linear plan
+    it converges to the fixed point w2 = (1/sigma) flux(p) that
+    ``np.linalg.solve`` gives, on a uniform grid and on an uneven one."""
 
-    def test_loop_finds_the_dense_fixed_point(self):
-        grid = build_time_grid(6.0, 6)
+    @staticmethod
+    def _solve(grid, seed):
+        """The loop's result on a dense plan over ``grid``, the plan, its
+        target, sigma and the dense fixed point of the follower's levels."""
         segs = BoundarySegments.disjoint_halves(grid.T)
         leader = geometry._segment_levels("sigma1", segs.sigma1, grid)
         follower = geometry._segment_levels("sigma2", segs.sigma2, grid)
         assert len(follower) == 3
-        rng = np.random.default_rng(6)
+        rng = np.random.default_rng(seed)
         plan = DensePlan(grid, 4, rng)
         target = rng.standard_normal(plan.shape)
 
@@ -469,7 +494,7 @@ class TestToyScheme:
         for j in range(3):
             w = np.zeros(grid.M + 1)
             w[follower[j]] = 1.0
-            K[:, j] = flux_of(plan.forward(_left_trace(w)).frames)
+            K[:, j] = flux_of(plan.forward(grid.trace(w)).frames)
         sigma = np.max(np.abs(np.linalg.eigvals(K))) / 0.25  # contraction rate 1/4
         want = np.linalg.solve(np.eye(3) - K / sigma, -flux_of(target) / sigma)
 
@@ -481,6 +506,28 @@ class TestToyScheme:
         np.testing.assert_array_equal(np.delete(res.w2, follower), 0.0)
         err = np.linalg.norm(res.w2[follower] - want) / np.linalg.norm(want)
         assert err < 1e-12
+        return res, plan, target, sigma, flux_of
+
+    def test_loop_finds_the_dense_fixed_point(self):
+        self._solve(build_time_grid(6.0, 6), 6)
+
+    def test_uneven_grid_and_weights_give_the_weighted_log(self):
+        """On uneven levels with random control weights the loop reaches the
+        same kind of fixed point, and the log's J and J2 are the weighted
+        dense formulas at each sweep's incoming controls."""
+        weights = np.random.default_rng(7).uniform(0.2, 3.0, 7)
+        grid = UnevenGrid(np.array([0.0, 0.4, 1.5, 3.3, 3.9, 4.1, 6.0]), weights)
+        res, plan, target, sigma, flux_of = self._solve(grid, 6)
+        follower = np.arange(3)
+        w2 = np.zeros(grid.M + 1)
+        for rec in res.log:
+            u = plan.forward(grid.trace(w2)).frames
+            misfit = np.sum((u - target)[:grid.M] ** 2, axis=1) @ np.diff(grid.levels)
+            J2 = 0.5 * misfit + 0.5 * sigma * np.sum(weights[follower] * w2[follower] ** 2)
+            assert rec.J == 0.0 and rec.J2 == pytest.approx(J2, rel=1e-13, abs=0.0)
+            w2 = np.zeros(grid.M + 1)
+            w2[follower] = flux_of(u - target) / sigma
+        np.testing.assert_array_equal(w2, res.w2)
 
 
 class TestMarchCounts:
@@ -564,7 +611,7 @@ class TestLazyAdjoint:
         N = 16
         res = fixed_point_solve(SNConfig(sigma=100.0, u2=u2, segments=segs), spec, grid, N)
         plan = res.u.plan
-        target = game._target(u2, plan)
+        target = plan.target(u2)
         want = solve_backward(res.u.frames - target, spec, grid, N)
         np.testing.assert_array_equal(res.p.frames, want.frames)
         assert res.p.plan is plan
@@ -667,7 +714,7 @@ class TestTarget:
             seen.append((x.tobytes(), t))
             return np.sin(x)
 
-        target = game._target(u2, _level_plan(spec, grid, N))
+        target = _level_plan(spec, grid, N).target(u2)
         nodes = level_nodes(spec, grid.levels, N)[1]
         assert seen == [(x.tobytes(), t) for x, t in zip(nodes, grid.levels)]
         np.testing.assert_array_equal(target, np.sin(nodes))
@@ -679,10 +726,10 @@ class TestTarget:
         N = M = 300
         spec = MovingDomainSpec(k=0.25, T=4.0)
         plan = _level_plan(spec, build_time_grid(4.0, M), N)
-        game._target(lambda x, t: np.cos(x), plan)  # first calls fill numpy's own caches
+        plan.target(lambda x, t: np.cos(x))  # first calls fill numpy's own caches
         tracemalloc.start()
         try:
-            target = game._target(lambda x, t: np.cos(x), plan)
+            target = plan.target(lambda x, t: np.cos(x))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

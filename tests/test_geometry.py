@@ -176,6 +176,23 @@ class TestTimeGrid:
         assert len({a, b, build_time_grid(2.0, 11), build_time_grid(3.0, 10)}) == 3
 
 
+class TestControlQuadrature:
+    """The grid's control rule: one sample per level, weighted by dt on a segment's levels."""
+
+    @pytest.mark.parametrize("T,M,seed", [(1.0, 2, 0), (3.0, 12, 1),
+                                          (17.597834287066328, 100, 2),
+                                          (175.97834287066328, 300, 3)])
+    def test_norm_and_inner_have_the_formula_bits(self, T, M, seed):
+        grid = build_time_grid(T, M)
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((2, M + 1)) * 10.0 ** rng.uniform(-3, 3, (2, M + 1))
+        dt = grid.dt
+        subset = np.sort(rng.choice(M, M // 2 + 1, replace=False))
+        for idx in (np.arange(M // 2), np.arange(M // 2, M), subset, grid.levels < T / 3):
+            assert grid.control_norm(a, idx) == float(np.sqrt(dt * np.sum(a[idx] ** 2)))
+            assert grid.control_inner(a, b, idx) == dt * float(np.sum(a[idx] * b[idx]))
+
+
 class TestSpatialMesh:
     """``level_nodes``: one level's mesh at a scalar time, one row per time at an array."""
 
@@ -270,16 +287,11 @@ class TestTrapezoidStats:
         stats = trapezoid_stats(spec, target_edge=0.2)
         assert abs(stats.border_length - per) / per < 0.01
 
-    def test_border_converges_from_below(self):
+    def test_border_is_the_analytic_perimeter_at_any_edge(self):
+        # every border vertex lies on one of the four straight edges
         spec = MovingDomainSpec(k=0.25, T=2.0)
-        per = analytic_perimeter(spec)
-        gaps = []
-        for edge in (0.5, 0.25, 0.125, 0.0625):
-            st = trapezoid_stats(spec, edge)
-            # inscribed polyline never exceeds the exact perimeter (mod rounding)
-            assert st.border_length <= per * (1 + 1e-12)
-            gaps.append(per - st.border_length)
-        assert gaps[-1] <= gaps[0] + 1e-9
+        for edge in (5.0, 0.5, 0.25, 0.125, 0.0625, 1e-300):
+            assert trapezoid_stats(spec, edge).border_length == analytic_perimeter(spec)
 
     def test_counts_scale_with_resolution(self):
         spec = MovingDomainSpec(k=0.25, T=2.0)
@@ -293,6 +305,12 @@ class TestTrapezoidStats:
         spec = MovingDomainSpec(k=0.25, T=2.0)
         with pytest.raises(ValueError, match="positive"):
             trapezoid_stats(spec, 0.0)
+
+    @pytest.mark.parametrize("T,edge", [(2.0, 5e-324), (2.0, 1e-308), (1e-16, 5e-324)])
+    def test_edge_whose_counts_overflow_names_target_edge(self, T, edge):
+        # T / edge overflowed inside round(), an OverflowError naming nothing
+        with pytest.raises(ValueError, match=r"^target_edge=\S+ is too small"):
+            trapezoid_stats(MovingDomainSpec(k=0.25, T=T), edge)
 
 
 def stats_edge_count(stats):

@@ -117,6 +117,32 @@ def test_game_and_cli_reach_the_march_through_the_plan():
     node formula."""
     game = _imported_names("game")
     assert {name for module, name in game if module == "solvers"} == {
-        "_SWEEP_ERRSTATE", "Trajectory", "_LevelPlan", "_left_trace", "_level_plan"}
+        "_SWEEP_ERRSTATE", "Trajectory", "_LevelPlan", "_level_plan"}
     for names in (game, _imported_names("cli")):
         assert "_node_rows" not in {name for _, name in names}
+
+
+def _attribute_reads(module: str) -> dict:
+    """Attribute name -> the top-level definitions of the snwave module
+    ``module`` that read it as ``x.name``."""
+    path = Path(importlib.import_module(f"snwave.{module}").__file__)
+    reads: dict = {}
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, set()).add(getattr(top, "name", "<module>"))
+    return reads
+
+
+def test_game_does_no_grid_arithmetic():
+    """The time step, the node rows, the trace and the target belong to the
+    grid and the plan: ``game`` reads no ``dt`` or ``node_row``, and the
+    levels only for ``nash_gradient_check``'s direction profiles."""
+    reads = _attribute_reads("game")
+    assert "dt" not in reads and "node_row" not in reads
+    assert reads["levels"] == {"nash_gradient_check"}
+    names = {name for _, name in _imported_names("game")}
+    assert not names & {"_left_trace", "_segment_norm", "_target"}
+    for module, name in (("fem", "_segment_norm"), ("solvers", "_left_trace"),
+                         ("game", "_target")):
+        assert not hasattr(importlib.import_module(f"snwave.{module}"), name)

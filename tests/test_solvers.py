@@ -24,8 +24,8 @@ import snwave.solvers as solvers
 from snwave.fem import _mass_pairing
 from p1_dense import dense_step, mass_matrix, stiffness_matrix
 from snwave.geometry import level_nodes, segment_mask
-from snwave.solvers import (Trajectory, _FOLD_N, _left_trace, _level_plan, _march,
-                             _plan_operators, _sine_basis, _step_operators)
+from snwave.solvers import (Trajectory, _FOLD_N, _level_plan, _march, _plan_operators,
+                             _sine_basis, _step_operators)
 from snwave.verification import _duality_probe
 
 # Relative tolerance of the fused sine-basis step against the dense
@@ -825,14 +825,14 @@ class TestLeftBoundaryAssembly:
         w1, w2 = np.zeros(11), np.zeros(11)
         w1[(grid.levels >= 5.0) & (grid.levels < 10.0)] = 2.0
         w2[grid.levels < 5.0] = 1.0
-        left = _left_trace(w1, w2)
+        left = grid.trace(w1, w2)
         np.testing.assert_array_equal(left[:5], 1.0)
         np.testing.assert_array_equal(left[5:10], 2.0)
         assert left[10] == 2.0  # left-continuation of the last interval
 
     def test_additive_overlap_sums(self):
         vals = np.array([1.0, 2.0, 3.0, 4.0, 0.0])
-        left = _left_trace(vals, 2 * vals)
+        left = build_time_grid(4.0, 4).trace(vals, 2 * vals)
         np.testing.assert_array_equal(left[:4], 3 * vals[:4])
 
 
@@ -916,7 +916,7 @@ class TestTrajectoryNorms:
         d = a.frames[:N] - target[:N]
         want = (0.5 * (dt * _mass_pairing(d, d, a.plan.h[:N]))
                 + 0.5 * sigma * float(np.sqrt(dt * np.sum(w2[levels] ** 2))) ** 2)
-        assert game._follower_cost(a, w2, target, sigma, levels, dt) == want
+        assert game._follower_cost(a, w2, target, sigma, levels) == want
 
     def test_norm_does_not_depend_on_the_layout(self):
         # a strided real view of complex frames and its contiguous copy read
@@ -997,7 +997,7 @@ class TestDualityResidual:
         got = duality_residual(ctrl, seg, src, spec, grid, 100)
         # the same pairings, the boundary term accumulated level by level
         mask = segment_mask(seg, grid)
-        u_hat = solve_forward(_left_trace(np.where(mask, ctrl, 0.0)), spec, grid, 100)
+        u_hat = solve_forward(grid.trace(np.where(mask, ctrl, 0.0)), spec, grid, 100)
         p = solve_backward(src, spec, grid, 100)
         volume = boundary = 0.0
         for m in range(grid.M):
