@@ -253,7 +253,8 @@ def trapezoid_stats(spec: MovingDomainSpec, target_edge: float) -> SpaceTimeMesh
     if not target_edge > 0.0:
         raise ValueError(f"target_edge must be positive, got {target_edge}")
     T = spec.T
-    n_t, n_x = T / target_edge, 0.5 * (1.0 + (1.0 + spec.k * T)) / target_edge
+    mean_width = 0.5 * (1.0 + (1.0 + spec.k * T))  # of the bottom and the top edge
+    n_t, n_x = T / target_edge, mean_width / target_edge
     if max(n_t, n_x) == math.inf:
         raise ValueError(f"target_edge={target_edge!r} is too small: the mesh of T={T!r} "
                          f"would have more subdivisions than a float holds")
