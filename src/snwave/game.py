@@ -33,22 +33,21 @@ backward march, and their data decide what a march carries (see
 
 - forward from the trace of w1 + w2, plus i times that of psi_bc when
   psi_bc is nonzero: u, or u + i psi;
-- backward from the source u - u2, plus i psi when psi is not the zero
-  trajectory or phi has terminal data (then i times phi's): p, or
+- backward from the source u - u2, plus i psi when psi is not
+  ``plan.zero`` or phi has terminal data (then i times phi's): p, or
   p + i phi.
 
 u, psi, p and phi are the real and imaginary views of the two arrays; a
-real march's imaginary view is the zero trajectory.  The leader chain's
+real march's imaginary view is ``plan.zero``.  The leader chain's
 bits do not depend on the controls.  The backward march forms its source
 in the frames it fills (``plan.backward``), and the map reads
-p only for w2': it returns ``(u, psi, phi)``.
+p only for w2': it returns the frames ``(u, psi, phi)``.
 
 The game does no grid arithmetic.  The map and the loop reach the march
-only through the plan's members that the ``solvers`` docstring lists as
-a scheme's operations, ``forward``, ``backward``, ``flux``,
-``squared_distance``, ``zero``, ``grid`` and ``shape``, and through the
+only through the plan's array contract (``solvers`` docstring) and the
 grid's ``trace``, ``control_inner`` and ``control_norm`` (``geometry``);
 ``_iterate`` runs a ``_Sweep`` on any plan and grid with these members.
+They work on frames; a ``Trajectory`` is built only for a result.
 ``_Sweep.state`` calls ``plan.forward`` on the trace (``forward_half``
 splits it into u and psi) and ``_Sweep.adjoint`` ``plan.backward`` from
 the source u - u2.  A field is read one way each: its outward flux on a
@@ -73,12 +72,13 @@ the sweep map once: its ``iterations`` is the log's length, its
 
 The scheme maps all-zero data to exactly zero frames, so the map marches
 no forward field whose boundary data are all zero: it is the plan's
-read-only zero trajectory, ``plan.zero``.  With zero phi terminal data
-psi, phi and w1 stay exactly zero and the sweep is the u <-> p loop in
-the follower control, two real marches.  The final state is one real
-march, and so is ``SNResult.p``, marched by the map on its first read,
-since most runs never read it; ``solve_forward`` and ``solve_backward``
-themselves always march.
+read-only ``plan.zero``, and every zero field of a result is the map's
+one zero trajectory.  With zero phi terminal data psi, phi and w1 stay
+exactly zero and the sweep is the u <-> p loop in the follower control,
+two real marches.  The final state is one real march, and so is
+``SNResult.p``, marched by the map on its first read, since most runs
+never read it; ``solve_forward`` and ``solve_backward`` themselves
+always march.
 """
 
 from __future__ import annotations
@@ -193,24 +193,24 @@ def _control_change(new: tuple, old: tuple, idx: tuple, grid: TimeGrid) -> tuple
     return num / den, dw
 
 
-def _follower_cost(u: Trajectory, w2: np.ndarray, target: np.ndarray, sigma: float,
-                   levels) -> float:
-    """J2 of the state ``u`` and the bare follower control ``w2`` on its
-    segment's ``levels``, with u2 given as ``target`` on u's levels."""
-    track = u.plan.squared_distance(u.frames, target)
-    return 0.5 * track + 0.5 * sigma * u.grid.control_norm(w2, levels) ** 2
+def _follower_cost(plan: _LevelPlan, u: np.ndarray, w2: np.ndarray, target: np.ndarray,
+                   sigma: float, levels) -> float:
+    """J2 of the state frames ``u`` of ``plan`` and the bare follower control
+    ``w2`` on its segment's ``levels``, with u2 given as ``target`` on u's levels."""
+    track = plan.squared_distance(u, target)
+    return 0.5 * track + 0.5 * sigma * plan.grid.control_norm(w2, levels) ** 2
 
 
 @dataclass(frozen=True, eq=False)
 class _Sweep:
     """The sweep map of one solve (module docstring), built by ``of``.
 
-    ``sweep(w1, w2, psi_bc)`` returns ``((w1', w2', psi_bc'), (u, psi,
-    phi))``: its forward half, which returns ``(u, psi)``, then its
-    backward half on them.  ``nash_gradient_check`` and ``SNResult.p``
+    ``sweep(w1, w2, psi_bc)`` returns ``((w1', w2', psi_bc'), (u, psi, phi))``,
+    the fields as frames: its forward half, which returns ``(u, psi)``, then
+    its backward half on them.  ``nash_gradient_check`` and ``SNResult.p``
     reuse its ``state`` and ``adjoint``.  ``phi_terminal`` holds phi's
-    nonzero terminal data times i, as ``solve_backward``'s keywords; it
-    is empty for zero data.
+    nonzero terminal data times i, as ``solve_backward``'s keywords; it is
+    empty for zero data.
     """
 
     plan: _LevelPlan
@@ -242,10 +242,10 @@ class _Sweep:
                    config.sigma, terminal)
 
     def state(self, w1: np.ndarray, w2: np.ndarray,
-              psi_bc: Optional[np.ndarray] = None) -> Trajectory:
+              psi_bc: Optional[np.ndarray] = None) -> np.ndarray:
         """The forward march from rest with the trace of w1 + w2: u.  With
         a nonzero ``psi_bc`` it is the complex march u + i psi, plus i times
-        psi_bc's trace.  Zero data need no march: the zero trajectory."""
+        psi_bc's trace.  Zero data need no march: the zero frames."""
         trace = self.plan.grid.trace
         left = trace(w1, w2)
         if psi_bc is not None and psi_bc.any():
@@ -254,19 +254,18 @@ class _Sweep:
             return self.plan.zero
         return self.plan.forward(left)
 
-    def adjoint(self, u: Trajectory, psi: Optional[Trajectory] = None, **terminal) -> Trajectory:
+    def adjoint(self, u: np.ndarray, psi: Optional[np.ndarray] = None, **terminal) -> np.ndarray:
         """The backward march from the source u - target: p.  With a nonzero
         ``psi`` or with phi's terminal data (times i) it is the complex
         march p + i phi from the source (u - target) + i psi.  The source is
         formed in the frames the march fills."""
-        if psi is None:
-            psi = self.plan.zero
+        psi = self.plan.zero if psi is None else psi
         paired = psi is not self.plan.zero or bool(terminal)
         frames = np.empty(self.plan.shape, complex if paired else float)
-        np.subtract(u.frames, self.target, out=frames.real)
+        np.subtract(u, self.target, out=frames.real)
         if paired:
-            frames.imag = psi.frames
-        return self.plan.backward(frames, frames, **terminal)
+            frames.imag = psi
+        return self.plan.backward(frames, **terminal)
 
     def __call__(self, w1: np.ndarray, w2: np.ndarray, psi_bc: np.ndarray):
         return self.backward_half(*self.forward_half(w1, w2, psi_bc))
@@ -275,7 +274,7 @@ class _Sweep:
         """The sweep's forward march: ``(u, psi)``."""
         return self._parts(self.state(w1, w2, psi_bc))
 
-    def backward_half(self, u: Trajectory, psi: Trajectory) -> tuple:
+    def backward_half(self, u: np.ndarray, psi: np.ndarray) -> tuple:
         """The sweep's backward march from the forward half's ``(u, psi)``:
         ``((w1', w2', psi_bc'), (u, psi, phi))``."""
         p, phi = self._parts(self.adjoint(u, psi, **self.phi_terminal))
@@ -284,17 +283,24 @@ class _Sweep:
                flux(phi, self.follower) / self.sigma)
         return nxt, (u, psi, phi)
 
-    def own(self, f: Trajectory) -> Trajectory:
-        """``f`` on frames of its own, so the march array it views can be
-        freed; the zero trajectory as it is."""
-        return f if f is self.plan.zero else Trajectory(self.plan, f.frames.copy())
+    @cached_property
+    def zero(self) -> Trajectory:
+        """The zero trajectory, built on first use: every zero field of a result."""
+        return Trajectory(self.plan, self.plan.zero)
 
-    def _parts(self, f: Trajectory) -> tuple:
-        """The real and the imaginary part of a march, as two trajectories;
-        a real march's imaginary part is the zero trajectory."""
-        if f.frames.dtype.kind != "c":
-            return f, self.plan.zero
-        return Trajectory(self.plan, f.frames.real), Trajectory(self.plan, f.frames.imag)
+    def result(self, frames: np.ndarray) -> Trajectory:
+        """``frames`` as a trajectory of the plan; the zero frames as ``zero``."""
+        return self.zero if frames is self.plan.zero else Trajectory(self.plan, frames)
+
+    def own(self, f: np.ndarray) -> Trajectory:
+        """``result`` of a copy of ``f``, so the march array it views can be
+        freed; of the zero frames as they are."""
+        return self.result(f if f is self.plan.zero else f.copy())
+
+    def _parts(self, f: np.ndarray) -> tuple:
+        """The real and the imaginary part of a march's frames; a real
+        march's imaginary part is the zero frames."""
+        return (f.real, f.imag) if f.dtype.kind == "c" else (f, self.plan.zero)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +350,7 @@ class SNResult:
     def p(self) -> Trajectory:
         """The adjoint of ``u``: source u - target, zero terminal data."""
         with np.errstate(**_SWEEP_ERRSTATE):
-            p = self._sweep.adjoint(self.u)
+            p = self._sweep.result(self._sweep.adjoint(self.u.frames))
         p.frames.flags.writeable = False
         return p
 
@@ -358,7 +364,7 @@ def evaluate_J2(u: Trajectory, w2: np.ndarray, segment: tuple, u2: TargetLike,
     _check_real("trajectory u", u.frames)
     _check_control("w2", w2, grid)
     levels = _segment_levels("segment", segment, grid)
-    return _follower_cost(u, w2, u.plan.target(u2), sigma, levels)
+    return _follower_cost(u.plan, u.frames, w2, u.plan.target(u2), sigma, levels)
 
 
 def evaluate_J(w1: np.ndarray, segment: tuple, grid: TimeGrid) -> float:
@@ -400,17 +406,16 @@ def _iterate(sweep: _Sweep, config: SNConfig) -> SNResult:
         for n in range(config.max_iter):
             psi = phi = None  # the next sweep reads only u_prev
             u, psi = sweep.forward_half(w1, w2, psi_bc)
-            if not np.isfinite(u.frames[M]).all():
+            if not np.isfinite(u[M]).all():
                 raise diverged(n, "state", "state")
-            du = (0.0 if u_prev is None
-                  else math.sqrt(plan.squared_distance(u.frames, u_prev.frames)))
+            du = 0.0 if u_prev is None else math.sqrt(plan.squared_distance(u, u_prev))
             u_prev = None  # the backward march holds only u and its own frames
             (w1_new, w2_new, psi_bc), (u, psi, phi) = sweep.backward_half(u, psi)
             finite = [bool(np.isfinite(w).all()) for w in (w1_new, w2_new)]
             if not all(finite):
                 raise diverged(n, "control", "controls", w1_finite=finite[0], w2_finite=finite[1])
             stop, dw = _control_change((w1_new, w2_new), (w1, w2), idx, grid)
-            J2 = _follower_cost(u, w2, sweep.target, config.sigma, sweep.follower)
+            J2 = _follower_cost(plan, u, w2, sweep.target, config.sigma, sweep.follower)
             if not all(map(math.isfinite, (stop, du, dw, J2))):
                 raise diverged(n, "log", "log", stop_qty=stop, du_l2=du, dw_l2=dw, J2=J2)
             log.append(IterationRecord(n=n, stop_qty=stop, du_l2=du, dw_l2=dw,
@@ -424,7 +429,7 @@ def _iterate(sweep: _Sweep, config: SNConfig) -> SNResult:
         u = u_prev = None  # psi, then phi, take frames of their own; each sweep array is freed
         psi = sweep.own(psi)
         phi = sweep.own(phi)
-        u_final = sweep.state(w1, w2)
+        u_final = sweep.result(sweep.state(w1, w2))
     return SNResult(converged, w1, w2, u=u_final, psi=psi, phi=phi, _sweep=sweep, log=tuple(log))
 
 
@@ -440,7 +445,7 @@ def nash_residual(w2: np.ndarray, p: Trajectory, sigma: float,
     _check_real("trajectory p", p.frames)
     _check_control("w2", w2, grid)
     idx = _segment_levels("sigma2", segments.sigma2, grid)
-    defect = grid.control_norm(sigma * w2 - p.plan.flux(p, idx), idx)
+    defect = grid.control_norm(sigma * w2 - p.plan.flux(p.frames, idx), idx)
     denom = sigma * grid.control_norm(w2, idx)
     return defect if denom == 0.0 else defect / denom
 
@@ -512,7 +517,7 @@ def nash_gradient_check(w1: np.ndarray, w2: np.ndarray, config: SNConfig,
             direction[idx] = sum(c * np.sin((j + 1) * np.pi * s) for j, c in enumerate(coefs))
             direction /= grid.control_norm(direction, idx)
 
-            cost = [_follower_cost(sweep.state(v1, w), w, sweep.target, sigma, idx)
+            cost = [_follower_cost(sweep.plan, sweep.state(v1, w), w, sweep.target, sigma, idx)
                     for w in (v2 + delta * direction, v2 - delta * direction)]
             fd[d] = (cost[0] - cost[1]) / (2.0 * delta)
             analytic[d] = grid.control_inner(sigma * v2 - flux, direction, idx)

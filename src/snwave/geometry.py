@@ -245,19 +245,20 @@ def trapezoid_stats(spec: MovingDomainSpec, target_edge: float) -> SpaceTimeMesh
 
     A structured grid of quads (split into two triangles each) covers the
     trapezoid; the number of subdivisions in each direction is chosen so
-    edges are close to ``target_edge``, and an edge so small that they
-    overflow a float is a ``ValueError`` naming ``target_edge``.  Every
-    border vertex lies on one of the four straight edges, so the border
-    length is ``analytic_perimeter``.  This only reports; no solver reads it.
+    edges are close to ``target_edge``, and an edge so small that the mesh
+    would have more than 2**63 vertices, the most a 64-bit index addresses,
+    is a ``ValueError`` naming ``target_edge``.  Every border vertex lies on
+    one of the four straight edges, so the border length is
+    ``analytic_perimeter``.  This only reports; no solver reads it.
     """
     if not target_edge > 0.0:
         raise ValueError(f"target_edge must be positive, got {target_edge}")
     T = spec.T
     mean_width = 0.5 * (1.0 + (1.0 + spec.k * T))  # of the bottom and the top edge
     n_t, n_x = T / target_edge, mean_width / target_edge
-    if max(n_t, n_x) == math.inf:
+    if (n_x + 1) * (n_t + 1) > 2**63:  # an infinite count too
         raise ValueError(f"target_edge={target_edge!r} is too small: the mesh of T={T!r} "
-                         f"would have more subdivisions than a float holds")
+                         f"would have more than 2**63 vertices")
     n_t, n_x = max(1, round(n_t)), max(1, round(n_x))
     return SpaceTimeMeshStats(n_vertices=(n_x + 1) * (n_t + 1), n_triangles=2 * n_x * n_t,
                               border_length=analytic_perimeter(spec))

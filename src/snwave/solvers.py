@@ -70,26 +70,27 @@ step whose square underflows to 0 gives non-finite operators without a
 numpy warning; the game's checks report the values they produce.
 
 The level plan is the scheme.  The game's fixed point reaches the march
-only through these members of ``_LevelPlan``, the operations a scheme
-must provide:
+only through these members of ``_LevelPlan``, the array contract a
+scheme must provide, on frames, ``(M+1, N+1)`` arrays whose row m holds
+level m's nodal values:
 
-- ``forward(left, ic0, ic1, source)``: the march from t = 0 into new
-  frames;
-- ``backward(source, frames, terminal0, terminal1)``: the march from
-  t = T into ``frames``;
-- ``flux(traj, idx)``: the outward flux d/d nu = -d/dx at x = 0 on the
-  levels ``idx``, 0 elsewhere;
+- ``forward(left, ic0, ic1, source)``: the march from t = 0, new frames;
+- ``backward(frames, terminal0, terminal1)``: the march from t = T of
+  the source held in ``frames``, in place; it returns ``frames``;
+- ``flux(frames, idx)``: the outward flux d/d nu = -d/dx at x = 0 on
+  the levels ``idx``, 0 elsewhere;
 - ``squared_distance(a, b)``: dt times the sum over m < M of the mass
   pairing of a[m] - b[m] with itself, the space-time L2 form;
-- ``zero``: the read-only zero trajectory, what all-zero data march to;
+- ``zero``: read-only zero frames, what all-zero data march to;
 - ``grid`` and ``shape``: the time grid and the frames' ``(M+1, N+1)``.
 
 ``target(u2)`` is the target on every level, a callable u2 given one
 ``node_row(m)`` at a time; the CLI's node columns read ``node_row`` too,
 and the loop reads neither.  ``solve_forward`` and
-``solve_backward`` check their data, build a plan and call its
-``forward`` or ``backward``; the game calls them on its own plan, on
-data it has checked.  ``squared_distance``'s square root is the game's
+``solve_backward`` check their data, build a plan, call its
+``forward`` or ``backward`` and wrap the frames in a ``Trajectory``,
+the public result; the game calls them on its own plan, on data it has
+checked.  ``squared_distance``'s square root is the game's
 du_l2, ``trajectory_l2_distance`` and ``trajectory_l2_norm``, and half
 of it is J2's tracking term.  It forms the difference in row
 blocks of one contiguous buffer, so its bits do not depend on the
@@ -97,28 +98,26 @@ frames' layout: a real view of complex frames reads as its copy.
 ``flux`` gives the sweep's control updates, ``game.nash_residual``'s
 defect and ``duality_residual``'s boundary pairing.
 
-A trajectory is one ``(M+1, N+1)`` array whose row m holds the nodal
-values of level m, at the nodes of the plan's ``h[m]`` and ``ends[m]``,
-beside the plan, whose grid and ``shape`` are the trajectory's.  A march
-fills one preallocated array.  It first writes dt^2 times its source into
-that array, so source rows are pre-scaled in ``out`` and step i reads
-row i+1 as its source term before it writes that row.  Each step forms
-its right-hand side in one preallocated row and its forward product in
-another (``_march``): a step's only temporaries are the interpolated
-rows.  An unfolded step makes one interpolation, 2 r - ahead (two
-ufuncs), the source add and the row's two boundary values when there is
-a source, the scalar lift, and three products: ``ST.dot``, the scaling
-by G and ``back.dot``.  The backward march runs on reversed views of
-the plan's arrays and of its own.  A march takes its data as arrays of
-the same layout: ``solve_forward`` the ``(M+1,)`` Dirichlet values at
-x = 0 and, as keywords, the ``(N+1,)`` initial frames and an
-``(M+1, N+1)`` source; ``solve_backward`` the source and, as keywords,
-the terminal frames.  Omitted frames are zero.  The source is only
-read: a read-only or broadcast array serves.  The game's adjoint
-(``game._Sweep.adjoint``) instead forms its source in the frames it
-marches and passes them to ``plan.backward`` as both: the march
-scales them in place, with the same roundings, and holds no second
-full-size array.
+A trajectory is one frames array, whose row m lives at the nodes of the
+plan's ``h[m]`` and ``ends[m]``, beside the plan, whose grid and
+``shape`` are the trajectory's.  A march fills one preallocated array.
+It first writes dt^2 times its source into that array, so source rows
+are pre-scaled in ``out`` and step i reads row i+1 as its source term
+before it writes that row.  Each step forms its right-hand side in one
+preallocated row and its forward product in another (``_march``): a
+step's only temporaries are the interpolated rows.  An unfolded step
+makes one interpolation, 2 r - ahead (two ufuncs), the source add and
+the row's two boundary values when there is a source, the scalar lift,
+and three products: ``ST.dot``, the scaling by G and ``back.dot``.  The
+backward march runs on reversed views of the plan's arrays and of its
+own.  A march takes its data as arrays of the same layout:
+``solve_forward`` the ``(M+1,)`` Dirichlet values at x = 0 and, as
+keywords, the ``(N+1,)`` initial frames and an ``(M+1, N+1)`` source;
+``solve_backward`` the source and, as keywords, the terminal frames.
+Omitted frames are zero.  The source is only read: a read-only or
+broadcast array serves.  ``solve_backward`` copies it into the frames it
+marches; the game's adjoint (``game._Sweep.adjoint``) forms its source
+in them, and holds no second full-size array.
 
 The data may be complex; the frames then are complex too.  The scheme
 is real and linear, so a complex march is two real marches, of the real
@@ -135,7 +134,6 @@ the follower's and the leader's fields this way, in pairs.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -327,21 +325,11 @@ class _LevelPlan:
         """The ``G`` a march of ``frames`` scales by: ``paired_G`` for complex frames."""
         return self.paired_G if frames.dtype.kind == "c" else self.G
 
-    @property
-    def zero(self) -> Trajectory:
-        """The zero trajectory, a read-only broadcast that holds no frame
-        memory: the march of all-zero data, which need not be marched.
-
-        It is one object while any holder keeps it.  The plan keeps it by a
-        weak reference: a strong one would make the pair a reference cycle
-        that outlives its solve until the cycle collector runs (``snwave
-        table-sigma --N 300 --M 300`` peaked at 47.2 MB RSS, against 36.6
-        MB without the cycle)."""
-        zero = self.__dict__.get("_zero", lambda: None)()
-        if zero is None:
-            zero = Trajectory(self, np.broadcast_to(0.0, self.shape))
-            self.__dict__["_zero"] = weakref.ref(zero)
-        return zero
+    @cached_property
+    def zero(self) -> np.ndarray:
+        """The zero frames, a read-only broadcast that holds no frame memory:
+        the march of all-zero data, which need not be marched."""
+        return np.broadcast_to(0.0, self.shape)
 
     def node_row(self, m: int) -> np.ndarray:
         """Level m's nodes in a new row, by ``geometry._node_rows``."""
@@ -375,36 +363,32 @@ class _LevelPlan:
 
     def forward(self, left: np.ndarray, ic0: Optional[np.ndarray] = None,
                 ic1: Optional[np.ndarray] = None,
-                source: Optional[np.ndarray] = None) -> Trajectory:
-        """``solve_forward``'s march on checked data, into new frames."""
+                source: Optional[np.ndarray] = None) -> np.ndarray:
+        """``solve_forward``'s march on checked data: new frames."""
         ic0 = ic0 if ic0 is not None else np.zeros(self.shape[1])
         ic1 = ic1 if ic1 is not None else np.zeros(self.shape[1])
         frames = np.empty(self.shape, _frame_dtype(left, ic0, ic1, source))
         _march(self.h, self.ends, self.ST, self.back, self.step_G(frames), self.lift,
                self.grid.dt, ic0, ic1, left, source, frames)
-        return Trajectory(self, frames)
+        return frames
 
-    def backward(self, source: np.ndarray, frames: np.ndarray,
-                 terminal0: Optional[np.ndarray] = None,
-                 terminal1: Optional[np.ndarray] = None) -> Trajectory:
-        """``solve_backward``'s march into ``frames``, on checked data.
-
-        ``source`` may be ``frames`` itself: the game's adjoint forms its
-        source in the frames it marches, and ``_march`` scales them in place
-        by dt^2, the rounding it makes on a separate source.
-        """
+    def backward(self, frames: np.ndarray, terminal0: Optional[np.ndarray] = None,
+                 terminal1: Optional[np.ndarray] = None) -> np.ndarray:
+        """``solve_backward``'s march on checked data, of the source held in
+        ``frames``, which it marches in place: ``frames``."""
         term0 = terminal0 if terminal0 is not None else np.zeros(frames.shape[1])
         term1 = terminal1 if terminal1 is not None else np.zeros(frames.shape[1])
         _march(self.h[::-1], self.ends[::-1], self.ST, self.back, self.step_G(frames)[::-1],
                self.lift[::-1], self.grid.dt, term0, -term1, np.zeros(len(frames)),
-               source[::-1], frames[::-1])
-        return Trajectory(self, frames)
+               frames[::-1], frames[::-1])
+        return frames
 
-    def flux(self, traj: Trajectory, idx: np.ndarray) -> np.ndarray:
-        """The outward flux d/d nu = -d/dx of ``traj`` at x = 0 on its levels
-        ``idx``, 0 elsewhere: one flux call on the three nodes its stencil reads."""
-        flux = np.zeros(len(traj.frames))
-        flux[idx] = -boundary_flux_left(traj.frames[idx, :3], self.h[idx])
+    def flux(self, frames: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The outward flux d/d nu = -d/dx of ``frames`` at x = 0 on their
+        levels ``idx``, 0 elsewhere: one flux call on the three nodes its
+        stencil reads."""
+        flux = np.zeros(len(frames))
+        flux[idx] = -boundary_flux_left(frames[idx, :3], self.h[idx])
         return flux
 
     def squared_distance(self, a: np.ndarray, b: np.ndarray) -> float:
@@ -624,7 +608,8 @@ def solve_forward(left_boundary: np.ndarray, spec: MovingDomainSpec, grid: TimeG
     for name, a in (("left_boundary", left_boundary), ("ic0", ic0), ("ic1", ic1),
                     ("source", source)):
         _check_finite(name, a)
-    return _level_plan(spec, grid, N).forward(left_boundary, ic0, ic1, source)
+    plan = _level_plan(spec, grid, N)
+    return Trajectory(plan, plan.forward(left_boundary, ic0, ic1, source))
 
 
 def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N: int, *,
@@ -652,8 +637,9 @@ def solve_backward(source: np.ndarray, spec: MovingDomainSpec, grid: TimeGrid, N
     _check_shape("terminal1", terminal1, shape[1:])
     for name, a in (("source", source), ("terminal0", terminal0), ("terminal1", terminal1)):
         _check_finite(name, a)
-    frames = np.empty(shape, _frame_dtype(source, terminal0, terminal1))
-    return _level_plan(spec, grid, N).backward(source, frames, terminal0, terminal1)
+    plan = _level_plan(spec, grid, N)
+    frames = np.array(source, _frame_dtype(source, terminal0, terminal1), order="C")
+    return Trajectory(plan, plan.backward(frames, terminal0, terminal1))
 
 
 def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
@@ -675,7 +661,7 @@ def trajectory_l2_distance(a: Trajectory, b: Trajectory) -> float:
 def trajectory_l2_norm(a: Trajectory) -> float:
     """Space-time L2 norm of ``a``: its ``trajectory_l2_distance`` from the zero field."""
     _check_real("trajectory a", a.frames)
-    return math.sqrt(a.plan.squared_distance(a.frames, a.plan.zero.frames))
+    return math.sqrt(a.plan.squared_distance(a.frames, a.plan.zero))
 
 
 def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
@@ -700,10 +686,10 @@ def duality_residual(control: np.ndarray, segment: tuple, source: np.ndarray,
     _check_real("source", source)
     _check_finite("source", source)
     u_hat = plan.forward(grid.trace(on_segment))
-    p = plan.backward(source, np.empty(plan.shape, _frame_dtype(source)))
+    p = plan.backward(np.array(source, float, order="C"))
 
     M = grid.M
-    volume = grid.dt * _mass_pairing(source[:M], u_hat.frames[:M], plan.h[:M])
+    volume = grid.dt * _mass_pairing(source[:M], u_hat[:M], plan.h[:M])
     boundary = grid.control_inner(plan.flux(p, idx), control, idx)
     scale = max(abs(volume), abs(boundary))
     if scale == 0.0:

@@ -186,8 +186,8 @@ def test_criterion_7_degenerate_subsystem(tc):
     for _ in range(res.iterations):
         state, (_u, psi, phi) = sweep(*state)
         assert np.all(state[0] == 0.0)
-        assert np.all(psi.frames == 0.0)
-        assert np.all(phi.frames == 0.0)
+        assert np.all(psi == 0.0)
+        assert np.all(phi == 0.0)
     report(7, f"{res.iterations} sweeps, psi/phi/w1 bit-zero throughout")
 
 

@@ -349,7 +349,8 @@ class TestTables:
         assert capsys.readouterr().err == "error: k: mesh table needs k > 0\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("edge", ["5e-324", "1e-307"])  # every row, or only the later ones
+    # every row, or only the later ones; 1e-300 and 1e-08 (rows 5-10) pass 2**63 vertices
+    @pytest.mark.parametrize("edge", ["5e-324", "1e-307", "1e-300", "1e-08"])
     def test_table_mesh_overflowing_edge_is_usage_error(self, tmp_path, capsys, edge):
         # round(T / target_edge) raised an OverflowError traceback
         rc = run_cli(["table-mesh", "--out", str(tmp_path), "--target-edge", edge])
@@ -495,12 +496,35 @@ class TestMarchCounts:
     and (p, phi) backward, so it is still two per sweep.  Each march makes
     M+1 interpolation calls, one per frame."""
 
+    REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+    @classmethod
+    def _check_reference(cls, outdir, workload):
+        """The benchmark's correctness rule at scale s = 1: the reference's
+        sweep count and final-state rows, and ``x``, ``u`` and each sweep's
+        ``J2`` within 1e-9 of the reference, relative to the largest
+        reference value of the column (of the sweep, for ``J2``)."""
+        def rows(name):
+            got, want = (np.loadtxt(d / name, delimiter=",", skiprows=1, ndmin=2)
+                         for d in (outdir, cls.REFERENCE / workload))
+            assert got.shape == want.shape, name
+            return got, want
+
+        log, ref_log = rows("iteration_log.csv")
+        final, ref_final = rows("final_state.csv")
+        pairs = [(final[:, 0], ref_final[:, 0]), (final[:, 1], ref_final[:, 1]),
+                 *zip(log[:, 5:], ref_log[:, 5:])]
+        for got, want in pairs:
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-9 * (scale if scale > 0 else 1.0)
+
     @pytest.mark.parametrize("args,marches,interpolations", [
         ([], 12, 12 * 101),
         (["--phi-terminal", "bump:1.0", "--T-multiple", "10"], 34, 34 * 101),
         (["--N", "300", "--M", "300"], 20, 20 * 301),
     ], ids=["run-default", "run-leader", "run-fine"])
-    def test_marches_per_run(self, tmp_path, monkeypatch, args, marches, interpolations):
+    def test_marches_per_run(self, tmp_path, monkeypatch, request, args, marches,
+                             interpolations):
         count = {"_march": 0, "interpolate": 0}
         for name in count:
             def counted(*a, _name=name, _call=getattr(solvers, name), **kw):
@@ -508,8 +532,9 @@ class TestMarchCounts:
                 return _call(*a, **kw)
 
             monkeypatch.setattr(solvers, name, counted)
-        assert run_cli(["run", "--out", str(tmp_path), *args]) == 0
+        assert run_cli(["run", "--out", str(tmp_path), *args]) == 0  # u2 = 10: s = 1
         assert count == {"_march": marches, "interpolate": interpolations}
+        self._check_reference(tmp_path, request.node.callspec.id)
 
 
 class TestGoldenOutputs:

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import math
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -50,12 +52,12 @@ def stepped_sweeps(cfg, spec, grid, N, n):
 
 def follower_rule(p, sigma, segs, grid):
     """The sweep map's follower update: (1/sigma) times p's segment flux."""
-    return p.plan.flux(p, np.nonzero(segment_mask(segs.sigma2, grid))[0]) / sigma
+    return p.plan.flux(p.frames, np.nonzero(segment_mask(segs.sigma2, grid))[0]) / sigma
 
 
 def leader_rule(phi, segs, grid):
     """The sweep map's leader update: phi's segment flux."""
-    return phi.plan.flux(phi, np.nonzero(segment_mask(segs.sigma1, grid))[0])
+    return phi.plan.flux(phi.frames, np.nonzero(segment_mask(segs.sigma1, grid))[0])
 
 
 def make_trajectory(spec, grid, N, profile):
@@ -248,8 +250,8 @@ class TestFixedPoint:
         assert res.converged
         for w1, _w2, psi, phi in stepped_sweeps(cfg, spec, grid, 30, res.iterations):
             assert np.all(w1 == 0.0)
-            assert np.all(psi.frames == 0.0)
-            assert np.all(phi.frames == 0.0)
+            assert np.all(psi == 0.0)
+            assert np.all(phi == 0.0)
 
     def test_converges_at_paper_scale(self, spec_quarter, tc_quarter):
         grid = build_time_grid(tc_quarter, 60)
@@ -306,12 +308,12 @@ class TestFixedPoint:
         iterates = stepped_sweeps(cfg, spec, grid, 30, res.iterations)
         w1_first, _, psi_first, phi_first = iterates[0]
         # psi lags phi by one sweep, so the first sweep's psi is exactly zero
-        assert np.all(psi_first.frames == 0.0)
-        assert np.any(phi_first.frames != 0.0)
+        assert np.all(psi_first == 0.0)
+        assert np.any(phi_first != 0.0)
         assert np.any(w1_first != 0.0)
         if len(iterates) > 1:
             _, _, psi_second, _ = iterates[1]
-            assert np.any(psi_second.frames != 0.0)
+            assert np.any(psi_second != 0.0)
 
 
 def bump_terminal(spec, grid, N):
@@ -339,6 +341,7 @@ class TestSweepMap:
         log, u_prev = [], None
         for n in range(cfg.max_iter):
             nxt, (u, _psi, _phi) = sweep(*state)
+            u = Trajectory(sweep.plan, u)
             stop, dw = game._control_change(nxt[:2], state[:2], (sweep.leader, sweep.follower),
                                             grid)
             du = 0.0 if u_prev is None else trajectory_l2_distance(u, u_prev)
@@ -369,10 +372,10 @@ class TestSweepMap:
         w2[sweep.follower] = rng.standard_normal(len(sweep.follower))
         a_next, (a_u, a_psi, a_phi) = sweep(zeros, zeros, psi_bc)
         b_next, (b_u, b_psi, b_phi) = sweep(w1, w2, psi_bc)
-        assert not np.array_equal(a_u.frames, b_u.frames)
+        assert not np.array_equal(a_u, b_u)
         assert not np.array_equal(a_next[1], b_next[1])
-        np.testing.assert_array_equal(a_psi.frames, b_psi.frames)
-        np.testing.assert_array_equal(a_phi.frames, b_phi.frames)
+        np.testing.assert_array_equal(a_psi, b_psi)
+        np.testing.assert_array_equal(a_phi, b_phi)
         np.testing.assert_array_equal(a_next[0], b_next[0])
         np.testing.assert_array_equal(a_next[2], b_next[2])
 
@@ -390,8 +393,7 @@ class TestSweepMap:
             u, psi = sweep.forward_half(*state)
             half_nxt, half_fields = sweep.backward_half(u, psi)
             assert [a.tobytes() for a in half_nxt] == [a.tobytes() for a in nxt]
-            assert ([f.frames.tobytes() for f in half_fields]
-                    == [f.frames.tobytes() for f in fields])
+            assert [f.tobytes() for f in half_fields] == [f.tobytes() for f in fields]
             assert half_fields[0] is u and half_fields[1] is psi
             state = nxt
         assert np.any(state[0] != 0.0) == leader
@@ -416,9 +418,8 @@ class TestSweepMap:
 
 
 class DensePlan:
-    """A linear scheme in dense matrices with only the members the loop may
-    read: ``forward``, ``backward``, ``flux``, ``squared_distance``,
-    ``zero``, ``grid`` and ``shape``.  The march is a matrix on the
+    """A linear scheme in dense matrices, a plan of the array contract
+    (``solvers`` docstring) and nothing more.  The march is a matrix on the
     Dirichlet data, the backward march one on the source, the flux one
     on the frames; terminal data are not used.  The space-time form
     weights level m by t^{m+1} - t^m, so the grid needs no step dt."""
@@ -430,18 +431,18 @@ class DensePlan:
         self._back = rng.standard_normal((size, size)) / np.sqrt(size)
         self._flux = rng.standard_normal((grid.M + 1, size)) / np.sqrt(size)
         self._steps = np.diff(grid.levels)
-        self.zero = Trajectory(self, np.broadcast_to(0.0, self.shape))
+        self.zero = np.broadcast_to(0.0, self.shape)
 
     def forward(self, left, ic0=None, ic1=None, source=None):
-        return Trajectory(self, (self._march @ left).reshape(self.shape))
+        return (self._march @ left).reshape(self.shape)
 
-    def backward(self, source, frames, terminal0=None, terminal1=None):
-        frames[...] = (self._back @ source.reshape(-1)).reshape(self.shape)
-        return Trajectory(self, frames)
+    def backward(self, frames, terminal0=None, terminal1=None):
+        frames[...] = (self._back @ frames.reshape(-1)).reshape(self.shape)
+        return frames
 
-    def flux(self, traj, idx):
+    def flux(self, frames, idx):
         out = np.zeros(self.shape[0])
-        out[idx] = (self._flux @ traj.frames.reshape(-1))[idx]
+        out[idx] = (self._flux @ frames.reshape(-1))[idx]
         return out
 
     def squared_distance(self, a, b):
@@ -487,14 +488,13 @@ class TestToyScheme:
         target = rng.standard_normal(plan.shape)
 
         def flux_of(source):  # the follower flux of the backward march of ``source``
-            frames = np.empty(plan.shape)
-            return plan.flux(plan.backward(source, frames), follower)[follower]
+            return plan.flux(plan.backward(np.array(source)), follower)[follower]
 
         K = np.empty((3, 3))
         for j in range(3):
             w = np.zeros(grid.M + 1)
             w[follower[j]] = 1.0
-            K[:, j] = flux_of(plan.forward(grid.trace(w)).frames)
+            K[:, j] = flux_of(plan.forward(grid.trace(w)))
         sigma = np.max(np.abs(np.linalg.eigvals(K))) / 0.25  # contraction rate 1/4
         want = np.linalg.solve(np.eye(3) - K / sigma, -flux_of(target) / sigma)
 
@@ -502,7 +502,7 @@ class TestToyScheme:
         sweep = game._Sweep(plan, target, segs, leader, follower, sigma, {})
         res = game._iterate(sweep, cfg)
         assert res.converged and res.iterations < 40
-        assert np.all(res.w1 == 0.0) and res.psi is res.phi is plan.zero
+        assert np.all(res.w1 == 0.0) and res.psi is res.phi and res.psi.frames is plan.zero
         np.testing.assert_array_equal(np.delete(res.w2, follower), 0.0)
         err = np.linalg.norm(res.w2[follower] - want) / np.linalg.norm(want)
         assert err < 1e-12
@@ -521,7 +521,7 @@ class TestToyScheme:
         follower = np.arange(3)
         w2 = np.zeros(grid.M + 1)
         for rec in res.log:
-            u = plan.forward(grid.trace(w2)).frames
+            u = plan.forward(grid.trace(w2))
             misfit = np.sum((u - target)[:grid.M] ** 2, axis=1) @ np.diff(grid.levels)
             J2 = 0.5 * misfit + 0.5 * sigma * np.sum(weights[follower] * w2[follower] ** 2)
             assert rec.J == 0.0 and rec.J2 == pytest.approx(J2, rel=1e-13, abs=0.0)
@@ -898,6 +898,27 @@ class TestSolveMemory:
         plan = _level_plan(MovingDomainSpec(k=0.25, T=3.0), build_time_grid(3.0, N), N)
         assert self._plan_bytes(plan) < 2 * (N + 1) ** 2 * 8
 
+    @pytest.mark.parametrize("case", ["default", "leader", "zero-target"])
+    def test_result_frees_its_plan_without_the_cycle_collector(self, small_setup, case):
+        """A result and its plan make no reference cycle: with the cycle
+        collector off, dropping a result whose ``p`` was read frees the plan."""
+        spec, grid, _ = small_setup
+        N = 16
+        cfg = {"default": SNConfig(sigma=100.0),
+               "leader": SNConfig(sigma=100.0, phi_terminal=bump_terminal(spec, grid, N)),
+               "zero-target": SNConfig(sigma=100.0, u2=0.0)}[case]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            res = fixed_point_solve(cfg, spec, grid, N)
+            assert res.p.frames.shape == res.u.plan.shape
+            plan = weakref.ref(res.u.plan)
+            del res
+            assert plan() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_leader_result_owns_psi_and_phi(self, small_setup):
         """A live-leader result's psi and phi are copies of the last sweep's
         imaginary parts, so it holds neither complex array of that sweep."""
@@ -911,9 +932,9 @@ class TestSolveMemory:
         for _ in range(res.iterations):
             state, (_, psi, phi) = sweep(*state)
         for got, want in ((res.psi, psi), (res.phi, phi)):
-            assert want.frames.base.dtype == complex
+            assert want.base.dtype == complex
             assert got.frames.base is None
-            np.testing.assert_array_equal(got.frames, want.frames)
+            np.testing.assert_array_equal(got.frames, want)
 
 
 class TestNashResidual:

@@ -290,7 +290,7 @@ class TestTrapezoidStats:
     def test_border_is_the_analytic_perimeter_at_any_edge(self):
         # every border vertex lies on one of the four straight edges
         spec = MovingDomainSpec(k=0.25, T=2.0)
-        for edge in (5.0, 0.5, 0.25, 0.125, 0.0625, 1e-300):
+        for edge in (5.0, 0.5, 0.25, 0.125, 0.0625, 1e-9):  # 1e-9: 2.5e18 vertices
             assert trapezoid_stats(spec, edge).border_length == analytic_perimeter(spec)
 
     def test_counts_scale_with_resolution(self):
@@ -306,9 +306,11 @@ class TestTrapezoidStats:
         with pytest.raises(ValueError, match="positive"):
             trapezoid_stats(spec, 0.0)
 
-    @pytest.mark.parametrize("T,edge", [(2.0, 5e-324), (2.0, 1e-308), (1e-16, 5e-324)])
+    @pytest.mark.parametrize("T,edge", [(2.0, 5e-324), (2.0, 1e-308), (1e-16, 5e-324),
+                                        (2.0, 1e-300), (10 * compute_Tc(0.25), 1e-8)])
     def test_edge_whose_counts_overflow_names_target_edge(self, T, edge):
-        # T / edge overflowed inside round(), an OverflowError naming nothing
+        # T / edge overflowed inside round(), an OverflowError naming nothing; finite
+        # counts past the 2**63 vertices a 64-bit index addresses printed 600 digits
         with pytest.raises(ValueError, match=r"^target_edge=\S+ is too small"):
             trapezoid_stats(MovingDomainSpec(k=0.25, T=T), edge)
 

@@ -146,3 +146,17 @@ def test_game_does_no_grid_arithmetic():
     for module, name in (("fem", "_segment_norm"), ("solvers", "_left_trace"),
                          ("game", "_target")):
         assert not hasattr(importlib.import_module(f"snwave.{module}"), name)
+
+
+def test_solvers_wraps_a_trajectory_only_in_its_public_marches():
+    """The level plan's contract is on arrays: ``solvers`` builds
+    ``Trajectory(...)`` only in ``solve_forward`` and ``solve_backward``,
+    and its zero frames need no weak reference."""
+    tree = ast.parse(Path(importlib.import_module("snwave.solvers").__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "weakref" not in imported
+    builders = {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Trajectory"}
+    assert builders == {"solve_forward", "solve_backward"}

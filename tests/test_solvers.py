@@ -659,7 +659,7 @@ class TestMarchMemory:
         row = (N + 1) * np.dtype(dtype).itemsize
         for march in (
             lambda: plan.forward(left, x0, x1, source),
-            lambda: plan.backward(source, np.empty((N + 1, N + 1), dtype), x0, x1),
+            lambda: plan.backward(source.copy(), x0, x1),
         ):
             march()  # first calls fill numpy's own caches outside the measure
             tracemalloc.start()
@@ -691,8 +691,7 @@ class TestNodeBlocks:
         left, x0, x1, source = data(M + 1), data(N + 1), data(N + 1), data(M + 1, N + 1)
 
         def marches():
-            return (plan.forward(left, x0, x1, source).frames,
-                    plan.backward(source, np.empty((M + 1, N + 1), dtype), x0, x1).frames)
+            return plan.forward(left, x0, x1, source), plan.backward(source.copy(), x0, x1)
 
         blocked = marches()
         monkeypatch.setattr(solvers, "_NODE_ROWS", M + 2)
@@ -720,7 +719,7 @@ class TestOneNodeFormula:
 
         monkeypatch.setattr(solvers, "interpolate", spy)
         marches = ((lambda: plan.forward(np.ones(M + 1)), nodes),
-                   (lambda: plan.backward(np.ones(plan.shape), np.empty(plan.shape)),
+                   (lambda: plan.backward(np.ones(plan.shape)),
                     nodes[::-1]))
         for march, rows in marches:
             seen.clear()
@@ -790,6 +789,42 @@ class TestPreScaledSource:
             np.testing.assert_array_equal(frames[:, -1], 0.0)
 
 
+
+class TestArrayContract:
+    """The level plan's marches take and return frames: ``forward`` new
+    ones, ``backward`` the frames it is given, marched in place from the
+    source they hold; ``solve_forward`` and ``solve_backward`` wrap the
+    same bits in a ``Trajectory``.  ``zero`` is read-only zero frames."""
+
+    @pytest.mark.parametrize("N", [20, _FOLD_N])  # _FOLD_N: folded operators
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_marches_are_the_public_ones_bit_for_bit(self, N, dtype):
+        spec, grid = MovingDomainSpec(k=0.25, T=3.0), build_time_grid(3.0, 12)
+        plan = _level_plan(spec, grid, N)
+        rng = np.random.default_rng(N)
+
+        def data(*shape):
+            a = rng.standard_normal(shape)
+            return a + 1j * rng.standard_normal(shape) if dtype is complex else a
+
+        left, x0, x1, source = data(grid.M + 1), data(N + 1), data(N + 1), data(*plan.shape)
+        frames = source.copy()
+        got = plan.backward(frames, x0, x1)
+        assert got is frames
+        want = solve_backward(source, spec, grid, N, terminal0=x0, terminal1=x1)
+        assert got.tobytes() == want.frames.tobytes()
+        got = plan.forward(left, x0, x1, source)
+        assert type(got) is np.ndarray and got.dtype == dtype
+        want = solve_forward(left, spec, grid, N, ic0=x0, ic1=x1, source=source)
+        assert got.tobytes() == want.frames.tobytes()
+
+    def test_zero_is_a_read_only_broadcast(self):
+        plan = _level_plan(MovingDomainSpec(k=0.25, T=3.0), build_time_grid(3.0, 12), 20)
+        zero = plan.zero
+        assert type(zero) is np.ndarray and zero.shape == plan.shape == (13, 21)
+        assert zero.strides == (0, 0) and not zero.flags.writeable and not zero.any()
+        assert plan.zero is zero  # one per plan
+
 class TestStepOperands:
     """The plan's step operands beside ``ST`` and ``G``: the back
     operator, and ``G`` paired over the two real columns of a complex
@@ -811,8 +846,7 @@ class TestStepOperands:
         plan.forward(np.sin(grid.levels) + 1j)
         paired_G = vars(plan)["paired_G"]
         np.testing.assert_array_equal(paired_G, np.stack([plan.G, plan.G], axis=-1))
-        plan.backward(np.ones((grid.M + 1, N + 1), complex),
-                      np.empty((grid.M + 1, N + 1), complex))
+        plan.backward(np.ones((grid.M + 1, N + 1), complex))
         assert plan.paired_G is paired_G  # once per plan
         for a in (plan.back, plan.paired_G):
             with pytest.raises(ValueError, match="read-only"):
@@ -916,7 +950,7 @@ class TestTrajectoryNorms:
         d = a.frames[:N] - target[:N]
         want = (0.5 * (dt * _mass_pairing(d, d, a.plan.h[:N]))
                 + 0.5 * sigma * float(np.sqrt(dt * np.sum(w2[levels] ** 2))) ** 2)
-        assert game._follower_cost(a, w2, target, sigma, levels) == want
+        assert game._follower_cost(a.plan, a.frames, w2, target, sigma, levels) == want
 
     def test_norm_does_not_depend_on_the_layout(self):
         # a strided real view of complex frames and its contiguous copy read
